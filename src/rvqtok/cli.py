@@ -1,9 +1,12 @@
 """Batch command-line surface.
 
 Subcommands: mel, train-rvq, encode, decode, pack, eval, scorer-plugin.
-Every command takes --seed, --threads, and --format; --threads is
-accepted for interface stability but numeric kernels are single-threaded
-and unaffected by it, so outputs are byte-identical at any value.
+Every command takes --seed, --threads, and --format. --threads is
+accepted for interface stability and ignored: nothing here starts
+threads, though the BLAS library behind NumPy may use its own unless
+OPENBLAS_NUM_THREADS (or its equivalent) is set. Artifacts are
+byte-identical at any --threads value; acceptance criterion 10 checks
+this.
 
 Exit codes: 0 success, 2 I/O, 3 shape or config, 4 data format,
 5 scorer-plugin protocol.
@@ -45,14 +48,7 @@ from .rvq import (
     init_rvq_stack,
     train_rvq,
 )
-from .scorers import (
-    BigramScorer,
-    RandomScorer,
-    SubprocessScorer,
-    builtin_scorer,
-    perfect_scorer,
-    run_plugin_loop,
-)
+from .scorers import SubprocessScorer, builtin_scorer, run_plugin_loop
 from .streams import SpecialTokens, TokenFrame, build_loss_mask, is_eoa
 
 DEFAULT_SPECIAL = SpecialTokens(switch_ta=256, switch_at=257)
@@ -286,24 +282,26 @@ def cmd_pack(args) -> int:
     return 0
 
 
-def _make_scorer(args):
-    if args.plugin:
-        return SubprocessScorer(shlex.split(args.plugin))
-    if args.scorer == "bigram":
-        if not args.bigram_corpus or args.vocab_size < 1:
-            raise InvalidConfig("bigram scorer needs --bigram-corpus and --vocab-size")
+def _builtin_scorer(name: str, args):
+    """The named built-in scorer; bigram is fit on --bigram-corpus (JSONL)."""
+    corpus = None
+    if name == "bigram" and args.bigram_corpus:
         corpus = [
             json.loads(line)
             for line in Path(args.bigram_corpus).read_text().splitlines()
             if line.strip()
         ]
-        return builtin_scorer("bigram", corpus=corpus, vocab_size=args.vocab_size)
-    return builtin_scorer(args.scorer, seed=args.seed)
+    return builtin_scorer(
+        name, seed=args.seed, corpus=corpus, vocab_size=args.vocab_size
+    )
 
 
 def cmd_eval(args) -> int:
     records = ff.read_eval_records(args.records)
-    scorer = _make_scorer(args)
+    if args.plugin:
+        scorer = SubprocessScorer(shlex.split(args.plugin))
+    else:
+        scorer = _builtin_scorer(args.scorer, args)
     try:
         if args.format == "jsonl":
             correct = 0
@@ -322,22 +320,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_scorer_plugin(args) -> int:
-    if args.name == "perfect":
-        scorer = perfect_scorer
-    elif args.name == "random":
-        scorer = RandomScorer(seed=args.seed)
-    elif args.name == "bigram":
-        if not args.bigram_corpus or args.vocab_size < 1:
-            raise InvalidConfig("bigram plugin needs --bigram-corpus and --vocab-size")
-        corpus = [
-            json.loads(line)
-            for line in Path(args.bigram_corpus).read_text().splitlines()
-            if line.strip()
-        ]
-        scorer = BigramScorer(vocab_size=args.vocab_size).fit(corpus)
-    else:
-        raise InvalidConfig(f"unknown plugin scorer {args.name!r}")
-    return run_plugin_loop(scorer)
+    return run_plugin_loop(_builtin_scorer(args.name, args))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -347,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=1,
-        help="reserved; numeric kernels are single-threaded regardless",
+        help="accepted and ignored; outputs are byte-identical at any value",
     )
     common.add_argument("--format", choices=("json", "jsonl"), default="json")
     common.add_argument("--config", default=None, help="JSON config file")

@@ -37,7 +37,7 @@ convention). Nothing here builds an autodiff graph.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -58,14 +58,13 @@ class Codebook:
     """One quantizer layer: K codewords plus EMA bookkeeping.
 
     usage_counts[j] is the number of update steps since entry j was
-    last assigned; cluster_size_ema[j] is a smoothed assignment count.
+    last assigned.
     """
 
     vectors: np.ndarray
     ema_decay: float = 0.99
     norm_beta: float = 0.0
     usage_counts: np.ndarray | None = None
-    cluster_size_ema: np.ndarray | None = None
 
     def __post_init__(self):
         self.vectors = np.asarray(self.vectors, dtype=np.float64)
@@ -81,14 +80,8 @@ class Codebook:
             self.usage_counts = np.zeros(self.size, dtype=np.int64)
         else:
             self.usage_counts = np.asarray(self.usage_counts, dtype=np.int64)
-        if self.cluster_size_ema is None:
-            self.cluster_size_ema = np.zeros(self.size, dtype=np.float64)
-        else:
-            self.cluster_size_ema = np.asarray(self.cluster_size_ema, dtype=np.float64)
         if self.usage_counts.shape != (self.size,) or (self.usage_counts < 0).any():
             raise InvalidConfig("usage_counts must be K non-negative integers")
-        if self.cluster_size_ema.shape != (self.size,):
-            raise ShapeMismatch("cluster_size_ema must have K entries")
 
     @property
     def size(self) -> int:
@@ -104,7 +97,6 @@ class Codebook:
             ema_decay=self.ema_decay,
             norm_beta=self.norm_beta,
             usage_counts=self.usage_counts.copy(),
-            cluster_size_ema=self.cluster_size_ema.copy(),
         )
 
 
@@ -192,7 +184,7 @@ class DropoutConfig:
 
 @dataclass(frozen=True)
 class TrainingSchedule:
-    """Progressive replacement ramp plus per-stage commit-loss weights.
+    """Progressive replacement ramp.
 
     The fraction of instances routed through the quantizer rises
     linearly from replace_start to replace_end over total_steps.
@@ -203,8 +195,6 @@ class TrainingSchedule:
     replace_start: float = 0.10
     replace_end: float = 1.00
     total_steps: int = 1000
-    commit_weight_schedule: tuple[float, ...] = (0.25,)
-    granularity: str = "instance"
 
     def __post_init__(self):
         if not 0.0 <= self.replace_start <= self.replace_end <= 1.0:
@@ -214,10 +204,6 @@ class TrainingSchedule:
             )
         if self.total_steps < 0:
             raise InvalidConfig("total_steps must be >= 0")
-        if self.granularity != "instance":
-            raise InvalidConfig("replacement granularity must be instance-level")
-        if not self.commit_weight_schedule:
-            raise InvalidConfig("commit_weight_schedule must be non-empty")
 
     def replace_fraction_at(self, step: int) -> float:
         if not 0 <= step <= self.total_steps:
@@ -226,13 +212,6 @@ class TrainingSchedule:
             return self.replace_end
         t = step / self.total_steps
         return self.replace_start + (self.replace_end - self.replace_start) * t
-
-    def commit_weight_at(self, step: int) -> float:
-        stages = len(self.commit_weight_schedule)
-        if self.total_steps == 0:
-            return self.commit_weight_schedule[-1]
-        i = min(step * stages // self.total_steps, stages - 1)
-        return self.commit_weight_schedule[i]
 
 
 def pairwise_sqdist(x: np.ndarray, codewords: np.ndarray) -> np.ndarray:
@@ -270,6 +249,24 @@ def _active_mask(
     return active
 
 
+def _assign_layer(
+    book: Codebook,
+    residual: np.ndarray,
+    rows,
+    gumbel: GumbelConfig,
+    rng: np.random.Generator | None,
+) -> np.ndarray:
+    """One cascade layer: select a codeword for each of residual[rows] and
+    subtract it from residual in place; returns the chosen indices.
+
+    Pass slice(None) when every row is active, so residual[rows] is a
+    view and no (T, D) copy is made.
+    """
+    chosen = _select_indices(pairwise_sqdist(residual[rows], book.vectors), gumbel, rng)
+    residual[rows] -= book.vectors[chosen]
+    return chosen
+
+
 def _cascade(
     stack: RvqStack,
     x: np.ndarray,
@@ -281,10 +278,11 @@ def _cascade(
 ):
     """Run the residual cascade over a (T, D) batch.
 
-    Returns (indices, active, quantized, layer_inputs) where indices is
-    (T, L) with INACTIVE sentinels, quantized is (T, D), and
-    layer_inputs (when collected) lists each layer's (T, D) residual
-    input.
+    Returns (indices, active, residual, layer_inputs) where indices is
+    (T, L) with INACTIVE sentinels, residual is the (T, D) remainder
+    after the last layer, and layer_inputs (when collected) lists each
+    layer's (T, D) residual input. RNGs default to fresh generators
+    seeded from the configs, so a bare call is deterministic.
     """
     n, dim = x.shape
     if dim != stack.dim:
@@ -292,6 +290,10 @@ def _cascade(
     for book in stack.layers:
         if book.size == 0:
             raise InvalidConfig("cannot quantize with an empty codebook")
+    if gumbel.enabled and gumbel_rng is None:
+        gumbel_rng = np.random.Generator(np.random.PCG64(gumbel.seed))
+    if dropout is not None and dropout_rng is None:
+        dropout_rng = np.random.Generator(np.random.PCG64(dropout.seed))
 
     active = _active_mask(n, stack.n_layers, dropout, dropout_rng)
     indices = np.full((n, stack.n_layers), INACTIVE, dtype=np.int64)
@@ -301,16 +303,13 @@ def _cascade(
     for layer, book in enumerate(stack.layers):
         if collect_layer_inputs:
             layer_inputs.append(residual.copy())
-        rows = np.flatnonzero(active[:, layer])
-        if rows.size == 0:
+        col = active[:, layer]
+        if not col.any():
             continue
-        dists = pairwise_sqdist(residual[rows], book.vectors)
-        chosen = _select_indices(dists, gumbel, gumbel_rng)
-        indices[rows, layer] = chosen
-        residual[rows] -= book.vectors[chosen]
+        rows = slice(None) if col.all() else np.flatnonzero(col)
+        indices[rows, layer] = _assign_layer(book, residual, rows, gumbel, gumbel_rng)
 
-    quantized = x - residual
-    return indices, active, quantized, layer_inputs
+    return indices, active, residual, layer_inputs
 
 
 def quantize(
@@ -333,27 +332,13 @@ def quantize(
     x = np.asarray(input_vec, dtype=np.float64)
     if x.ndim != 1:
         raise ShapeMismatch(f"expected a single vector, got shape {x.shape}")
-    if gumbel.enabled and gumbel_rng is None:
-        gumbel_rng = np.random.Generator(np.random.PCG64(gumbel.seed))
-    if dropout is not None and dropout_rng is None:
-        dropout_rng = np.random.Generator(np.random.PCG64(dropout.seed))
-
-    indices, active, quantized, _ = _cascade(
-        stack, x[None, :], gumbel, dropout, gumbel_rng, dropout_rng
+    indices, active, residual, layer_inputs = _cascade(
+        stack, x[None, :], gumbel, dropout, gumbel_rng, dropout_rng, True
     )
-
-    residuals = []
-    running = x.copy()
-    for layer, book in enumerate(stack.layers):
-        idx = indices[0, layer]
-        if idx != INACTIVE:
-            running = running - book.vectors[idx]
-        residuals.append(running.copy())
-
     return QuantizeResult(
         indices=tuple(int(i) for i in indices[0]),
-        quantized=quantized[0],
-        residuals=tuple(residuals),
+        quantized=x - residual[0],
+        residuals=tuple(r[0] for r in layer_inputs[1:]) + (residual[0],),
         active_layers=tuple(int(l) for l in np.flatnonzero(active[0])),
     )
 
@@ -375,12 +360,8 @@ def quantize_batch(
     x = np.asarray(vectors, dtype=np.float64)
     if x.ndim != 2:
         raise ShapeMismatch(f"expected a T x D batch, got shape {x.shape}")
-    if gumbel.enabled and gumbel_rng is None:
-        gumbel_rng = np.random.Generator(np.random.PCG64(gumbel.seed))
-    if dropout is not None and dropout_rng is None:
-        dropout_rng = np.random.Generator(np.random.PCG64(dropout.seed))
-    indices, _, quantized, _ = _cascade(stack, x, gumbel, dropout, gumbel_rng, dropout_rng)
-    return indices, quantized
+    indices, _, residual, _ = _cascade(stack, x, gumbel, dropout, gumbel_rng, dropout_rng)
+    return indices, x - residual
 
 
 def commitment_loss(input_vec: np.ndarray, result: QuantizeResult) -> float:
@@ -402,11 +383,21 @@ def mean_commitment_loss(vectors: np.ndarray, quantized: np.ndarray) -> float:
     return float(np.mean(np.sum(diff * diff, axis=1)))
 
 
-def _ema_from_sums(
-    book: Codebook, sums: np.ndarray, counts: np.ndarray, mode: str
+def _ema_step(
+    book: Codebook, chosen: np.ndarray, vectors: np.ndarray, mode: str
 ) -> Codebook:
+    """One EMA step from row-aligned entry indices and assigned vectors.
+
+    np.add.at sums each entry's vectors in row order, so the result
+    does not depend on thread count.
+    """
     if mode not in EMA_MODES:
         raise InvalidConfig(f"unknown EMA mode {mode!r}")
+    sums = np.zeros_like(book.vectors)
+    counts = np.zeros(book.size, dtype=np.int64)
+    np.add.at(sums, chosen, vectors)
+    np.add.at(counts, chosen, 1)
+
     alpha, beta = book.ema_decay, book.norm_beta
     new_vectors = alpha * book.vectors
     assigned = counts > 0
@@ -420,13 +411,8 @@ def _ema_from_sums(
 
     usage = book.usage_counts + 1
     usage[assigned] = 0
-    cluster = alpha * book.cluster_size_ema + (1.0 - alpha) * counts
     return Codebook(
-        vectors=new_vectors,
-        ema_decay=alpha,
-        norm_beta=beta,
-        usage_counts=usage,
-        cluster_size_ema=cluster,
+        vectors=new_vectors, ema_decay=alpha, norm_beta=beta, usage_counts=usage
     )
 
 
@@ -438,8 +424,8 @@ def ema_update(book: Codebook, assignments, mode: str = "paper_literal") -> Code
     thread count. Returns a new Codebook; the input is untouched.
     usage_counts reset for assigned entries and increment otherwise.
     """
-    sums = np.zeros_like(book.vectors)
-    counts = np.zeros(book.size, dtype=np.int64)
+    chosen: list[int] = []
+    rows: list[np.ndarray] = []
     for j in sorted(assignments):
         vecs = assignments[j]
         if len(vecs) == 0:
@@ -450,9 +436,10 @@ def ema_update(book: Codebook, assignments, mode: str = "paper_literal") -> Code
             v = np.asarray(v, dtype=np.float64)
             if v.shape != (book.dim,):
                 raise ShapeMismatch(f"assigned vector has shape {v.shape}, want ({book.dim},)")
-            sums[j] += v
-        counts[j] = len(vecs)
-    return _ema_from_sums(book, sums, counts, mode)
+            rows.append(v)
+        chosen.extend([j] * len(vecs))
+    vectors = np.array(rows, dtype=np.float64).reshape(len(rows), book.dim)
+    return _ema_step(book, np.asarray(chosen, dtype=np.int64), vectors, mode)
 
 
 def apply_norm_constraint(book: Codebook) -> Codebook:
@@ -461,7 +448,6 @@ def apply_norm_constraint(book: Codebook) -> Codebook:
         book,
         vectors=book.vectors * (1.0 - book.norm_beta),
         usage_counts=book.usage_counts.copy(),
-        cluster_size_ema=book.cluster_size_ema.copy(),
     )
 
 
@@ -492,14 +478,11 @@ def restart_dead_entries(
     vectors[dead] = batch[picks]
     usage = book.usage_counts.copy()
     usage[dead] = 0
-    cluster = book.cluster_size_ema.copy()
-    cluster[dead] = 0.0
     new_book = Codebook(
         vectors=vectors,
         ema_decay=book.ema_decay,
         norm_beta=book.norm_beta,
         usage_counts=usage,
-        cluster_size_ema=cluster,
     )
     return new_book, [int(j) for j in dead]
 
@@ -589,19 +572,18 @@ def init_rvq_stack(
             replace_draw = residual.shape[0] < k
             picks = rng.choice(residual.shape[0], size=k, replace=replace_draw)
             vectors = residual[picks]
-        book = Codebook(
-            vectors=vectors.copy(), ema_decay=ema_decay, norm_beta=norm_beta
-        )
+        # fancy indexing copied the picks, so the in-place cascade step
+        # below cannot alias the book
+        book = Codebook(vectors=vectors, ema_decay=ema_decay, norm_beta=norm_beta)
         layers.append(book)
-        nearest = np.argmin(pairwise_sqdist(residual, book.vectors), axis=1)
-        residual = residual - book.vectors[nearest]
+        _assign_layer(book, residual, slice(None), GUMBEL_OFF, None)
     return RvqStack(layers)
 
 
 def encode_frames(stack: RvqStack, vectors: np.ndarray) -> np.ndarray:
     """Deterministic inference path: argmin cascade, no Gumbel, no dropout."""
     indices, _ = quantize_batch(stack, vectors)
-    return indices.astype(np.int64)
+    return indices
 
 
 def decode_frames(stack: RvqStack, indices: np.ndarray) -> np.ndarray:
@@ -699,6 +681,8 @@ def train_rvq(
     for seq in corpus:
         if seq.dim != stack.dim:
             raise ShapeMismatch(f"corpus dim {seq.dim} != stack dim {stack.dim}")
+        if seq.n_vectors == 0:
+            raise EmptyInput("training corpus holds a sequence with no vectors")
     if epochs == 0:
         return stack, TrainingReport()
 
@@ -719,9 +703,10 @@ def train_rvq(
                     1,
                 )[0]
             )
-            indices, active, quantized, layer_inputs = _cascade(
+            indices, active, residual, layer_inputs = _cascade(
                 work, x, gumbel, dropout, gumbel_rng, dropout_rng, True
             )
+            quantized = x - residual
 
             commit = mean_commitment_loss(x, quantized)
             fmae = float(np.mean(np.abs(x - quantized)))
@@ -731,20 +716,14 @@ def train_rvq(
                 utilization.append(float(np.unique(used).size / book.size))
 
             if routed:
-                for layer in range(work.n_layers):
-                    book = work.layers[layer]
-                    rows = np.flatnonzero(active[:, layer])
-                    sums = np.zeros_like(book.vectors)
-                    counts = np.zeros(book.size, dtype=np.int64)
-                    if rows.size:
-                        chosen = indices[rows, layer]
-                        np.add.at(sums, chosen, layer_inputs[layer][rows])
-                        np.add.at(counts, chosen, 1)
-                    book = _ema_from_sums(book, sums, counts, mode)
-                    if restart and rows.size:
+                for layer, book in enumerate(work.layers):
+                    rows = active[:, layer]
+                    batch = layer_inputs[layer][rows]
+                    book = _ema_step(book, indices[rows, layer], batch, mode)
+                    if restart and len(batch):
                         book, _ = restart_dead_entries(
                             book,
-                            layer_inputs[layer][rows],
+                            batch,
                             dead_threshold,
                             derive_seed(seed, f"restart:{step}:{layer}"),
                         )

@@ -191,6 +191,19 @@ class TestTrainRvq:
         code, _, _ = run(capsys, "train-rvq", manifest, tmp_path / "o.rvq1")
         assert code == 4
 
+    def test_empty_feature_file(self, capsys, tmp_path, feature_corpus):
+        manifest, paths = feature_corpus
+        empty = tmp_path / "empty.afv1"
+        write_afv1(empty, np.zeros((0, 6)), 12.5)
+        manifest.write_text(f"{paths[0]}\n{empty}\n")
+        report = tmp_path / "report.jsonl"
+        code, lines, _ = run(
+            capsys, "train-rvq", manifest, tmp_path / "o.rvq1", "--report", report
+        )
+        assert code == 4
+        assert lines == []
+        assert not report.exists() or "NaN" not in report.read_text()
+
     def test_missing_feature_file(self, capsys, tmp_path):
         manifest = tmp_path / "corpus.txt"
         manifest.write_text(str(tmp_path / "ghost.afv1") + "\n")

@@ -63,13 +63,10 @@ class TestCodebook:
     def test_counter_defaults(self):
         book = Codebook(np.zeros((3, 2)))
         assert book.usage_counts.tolist() == [0, 0, 0]
-        assert book.cluster_size_ema.tolist() == [0.0, 0.0, 0.0]
 
     def test_counter_validation(self):
         with pytest.raises(InvalidConfig):
             Codebook(np.zeros((2, 2)), usage_counts=np.array([-1, 0]))
-        with pytest.raises(ShapeMismatch):
-            Codebook(np.zeros((2, 2)), cluster_size_ema=np.zeros(3))
 
     def test_copy_is_deep(self):
         book = Codebook(np.ones((2, 2)))
@@ -113,10 +110,6 @@ class TestConfigs:
             TrainingSchedule(replace_start=0.8, replace_end=0.2)
         with pytest.raises(InvalidConfig):
             TrainingSchedule(total_steps=-1)
-        with pytest.raises(InvalidConfig):
-            TrainingSchedule(commit_weight_schedule=())
-        with pytest.raises(InvalidConfig):
-            TrainingSchedule(granularity="token")
 
     def test_replace_fraction_linear(self):
         sched = TrainingSchedule(replace_start=0.1, replace_end=0.9, total_steps=100)
@@ -129,16 +122,6 @@ class TestConfigs:
     def test_replace_fraction_zero_steps(self):
         sched = TrainingSchedule(total_steps=0)
         assert sched.replace_fraction_at(0) == sched.replace_end
-
-    def test_commit_weight_stages(self):
-        sched = TrainingSchedule(
-            total_steps=90, commit_weight_schedule=(0.1, 0.2, 0.3)
-        )
-        assert sched.commit_weight_at(0) == 0.1
-        assert sched.commit_weight_at(29) == 0.1
-        assert sched.commit_weight_at(30) == 0.2
-        assert sched.commit_weight_at(89) == 0.3
-        assert sched.commit_weight_at(90) == 0.3
 
 
 class TestPairwiseSqdist:
@@ -333,11 +316,6 @@ class TestEmaUpdate:
         new = ema_update(book, {1: [np.zeros(2)]})
         assert new.usage_counts.tolist() == [8, 0, 8]
 
-    def test_cluster_size_ema(self):
-        new = ema_update(self.book, self.assignments)
-        assert new.cluster_size_ema[0] == pytest.approx(0.01 * 2, abs=1e-12)
-        assert new.cluster_size_ema[1] == 0.0
-
     def test_input_untouched(self):
         before = self.book.vectors.copy()
         ema_update(self.book, self.assignments)
@@ -406,7 +384,6 @@ class TestRestart:
         for j in replaced:
             assert any(np.array_equal(new.vectors[j], row) for row in batch)
             assert new.usage_counts[j] == 0
-            assert new.cluster_size_ema[j] == 0.0
 
     def test_no_dead_returns_input(self):
         book = Codebook(np.zeros((2, 2)))
@@ -599,6 +576,29 @@ class TestTrainRvq:
         corpus = [seq(rng.standard_normal((10, 5)))]
         with pytest.raises(ShapeMismatch):
             train_rvq(small_stack(dim=3), corpus, TrainingSchedule())
+
+    def test_empty_sequence(self, rng):
+        corpus = [seq(rng.standard_normal((10, 3))), seq(np.zeros((0, 3)))]
+        with pytest.raises(EmptyInput):
+            train_rvq(small_stack(), corpus, TrainingSchedule())
+
+    def test_step_matches_ema_update(self, rng):
+        # one routed step reduces each layer's assignments exactly as
+        # ema_update does over the same grouped residual inputs
+        stack = small_stack(seed=4)
+        x = rng.standard_normal((30, 3))
+        sched = TrainingSchedule(replace_start=1.0, replace_end=1.0, total_steps=1)
+        for mode in ("paper_literal", "standard_ema"):
+            out, _ = train_rvq(stack, [seq(x)], sched, mode=mode, restart=False)
+            indices = encode_frames(stack, x)
+            residual = x.copy()
+            for layer, book in enumerate(stack.layers):
+                col = indices[:, layer]
+                groups = {int(j): list(residual[col == j]) for j in np.unique(col)}
+                want = ema_update(book, groups, mode)
+                assert np.array_equal(out.layers[layer].vectors, want.vectors)
+                assert np.array_equal(out.layers[layer].usage_counts, want.usage_counts)
+                residual -= book.vectors[col]
 
     def test_input_stack_unmodified(self, rng):
         stack = small_stack()
