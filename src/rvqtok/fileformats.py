@@ -17,6 +17,7 @@ manifests as JSON-lines; special tokens and stats as single objects.
 from __future__ import annotations
 
 import json
+import os
 import struct
 import wave
 from pathlib import Path
@@ -47,6 +48,9 @@ _RVQ1_LAYER_HEADER = struct.Struct("<IIdd")
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
+    # an oversize header size is refused before anything is allocated
+    if fh.seekable() and n > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise MalformedWire(f"truncated file while reading {what}")
     data = fh.read(n)
     if len(data) != n:
         raise MalformedWire(f"truncated file while reading {what}")
@@ -107,12 +111,10 @@ def read_atk1(path) -> tuple[list[TokenFrame], tuple[int, ...]]:
             f"<{n_layers}I", _read_exact(fh, 4 * n_layers, "ATK1 layer sizes")
         )
         (count,) = struct.unpack("<I", _read_exact(fh, 4, "ATK1 frame count"))
-        frames = []
-        for _ in range(count):
-            idx = struct.unpack(
-                f"<{n_layers}I", _read_exact(fh, 4 * n_layers, "ATK1 frame")
-            )
-            frames.append(TokenFrame(indices=idx))
+        body = _read_exact(fh, 4 * n_layers * count, "ATK1 frames")
+        frames = [
+            TokenFrame(indices=idx) for idx in struct.iter_unpack(f"<{n_layers}I", body)
+        ]
         if fh.read(1):
             raise MalformedWire("trailing bytes after ATK1 frames")
     return frames, sizes

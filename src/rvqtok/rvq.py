@@ -2,10 +2,13 @@
 
 A stack of codebooks quantizes a vector layer by layer: the first layer
 quantizes the input, each later layer quantizes the running residual,
-and the reconstruction is the sum of the selected codewords. Codewords
-are learned without gradients, by an exponential-moving-average update
-over the vectors assigned to each entry, optionally followed by an
-L2-norm contraction of the whole book.
+and the reconstruction is the sum of the selected codewords. Selection
+scores rows in blocks of 1024 with a float32 GEMM against codewords
+taken relative to the codebook mean; residuals and reconstruction stay
+float64. It may differ from exact float64 selection only on near-ties.
+Codewords are learned without gradients, by an exponential-moving-average
+update over the vectors assigned to each entry, optionally followed by
+an L2-norm contraction of the whole book.
 
 Two EMA modes are provided. ``paper_literal`` adds the full assignment
 mean on top of the decayed codeword:
@@ -41,7 +44,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import EmptyInput, InvalidConfig, IndexOutOfRange, ShapeMismatch
+from .errors import EmptyInput, IndexOutOfRange, InvalidConfig, InvalidSample, ShapeMismatch
 from .mel import FeatureSequence
 from .seeding import derive_seed, make_rng
 
@@ -49,6 +52,8 @@ from .seeding import derive_seed, make_rng
 DEFAULT_LAYER_SIZES = (8192, 4096, 2048, 1024, 1024, 1024, 1024, 1024)
 
 INACTIVE = -1  # sentinel index for layers deactivated by dropout
+
+_ROW_CHUNK = 1024  # rows per selection block; bounds scores to _ROW_CHUNK x K
 
 EMA_MODES = ("paper_literal", "standard_ema")
 
@@ -214,16 +219,6 @@ class TrainingSchedule:
         return self.replace_start + (self.replace_end - self.replace_start) * t
 
 
-def pairwise_sqdist(x: np.ndarray, codewords: np.ndarray) -> np.ndarray:
-    """Squared euclidean distances, shape (T, K) for (T, D) x (K, D)."""
-    d = (
-        np.sum(x * x, axis=1)[:, None]
-        - 2.0 * (x @ codewords.T)
-        + np.sum(codewords * codewords, axis=1)[None, :]
-    )
-    return np.maximum(d, 0.0)
-
-
 def _select_indices(
     dists: np.ndarray, gumbel: GumbelConfig, rng: np.random.Generator | None
 ) -> np.ndarray:
@@ -259,11 +254,26 @@ def _assign_layer(
     """One cascade layer: select a codeword for each of residual[rows] and
     subtract it from residual in place; returns the chosen indices.
 
-    Pass slice(None) when every row is active, so residual[rows] is a
-    view and no (T, D) copy is made.
+    rows is slice(None) when every row is active (blocks are then views)
+    or an index array. Rows are scored _ROW_CHUNK at a time in float32
+    as ||c - m||^2 - 2 (x - m).(c - m), with m the codebook mean: that
+    is ||x - c||^2 less the per-row constant ||x - m||^2, so argmin and
+    Gumbel selection are unchanged, and centring keeps float32 accurate
+    when x and c sit far from the origin.
     """
-    chosen = _select_indices(pairwise_sqdist(residual[rows], book.vectors), gumbel, rng)
-    residual[rows] -= book.vectors[chosen]
+    center = book.vectors.mean(axis=0)
+    codes = (book.vectors - center).astype(np.float32)
+    norms = np.einsum("kd,kd->k", codes, codes)
+    whole = isinstance(rows, slice)
+    n = residual.shape[0] if whole else rows.size
+    chosen = np.empty(n, dtype=np.int64)
+    for start in range(0, n, _ROW_CHUNK):
+        part = slice(start, start + _ROW_CHUNK)
+        block = part if whole else rows[part]
+        scores = ((residual[block] - center) * -2.0).astype(np.float32) @ codes.T
+        scores += norms
+        chosen[part] = _select_indices(scores, gumbel, rng)
+        residual[block] -= book.vectors[chosen[part]]
     return chosen
 
 
@@ -287,6 +297,8 @@ def _cascade(
     n, dim = x.shape
     if dim != stack.dim:
         raise ShapeMismatch(f"input dim {dim} != stack dim {stack.dim}")
+    if not np.isfinite(x).all():
+        raise InvalidSample("input vectors hold NaN or inf")
     for book in stack.layers:
         if book.size == 0:
             raise InvalidConfig("cannot quantize with an empty codebook")

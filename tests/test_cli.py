@@ -1,6 +1,7 @@
 import importlib
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -317,6 +318,49 @@ class TestEncodeDecode:
             capsys, "decode", tokens, books, tmp_path / "r.afv1", "--unstack", 1
         )
         assert code == 3
+
+
+class TestHostileInput:
+    """Bad input exits 4 through the CLI's error handling, not a traceback."""
+
+    def test_non_finite_features(self, capsys, tmp_path, trained):
+        _, books, _ = trained
+        for bad in (np.nan, np.inf):
+            x = np.zeros((5, 6))
+            x[3, 2] = bad
+            feats = tmp_path / "bad.afv1"
+            write_afv1(feats, x, 12.5)
+            code, _, err = run(capsys, "encode", feats, books, tmp_path / "x.atk1")
+            assert code == 4
+            assert "NaN or inf" in err
+
+    def test_oversize_afv1_header(self, capsys, tmp_path, trained):
+        _, books, _ = trained
+        feats = tmp_path / "huge.afv1"
+        feats.write_bytes(struct.pack("<4sIId", b"AFV1", 2**31, 2**31, 12.5))
+        code, _, err = run(capsys, "encode", feats, books, tmp_path / "x.atk1")
+        assert code == 4
+        assert "AFV1 body" in err
+
+    def test_oversize_atk1_frame_count(self, capsys, tmp_path, trained):
+        _, books, _ = trained
+        tokens = tmp_path / "huge.atk1"
+        tokens.write_bytes(struct.pack("<4sIIII", b"ATK1", 2, 8, 8, 2**32 - 1))
+        code, _, err = run(
+            capsys, "decode", tokens, books, tmp_path / "r.afv1", "--unstack", 1
+        )
+        assert code == 4
+        assert "ATK1 frames" in err
+
+    def test_oversize_rvq1_codebook(self, capsys, tmp_path, trained):
+        feats, _, _ = trained
+        books = tmp_path / "huge.rvq1"
+        books.write_bytes(
+            struct.pack("<4sI", b"RVQ1", 1) + struct.pack("<IIdd", 2**31, 2**31, 0.99, 0.0)
+        )
+        code, _, err = run(capsys, "encode", feats, books, tmp_path / "x.atk1")
+        assert code == 4
+        assert "RVQ1 codewords" in err
 
 
 @pytest.fixture

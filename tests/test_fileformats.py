@@ -1,5 +1,7 @@
 import json
+import os
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -78,6 +80,21 @@ class TestAfv1:
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(MalformedWire):
             read_afv1(path)
+
+    def test_reads_from_a_pipe(self, tmp_path, rng):
+        # the header-size check needs a file length; a pipe has none
+        x = rng.standard_normal((3, 4)).astype(np.float32).astype(np.float64)
+        write_afv1(tmp_path / "x.afv1", x, 12.5)
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        data = (tmp_path / "x.afv1").read_bytes()
+        writer = threading.Thread(target=fifo.write_bytes, args=(data,))
+        writer.start()
+        back, rate = read_afv1(fifo)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert np.array_equal(back, x)
+        assert rate == 12.5
 
     def test_header_layout(self, tmp_path):
         # pinned byte layout: magic, u32 T, u32 D, f64 rate, then f32 LE

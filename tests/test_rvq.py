@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rvqtok.errors import EmptyInput, IndexOutOfRange, InvalidConfig, ShapeMismatch
+from rvqtok import rvq
+from rvqtok.errors import (
+    EmptyInput,
+    IndexOutOfRange,
+    InvalidConfig,
+    InvalidSample,
+    ShapeMismatch,
+)
 from rvqtok.mel import FeatureSequence
 from rvqtok.rvq import (
     DEFAULT_LAYER_SIZES,
@@ -22,7 +29,6 @@ from rvqtok.rvq import (
     encode_frames,
     init_rvq_stack,
     mean_commitment_loss,
-    pairwise_sqdist,
     quantize,
     quantize_batch,
     restart_dead_entries,
@@ -124,29 +130,82 @@ class TestConfigs:
         assert sched.replace_fraction_at(0) == sched.replace_end
 
 
-class TestPairwiseSqdist:
+def brute_force_argmin(x, codewords):
+    """Exact float64 nearest codeword per row, one difference at a time."""
+    return np.array([np.argmin(np.sum((codewords - row) ** 2, axis=1)) for row in x])
+
+
+def select_one_layer(book, x):
+    return encode_frames(RvqStack([book]), x)[:, 0]
+
+
+class TestAssignLayer:
     def test_brute_force_oracle(self, rng):
         x = rng.standard_normal((7, 5))
         c = rng.standard_normal((11, 5))
-        got = pairwise_sqdist(x, c)
-        for t in range(7):
-            for k in range(11):
-                want = float(np.sum((x[t] - c[k]) ** 2))
-                assert got[t, k] == pytest.approx(want, abs=1e-10)
+        d = np.sort(((x[:, None, :] - c[None]) ** 2).sum(-1), axis=1)
+        assert (d[:, 1] - d[:, 0] > 1e-3).all()  # well separated: no near-ties
+        assert np.array_equal(select_one_layer(Codebook(c), x), brute_force_argmin(x, c))
 
-    def test_zero_on_self(self, rng):
+    def test_codeword_selects_itself(self, rng):
         c = rng.standard_normal((4, 3))
-        d = pairwise_sqdist(c, c)
-        assert np.allclose(np.diag(d), 0.0, atol=1e-10)
+        assert np.array_equal(select_one_layer(Codebook(c), c), np.arange(4))
 
-    @given(seed=st.integers(0, 1000))
+    @pytest.mark.parametrize("offset", [1e4, 1e6])
+    def test_argmin_exact_at_large_offset(self, offset):
+        # float32 scores of raw codewords cancel catastrophically here;
+        # scoring relative to the codebook mean keeps the argmin exact
+        rng = np.random.Generator(np.random.PCG64(3))
+        c = rng.standard_normal((256, 32)) + offset
+        x = c[rng.integers(0, 256, size=400)] + 0.1 * rng.standard_normal((400, 32))
+        assert np.array_equal(select_one_layer(Codebook(c), x), brute_force_argmin(x, c))
+
+
+class TestBlockedSelection:
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 40))
     @settings(max_examples=25)
-    def test_nonnegative(self, seed):
+    def test_row_alone_equals_batch(self, seed, n):
         rng = np.random.Generator(np.random.PCG64(seed))
-        # large offsets stress the expansion's cancellation
-        x = rng.standard_normal((5, 4)) + 1e6
-        d = pairwise_sqdist(x, x + rng.standard_normal((5, 4)) * 1e-4)
-        assert (d >= 0).all()
+        stack = small_stack(seed=seed, sizes=(16, 8, 8), dim=5)
+        x = rng.standard_normal((n, 5)) * rng.uniform(0.1, 10.0)
+        batch = encode_frames(stack, x)
+        for t in range(n):
+            assert np.array_equal(encode_frames(stack, x[t : t + 1])[0], batch[t])
+            assert quantize(stack, x[t]).indices == tuple(batch[t])
+
+    @pytest.mark.parametrize("mode", ["independent", "suffix"])
+    def test_block_size_does_not_change_results(self, monkeypatch, rng, mode):
+        stack = small_stack(seed=19, sizes=(16, 8, 8, 8), dim=4)
+        x = rng.standard_normal((30, 4))
+        gumbel = GumbelConfig(temperature=1.0, enabled=True, seed=4)
+        dropout = DropoutConfig(keep_prob_per_layer=0.5, seed=5, mode=mode)
+        corpus = [seq(rng.standard_normal((23, 4))) for _ in range(3)]
+        schedule = TrainingSchedule(replace_start=1.0, total_steps=6)
+
+        def run():
+            idx, quantized = quantize_batch(stack, x, gumbel, dropout)
+            trained, report = train_rvq(
+                stack,
+                corpus,
+                schedule,
+                gumbel,
+                dropout,
+                epochs=2,
+                mode="standard_ema",
+                dead_threshold=2,
+                seed=6,
+            )
+            return idx, quantized, trained, report
+
+        default = run()
+        monkeypatch.setattr(rvq, "_ROW_CHUNK", 7)  # ragged last block
+        small = run()
+        assert np.array_equal(default[0], small[0])
+        assert np.array_equal(default[1], small[1])
+        for a, b in zip(default[2].layers, small[2].layers):
+            assert np.array_equal(a.vectors, b.vectors)
+            assert np.array_equal(a.usage_counts, b.usage_counts)
+        assert default[3] == small[3]
 
 
 class TestQuantize:
@@ -189,6 +248,13 @@ class TestQuantize:
     def test_batch_rejects_vector(self):
         with pytest.raises(ShapeMismatch):
             quantize_batch(small_stack(), np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        x = np.zeros((4, 3))
+        x[2, 1] = bad
+        with pytest.raises(InvalidSample):
+            quantize_batch(small_stack(), x)
 
 
 class TestGumbel:
@@ -365,7 +431,7 @@ class TestNormConstraint:
         batch = rng.standard_normal((32, 3))
         bound = np.abs(batch).max() * 100  # generous; divergence would blow past
         for step in range(500):
-            idx = np.argmin(pairwise_sqdist(batch, book.vectors), axis=1)
+            idx = select_one_layer(book, batch)
             groups = {j: list(batch[idx == j]) for j in np.unique(idx)}
             book = ema_update(book, groups)
             assert np.linalg.norm(book.vectors, axis=1).max() < bound
