@@ -66,7 +66,6 @@ from .streams import (
     Segment,
     SegmentKind,
     SpecialTokens,
-    TokenFrame,
     audio_segment,
     build_loss_mask,
     deserialize,

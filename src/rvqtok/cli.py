@@ -49,7 +49,7 @@ from .rvq import (
     train_rvq,
 )
 from .scorers import SubprocessScorer, builtin_scorer, run_plugin_loop
-from .streams import SpecialTokens, TokenFrame, build_loss_mask, is_eoa
+from .streams import SpecialTokens, build_loss_mask
 
 DEFAULT_SPECIAL = SpecialTokens(switch_ta=256, switch_at=257)
 
@@ -86,6 +86,8 @@ def cmd_mel(args) -> int:
     audio = _load_audio(args.input, args.raw_rate)
     mel = compute_mel(audio, cfg)
     stacked = stack_frames(mel, stack_factor)
+    if stacked.n_vectors == 0:
+        raise EmptyInput(f"{mel.n_frames} mel frames, too few to stack {stack_factor}")
     ff.write_afv1(args.output, stacked.vectors, stacked.frame_rate)
     _emit(
         {
@@ -178,9 +180,8 @@ def cmd_encode(args) -> int:
             f"feature dim {vectors.shape[1]} != codebook dim {stack.dim}"
         )
     indices = encode_frames(stack, vectors)
-    frames = [TokenFrame(indices=tuple(row)) for row in indices]
-    ff.write_atk1(args.output, frames, stack.layer_sizes)
-    _emit({"frames": len(frames), "seed": args.seed})
+    ff.write_atk1(args.output, indices, stack.layer_sizes)
+    _emit({"frames": len(indices), "seed": args.seed})
     return 0
 
 
@@ -191,14 +192,11 @@ def cmd_decode(args) -> int:
         raise ShapeMismatch(
             f"token layer sizes {sizes} != codebook sizes {stack.layer_sizes}"
         )
-    kept = [f for f in frames if not is_eoa(f, sizes)]
-    n_eoa = len(frames) - len(kept)
+    eoa = (frames == sizes).all(axis=1)
+    n_eoa = int(eoa.sum())
     if n_eoa:
         print(f"skipped {n_eoa} end-of-audio frames", file=sys.stderr)
-    indices = np.array([f.indices for f in kept], dtype=np.int64).reshape(
-        len(kept), stack.n_layers
-    )
-    vectors = decode_frames(stack, indices)
+    vectors = decode_frames(stack, frames[~eoa])
     if args.unstack > 1:
         if stack.dim % args.unstack:
             raise ShapeMismatch(
@@ -224,7 +222,7 @@ def cmd_pack(args) -> int:
     )
     rows = ff.read_manifest(args.manifest)
 
-    atk1_cache: dict[str, list[TokenFrame]] = {}
+    atk1_cache: dict[str, np.ndarray] = {}
     pairs = []
     for row in rows:
         path = row["atk1_path"]
@@ -240,15 +238,13 @@ def cmd_pack(args) -> int:
         try:
             pair = AlignedPair(
                 text=row["text"],
-                frames=tuple(frames[start:end]),
+                frames=frames[start:end],
                 duration_s=float(row["duration_s"]),
                 provenance=row["provenance"],
             )
         except InvalidConfig as exc:
-            raise MalformedWire(
-                f"manifest line {row['line_no']}: {exc}"
-            ) from exc
-        pairs.append((pair, row))
+            raise MalformedWire(f"manifest line {row['line_no']}: {exc}") from exc
+        pairs.append((pair, {"path": path, "start": start, "end": end}))
 
     records = []
     stats_input = []
@@ -259,16 +255,9 @@ def cmd_pack(args) -> int:
         else:
             stream = build_intlv(group_pairs, args.seed, tokenize=byte_tokenizer)
         mask = build_loss_mask(stream)
-        refs = []
-        for pair, row in group:
-            start, end = (int(v) for v in row["frame_range"])
-            refs.append({"path": row["atk1_path"], "start": start, "end": end})
-        # INTLV uses only every other pair's audio; keep refs for audio segments
-        audio_refs = (
-            refs
-            if args.format_tag == "ITTS"
-            else [r for i, r in enumerate(refs) if i % 2 == 0]
-        )
+        # INTLV takes its audio from every other pair, starting with the first
+        refs = [ref for _, ref in group]
+        audio_refs = refs if args.format_tag == "ITTS" else refs[::2]
         records.append(ff.stream_record(stream, mask, audio_refs))
         stats_input.append((stream, sum(p.duration_s for p in group_pairs)))
 

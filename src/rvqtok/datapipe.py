@@ -13,13 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
+import numpy as np
+
 from .errors import InsufficientData, InvalidConfig, InvalidStream
 from .seeding import make_rng
 from .streams import (
     InterleavedStream,
     Segment,
-    TokenFrame,
     audio_segment,
+    frame_array,
     text_segment,
 )
 
@@ -36,22 +38,22 @@ def byte_tokenizer(text: str) -> list[int]:
     return list(text.encode("utf-8"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AlignedPair:
-    """One utterance with its transcript, token frames, and provenance."""
+    """One utterance with its transcript, (n, L) token frames, and provenance."""
 
     text: str
-    frames: tuple[TokenFrame, ...]
+    frames: np.ndarray
     duration_s: float
     provenance: str = "synthetic"
 
     def __post_init__(self):
-        object.__setattr__(self, "frames", tuple(self.frames))
+        object.__setattr__(self, "frames", frame_array(self.frames))
         if self.duration_s <= 0:
             raise InvalidConfig(f"duration must be positive, got {self.duration_s}")
         if self.provenance not in PROVENANCE_TAGS:
             raise InvalidConfig(f"provenance must be one of {PROVENANCE_TAGS}")
-        if not self.text and not self.frames:
+        if not self.text and not len(self.frames):
             raise InvalidConfig("a pair needs text or frames")
 
 
@@ -103,7 +105,7 @@ def build_intlv(
                 raise InvalidStream(f"pair {i} supplies no text tokens")
             segments.append(text_segment(ids))
         else:
-            if not pair.frames:
+            if not len(pair.frames):
                 raise InvalidStream(f"pair {i} supplies no frames")
             segments.append(audio_segment(pair.frames))
     return InterleavedStream(format_tag="INTLV", segments=tuple(segments))
@@ -118,7 +120,7 @@ def build_itts(
     segments: list[Segment] = []
     for i, pair in enumerate(pairs):
         ids = tokenize(pair.text)
-        if not ids or not pair.frames:
+        if not ids or not len(pair.frames):
             raise InvalidStream(f"pair {i} must carry both text and frames")
         segments.append(text_segment(ids))
         segments.append(audio_segment(pair.frames))

@@ -3,8 +3,9 @@
 All binary formats are little-endian with a 4-byte magic:
 
   AFV1  feature matrices: u32 T, u32 D, f64 frame_rate, T*D float32 rows
-  ATK1  token streams: u32 L, L per-layer u32 K, u32 frame count,
-        then each frame as L u32 indices
+  ATK1  token streams: u32 L, L per-layer u32 K, u32 frame count T,
+        then a T x L u32 index matrix, frame by frame; read and
+        written as one (T, L) integer array (int64 when read)
   RVQ1  codebook stacks: u32 n_layers, then per layer u32 K, u32 D,
         f64 ema_decay, f64 norm_beta, K*D float32 codewords,
         K u64 usage counters
@@ -24,7 +25,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyInput, InvalidConfig, MalformedWire, ShapeMismatch
+from .errors import (
+    EmptyInput,
+    IndexOutOfRange,
+    InvalidConfig,
+    MalformedWire,
+    ShapeMismatch,
+)
 from .mel import AudioBuffer
 from .rvq import Codebook, RvqStack
 from .streams import (
@@ -33,7 +40,6 @@ from .streams import (
     Segment,
     SegmentKind,
     SpecialTokens,
-    TokenFrame,
     audio_segment,
     text_segment,
 )
@@ -84,23 +90,25 @@ def read_afv1(path) -> tuple[np.ndarray, float]:
 
 # ---------------------------------------------------------------- ATK1
 
-def write_atk1(path, frames: list[TokenFrame], layer_sizes) -> None:
+def write_atk1(path, frames: np.ndarray, layer_sizes) -> None:
+    """Write (T, L) indices; ShapeMismatch unless T x L, IndexOutOfRange
+    for an index that is negative or does not fit u32 (>= 2**32)."""
     sizes = tuple(int(k) for k in layer_sizes)
     if not sizes:
         raise InvalidConfig("layer sizes must be non-empty")
+    arr = np.asarray(frames)
+    if arr.ndim != 2 or arr.shape[1] != len(sizes):
+        raise ShapeMismatch(f"frames must be T x {len(sizes)}, got {arr.shape}")
+    if arr.size and (arr.dtype.kind not in "iu" or arr.min() < 0 or arr.max() >= 2**32):
+        raise IndexOutOfRange("ATK1 indices must be integers in [0, 2**32)")
+    header = struct.pack(f"<4sI{len(sizes)}II", ATK1_MAGIC, len(sizes), *sizes, len(arr))
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sI", ATK1_MAGIC, len(sizes)))
-        fh.write(struct.pack(f"<{len(sizes)}I", *sizes))
-        fh.write(struct.pack("<I", len(frames)))
-        for frame in frames:
-            if frame.n_layers != len(sizes):
-                raise ShapeMismatch(
-                    f"frame has {frame.n_layers} layers, file has {len(sizes)}"
-                )
-            fh.write(struct.pack(f"<{len(sizes)}I", *frame.indices))
+        fh.write(header)
+        fh.write(arr.astype("<u4").tobytes())
 
 
-def read_atk1(path) -> tuple[list[TokenFrame], tuple[int, ...]]:
+def read_atk1(path) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The (T, L) int64 index array and the L layer sizes."""
     with open(path, "rb") as fh:
         magic, n_layers = struct.unpack("<4sI", _read_exact(fh, 8, "ATK1 header"))
         if magic != ATK1_MAGIC:
@@ -112,11 +120,9 @@ def read_atk1(path) -> tuple[list[TokenFrame], tuple[int, ...]]:
         )
         (count,) = struct.unpack("<I", _read_exact(fh, 4, "ATK1 frame count"))
         body = _read_exact(fh, 4 * n_layers * count, "ATK1 frames")
-        frames = [
-            TokenFrame(indices=idx) for idx in struct.iter_unpack(f"<{n_layers}I", body)
-        ]
         if fh.read(1):
             raise MalformedWire("trailing bytes after ATK1 frames")
+    frames = np.frombuffer(body, dtype="<u4").reshape(count, n_layers).astype(np.int64)
     return frames, sizes
 
 
@@ -192,7 +198,11 @@ def write_wav(path, audio: AudioBuffer) -> None:
 
 
 def read_raw_f32(path, sample_rate: int) -> AudioBuffer:
-    samples = np.fromfile(path, dtype="<f4").astype(np.float64)
+    """Headerless little-endian float32 samples; a ragged tail is malformed."""
+    raw = Path(path).read_bytes()
+    if len(raw) % 4:
+        raise MalformedWire(f"raw float32 file of {len(raw)} bytes ends mid-sample")
+    samples = np.frombuffer(raw, dtype="<f4").astype(np.float64)
     return AudioBuffer(samples=samples, sample_rate=sample_rate)
 
 
@@ -233,20 +243,11 @@ def stream_record(
             segments.append({"kind": "text", "tokens": list(seg.tokens)})
         else:
             ref = next(refs)
-            if int(ref["end"]) - int(ref["start"]) != len(seg.frames):
-                raise ShapeMismatch(
-                    f"frame ref {ref} does not cover {len(seg.frames)} frames"
-                )
-            segments.append(
-                {
-                    "kind": "audio",
-                    "frames_ref": {
-                        "path": str(ref["path"]),
-                        "start": int(ref["start"]),
-                        "end": int(ref["end"]),
-                    },
-                }
-            )
+            start, end = int(ref["start"]), int(ref["end"])
+            if end - start != len(seg):
+                raise ShapeMismatch(f"frame ref {ref} does not cover {len(seg)} frames")
+            frames_ref = {"path": str(ref["path"]), "start": start, "end": end}
+            segments.append({"kind": "audio", "frames_ref": frames_ref})
     return {
         "format": stream.format_tag,
         "segments": segments,
@@ -255,7 +256,7 @@ def stream_record(
 
 
 def load_stream_record(obj: dict, frames_by_path) -> tuple[InterleavedStream, LossMask]:
-    """Rebuild a stream from a record dict and loaded ATK1 frame lists."""
+    """Rebuild a stream from a record dict and loaded (T, L) ATK1 frames."""
     segments: list[Segment] = []
     for seg in obj["segments"]:
         if seg["kind"] == "text":

@@ -117,18 +117,15 @@ def accuracy(records: list[EvalRecord], scorer: Scorer) -> float:
 
 
 def _layer_indices(frames, layer: int) -> np.ndarray:
-    """Column of per-layer indices from TokenFrames or a (T, L) array."""
-    if isinstance(frames, np.ndarray):
-        if frames.ndim != 2:
-            raise InvalidConfig(f"index array must be T x L, got {frames.shape}")
-        n_layers = frames.shape[1]
-        if not 0 <= layer < n_layers:
-            raise InvalidConfig(f"layer {layer} outside [0, {n_layers})")
-        return frames[:, layer].astype(np.int64)
-    frames = list(frames)
-    if frames and not 0 <= layer < frames[0].n_layers:
-        raise InvalidConfig(f"layer {layer} outside [0, {frames[0].n_layers})")
-    return np.array([f.indices[layer] for f in frames], dtype=np.int64)
+    """Column of per-layer indices from a (T, L) array or sequence of rows."""
+    idx = np.asarray(frames, dtype=np.int64)
+    if idx.shape == (0,):
+        return idx  # an empty sequence has no frames in any layer
+    if idx.ndim != 2:
+        raise InvalidConfig(f"index array must be T x L, got {idx.shape}")
+    if not 0 <= layer < idx.shape[1]:
+        raise InvalidConfig(f"layer {layer} outside [0, {idx.shape[1]})")
+    return idx[:, layer]
 
 
 def codebook_utilization(frames, layer: int, K: int) -> float:

@@ -177,9 +177,15 @@ class SubprocessScorer:
         return float(resp["nll"]), int(resp["tokens"])
 
     def close(self) -> None:
+        """Close the plugin's stdin and reap it; kill it if it will not exit."""
         if self._proc.stdin and not self._proc.stdin.closed:
             self._proc.stdin.close()
-        self._proc.wait(timeout=10)
+        try:
+            self._proc.wait(timeout=10)
+        except subprocess.TimeoutExpired as exc:
+            self._proc.kill()
+            self._proc.wait()
+            raise ScorerError("plugin outlived its closed stdin; killed") from exc
 
     def __enter__(self) -> "SubprocessScorer":
         return self

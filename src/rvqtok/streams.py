@@ -1,9 +1,10 @@
 """Interleaved text/audio token streams.
 
-Audio arrives as frames of L codeword indices (one per quantizer
-layer). Text tokens are opaque integer ids from an external tokenizer.
-A stream is an alternating run of text and audio segments whose layout
-is fixed by its format tag; on the wire, modality boundaries are marked
+Audio arrives as a (T, L) integer array: T frames of L codeword indices
+(one per quantizer layer). Text tokens are opaque integer ids from an
+external tokenizer. A stream is an alternating run of text and audio
+segments whose layout is fixed by its format tag; on the wire, where
+each audio frame is a tuple of L ints, modality boundaries are marked
 by switch tokens and every audio run ends with one end-of-audio frame.
 
 The end-of-audio marker is frame-shaped: layer l uses the special index
@@ -34,77 +35,95 @@ class SegmentKind(enum.Enum):
     AUDIO = "audio"
 
 
-@dataclass(frozen=True)
-class TokenFrame:
-    """One audio frame: a tuple of per-layer codeword indices."""
-
-    indices: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
-        if not self.indices:
-            raise InvalidStream("a frame needs at least one layer index")
-        if any(i < 0 for i in self.indices):
-            raise InvalidStream(f"negative index in frame {self.indices}")
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.indices)
-
-
-def eoa_frame(layer_sizes) -> TokenFrame:
+def eoa_frame(layer_sizes) -> tuple[int, ...]:
     """The end-of-audio frame: index K_l in every layer."""
-    return TokenFrame(tuple(int(k) for k in layer_sizes))
+    return tuple(int(k) for k in layer_sizes)
 
 
-def is_eoa(frame: TokenFrame, layer_sizes) -> bool:
-    sizes = tuple(int(k) for k in layer_sizes)
-    if len(frame.indices) != len(sizes):
-        raise ShapeMismatch(
-            f"frame has {len(frame.indices)} layers, expected {len(sizes)}"
-        )
-    return frame.indices == sizes
+def is_eoa(frame, layer_sizes) -> bool:
+    """Whether a length-L integer sequence is the end-of-audio frame."""
+    sizes = eoa_frame(layer_sizes)
+    indices = tuple(int(i) for i in frame)
+    if len(indices) != len(sizes):
+        raise ShapeMismatch(f"frame has {len(indices)} layers, expected {len(sizes)}")
+    return indices == sizes
 
 
-def validate_frame(frame: TokenFrame, layer_sizes) -> None:
-    """Check layer count, index ranges, and the all-or-none EOA rule."""
-    sizes = tuple(int(k) for k in layer_sizes)
-    if len(frame.indices) != len(sizes):
-        raise InvalidStream(
-            f"frame has {len(frame.indices)} layers, expected {len(sizes)}"
-        )
-    at_eoa = [i == k for i, k in zip(frame.indices, sizes)]
-    for i, k in zip(frame.indices, sizes):
-        if i > k:
-            raise InvalidStream(f"index {i} exceeds end-of-audio value {k}")
-    if any(at_eoa) and not all(at_eoa):
-        raise InvalidStream(
-            f"end-of-audio value in some layers but not all: {frame.indices}"
-        )
+def frame_array(frames) -> np.ndarray:
+    """Frames as a read-only int64 (n, L) copy; an empty sequence is (0, 0)."""
+    try:
+        arr = np.array(frames, dtype=np.int64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidStream(f"frames must be an (n, L) integer array: {exc}") from exc
+    if arr.shape == (0,):
+        arr = arr.reshape(0, 0)
+    if arr.ndim != 2:
+        raise InvalidStream(f"frames must be an (n, L) integer array, got {arr.shape}")
+    arr.setflags(write=False)
+    return arr
 
 
-@dataclass(frozen=True)
+def validate_frames(frames, layer_sizes) -> np.ndarray:
+    """Check an (n, L) block column by column; return its end-of-audio rows.
+
+    Layer l takes indices in [0, K_l]; K_l is the end-of-audio value,
+    which a frame uses in every layer or in none.
+    """
+    arr = np.asarray(frames)
+    sizes = np.array(eoa_frame(layer_sizes), dtype=np.int64)
+    if arr.ndim != 2 or arr.shape[1] != sizes.size:
+        raise InvalidStream(f"frames must be n x {sizes.size}, got {arr.shape}")
+    at_eoa = arr == sizes
+    eoa = at_eoa.all(axis=1)
+    for bad, what in (
+        ((arr < 0).any(axis=1), "negative index"),
+        ((arr > sizes).any(axis=1), "index past the end-of-audio value"),
+        (at_eoa.any(axis=1) & ~eoa, "end-of-audio value in some layers but not all"),
+    ):
+        if bad.any():
+            raise InvalidStream(f"{what} in frame {arr[bad.argmax()].tolist()}")
+    return eoa
+
+
+@dataclass(frozen=True, eq=False)
 class Segment:
-    """A maximal run of one modality; payload must be non-empty."""
+    """A maximal run of one modality; payload must be non-empty.
+
+    Frames are a read-only int64 (n, L) array, compared and hashed by
+    value: uint32 frames equal the same values given as int64 or tuples.
+    """
 
     kind: SegmentKind
     tokens: tuple[int, ...] = ()
-    frames: tuple[TokenFrame, ...] = ()
+    frames: np.ndarray = ()
 
     def __post_init__(self):
         object.__setattr__(self, "tokens", tuple(int(t) for t in self.tokens))
-        object.__setattr__(self, "frames", tuple(self.frames))
+        object.__setattr__(self, "frames", frame_array(self.frames))
         if self.kind is SegmentKind.TEXT:
-            if not self.tokens or self.frames:
+            if not self.tokens or len(self.frames):
                 raise InvalidStream("text segment needs tokens and no frames")
             if any(t < 0 for t in self.tokens):
                 raise InvalidStream("text token ids must be non-negative")
         else:
-            if not self.frames or self.tokens:
+            if not len(self.frames) or self.tokens:
                 raise InvalidStream("audio segment needs frames and no tokens")
 
     def __len__(self) -> int:
         return len(self.tokens) if self.kind is SegmentKind.TEXT else len(self.frames)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Segment):
+            return NotImplemented
+        return (
+            self.kind is other.kind
+            and self.tokens == other.tokens
+            and self.frames.shape == other.frames.shape
+            and np.array_equal(self.frames, other.frames)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.tokens, self.frames.shape, self.frames.tobytes()))
 
 
 def text_segment(tokens) -> Segment:
@@ -112,7 +131,7 @@ def text_segment(tokens) -> Segment:
 
 
 def audio_segment(frames) -> Segment:
-    return Segment(kind=SegmentKind.AUDIO, frames=tuple(frames))
+    return Segment(kind=SegmentKind.AUDIO, frames=frames)
 
 
 def _check_grammar(tag: str, kinds: list[SegmentKind]) -> None:
@@ -157,14 +176,10 @@ class InterleavedStream:
         _check_grammar(self.format_tag, [s.kind for s in self.segments])
 
     def n_audio_frames(self) -> int:
-        return sum(
-            len(s.frames) for s in self.segments if s.kind is SegmentKind.AUDIO
-        )
+        return sum(len(s.frames) for s in self.segments)
 
     def n_text_tokens(self) -> int:
-        return sum(
-            len(s.tokens) for s in self.segments if s.kind is SegmentKind.TEXT
-        )
+        return sum(len(s.tokens) for s in self.segments)
 
 
 @dataclass(frozen=True)
@@ -210,15 +225,14 @@ def serialize(
     *,
     edge_switches: bool = False,
 ) -> list:
-    """Flatten a stream to wire tokens: ints for text, TokenFrames for audio.
+    """Flatten a stream to wire tokens: ints for text, L-tuples for audio.
 
     Each interior modality boundary emits its switch token and every
     audio run is closed by one end-of-audio frame. edge_switches adds
     an opening switch before the first segment and a closing one after
     the last; the default wire has no switches at the edges.
     """
-    sizes = tuple(int(k) for k in layer_sizes)
-    eoa = eoa_frame(sizes)
+    eoa = eoa_frame(layer_sizes)
     wire: list = []
 
     def opening_switch(kind: SegmentKind) -> int:
@@ -228,18 +242,14 @@ def serialize(
         if pos > 0 or edge_switches:
             wire.append(opening_switch(seg.kind))
         if seg.kind is SegmentKind.TEXT:
-            for t in seg.tokens:
-                if t in special.ids:
-                    raise InvalidStream(
-                        f"text payload contains switch token id {t}"
-                    )
-                wire.append(t)
+            clash = [t for t in seg.tokens if t in special.ids]
+            if clash:
+                raise InvalidStream(f"text payload contains switch token id {clash[0]}")
+            wire.extend(seg.tokens)
         else:
-            for frame in seg.frames:
-                validate_frame(frame, sizes)
-                if is_eoa(frame, sizes):
-                    raise InvalidStream("end-of-audio frame inside an audio run")
-                wire.append(frame)
+            if validate_frames(seg.frames, eoa).any():
+                raise InvalidStream("end-of-audio frame inside an audio run")
+            wire.extend(map(tuple, seg.frames.tolist()))
             wire.append(eoa)
     if edge_switches and stream.segments:
         last = stream.segments[-1].kind
@@ -263,9 +273,10 @@ def deserialize(
     The tag is supplied by the caller since the wire does not carry it.
     Raises MalformedWire on framing violations: a switch with nothing
     after it, an audio run without its end-of-audio frame, a frame in
-    text position, or a switch pointing the wrong way.
+    text position, or a switch pointing the wrong way. Each audio run is
+    validated as one block once its end-of-audio tuple closes it.
     """
-    sizes = tuple(int(k) for k in layer_sizes)
+    eoa = eoa_frame(layer_sizes)
     tokens = list(wire)
     if edge_switches and tokens:
         first, last = tokens[0], tokens[-1]
@@ -276,7 +287,7 @@ def deserialize(
 
     segments: list[Segment] = []
     text_run: list[int] = []
-    frame_run: list[TokenFrame] = []
+    frame_run: list[tuple] = []
     mode: SegmentKind | None = None  # set by the first payload token
     run_closed = False  # audio mode only: saw EOA, awaiting switch or end
 
@@ -289,21 +300,22 @@ def deserialize(
     def flush_audio():
         if not frame_run:
             raise MalformedWire("empty audio run")
-        segments.append(audio_segment(frame_run))
+        try:
+            segment = audio_segment(frame_run)
+            validate_frames(segment.frames, eoa)
+        except InvalidStream as exc:
+            raise MalformedWire(str(exc)) from exc
+        segments.append(segment)
         frame_run.clear()
 
     for item in tokens:
-        if isinstance(item, TokenFrame):
-            try:
-                validate_frame(item, sizes)
-            except InvalidStream as exc:
-                raise MalformedWire(str(exc)) from exc
+        if isinstance(item, tuple):
             if mode is SegmentKind.TEXT:
                 raise MalformedWire("audio frame inside a text run")
             if run_closed:
                 raise MalformedWire("audio frame after end-of-audio")
             mode = SegmentKind.AUDIO
-            if is_eoa(item, sizes):
+            if item == eoa:
                 flush_audio()
                 run_closed = True
             else:
@@ -405,12 +417,13 @@ class EmbeddingSpec:
 
 
 def sum_embeddings(
-    frame: TokenFrame, tables: list[np.ndarray], spec: EmbeddingSpec | None = None
+    frame, tables: list[np.ndarray], spec: EmbeddingSpec | None = None
 ) -> np.ndarray:
-    """Sum of per-layer table rows selected by the frame's indices."""
-    if frame.n_layers != len(tables):
+    """Sum of per-layer table rows selected by a length-L index sequence."""
+    indices = [int(i) for i in frame]
+    if len(indices) != len(tables):
         raise ShapeMismatch(
-            f"frame has {frame.n_layers} layers but {len(tables)} tables given"
+            f"frame has {len(indices)} layers but {len(tables)} tables given"
         )
     arrays = [np.asarray(t, dtype=np.float64) for t in tables]
     dims = {a.shape[1] for a in arrays}
@@ -425,8 +438,8 @@ def sum_embeddings(
                     f"table {layer} has {a.shape[0]} rows, spec wants {want}"
                 )
     out = np.zeros(arrays[0].shape[1])
-    for layer, (a, idx) in enumerate(zip(arrays, frame.indices)):
-        if idx >= a.shape[0]:
+    for layer, (a, idx) in enumerate(zip(arrays, indices)):
+        if not 0 <= idx < a.shape[0]:
             raise IndexOutOfRange(
                 f"index {idx} outside table {layer} with {a.shape[0]} rows"
             )

@@ -19,7 +19,6 @@ from .mel import (
 )
 from .metrics import EvalRecord
 from .seeding import make_rng
-from .streams import TokenFrame
 
 
 def make_sine_noise_audio(
@@ -94,18 +93,11 @@ def make_cluster_vectors(
     return points, labels, centers
 
 
-def make_token_frames(
-    n_frames: int, layer_sizes, seed: int = 0
-) -> list[TokenFrame]:
-    """Random frames with in-range indices; never emits the EOA value."""
+def make_token_frames(n_frames: int, layer_sizes, seed: int = 0) -> np.ndarray:
+    """Random (n_frames, L) indices, drawn frame by frame; never the EOA value."""
     rng = make_rng(seed, "frames")
-    sizes = tuple(int(k) for k in layer_sizes)
-    frames = []
-    for _ in range(n_frames):
-        frames.append(
-            TokenFrame(indices=tuple(int(rng.integers(0, k)) for k in sizes))
-        )
-    return frames
+    sizes = np.asarray(layer_sizes, dtype=np.int64)
+    return rng.integers(0, sizes, size=(n_frames, sizes.size))
 
 
 def make_aligned_pairs(
@@ -123,7 +115,7 @@ def make_aligned_pairs(
         pairs.append(
             AlignedPair(
                 text=f"Utterance number {i}.",
-                frames=tuple(frames),
+                frames=frames,
                 duration_s=n_frames / frame_rate,
                 provenance=provenance,
             )

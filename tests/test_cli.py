@@ -20,7 +20,7 @@ from rvqtok.fileformats import (
     write_wav,
 )
 from rvqtok.mel import AudioBuffer
-from rvqtok.streams import TokenFrame, eoa_frame
+from rvqtok.streams import eoa_frame
 from rvqtok.synth import (
     make_bigram_world,
     make_oracle_eval_records,
@@ -93,6 +93,17 @@ class TestMel:
         )
         assert code == 0
         assert lines[-1]["frames"] == 12
+
+    def test_too_short_for_one_vector(self, capsys, tmp_path):
+        # 400 samples give fewer mel frames than one stacked vector needs
+        wav = tmp_path / "short.wav"
+        write_wav(wav, AudioBuffer(samples=np.zeros(400), sample_rate=16000))
+        out = tmp_path / "out.afv1"
+        code, lines, err = run(capsys, "mel", wav, out)
+        assert code == 4
+        assert lines == []
+        assert "too few" in err
+        assert not out.exists()
 
     def test_config_overrides_stack_factor(self, capsys, tmp_path, wav_1s):
         cfg = tmp_path / "mel.json"
@@ -293,7 +304,7 @@ class TestEncodeDecode:
     def test_decode_skips_eoa_with_warning(self, capsys, tmp_path, trained):
         _, books, _ = trained
         tokens = tmp_path / "x.atk1"
-        frames = [TokenFrame((0, 1)), eoa_frame((8, 8)), TokenFrame((2, 3))]
+        frames = np.array([(0, 1), eoa_frame((8, 8)), (2, 3)])
         write_atk1(tokens, frames, (8, 8))
         out = tmp_path / "r.afv1"
         code, lines, err = run(capsys, "decode", tokens, books, out, "--unstack", 1)
@@ -304,16 +315,28 @@ class TestEncodeDecode:
     def test_decode_out_of_range_index(self, capsys, tmp_path, trained):
         _, books, _ = trained
         tokens = tmp_path / "x.atk1"
-        write_atk1(tokens, [TokenFrame((9, 0))], (8, 8))  # 9 > EOA value 8
+        write_atk1(tokens, [(9, 0)], (8, 8))  # 9 > EOA value 8
         code, _, _ = run(
             capsys, "decode", tokens, books, tmp_path / "r.afv1", "--unstack", 1
         )
         assert code == 3
 
+    def test_decode_keeps_partial_eoa_row(self, capsys, tmp_path, trained):
+        # index K in one layer only is not end-of-audio: decode keeps the
+        # row and rejects its out-of-codebook index
+        _, books, _ = trained
+        tokens = tmp_path / "x.atk1"
+        write_atk1(tokens, [(0, 1), (8, 3)], (8, 8))
+        code, _, err = run(
+            capsys, "decode", tokens, books, tmp_path / "r.afv1", "--unstack", 1
+        )
+        assert code == 3
+        assert "skipped" not in err
+
     def test_decode_layer_size_mismatch(self, capsys, tmp_path, trained):
         _, books, _ = trained
         tokens = tmp_path / "x.atk1"
-        write_atk1(tokens, [TokenFrame((0, 0))], (4, 4))
+        write_atk1(tokens, [(0, 0)], (4, 4))
         code, _, _ = run(
             capsys, "decode", tokens, books, tmp_path / "r.afv1", "--unstack", 1
         )
@@ -352,6 +375,15 @@ class TestHostileInput:
         assert code == 4
         assert "ATK1 frames" in err
 
+    def test_raw_f32_with_ragged_tail(self, capsys, tmp_path):
+        raw = tmp_path / "odd.f32"
+        raw.write_bytes(np.zeros(2000, dtype="<f4").tobytes() + b"\x00\x00")
+        out = tmp_path / "out.afv1"
+        code, _, err = run(capsys, "mel", raw, out, "--raw-rate", 16000)
+        assert code == 4
+        assert "8002 bytes" in err
+        assert not out.exists()
+
     def test_oversize_rvq1_codebook(self, capsys, tmp_path, trained):
         feats, _, _ = trained
         books = tmp_path / "huge.rvq1"
@@ -366,7 +398,7 @@ class TestHostileInput:
 @pytest.fixture
 def packable(tmp_path):
     atk1 = tmp_path / "clips.atk1"
-    frames = [TokenFrame((i % 8, i % 4)) for i in range(10)]
+    frames = np.array([(i % 8, i % 4) for i in range(10)])
     write_atk1(atk1, frames, (8, 4))
     rows = [
         {"text": "one.", "atk1_path": str(atk1), "frame_range": [0, 3], "duration_s": 1.0},
@@ -546,6 +578,26 @@ class TestEval:
         )
         assert code == 5
         assert "error" in err
+
+    def test_plugin_that_will_not_exit(self, capsys, tmp_path, monkeypatch):
+        path = self.write_records(tmp_path, make_oracle_eval_records(3, seed=7))
+        monkeypatch.setenv("PYTHONPATH", checkout_pythonpath())
+        plugin = f"{sys.executable} -m rvqtok.cli scorer-plugin --name perfect"
+        real_wait = subprocess.Popen.wait
+        timeouts = []
+
+        def wait(proc, timeout=None):
+            # the plugin outlives close()'s grace period
+            timeouts.append(timeout)
+            if len(timeouts) == 1:
+                raise subprocess.TimeoutExpired(proc.args, timeout)
+            return real_wait(proc, timeout)
+
+        monkeypatch.setattr(subprocess.Popen, "wait", wait)
+        code, _, err = run(capsys, "eval", path, "--plugin", plugin)
+        assert code == 5
+        assert "killed" in err
+        assert timeouts == [10, None]
 
     def test_missing_records_file(self, capsys, tmp_path):
         code, _, _ = run(capsys, "eval", tmp_path / "ghost.jsonl")

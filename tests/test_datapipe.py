@@ -12,11 +12,11 @@ from rvqtok.datapipe import (
     segment_text,
 )
 from rvqtok.errors import InsufficientData, InvalidConfig, InvalidStream
-from rvqtok.streams import SegmentKind, TokenFrame, audio_segment, text_segment
+from rvqtok.streams import SegmentKind, audio_segment, text_segment
 
 
 def pair(text="hi", n_frames=2, duration_s=1.0, provenance="synthetic"):
-    frames = tuple(TokenFrame((i, i)) for i in range(n_frames))
+    frames = [(i, i) for i in range(n_frames)]
     return AlignedPair(
         text=text, frames=frames, duration_s=duration_s, provenance=provenance
     )
@@ -98,7 +98,7 @@ class TestBuildIntlv:
         assert kinds == [SegmentKind.AUDIO, SegmentKind.TEXT, SegmentKind.AUDIO]
         assert s.format_tag == "INTLV"
         # pair 0 contributes frames, pair 1 its text
-        assert s.segments[0].frames == pairs[0].frames
+        assert s.segments[0] == audio_segment(pairs[0].frames)
         assert s.segments[1].tokens == tuple(byte_tokenizer("b"))
 
     def test_start_with_text(self):
@@ -127,7 +127,7 @@ class TestBuildIntlv:
             build_intlv([])
 
     def test_missing_text_rejected(self):
-        pairs = [pair(text="a"), AlignedPair(text="", frames=(TokenFrame((0,)),), duration_s=1.0)]
+        pairs = [pair(text="a"), AlignedPair(text="", frames=[(0,)], duration_s=1.0)]
         with pytest.raises(InvalidStream):
             build_intlv(pairs)  # pair 1 is the text slot but has no text
 
@@ -151,8 +151,8 @@ class TestBuildItts:
         kinds = [seg.kind for seg in s.segments]
         assert kinds == [SegmentKind.TEXT, SegmentKind.AUDIO] * 2
         assert s.segments[0].tokens == tuple(byte_tokenizer("a"))
-        assert s.segments[1].frames == pairs[0].frames
-        assert s.segments[3].frames == pairs[1].frames
+        assert s.segments[1] == audio_segment(pairs[0].frames)
+        assert s.segments[3] == audio_segment(pairs[1].frames)
 
     def test_single_pair(self):
         s = build_itts([pair()])
@@ -166,7 +166,7 @@ class TestBuildItts:
         with pytest.raises(InvalidStream):
             build_itts([AlignedPair(text="a", frames=(), duration_s=1.0)])
         with pytest.raises(InvalidStream):
-            build_itts([AlignedPair(text="", frames=(TokenFrame((0,)),), duration_s=1.0)])
+            build_itts([AlignedPair(text="", frames=[(0,)], duration_s=1.0)])
 
 
 def intlv_record(n_pairs=2, duration_s=60.0):

@@ -5,8 +5,15 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rvqtok.errors import EmptyInput, InvalidConfig, MalformedWire, ShapeMismatch
+from rvqtok.errors import (
+    EmptyInput,
+    IndexOutOfRange,
+    InvalidConfig,
+    MalformedWire,
+    ShapeMismatch,
+)
 from rvqtok.fileformats import (
     AFV1_MAGIC,
     ATK1_MAGIC,
@@ -34,7 +41,6 @@ from rvqtok.rvq import Codebook, RvqStack
 from rvqtok.streams import (
     InterleavedStream,
     SpecialTokens,
-    TokenFrame,
     audio_segment,
     build_loss_mask,
     text_segment,
@@ -116,23 +122,37 @@ class TestAfv1:
 
 class TestAtk1:
     def test_round_trip(self, tmp_path):
-        frames = [TokenFrame((0, 3)), TokenFrame((7, 1)), TokenFrame((8, 4))]
+        frames = np.array([(0, 3), (7, 1), (8, 4)])
         path = tmp_path / "x.atk1"
         write_atk1(path, frames, (8, 4))
         back, sizes = read_atk1(path)
-        assert back == frames
+        assert back.dtype == np.int64
+        assert np.array_equal(back, frames)
         assert sizes == (8, 4)
 
     def test_empty_stream(self, tmp_path):
         path = tmp_path / "x.atk1"
-        write_atk1(path, [], (8, 4))
+        write_atk1(path, np.zeros((0, 2), dtype=np.int64), (8, 4))
         back, sizes = read_atk1(path)
-        assert back == []
+        assert back.shape == (0, 2)
         assert sizes == (8, 4)
 
     def test_layer_count_enforced(self, tmp_path):
         with pytest.raises(ShapeMismatch):
-            write_atk1(tmp_path / "x.atk1", [TokenFrame((0,))], (8, 4))
+            write_atk1(tmp_path / "x.atk1", [(0,)], (8, 4))
+        with pytest.raises(ShapeMismatch):
+            write_atk1(tmp_path / "x.atk1", [0, 1], (8, 4))
+
+    def test_rejects_indices_outside_u32(self, tmp_path):
+        path = tmp_path / "x.atk1"
+        for bad in (-1, 2**32):
+            with pytest.raises(IndexOutOfRange):
+                write_atk1(path, np.array([[0, bad]], dtype=np.int64), (8, 4))
+        with pytest.raises(IndexOutOfRange):
+            write_atk1(path, np.array([[0.0, 1.0]]), (8, 4))
+        assert not path.exists()
+        write_atk1(path, np.array([[0, 2**32 - 1]], dtype=np.uint64), (8, 4))
+        assert read_atk1(path)[0].tolist() == [[0, 2**32 - 1]]
 
     def test_needs_layer_sizes(self, tmp_path):
         with pytest.raises(InvalidConfig):
@@ -152,20 +172,96 @@ class TestAtk1:
 
     def test_truncated_frame(self, tmp_path):
         path = tmp_path / "x.atk1"
-        write_atk1(path, [TokenFrame((1, 2))], (8, 4))
+        write_atk1(path, [(1, 2)], (8, 4))
         path.write_bytes(path.read_bytes()[:-2])
         with pytest.raises(MalformedWire):
             read_atk1(path)
 
     def test_byte_layout(self, tmp_path):
         path = tmp_path / "x.atk1"
-        write_atk1(path, [TokenFrame((5, 2))], (8, 4))
+        write_atk1(path, [(5, 2)], (8, 4))
         data = path.read_bytes()
         assert data[:4] == ATK1_MAGIC
         assert struct.unpack("<I", data[4:8]) == (2,)  # L
         assert struct.unpack("<II", data[8:16]) == (8, 4)  # K per layer
         assert struct.unpack("<I", data[16:20]) == (1,)  # frame count
         assert struct.unpack("<II", data[20:28]) == (5, 2)
+
+
+def atk1_bytes(seed, tmp_dir):
+    """A valid ATK1 file from a seed: 1-4 layers, 0-5 frames, any u32 index."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    n_layers = int(rng.integers(1, 5))
+    sizes = tuple(int(k) for k in rng.integers(1, 2**32, size=n_layers))
+    frames = rng.integers(0, 2**32, size=(int(rng.integers(0, 6)), n_layers))
+    path = tmp_dir / "valid.atk1"
+    write_atk1(path, frames, sizes)
+    return path.read_bytes(), frames, sizes
+
+
+def read_atk1_bytes(data, tmp_dir):
+    path = tmp_dir / "fuzz.atk1"
+    path.write_bytes(data)
+    return read_atk1(path)
+
+
+class TestAtk1Fuzz:
+    """Hostile ATK1 bytes raise MalformedWire and nothing else."""
+
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=60)
+    def test_every_truncation(self, seed, tmp_path_factory):
+        tmp_dir = tmp_path_factory.mktemp("atk1")
+        data, frames, sizes = atk1_bytes(seed, tmp_dir)
+        back, back_sizes = read_atk1_bytes(data, tmp_dir)
+        assert np.array_equal(back, frames) and back_sizes == sizes
+        for cut in range(len(data)):
+            with pytest.raises(MalformedWire):
+                read_atk1_bytes(data[:cut], tmp_dir)
+
+    @given(seed=st.integers(0, 10_000), data=st.data())
+    @settings(max_examples=60)
+    def test_oversize_layer_count_or_frame_count(self, seed, data, tmp_path_factory):
+        tmp_dir = tmp_path_factory.mktemp("atk1")
+        valid, frames, sizes = atk1_bytes(seed, tmp_dir)
+        # claim more layer sizes than the file holds, or more frames
+        n_layers = data.draw(st.integers((len(valid) - 8) // 4 + 1, 2**32 - 1))
+        with pytest.raises(MalformedWire):
+            read_atk1_bytes(valid[:4] + struct.pack("<I", n_layers) + valid[8:], tmp_dir)
+        count_at = 8 + 4 * len(sizes)
+        count = data.draw(st.integers(len(frames) + 1, 2**32 - 1))
+        hostile = valid[:count_at] + struct.pack("<I", count) + valid[count_at + 4 :]
+        with pytest.raises(MalformedWire):
+            read_atk1_bytes(hostile, tmp_dir)
+
+    @given(seed=st.integers(0, 10_000), extra=st.binary(min_size=1, max_size=16))
+    @settings(max_examples=60)
+    def test_appended_bytes(self, seed, extra, tmp_path_factory):
+        tmp_dir = tmp_path_factory.mktemp("atk1")
+        valid, _, _ = atk1_bytes(seed, tmp_dir)
+        with pytest.raises(MalformedWire):
+            read_atk1_bytes(valid + extra, tmp_dir)
+
+    @given(seed=st.integers(0, 10_000), data=st.data())
+    @settings(max_examples=100)
+    def test_bit_flips(self, seed, data, tmp_path_factory):
+        tmp_dir = tmp_path_factory.mktemp("atk1")
+        valid, frames, sizes = atk1_bytes(seed, tmp_dir)
+        bit = data.draw(st.integers(0, 8 * len(valid) - 1))
+        flipped = bytearray(valid)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        body_at = 12 + 4 * len(sizes)
+        if bit // 8 >= body_at:
+            # every u32 is a valid index: a body flip reads back as flipped
+            back, back_sizes = read_atk1_bytes(bytes(flipped), tmp_dir)
+            want = np.frombuffer(bytes(flipped[body_at:]), dtype="<u4")
+            assert np.array_equal(back.ravel(), want) and back_sizes == sizes
+            assert np.count_nonzero(back != frames) == 1
+        else:
+            try:
+                read_atk1_bytes(bytes(flipped), tmp_dir)
+            except MalformedWire:
+                pass
 
 
 class TestRvq1:
@@ -263,7 +359,7 @@ def sample_stream():
         format_tag="TTS",
         segments=(
             text_segment([1, 2]),
-            audio_segment([TokenFrame((0, 1)), TokenFrame((3, 2))]),
+            audio_segment([(0, 1), (3, 2)]),
         ),
     )
 
@@ -275,7 +371,7 @@ class TestStreamRecord:
         obj = stream_record(
             s, mask, [{"path": "a.atk1", "start": 10, "end": 12}]
         )
-        frames = [TokenFrame((9, 9))] * 10 + [TokenFrame((0, 1)), TokenFrame((3, 2))]
+        frames = np.array([(9, 9)] * 10 + [(0, 1), (3, 2)], dtype=np.int64)
         back, back_mask = load_stream_record(obj, {"a.atk1": frames})
         assert back == s
         assert back_mask == mask
@@ -305,7 +401,7 @@ class TestStreamRecord:
             s, build_loss_mask(s), [{"path": "a.atk1", "start": 0, "end": 2}]
         )
         with pytest.raises(MalformedWire):
-            load_stream_record(obj, {"a.atk1": [TokenFrame((0, 0))]})
+            load_stream_record(obj, {"a.atk1": np.zeros((1, 2), dtype=np.int64)})
 
     def test_load_rejects_unknown_kind(self):
         with pytest.raises(MalformedWire):

@@ -17,7 +17,6 @@ from rvqtok.metrics import (
     wer,
 )
 from rvqtok.scorers import perfect_scorer
-from rvqtok.streams import TokenFrame
 from rvqtok.synth import make_oracle_eval_records
 
 
@@ -204,22 +203,18 @@ class TestAccuracy:
         assert accuracy(records + [bad], perfect_scorer) == pytest.approx(4 / 5)
 
 
-def frames_from(array):
-    return [TokenFrame(tuple(row)) for row in array]
-
-
 class TestUtilization:
     def test_single_index(self):
-        frames = frames_from(np.zeros((10, 2), dtype=int))
+        frames = np.zeros((10, 2), dtype=int)
         assert codebook_utilization(frames, 0, 8) == pytest.approx(1 / 8)
 
     def test_full_coverage(self):
-        frames = frames_from(np.arange(8)[:, None])
+        frames = np.arange(8)[:, None]
         assert codebook_utilization(frames, 0, 8) == 1.0
 
     def test_eoa_value_excluded(self):
         # index K marks end-of-audio, not a codeword
-        frames = frames_from(np.array([[0], [8], [3]]))
+        frames = np.array([[0], [8], [3]])
         assert codebook_utilization(frames, 0, 8) == pytest.approx(2 / 8)
 
     def test_accepts_index_array(self):
@@ -258,7 +253,7 @@ class TestEntropy:
             token_entropy([], 0)
 
     def test_token_frames_accepted(self):
-        frames = frames_from(np.array([[0], [1], [0], [1]]))
+        frames = [(0,), (1,), (0,), (1,)]
         assert token_entropy(frames, 0) == pytest.approx(math.log(2))
 
 

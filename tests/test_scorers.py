@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import subprocess
 import sys
 
 import pytest
@@ -206,6 +207,25 @@ class TestSubprocessScorer:
             with pytest.raises(ScorerError):
                 s((), (1,))
                 s((), (1,))  # at least one call must see the dead process
+
+    def test_close_kills_a_plugin_that_will_not_exit(self, monkeypatch):
+        # a plugin that ignores EOF; only the first wait is made to time out
+        s = SubprocessScorer([sys.executable, "-c", "import time; time.sleep(60)"])
+        proc = s._proc
+        real_wait = proc.wait
+        timeouts = []
+
+        def wait(timeout=None):
+            timeouts.append(timeout)
+            if len(timeouts) == 1:
+                raise subprocess.TimeoutExpired(proc.args, timeout)
+            return real_wait(timeout)
+
+        monkeypatch.setattr(proc, "wait", wait)
+        with pytest.raises(ScorerError, match="killed"):
+            s.close()
+        assert timeouts == [10, None]
+        assert proc.returncode is not None and proc.returncode != 0
 
     def test_empty_argv(self):
         with pytest.raises(InvalidConfig):

@@ -17,7 +17,6 @@ from rvqtok.streams import (
     Segment,
     SegmentKind,
     SpecialTokens,
-    TokenFrame,
     audio_segment,
     build_loss_mask,
     deserialize,
@@ -27,7 +26,7 @@ from rvqtok.streams import (
     serialize,
     sum_embeddings,
     text_segment,
-    validate_frame,
+    validate_frames,
 )
 
 SIZES = (8, 4, 4)
@@ -36,37 +35,20 @@ EOA = eoa_frame(SIZES)
 
 
 def frame(*indices):
-    return TokenFrame(tuple(indices))
+    return tuple(indices)
 
 
 def stream(tag, *segments):
     return InterleavedStream(format_tag=tag, segments=tuple(segments))
 
 
-class TestTokenFrame:
-    def test_holds_indices(self):
-        assert frame(1, 2, 3).indices == (1, 2, 3)
-        assert frame(1, 2, 3).n_layers == 3
-
-    def test_coerces_to_int(self):
-        f = TokenFrame((np.int64(1), np.int64(2)))
-        assert all(type(i) is int for i in f.indices)
-
-    def test_rejects_empty(self):
-        with pytest.raises(InvalidStream):
-            TokenFrame(())
-
-    def test_rejects_negative(self):
-        with pytest.raises(InvalidStream):
-            frame(0, -1)
-
-
 class TestEoa:
     def test_eoa_frame_values(self):
-        assert EOA.indices == SIZES
+        assert EOA == SIZES
 
     def test_is_eoa(self):
         assert is_eoa(EOA, SIZES)
+        assert is_eoa(np.array(SIZES, dtype=np.uint32), SIZES)
         assert not is_eoa(frame(0, 0, 0), SIZES)
 
     def test_is_eoa_layer_count(self):
@@ -74,21 +56,35 @@ class TestEoa:
             is_eoa(frame(0, 0), SIZES)
 
     def test_validate_accepts_max_index(self):
-        validate_frame(frame(7, 3, 3), SIZES)
-        validate_frame(EOA, SIZES)
+        eoa = validate_frames([frame(7, 3, 3), EOA, frame(0, 0, 0)], SIZES)
+        assert eoa.tolist() == [False, True, False]
+        assert validate_frames(np.zeros((0, 3), dtype=np.uint32), SIZES).size == 0
 
     def test_validate_rejects_overflow(self):
         with pytest.raises(InvalidStream):
-            validate_frame(frame(9, 0, 0), SIZES)
+            validate_frames([frame(0, 0, 0), frame(9, 0, 0)], SIZES)
 
     def test_validate_rejects_partial_eoa(self):
         # the terminator uses K_l in every layer or none
         with pytest.raises(InvalidStream):
-            validate_frame(frame(8, 0, 0), SIZES)
+            validate_frames([frame(8, 0, 0)], SIZES)
+        with pytest.raises(InvalidStream):
+            validate_frames([EOA, frame(1, 4, 4)], SIZES)
 
     def test_validate_layer_count(self):
         with pytest.raises(InvalidStream):
-            validate_frame(frame(0), SIZES)
+            validate_frames([frame(0)], SIZES)
+
+    def test_validate_rejects_empty_frame(self):
+        with pytest.raises(InvalidStream):
+            validate_frames([frame()], SIZES)
+
+    def test_validate_rejects_negative(self):
+        with pytest.raises(InvalidStream):
+            validate_frames([frame(0, -1, 0)], SIZES)
+        s = stream("PURE_AUDIO", audio_segment([frame(0, -1, 0)]))
+        with pytest.raises(InvalidStream):
+            serialize(s, SPECIAL, SIZES)
 
 
 class TestSegment:
@@ -117,6 +113,34 @@ class TestSegment:
     def test_mixed_payload_rejected(self):
         with pytest.raises(InvalidStream):
             Segment(kind=SegmentKind.TEXT, tokens=(1,), frames=(frame(0, 0, 0),))
+
+    def test_frames_are_read_only_int64(self):
+        source = np.array([[0, 1, 2]])
+        seg = audio_segment(source)
+        source[0, 0] = 5  # the segment holds a copy
+        assert seg.frames.dtype == np.int64
+        assert seg.frames.tolist() == [[0, 1, 2]]
+        with pytest.raises(ValueError):
+            seg.frames[0, 0] = 1
+
+    def test_equality_and_hash_follow_values(self):
+        values = [[0, 1, 2], [7, 3, 3]]
+        body = np.array(values, dtype="<u4").tobytes()
+        from_file = audio_segment(np.frombuffer(body, dtype="<u4").reshape(2, 3))
+        from_list = audio_segment([tuple(v) for v in values])
+        assert from_file == from_list
+        assert hash(from_file) == hash(from_list)
+        assert from_file != audio_segment([[0, 1, 2]])
+        assert from_file != audio_segment([[0, 1, 2], [7, 3, 2]])
+        # same values, different frame shape
+        assert audio_segment([[1, 2]]) != audio_segment([[1], [2]])
+        assert audio_segment([[1]]) != text_segment([1])
+
+    def test_frames_must_be_a_matrix(self):
+        with pytest.raises(InvalidStream):
+            audio_segment([(0, 1), (2,)])
+        with pytest.raises(InvalidStream):
+            audio_segment([0, 1])
 
 
 T1 = text_segment([1, 2])
@@ -345,6 +369,15 @@ class TestDeserialize:
         with pytest.raises(MalformedWire):
             deserialize(["text"], "TTS", SPECIAL, SIZES)
 
+    def test_malformed_frame_tuples(self):
+        for bad in [(0, 0), (0, 0, 0, 0), (0, "a", 0), (0, None, 0), (0, 2**70, 0)]:
+            with pytest.raises(MalformedWire):
+                deserialize([frame(1, 1, 1), bad, EOA], "PURE_AUDIO", SPECIAL, SIZES)
+        with pytest.raises(MalformedWire):
+            deserialize([frame(0, -1, 0), EOA], "PURE_AUDIO", SPECIAL, SIZES)
+        with pytest.raises(MalformedWire):
+            deserialize([frame(0, 5, 0), EOA], "PURE_AUDIO", SPECIAL, SIZES)
+
     def test_grammar_enforced_on_result(self):
         # well-formed wire, wrong layout for the claimed tag
         wire = serialize(stream("TTS", T1, A1), SPECIAL, SIZES)
@@ -488,6 +521,12 @@ class TestEmbeddings:
         tables = [rng.standard_normal((4, 2))]
         with pytest.raises(IndexOutOfRange):
             sum_embeddings(frame(4), tables)
+
+    def test_negative_index_rejected(self, rng):
+        # a negative index would otherwise select a row from the end
+        tables = [rng.standard_normal((4, 2))]
+        with pytest.raises(IndexOutOfRange):
+            sum_embeddings(frame(-1), tables)
 
     def test_table_count_mismatch(self, rng):
         with pytest.raises(ShapeMismatch):

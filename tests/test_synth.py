@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from rvqtok.seeding import make_rng
 from rvqtok.synth import (
     make_aligned_pairs,
     make_bigram_world,
@@ -70,10 +71,16 @@ class TestTokenFrames:
     def test_in_range_never_eoa(self):
         sizes = (8, 4, 2)
         frames = make_token_frames(200, sizes, seed=0)
-        assert len(frames) == 200
-        for frame in frames:
-            for idx, k in zip(frame.indices, sizes):
-                assert 0 <= idx < k  # EOA would be idx == k
+        assert frames.shape == (200, 3)
+        assert (frames >= 0).all()
+        assert (frames < np.array(sizes)).all()  # EOA would be idx == k
+
+    def test_draws_frame_by_frame(self):
+        # one scalar draw per index, frame-major, is the reference order
+        sizes = (8192, 5, 2**31, 3)
+        rng = make_rng(11, "frames")
+        want = [[int(rng.integers(0, k)) for k in sizes] for _ in range(40)]
+        assert make_token_frames(40, sizes, seed=11).tolist() == want
 
 
 class TestAlignedPairs:
