@@ -43,7 +43,6 @@ from .rvq import (
     TrainingReport,
     TrainingSchedule,
     StepRecord,
-    apply_norm_constraint,
     commitment_loss,
     decode_frames,
     ema_update,
@@ -70,7 +69,6 @@ from .streams import (
     build_loss_mask,
     deserialize,
     eoa_frame,
-    frames_per_second_check,
     is_eoa,
     serialize,
     sum_embeddings,

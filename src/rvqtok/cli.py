@@ -35,7 +35,11 @@ from .errors import (
     ScorerError,
     ShapeMismatch,
 )
-from .mel import DEFAULT_MEL, FeatureSequence, MelConfig, compute_mel, stack_frames
+from .mel import FeatureSequence, MelConfig, mel_blocks
+
+# Not called here since `mel` streams through mel_blocks; perfbench's
+# traced run still resolves these names on this module.
+from .mel import compute_mel, stack_frames  # noqa: F401
 from .metrics import accuracy, perplexity_compare
 from .rvq import (
     DropoutConfig,
@@ -63,12 +67,12 @@ def _load_json(path) -> dict:
     return json.loads(Path(path).read_text())
 
 
-def _load_audio(path: str, raw_rate: int | None):
+def _open_audio(path: str, raw_rate: int | None):
     if path.endswith(".wav"):
-        return ff.read_wav(path)
+        return ff.open_wav(path)
     if raw_rate is None:
         raise InvalidConfig("raw float32 input needs --raw-rate")
-    return ff.read_raw_f32(path, raw_rate)
+    return ff.open_raw_f32(path, raw_rate)
 
 
 def cmd_mel(args) -> int:
@@ -83,19 +87,19 @@ def cmd_mel(args) -> int:
     except TypeError as exc:
         raise InvalidConfig(f"bad mel config: {exc}") from exc
 
-    audio = _load_audio(args.input, args.raw_rate)
-    mel = compute_mel(audio, cfg)
-    stacked = stack_frames(mel, stack_factor)
-    if stacked.n_vectors == 0:
-        raise EmptyInput(f"{mel.n_frames} mel frames, too few to stack {stack_factor}")
-    ff.write_afv1(args.output, stacked.vectors, stacked.frame_rate)
-    _emit(
-        {
-            "frames": stacked.n_vectors,
-            "frame_rate": stacked.frame_rate,
-            "seed": args.seed,
-        },
-    )
+    with _open_audio(args.input, args.raw_rate) as source:
+        n_frames, blocks = mel_blocks(source, cfg, stack_factor)
+        n_vectors = n_frames // stack_factor
+        if n_vectors == 0:
+            raise EmptyInput(f"{n_frames} mel frames, too few to stack {stack_factor}")
+        dim = stack_factor * cfg.n_mels
+        frame_rate = cfg.frame_rate / stack_factor
+        with ff.afv1_writer(args.output, n_vectors, dim, frame_rate) as write:
+            for block in blocks:
+                # blocks start on stack groups; only the last can end inside one
+                whole = len(block) // stack_factor * stack_factor
+                write(block[:whole].reshape(-1, dim))
+    _emit({"frames": n_vectors, "frame_rate": frame_rate, "seed": args.seed})
     return 0
 
 

@@ -11,12 +11,19 @@ All binary formats are little-endian with a 4-byte magic:
         K u64 usage counters
 
 Writers are bit-deterministic: the same in-memory values always give
-the same bytes. JSON sidecars: interleaved records, eval records, and
-manifests as JSON-lines; special tokens and stats as single objects.
+the same bytes. AFV1 is written incrementally: ``afv1_writer`` takes
+the header's T up front and rows block by block, into a temporary
+file beside the output that replaces it only once all T rows are in,
+so a failed write leaves no output and an existing file untouched.
+WAV and raw float32 audio open as a ``SampleSource`` whose samples are
+read by range, never all at once. JSON sidecars: interleaved records,
+eval records, and manifests as JSON-lines; special tokens and stats as
+single objects.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import struct
@@ -32,7 +39,7 @@ from .errors import (
     MalformedWire,
     ShapeMismatch,
 )
-from .mel import AudioBuffer
+from .mel import AudioBuffer, SampleSource
 from .rvq import Codebook, RvqStack
 from .streams import (
     InterleavedStream,
@@ -65,13 +72,41 @@ def _read_exact(fh, n: int, what: str) -> bytes:
 
 # ---------------------------------------------------------------- AFV1
 
+@contextlib.contextmanager
+def afv1_writer(path, n_rows: int, dim: int, frame_rate: float):
+    """Yield ``write(rows)``, which appends (k, dim) rows to an AFV1 of
+    n_rows rows; ``path`` appears only once exactly n_rows are written."""
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    written = 0
+
+    def write(rows) -> None:
+        nonlocal written
+        arr = np.ascontiguousarray(rows, dtype="<f4")
+        if arr.ndim != 2 or arr.shape[1] != dim or written + len(arr) > n_rows:
+            raise ShapeMismatch(f"rows of shape {arr.shape} do not fit {n_rows} x {dim}")
+        fh.write(arr.tobytes())
+        written += len(arr)
+
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_AFV1_HEADER.pack(AFV1_MAGIC, n_rows, dim, frame_rate))
+            yield write
+            if written != n_rows:
+                raise ShapeMismatch(f"{written} of {n_rows} AFV1 rows written")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def write_afv1(path, vectors: np.ndarray, frame_rate: float) -> None:
     arr = np.ascontiguousarray(vectors, dtype="<f4")
     if arr.ndim != 2:
         raise ShapeMismatch(f"feature matrix must be T x D, got {arr.shape}")
-    with open(path, "wb") as fh:
-        fh.write(_AFV1_HEADER.pack(AFV1_MAGIC, arr.shape[0], arr.shape[1], frame_rate))
-        fh.write(arr.tobytes())
+    with afv1_writer(path, arr.shape[0], arr.shape[1], frame_rate) as write:
+        write(arr)
 
 
 def read_afv1(path) -> tuple[np.ndarray, float]:
@@ -174,17 +209,42 @@ def read_rvq1(path) -> RvqStack:
 
 # ----------------------------------------------------------- audio I/O
 
-def read_wav(path) -> AudioBuffer:
-    """16-bit LE mono WAV to samples scaled into [-1, 1]."""
-    with wave.open(str(path), "rb") as wav:
+@contextlib.contextmanager
+def open_wav(path):
+    """A 16-bit LE mono WAV as a SampleSource of samples scaled into
+    [-1, 1); n_samples is the header's frame count, and a read past the
+    end of the data actually present is MalformedWire."""
+    try:
+        wav = wave.open(str(path), "rb")
+    except (wave.Error, EOFError, RuntimeError) as exc:
+        # EOFError: the file ends inside a header; RuntimeError: a chunk
+        # size runs past the chunk that holds it
+        reason = str(exc) or type(exc).__name__
+        raise MalformedWire(f"not a readable PCM WAV file: {reason}") from exc
+    with wav:
         if wav.getnchannels() != 1:
             raise InvalidConfig("only mono WAV is supported")
         if wav.getsampwidth() != 2:
             raise InvalidConfig("only 16-bit WAV is supported")
-        rate = wav.getframerate()
-        raw = wav.readframes(wav.getnframes())
-    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
-    return AudioBuffer(samples=samples, sample_rate=rate)
+        truncated = f"WAV data ends before the {wav.getnframes()} frames its header declares"
+        # an oversize frame count is refused before anything is allocated
+        if 2 * wav.getnframes() > os.path.getsize(path):
+            raise MalformedWire(truncated)
+
+        def read(start: int, stop: int) -> np.ndarray:
+            wav.setpos(start)
+            raw = wav.readframes(stop - start)
+            if len(raw) != 2 * (stop - start):
+                raise MalformedWire(truncated)
+            return np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
+
+        yield SampleSource(wav.getnframes(), wav.getframerate(), read)
+
+
+def read_wav(path) -> AudioBuffer:
+    """16-bit LE mono WAV to samples scaled into [-1, 1]."""
+    with open_wav(path) as source:
+        return AudioBuffer(source.read(0, source.n_samples), source.sample_rate)
 
 
 def write_wav(path, audio: AudioBuffer) -> None:
@@ -197,13 +257,29 @@ def write_wav(path, audio: AudioBuffer) -> None:
         wav.writeframes(pcm.tobytes())
 
 
+@contextlib.contextmanager
+def open_raw_f32(path, sample_rate: int):
+    """Headerless little-endian float32 samples as a SampleSource; a
+    ragged tail is malformed."""
+    with open(path, "rb") as fh:
+        if not fh.seekable():
+            raise OSError(f"{path}: raw float32 input must be a seekable file")
+        size = os.fstat(fh.fileno()).st_size
+        if size % 4:
+            raise MalformedWire(f"raw float32 file of {size} bytes ends mid-sample")
+
+        def read(start: int, stop: int) -> np.ndarray:
+            fh.seek(4 * start)
+            raw = _read_exact(fh, 4 * (stop - start), "raw float32 samples")
+            return np.frombuffer(raw, dtype="<f4").astype(np.float64)
+
+        yield SampleSource(size // 4, sample_rate, read)
+
+
 def read_raw_f32(path, sample_rate: int) -> AudioBuffer:
     """Headerless little-endian float32 samples; a ragged tail is malformed."""
-    raw = Path(path).read_bytes()
-    if len(raw) % 4:
-        raise MalformedWire(f"raw float32 file of {len(raw)} bytes ends mid-sample")
-    samples = np.frombuffer(raw, dtype="<f4").astype(np.float64)
-    return AudioBuffer(samples=samples, sample_rate=sample_rate)
+    with open_raw_f32(path, sample_rate) as source:
+        return AudioBuffer(source.read(0, source.n_samples), sample_rate)
 
 
 # ------------------------------------------------------------- JSONL

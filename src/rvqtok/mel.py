@@ -2,7 +2,10 @@
 
 PCM audio is turned into log-mel frames, which are then stacked in
 groups to reach the tokenizer frame rate (100 fps mel stacked by 8
-gives 12.5 vectors per second). The loss functions operate on mel
+gives 12.5 vectors per second). One kernel, ``mel_blocks``, computes
+the frames a bounded block at a time from any ``SampleSource``, so a
+file of any length is analysed in bounded memory, and an in-memory
+buffer gives bit-identical frames. The loss functions operate on mel
 matrices: per-reconstruction mean-L1 plus mean-L2, summed over
 reconstructions and, for the multi-scale variant, over analysis
 configurations with different hop/window sizes.
@@ -11,6 +14,7 @@ configurations with different hop/window sizes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -166,48 +170,106 @@ def mel_filterbank(cfg: MelConfig) -> np.ndarray:
     return fb
 
 
-def band_center_freqs(cfg: MelConfig) -> np.ndarray:
-    """Center frequency (Hz) of each mel band under cfg."""
-    mel_pts = np.linspace(_hz_to_mel(cfg.fmin), _hz_to_mel(cfg.fmax), cfg.n_mels + 2)
-    return _mel_to_hz(mel_pts)[1:-1]
+# Mel frames per block of mel_blocks, rounded to a multiple of the stack
+# factor: 1.6 MB of frames and 1.6 MB of complex spectrum per block.
+_MEL_BLOCK = 512
 
 
-def _frame_signal(x: np.ndarray, cfg: MelConfig) -> np.ndarray:
-    if cfg.center:
-        n_frames = -(-len(x) // cfg.hop)  # ceil
-        pad = cfg.n_fft // 2
-        if pad > 0:
-            mode = "reflect" if len(x) > 1 else "edge"
-            x = np.pad(x, pad, mode=mode)
-    else:
-        n_frames = max((len(x) - cfg.n_fft) // cfg.hop + 1, 0)
-    if n_frames == 0:
-        return np.zeros((0, cfg.n_fft))
+class SampleSource(NamedTuple):
+    """Mono audio read by sample range: ``read(start, stop)`` returns
+    samples [start, stop) as float64, for 0 <= start <= stop <= n_samples."""
+
+    n_samples: int
+    sample_rate: int
+    read: Callable[[int, int], np.ndarray]
+
+
+def _finite(samples: np.ndarray) -> np.ndarray:
+    if not np.isfinite(samples).all():
+        raise InvalidSample("audio contains non-finite samples")
+    return samples
+
+
+def _log_mel(signal: np.ndarray, n_frames: int, cfg: MelConfig, fb: np.ndarray) -> np.ndarray:
+    """Log-mel of the n_frames frames at hop spacing from signal[0]."""
     idx = np.arange(cfg.n_fft)[None, :] + cfg.hop * np.arange(n_frames)[:, None]
-    return x[idx]
+    # Periodic Hann window.
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(cfg.n_fft) / cfg.n_fft)
+    spectrum = np.fft.rfft(signal[idx] * window, axis=1)
+    power = spectrum.real**2 + spectrum.imag**2
+    log_mel = np.log(np.maximum(power @ fb, cfg.log_floor))
+    if not np.isfinite(log_mel).all():
+        raise InvalidSample("mel frames contain non-finite entries")
+    return log_mel
+
+
+def mel_blocks(
+    source: SampleSource, cfg: MelConfig = DEFAULT_MEL, stack_factor: int = 1
+) -> tuple[int, Iterator[np.ndarray]]:
+    """The mel frame count T of ``source`` and an iterator over its log-mel
+    frames, in order, as (rows, n_mels) blocks that start at multiples of
+    ``stack_factor``.
+
+    Entries are log(max(mel_energy, log_floor)). The input is checked
+    before this returns; samples and frames are checked for finiteness
+    block by block as the iterator reads them. A signal of at most one
+    block is reflect-padded whole by ``np.pad``. A longer one is read
+    in ranges that overlap by n_fft - hop samples and is reflected only
+    at its two ends; every block has the same row count, so each frame
+    is bit-identical to the whole-signal computation.
+    """
+    n = source.n_samples
+    if n == 0:
+        raise EmptyInput("cannot compute mel of empty audio")
+    if source.sample_rate != cfg.sample_rate:
+        raise InvalidConfig(
+            f"audio is {source.sample_rate} Hz but cfg expects {cfg.sample_rate} Hz"
+        )
+    if stack_factor < 1:
+        raise InvalidConfig(f"stack_factor must be >= 1, got {stack_factor}")
+    if cfg.center:
+        n_frames = -(-n // cfg.hop)  # ceil
+    else:
+        n_frames = max((n - cfg.n_fft) // cfg.hop + 1, 0)
+    # BLAS takes a one-row product through its matrix-vector routine,
+    # which rounds differently, so a block has at least two rows.
+    block = max(_MEL_BLOCK // stack_factor * stack_factor, stack_factor, 2)
+    return n_frames, _blocks(source, cfg, n_frames, block)
+
+
+def _blocks(source: SampleSource, cfg: MelConfig, n_frames: int, block: int):
+    n = source.n_samples
+    pad = cfg.n_fft // 2 if cfg.center else 0
+    # C-ordered: OpenBLAS rounds a product with the transposed view
+    # differently when it has fewer than about 16 rows
+    fb = np.ascontiguousarray(mel_filterbank(cfg).T)
+    if n_frames <= block or n <= pad:
+        # np.pad reflects more than once when the signal is no longer than the pad
+        signal = _finite(source.read(0, n))
+        if pad:
+            signal = np.pad(signal, pad, mode="reflect" if n > 1 else "edge")
+        yield _log_mel(signal, n_frames, cfg, fb)
+        return
+    for start in range(0, n_frames, block):
+        first = min(start, n_frames - block)  # the last block ends at frame T
+        j = np.arange(first * cfg.hop, (first + block - 1) * cfg.hop + cfg.n_fft) - pad
+        j = np.abs(j)  # reflect about the first sample
+        j = np.where(j < n, j, 2 * (n - 1) - j)  # and about the last
+        lo = int(j.min())
+        samples = _finite(source.read(lo, int(j.max()) + 1))
+        yield _log_mel(samples[j - lo], block, cfg, fb)[start - first :]
 
 
 def compute_mel(audio: AudioBuffer, cfg: MelConfig = DEFAULT_MEL) -> MelSpectrogram:
-    """Log-mel spectrogram of ``audio`` under ``cfg``.
+    """Log-mel spectrogram of ``audio`` under ``cfg``, through ``mel_blocks``.
 
-    Entries are log(max(mel_energy, log_floor)). Deterministic: the same
-    (audio, cfg) pair always produces bit-identical frames.
+    Deterministic: the same (audio, cfg) pair always produces
+    bit-identical frames.
     """
-    if len(audio.samples) == 0:
-        raise EmptyInput("cannot compute mel of empty audio")
-    if audio.sample_rate != cfg.sample_rate:
-        raise InvalidConfig(
-            f"audio is {audio.sample_rate} Hz but cfg expects {cfg.sample_rate} Hz"
-        )
-    frames = _frame_signal(audio.samples, cfg)
-    # Periodic Hann window.
-    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(cfg.n_fft) / cfg.n_fft)
-    spectrum = np.fft.rfft(frames * window, axis=1)
-    power = spectrum.real**2 + spectrum.imag**2
-    mel_energy = power @ mel_filterbank(cfg).T
-    log_mel = np.log(np.maximum(mel_energy, cfg.log_floor))
+    x = audio.samples
+    _, blocks = mel_blocks(SampleSource(len(x), audio.sample_rate, lambda a, b: x[a:b]), cfg)
     return MelSpectrogram(
-        frames=log_mel,
+        frames=np.concatenate(list(blocks)),
         n_mels=cfg.n_mels,
         frame_rate=cfg.frame_rate,
         config_id=cfg.config_id,

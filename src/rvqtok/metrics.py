@@ -169,10 +169,3 @@ def interlayer_mi(frames, layer_a: int, layer_b: int) -> float:
     nz = joint > 0
     mi = float(np.sum(joint[nz] * np.log(joint[nz] / (pa @ pb)[nz])))
     return max(mi, 0.0)
-
-
-def plugin_mi_bias(k_a: int, k_b: int, n: int) -> float:
-    """First-order bias of the plug-in MI on independent data, in nats."""
-    if n <= 0:
-        raise InvalidConfig("sample count must be positive")
-    return (k_a - 1) * (k_b - 1) / (2.0 * n)

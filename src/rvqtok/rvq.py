@@ -40,7 +40,7 @@ convention). Nothing here builds an autodiff graph.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -452,15 +452,6 @@ def ema_update(book: Codebook, assignments, mode: str = "paper_literal") -> Code
         chosen.extend([j] * len(vecs))
     vectors = np.array(rows, dtype=np.float64).reshape(len(rows), book.dim)
     return _ema_step(book, np.asarray(chosen, dtype=np.int64), vectors, mode)
-
-
-def apply_norm_constraint(book: Codebook) -> Codebook:
-    """Scale every codeword by (1 - norm_beta); counters unchanged."""
-    return replace(
-        book,
-        vectors=book.vectors * (1.0 - book.norm_beta),
-        usage_counts=book.usage_counts.copy(),
-    )
 
 
 def restart_dead_entries(

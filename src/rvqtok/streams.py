@@ -445,12 +445,3 @@ def sum_embeddings(
             )
         out += a[idx]
     return out
-
-
-def frames_per_second_check(
-    stream: InterleavedStream, audio_duration_s: float
-) -> float:
-    """Audio frame count over duration; the framing-rate diagnostic."""
-    if audio_duration_s <= 0:
-        raise InvalidConfig("audio duration must be positive")
-    return stream.n_audio_frames() / float(audio_duration_s)

@@ -4,22 +4,26 @@ import os
 import struct
 import subprocess
 import sys
+import wave
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from rvqtok import mel as mel_module
 from rvqtok.cli import main
 from rvqtok.fileformats import (
     read_afv1,
     read_atk1,
+    read_raw_f32,
     read_rvq1,
+    read_wav,
     write_afv1,
     write_atk1,
     write_eval_records,
     write_wav,
 )
-from rvqtok.mel import AudioBuffer
+from rvqtok.mel import AudioBuffer, compute_mel, stack_frames
 from rvqtok.streams import eoa_frame
 from rvqtok.synth import (
     make_bigram_world,
@@ -104,6 +108,46 @@ class TestMel:
         assert lines == []
         assert "too few" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("stack", [1, 3, 8])
+    def test_blocked_afv1_matches_whole_clip(self, capsys, tmp_path, monkeypatch, stack):
+        # 3 s fit one default block, so the reference is the whole-clip path
+        audio = make_sine_noise_audio(3.0, seed=4)
+        samples = np.append(audio.samples, audio.samples[:37])
+        wav, raw = tmp_path / "odd.wav", tmp_path / "odd.f32"
+        write_wav(wav, AudioBuffer(samples, 16000))
+        samples.astype("<f4").tofile(raw)
+        for path, extra, load in (
+            (wav, [], read_wav),
+            (raw, ["--raw-rate", 16000], lambda p: read_raw_f32(p, 16000)),
+        ):
+            ref = tmp_path / "ref.afv1"
+            feats = stack_frames(compute_mel(load(path)), stack)
+            write_afv1(ref, feats.vectors, feats.frame_rate)
+            monkeypatch.setattr(mel_module, "_MEL_BLOCK", 1)
+            out = tmp_path / "out.afv1"
+            code, _, _ = run(capsys, "mel", path, out, "--stack", stack, *extra)
+            monkeypatch.undo()
+            assert code == 0
+            assert out.read_bytes() == ref.read_bytes()
+
+    def test_failure_in_last_block_leaves_no_output(self, capsys, tmp_path):
+        # 6 s is more than one default block; the NaN sits in the last one
+        samples = np.zeros(6 * 16000, dtype="<f4")
+        samples[-100] = np.nan
+        raw = tmp_path / "nan.f32"
+        samples.tofile(raw)
+        out = tmp_path / "out.afv1"
+        before = sorted(tmp_path.iterdir())
+        code, lines, err = run(capsys, "mel", raw, out, "--raw-rate", 16000)
+        assert code == 4
+        assert lines == []
+        assert "non-finite" in err
+        assert sorted(tmp_path.iterdir()) == before
+        out.write_bytes(b"an older output")
+        assert run(capsys, "mel", raw, out, "--raw-rate", 16000)[0] == 4
+        assert out.read_bytes() == b"an older output"
+        assert sorted(tmp_path.iterdir()) == sorted(before + [out])
 
     def test_config_overrides_stack_factor(self, capsys, tmp_path, wav_1s):
         cfg = tmp_path / "mel.json"
@@ -384,6 +428,52 @@ class TestHostileInput:
         assert "8002 bytes" in err
         assert not out.exists()
 
+    def _mel_exits_4(self, capsys, tmp_path, wav, message):
+        out = tmp_path / "out.afv1"
+        code, lines, err = run(capsys, "mel", wav, out)
+        assert code == 4
+        assert lines == []
+        assert message in err
+        assert err.startswith("error: ")
+        assert not out.exists()
+
+    def test_wav_data_shorter_than_header(self, capsys, tmp_path, wav_1s):
+        wav_1s.write_bytes(wav_1s.read_bytes()[:-1000])
+        self._mel_exits_4(capsys, tmp_path, wav_1s, "16000 frames its header declares")
+
+    def test_wav_ending_mid_sample(self, capsys, tmp_path, wav_1s):
+        wav_1s.write_bytes(wav_1s.read_bytes()[:-1001])
+        self._mel_exits_4(capsys, tmp_path, wav_1s, "16000 frames its header declares")
+
+    def test_wav_that_is_not_riff(self, capsys, tmp_path):
+        wav = tmp_path / "garbage.wav"
+        wav.write_bytes(b"this is not a RIFF file at all")
+        self._mel_exits_4(capsys, tmp_path, wav, "not a readable PCM WAV")
+
+    def test_wav_with_unsupported_format_tag(self, capsys, tmp_path, wav_1s):
+        data = bytearray(wav_1s.read_bytes())
+        assert data[20:22] == b"\x01\x00"  # WAVE_FORMAT_PCM
+        data[20:22] = b"\x03\x00"  # WAVE_FORMAT_IEEE_FLOAT
+        wav_1s.write_bytes(bytes(data))
+        self._mel_exits_4(capsys, tmp_path, wav_1s, "not a readable PCM WAV")
+
+    def test_empty_wav(self, capsys, tmp_path):
+        wav = tmp_path / "empty.wav"
+        wav.write_bytes(b"")
+        self._mel_exits_4(capsys, tmp_path, wav, "not a readable PCM WAV")
+
+    @pytest.mark.parametrize("channels, width", [(2, 2), (1, 1)])
+    def test_stereo_or_8_bit_wav_is_config_error(self, capsys, tmp_path, channels, width):
+        wav = tmp_path / "other.wav"
+        with wave.open(str(wav), "wb") as w:
+            w.setnchannels(channels)
+            w.setsampwidth(width)
+            w.setframerate(16000)
+            w.writeframes(bytes(channels * width * 16000))
+        code, _, err = run(capsys, "mel", wav, tmp_path / "out.afv1")
+        assert code == 3
+        assert "only" in err
+
     def test_oversize_rvq1_codebook(self, capsys, tmp_path, trained):
         feats, _, _ = trained
         books = tmp_path / "huge.rvq1"
@@ -393,6 +483,40 @@ class TestHostileInput:
         code, _, err = run(capsys, "encode", feats, books, tmp_path / "x.atk1")
         assert code == 4
         assert "RVQ1 codewords" in err
+
+
+# Runs argv as a child and prints that child's peak RSS in kB. Started
+# from this small interpreter, the child's ru_maxrss is its own: Linux
+# carries the high-water mark of the address space that exec replaces
+# into it, which would be the test process's.
+PEAK_RSS = """\
+import resource, subprocess, sys
+subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+def mel_peak_rss_mb(tmp_path, minutes):
+    wav = tmp_path / f"{minutes}min.wav"
+    rng = np.random.Generator(np.random.PCG64(minutes))
+    with wave.open(str(wav), "wb") as w:
+        w.setnchannels(1)
+        w.setsampwidth(2)
+        w.setframerate(16000)
+        for _ in range(minutes):
+            w.writeframes(rng.integers(-4000, 4000, 60 * 16000, dtype="<i2").tobytes())
+    argv = [sys.executable, "-m", "rvqtok.cli", "mel", str(wav), str(tmp_path / "out.afv1")]
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS, *argv],
+        env=checkout_env(), capture_output=True, text=True, check=True,
+    )
+    return int(proc.stdout) / 1024
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kB on Linux")
+def test_mel_memory_does_not_grow_with_clip_length(tmp_path):
+    short, long = mel_peak_rss_mb(tmp_path, 2), mel_peak_rss_mb(tmp_path, 8)
+    assert long - short < 20, f"peak RSS {short:.1f} MB at 2 min, {long:.1f} MB at 8 min"
 
 
 @pytest.fixture

@@ -337,6 +337,27 @@ class TestWav:
         back = read_wav(path)
         assert np.abs(back.samples).max() <= 1.0
 
+    def test_hostile_bytes(self, tmp_path):
+        # every truncation, and byte changes across the 44-byte header,
+        # either read or raise MalformedWire (InvalidConfig for a valid
+        # header that is not 16-bit mono) and nothing else
+        path = tmp_path / "x.wav"
+        write_wav(path, AudioBuffer(np.linspace(-0.5, 0.5, 50), 16000))
+        good = path.read_bytes()
+        hostile = [good[:cut] for cut in range(len(good))]
+        hostile += [
+            good[:i] + bytes([v]) + good[i + 1 :] for i in range(44) for v in (0, 1, 0x80, 0xFF)
+        ]
+        outcomes = set()
+        for data in hostile:
+            path.write_bytes(data)
+            try:
+                read_wav(path)
+                outcomes.add("read")
+            except (MalformedWire, InvalidConfig) as exc:
+                outcomes.add(type(exc).__name__)
+        assert outcomes == {"read", "MalformedWire", "InvalidConfig"}
+
     def test_raw_f32(self, tmp_path):
         samples = np.array([0.5, -0.25, 0.0], dtype="<f4")
         path = tmp_path / "x.f32"

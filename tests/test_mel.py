@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from rvqtok import mel as mel_module
 from rvqtok.errors import EmptyInput, InvalidConfig, InvalidSample, ShapeMismatch
 from rvqtok.mel import (
     DEFAULT_MEL,
@@ -10,8 +11,9 @@ from rvqtok.mel import (
     FeatureSequence,
     MelConfig,
     MelSpectrogram,
-    band_center_freqs,
+    SampleSource,
     compute_mel,
+    mel_blocks,
     mel_filterbank,
     mel_mae,
     multiscale_mel_loss,
@@ -106,14 +108,16 @@ class TestFilterbank:
             assert fb[m, k] == pytest.approx(want, abs=1e-9)
 
     def test_sine_lands_in_its_band(self):
-        # a pure tone's hottest band should be the one whose center
-        # frequency is nearest the tone
-        centers = band_center_freqs(DEFAULT_MEL)
+        # a pure tone's hottest band should be one whose triangle covers
+        # the tone; a band's edges are the bins next to its positive run
+        fb = mel_filterbank(DEFAULT_MEL)
+        freqs = np.linspace(0.0, DEFAULT_MEL.sample_rate / 2.0, fb.shape[1])
         for freq in (300.0, 1000.0, 3000.0):
             mel = compute_mel(sine(freq))
             hot = int(np.argmax(mel.frames.mean(axis=0)))
-            want = int(np.argmin(np.abs(centers - freq)))
-            assert abs(hot - want) <= 1
+            support = np.flatnonzero(fb[hot] > 0)
+            lo, hi = freqs[max(support[0] - 1, 0)], freqs[support[-1] + 1]
+            assert lo < freq < hi
 
 
 class TestFraming:
@@ -156,6 +160,82 @@ class TestFraming:
         audio = AudioBuffer(samples=np.zeros(16000), sample_rate=16000)
         mel = compute_mel(audio)
         assert np.allclose(mel.frames, np.log(DEFAULT_MEL.log_floor))
+
+
+def whole_buffer_mel(x, cfg):
+    """Reference log-mel: pad the whole signal, frame, window, rfft,
+    filterbank product, log."""
+    if cfg.center:
+        n_frames = -(-len(x) // cfg.hop)
+        x = np.pad(x, cfg.n_fft // 2, mode="reflect" if len(x) > 1 else "edge")
+    else:
+        n_frames = max((len(x) - cfg.n_fft) // cfg.hop + 1, 0)
+    idx = np.arange(cfg.n_fft)[None, :] + cfg.hop * np.arange(n_frames)[:, None]
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(cfg.n_fft) / cfg.n_fft)
+    spectrum = np.fft.rfft(x[idx] * window, axis=1)
+    power = spectrum.real**2 + spectrum.imag**2
+    # C-ordered like the kernel's: with the transposed view, OpenBLAS
+    # 0.3.31 rounds products of under 16 rows differently from longer ones
+    fb = np.ascontiguousarray(mel_filterbank(cfg).T)
+    return np.log(np.maximum(power @ fb, cfg.log_floor))
+
+
+def in_memory(x, rate=16000):
+    return SampleSource(len(x), rate, lambda a, b: x[a:b])
+
+
+BLOCK_LENGTHS = st.sampled_from(
+    [1, 2, 199, 200, 201, 399, 400, 401, 159, 161, 479, 481, 1599, 1601,
+     512 * 160 - 1, 512 * 160 + 1, 1024 * 160 + 77]
+) | st.integers(1, 6000)
+
+
+class TestBlocked:
+    @given(n=BLOCK_LENGTHS, center=st.booleans(), s=st.sampled_from([1, 3, 8]),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=80)
+    def test_blocked_equals_whole_buffer(self, n, center, s, seed):
+        cfg = MelConfig(center=center)
+        x = np.random.Generator(np.random.PCG64(seed)).uniform(-1.0, 1.0, n)
+        want = whole_buffer_mel(x, cfg)
+        # the default block, then one stack group per block
+        for block in (mel_module._MEL_BLOCK, 1):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(mel_module, "_MEL_BLOCK", block)
+                n_frames, blocks = mel_blocks(in_memory(x), cfg, s)
+                blocks = list(blocks)
+                got = np.concatenate(blocks)
+                assert np.array_equal(got, want)
+                assert n_frames == len(want)
+                assert all(len(b) % s == 0 for b in blocks[:-1])
+                assert np.array_equal(compute_mel(AudioBuffer(x, 16000), cfg).frames, want)
+
+    def test_checks_before_reading(self):
+        def unread(a, b):
+            raise AssertionError("read before the input was checked")
+
+        with pytest.raises(EmptyInput):
+            mel_blocks(SampleSource(0, 16000, unread))
+        with pytest.raises(InvalidConfig):
+            mel_blocks(SampleSource(100, 8000, unread))
+        with pytest.raises(InvalidConfig):
+            mel_blocks(SampleSource(100, 16000, unread), DEFAULT_MEL, 0)
+
+    def test_non_finite_block_raises(self, monkeypatch):
+        monkeypatch.setattr(mel_module, "_MEL_BLOCK", 8)
+        x = np.zeros(16000)
+        x[-5] = np.nan
+        _, blocks = mel_blocks(in_memory(x), DEFAULT_MEL, 8)
+        assert next(blocks).shape == (8, 80)
+        with pytest.raises(InvalidSample):
+            list(blocks)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_overflowing_frames_raise(self):
+        x = np.full(4000, 1e200)
+        with pytest.raises(InvalidSample):
+            list(mel_blocks(in_memory(x))[1])
 
 
 class TestStacking:

@@ -12,7 +12,6 @@ from rvqtok.metrics import (
     interlayer_mi,
     perplexity,
     perplexity_compare,
-    plugin_mi_bias,
     token_entropy,
     wer,
 )
@@ -278,7 +277,7 @@ class TestInterlayerMi:
             [rng.integers(0, ka, size=(n, 1)), rng.integers(0, kb, size=(n, 1))]
         )
         mi = interlayer_mi(idx, 0, 1)
-        bias = plugin_mi_bias(ka, kb, n)
+        bias = (ka - 1) * (kb - 1) / (2.0 * n)  # first-order plug-in MI bias
         assert mi < 10 * bias  # true MI 0; estimate sits at the bias scale
 
     def test_bounded_by_marginals(self, rng):
@@ -310,8 +309,3 @@ class TestInterlayerMi:
     def test_empty_raises(self):
         with pytest.raises(EmptyInput):
             interlayer_mi([], 0, 1)
-
-    def test_bias_formula(self):
-        assert plugin_mi_bias(5, 3, 100) == pytest.approx(8 / 200)
-        with pytest.raises(InvalidConfig):
-            plugin_mi_bias(5, 3, 0)

@@ -22,7 +22,6 @@ from rvqtok.rvq import (
     StepRecord,
     TrainingReport,
     TrainingSchedule,
-    apply_norm_constraint,
     commitment_loss,
     decode_frames,
     ema_update,
@@ -412,19 +411,6 @@ class TestEmaUpdate:
 
 
 class TestNormConstraint:
-    def test_scales_vectors(self):
-        book = Codebook(np.ones((2, 2)), norm_beta=0.25)
-        new = apply_norm_constraint(book)
-        assert np.allclose(new.vectors, 0.75)
-
-    def test_beta_zero_identity(self):
-        book = Codebook(np.ones((2, 2)), norm_beta=0.0)
-        assert np.array_equal(apply_norm_constraint(book).vectors, book.vectors)
-
-    def test_counters_preserved(self):
-        book = Codebook(np.ones((2, 2)), norm_beta=0.5, usage_counts=np.array([3, 4]))
-        assert apply_norm_constraint(book).usage_counts.tolist() == [3, 4]
-
     def test_norms_bounded_under_iteration(self, rng):
         # repeated update-with-assignments keeps norms under m/beta scale
         book = Codebook(rng.standard_normal((4, 3)), ema_decay=0.99, norm_beta=0.05)

@@ -21,7 +21,6 @@ from rvqtok.streams import (
     build_loss_mask,
     deserialize,
     eoa_frame,
-    frames_per_second_check,
     is_eoa,
     serialize,
     sum_embeddings,
@@ -541,15 +540,3 @@ class TestEmbeddings:
         spec = EmbeddingSpec(layer_sizes=(8,))
         with pytest.raises(ShapeMismatch):
             sum_embeddings(frame(0), [rng.standard_normal((8, 2))], spec)
-
-
-class TestFrameRate:
-    def test_nominal_rate(self):
-        frames = [frame(0, 0, 0)] * 12
-        s = stream("PURE_AUDIO", audio_segment(frames))
-        assert frames_per_second_check(s, 0.96) == pytest.approx(12.5)
-
-    def test_zero_duration(self):
-        s = stream("PURE_AUDIO", A1)
-        with pytest.raises(InvalidConfig):
-            frames_per_second_check(s, 0.0)
