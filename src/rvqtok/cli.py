@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import shlex
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -63,8 +65,50 @@ def _emit(obj: dict) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
-def _load_json(path) -> dict:
-    return json.loads(Path(path).read_text())
+# JSON value types a config field of each annotated type accepts: a bool
+# is not a number, and an int passes where a float is wanted.
+_JSON_TYPES = {
+    "int": (int,),
+    "float": (int, float),
+    "bool": (bool,),
+    "str": (str,),
+    "object": (dict,),
+    "object or null": (dict, type(None)),
+}
+
+
+def _checked(doc, types: dict[str, str], what: str) -> dict:
+    """doc, once it is a JSON object whose keys are all in types and whose
+    values have the named types; anything else is InvalidConfig."""
+    if not isinstance(doc, dict):
+        raise InvalidConfig(f"{what} must be a JSON object")
+    for key, value in doc.items():
+        if key not in types:
+            raise InvalidConfig(f"unknown {what} key {key!r}")
+        want = types[key]
+        if want == "list of int":
+            ok = ff._is_int_list(value)
+        else:
+            ok = type(value) in _JSON_TYPES[want]
+        if not ok:
+            raise InvalidConfig(f"{what} key {key!r} must be {want}, got {value!r}")
+        if type(value) is float and not math.isfinite(value):
+            raise InvalidConfig(f"{what} key {key!r} must be finite, got {value!r}")
+    return doc
+
+
+def _field_types(cls) -> dict[str, str]:
+    """A config dataclass's {field: type name}; its modules postpone
+    annotation evaluation, so each type is a name such as "float"."""
+    return {f.name: f.type for f in fields(cls)}
+
+
+def _load_json(path, types: dict[str, str], what: str) -> dict:
+    try:
+        doc = json.loads(Path(path).read_text())
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise InvalidConfig(f"{what} is not JSON: {exc}") from exc
+    return _checked(doc, types, what)
 
 
 def _open_audio(path: str, raw_rate: int | None):
@@ -79,13 +123,10 @@ def cmd_mel(args) -> int:
     cfg_kwargs: dict = {}
     stack_factor = args.stack
     if args.config:
-        doc = _load_json(args.config)
-        stack_factor = doc.pop("stack_factor", stack_factor)
-        cfg_kwargs = doc
-    try:
-        cfg = MelConfig(**cfg_kwargs)
-    except TypeError as exc:
-        raise InvalidConfig(f"bad mel config: {exc}") from exc
+        types = {**_field_types(MelConfig), "stack_factor": "int"}
+        cfg_kwargs = _load_json(args.config, types, "mel config")
+        stack_factor = cfg_kwargs.pop("stack_factor", stack_factor)
+    cfg = MelConfig(**cfg_kwargs)
 
     with _open_audio(args.input, args.raw_rate) as source:
         n_frames, blocks = mel_blocks(source, cfg, stack_factor)
@@ -116,23 +157,42 @@ def _read_afv1_manifest(path) -> list[FeatureSequence]:
     return corpus
 
 
+# train-rvq --config keys; init_rvq_stack and train_rvq hold the defaults
+# of those the config leaves out
+_TRAIN_KEYS = {
+    "layer_sizes": "list of int",
+    "epochs": "int",
+    "schedule": "object",
+    "gumbel": "object or null",
+    "dropout": "object or null",
+    "ema_decay": "float",
+    "norm_beta": "float",
+    "init_method": "str",
+    "mode": "str",
+    "dead_threshold": "int",
+    "restart": "bool",
+}
+
+
 def _train_configs(doc: dict):
-    try:
-        schedule = TrainingSchedule(**doc.get("schedule", {}))
-        gum = doc.get("gumbel")
-        gumbel = GumbelConfig(**gum) if gum else GUMBEL_OFF
-        drop = doc.get("dropout")
-        dropout = DropoutConfig(**drop) if drop else None
-    except TypeError as exc:
-        raise InvalidConfig(f"bad training config: {exc}") from exc
+    def config(cls, key):
+        return cls(**_checked(doc.get(key) or {}, _field_types(cls), key))
+
+    schedule = config(TrainingSchedule, "schedule")
+    gumbel = config(GumbelConfig, "gumbel") if doc.get("gumbel") else GUMBEL_OFF
+    dropout = config(DropoutConfig, "dropout") if doc.get("dropout") else None
     return schedule, gumbel, dropout
 
 
 def cmd_train_rvq(args) -> int:
-    doc = _load_json(args.config) if args.config else {}
+    doc = _load_json(args.config, _TRAIN_KEYS, "train-rvq config") if args.config else {}
     layer_sizes = doc.get("layer_sizes", [64, 64])
     epochs = doc.get("epochs", args.epochs)
     schedule, gumbel, dropout = _train_configs(doc)
+    init_kwargs = {k: doc[k] for k in ("ema_decay", "norm_beta") if k in doc}
+    if "init_method" in doc:
+        init_kwargs["method"] = doc["init_method"]
+    train_kwargs = {k: doc[k] for k in ("mode", "dead_threshold", "restart") if k in doc}
 
     corpus = _read_afv1_manifest(args.manifest)
     if not corpus:
@@ -142,25 +202,9 @@ def cmd_train_rvq(args) -> int:
         raise ShapeMismatch(f"corpus dimensions disagree: {sorted(dims)}")
 
     features = np.concatenate([seq.vectors for seq in corpus], axis=0)
-    stack = init_rvq_stack(
-        layer_sizes,
-        features,
-        ema_decay=doc.get("ema_decay", 0.99),
-        norm_beta=doc.get("norm_beta", 0.0),
-        seed=args.seed,
-        method=doc.get("init_method", "sample"),
-    )
+    stack = init_rvq_stack(layer_sizes, features, seed=args.seed, **init_kwargs)
     stack, report = train_rvq(
-        stack,
-        corpus,
-        schedule,
-        gumbel,
-        dropout,
-        epochs=epochs,
-        mode=doc.get("mode", "paper_literal"),
-        dead_threshold=doc.get("dead_threshold", 256),
-        restart=doc.get("restart", True),
-        seed=args.seed,
+        stack, corpus, schedule, gumbel, dropout, epochs=epochs, seed=args.seed, **train_kwargs
     )
     ff.write_rvq1(args.output, stack)
     report_path = args.report or args.output + ".report.jsonl"
@@ -232,7 +276,7 @@ def cmd_pack(args) -> int:
         path = row["atk1_path"]
         if path not in atk1_cache:
             atk1_cache[path], _ = ff.read_atk1(path)
-        start, end = (int(v) for v in row["frame_range"])
+        start, end = row["frame_range"]
         frames = atk1_cache[path]
         if not 0 <= start < end <= len(frames):
             raise MalformedWire(
@@ -279,11 +323,7 @@ def _builtin_scorer(name: str, args):
     """The named built-in scorer; bigram is fit on --bigram-corpus (JSONL)."""
     corpus = None
     if name == "bigram" and args.bigram_corpus:
-        corpus = [
-            json.loads(line)
-            for line in Path(args.bigram_corpus).read_text().splitlines()
-            if line.strip()
-        ]
+        corpus = ff._read_token_lists(args.bigram_corpus)
     return builtin_scorer(
         name, seed=args.seed, corpus=corpus, vocab_size=args.vocab_size
     )

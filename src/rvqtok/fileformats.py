@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import struct
 import wave
@@ -292,8 +293,51 @@ def write_special_tokens(path, special: SpecialTokens) -> None:
 
 
 def read_special_tokens(path) -> SpecialTokens:
-    obj = json.loads(Path(path).read_text())
-    return SpecialTokens(switch_ta=int(obj["switch_ta"]), switch_at=int(obj["switch_at"]))
+    """The {"switch_ta": int, "switch_at": int} table; any other document is
+    InvalidConfig."""
+    try:
+        obj = json.loads(Path(path).read_text())
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise InvalidConfig(f"special-token table is not JSON: {exc}") from exc
+    if not (
+        isinstance(obj, dict)
+        and obj.keys() == {"switch_ta", "switch_at"}
+        and _is_int_list(list(obj.values()))
+    ):
+        raise InvalidConfig('special-token table must be {"switch_ta": int, "switch_at": int}')
+    return SpecialTokens(**obj)
+
+
+def _read_jsonl(path, what: str):
+    """Yield (line number, value) for each non-blank line of a JSON-lines
+    file; a line that is not JSON is MalformedWire naming it."""
+    with open(path, "rb") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line.decode())
+            except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+                raise MalformedWire(f"{what} line {line_no}: {exc}") from exc
+            yield line_no, obj
+
+
+_INT_ONLY = frozenset((int,))
+
+
+def _is_int_list(values) -> bool:
+    """values is a JSON list of integers; a bool is not an integer here."""
+    return type(values) is list and _INT_ONLY.issuperset(map(type, values))
+
+
+def _read_token_lists(path) -> list[list[int]]:
+    """A JSON-lines file of token-id lists, such as a bigram corpus."""
+    lists = []
+    for line_no, obj in _read_jsonl(path, "token list"):
+        if not _is_int_list(obj):
+            raise MalformedWire(f"token list line {line_no}: want a list of integer ids")
+        lists.append(obj)
+    return lists
 
 
 def stream_record(
@@ -367,47 +411,64 @@ def write_eval_records(path, records: list[EvalRecord]) -> None:
             )
 
 
+def _eval_record(obj) -> EvalRecord:
+    prefix, candidates, positive = obj["prefix"], obj["candidates"], obj["positive"]
+    if not (
+        _is_int_list(prefix)
+        and type(candidates) is list
+        and all(map(_is_int_list, candidates))
+        and type(positive) is int
+    ):
+        raise TypeError("prefix and candidates must hold integer ids, positive an integer")
+    return EvalRecord(tuple(prefix), tuple(map(tuple, candidates)), positive)
+
+
 def read_eval_records(path) -> list[EvalRecord]:
+    """Eval-record lines {prefix, candidates, positive}; a line that does not
+    hold a valid record is MalformedWire naming it."""
     records = []
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                records.append(
-                    EvalRecord(
-                        prefix=tuple(obj["prefix"]),
-                        candidates=tuple(tuple(c) for c in obj["candidates"]),
-                        positive_index=int(obj["positive"]),
-                    )
-                )
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise MalformedWire(f"eval record line {line_no}: {exc}") from exc
+    for line_no, obj in _read_jsonl(path, "eval record"):
+        try:
+            records.append(_eval_record(obj))
+        except (KeyError, TypeError, InvalidConfig) as exc:
+            raise MalformedWire(f"eval record line {line_no}: {exc}") from exc
     if not records:
         raise EmptyInput("no eval records in file")
     return records
 
 
+_MANIFEST_KEYS = frozenset(("text", "atk1_path", "frame_range", "duration_s"))
+
+
+def _manifest_problem(obj) -> str | None:
+    if not isinstance(obj, dict):
+        return "not a JSON object"
+    if not _MANIFEST_KEYS <= obj.keys():
+        return f"missing {sorted(_MANIFEST_KEYS - obj.keys())}"
+    if not (
+        type(obj["text"]) is str
+        and type(obj["atk1_path"]) is str
+        and type(obj.get("provenance", "")) is str
+    ):
+        return "text, atk1_path and provenance must be strings"
+    frame_range = obj["frame_range"]
+    if not (_is_int_list(frame_range) and len(frame_range) == 2):
+        return "frame_range must be two integers"
+    duration = obj["duration_s"]
+    if type(duration) not in (int, float) or not math.isfinite(duration):
+        return "duration_s must be a finite number"
+    return None
+
+
 def read_manifest(path) -> list[dict]:
-    """Pack-manifest lines {text, atk1_path, frame_range, duration_s, provenance}."""
+    """Pack-manifest lines {text, atk1_path, frame_range, duration_s, provenance};
+    a line with a field missing or of the wrong type is MalformedWire naming it."""
     rows = []
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedWire(f"manifest line {line_no}: {exc}") from exc
-            missing = {"text", "atk1_path", "frame_range", "duration_s"} - set(obj)
-            if missing:
-                raise MalformedWire(
-                    f"manifest line {line_no}: missing {sorted(missing)}"
-                )
-            obj.setdefault("provenance", "synthetic")
-            obj["line_no"] = line_no
-            rows.append(obj)
+    for line_no, obj in _read_jsonl(path, "manifest"):
+        problem = _manifest_problem(obj)
+        if problem:
+            raise MalformedWire(f"manifest line {line_no}: {problem}")
+        obj.setdefault("provenance", "synthetic")
+        obj["line_no"] = line_no
+        rows.append(obj)
     return rows

@@ -8,7 +8,10 @@ taken relative to the codebook mean; residuals and reconstruction stay
 float64. It may differ from exact float64 selection only on near-ties.
 Codewords are learned without gradients, by an exponential-moving-average
 update over the vectors assigned to each entry, optionally followed by
-an L2-norm contraction of the whole book.
+an L2-norm contraction of the whole book. ``train_rvq`` copies the
+stack once and updates that private copy in place, step by step;
+``ema_update`` and ``restart_dead_entries`` apply the same steps to a
+copy and return a new book, leaving their input untouched.
 
 Two EMA modes are provided. ``paper_literal`` adds the full assignment
 mean on top of the decayed codeword:
@@ -40,12 +43,13 @@ convention). Nothing here builds an autodiff graph.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .errors import EmptyInput, IndexOutOfRange, InvalidConfig, InvalidSample, ShapeMismatch
 from .mel import FeatureSequence
+from .metrics import codebook_utilization
 from .seeding import derive_seed, make_rng
 
 # Codebook sizes decrease with depth under the default profile.
@@ -56,6 +60,11 @@ INACTIVE = -1  # sentinel index for layers deactivated by dropout
 _ROW_CHUNK = 1024  # rows per selection block; bounds scores to _ROW_CHUNK x K
 
 EMA_MODES = ("paper_literal", "standard_ema")
+
+
+def _require_finite(vectors: np.ndarray) -> None:
+    if vectors.size and not np.isfinite(vectors).all():
+        raise InvalidConfig("codewords must be finite")
 
 
 @dataclass(eq=False)
@@ -75,8 +84,7 @@ class Codebook:
         self.vectors = np.asarray(self.vectors, dtype=np.float64)
         if self.vectors.ndim != 2:
             raise ShapeMismatch(f"codebook must be K x D, got {self.vectors.shape}")
-        if self.vectors.size and not np.isfinite(self.vectors).all():
-            raise InvalidConfig("codewords must be finite")
+        _require_finite(self.vectors)
         if not 0.0 <= self.ema_decay <= 1.0:
             raise InvalidConfig(f"ema_decay must be in [0, 1], got {self.ema_decay}")
         if not 0.0 <= self.norm_beta < 1.0:
@@ -395,37 +403,35 @@ def mean_commitment_loss(vectors: np.ndarray, quantized: np.ndarray) -> float:
     return float(np.mean(np.sum(diff * diff, axis=1)))
 
 
-def _ema_step(
-    book: Codebook, chosen: np.ndarray, vectors: np.ndarray, mode: str
-) -> Codebook:
-    """One EMA step from row-aligned entry indices and assigned vectors.
-
-    np.add.at sums each entry's vectors in row order, so the result
-    does not depend on thread count.
-    """
+def _check_mode(mode: str) -> None:
     if mode not in EMA_MODES:
         raise InvalidConfig(f"unknown EMA mode {mode!r}")
+
+
+def _ema_step(book: Codebook, chosen: np.ndarray, vectors: np.ndarray, mode: str) -> None:
+    """One EMA step, in place, from row-aligned entry indices and assigned vectors.
+
+    np.add.at sums each entry's vectors in row order, so the result
+    does not depend on thread count. The caller has checked mode.
+    """
     sums = np.zeros_like(book.vectors)
     counts = np.zeros(book.size, dtype=np.int64)
     np.add.at(sums, chosen, vectors)
     np.add.at(counts, chosen, 1)
 
     alpha, beta = book.ema_decay, book.norm_beta
-    new_vectors = alpha * book.vectors
+    book.vectors *= alpha
     assigned = counts > 0
     if assigned.any():
         means = sums[assigned] / counts[assigned, None]
         if mode == "paper_literal":
-            new_vectors[assigned] += means
+            book.vectors[assigned] += means
         else:
-            new_vectors[assigned] += (1.0 - alpha) * means
-    new_vectors *= 1.0 - beta
+            book.vectors[assigned] += (1.0 - alpha) * means
+    book.vectors *= 1.0 - beta
 
-    usage = book.usage_counts + 1
-    usage[assigned] = 0
-    return Codebook(
-        vectors=new_vectors, ema_decay=alpha, norm_beta=beta, usage_counts=usage
-    )
+    book.usage_counts += 1
+    book.usage_counts[assigned] = 0
 
 
 def ema_update(book: Codebook, assignments, mode: str = "paper_literal") -> Codebook:
@@ -451,7 +457,31 @@ def ema_update(book: Codebook, assignments, mode: str = "paper_literal") -> Code
             rows.append(v)
         chosen.extend([j] * len(vecs))
     vectors = np.array(rows, dtype=np.float64).reshape(len(rows), book.dim)
-    return _ema_step(book, np.asarray(chosen, dtype=np.int64), vectors, mode)
+    _check_mode(mode)
+    new = book.copy()
+    _ema_step(new, np.asarray(chosen, dtype=np.int64), vectors, mode)
+    _require_finite(new.vectors)
+    return new
+
+
+def _restart_dead(
+    book: Codebook, batch: np.ndarray, dead_threshold: int, rng_seed: int
+) -> np.ndarray:
+    """Overwrite, in place, entries unused for >= dead_threshold steps with
+    uniformly sampled batch rows and reset their counters; returns their
+    indices. Live entries are untouched."""
+    dead = np.flatnonzero(book.usage_counts >= dead_threshold)
+    if dead.size == 0:
+        return dead
+    if batch.ndim != 2 or batch.shape[0] == 0:
+        raise EmptyInput("dead entries present but the batch is empty")
+    if batch.shape[1] != book.dim:
+        raise ShapeMismatch(f"batch dim {batch.shape[1]} != codebook dim {book.dim}")
+    rng = np.random.Generator(np.random.PCG64(rng_seed))
+    picks = rng.integers(0, batch.shape[0], size=dead.size)
+    book.vectors[dead] = batch[picks]
+    book.usage_counts[dead] = 0
+    return dead
 
 
 def restart_dead_entries(
@@ -464,30 +494,15 @@ def restart_dead_entries(
 
     Each dead entry is overwritten by a uniformly sampled batch vector
     (sampling with replacement across entries) and its counters reset.
-    Live entries are untouched. Returns (new book, replaced indices).
+    Live entries are untouched. Returns (new book, replaced indices);
+    with nothing dead, the new book is the input itself.
     """
-    dead = np.flatnonzero(book.usage_counts >= dead_threshold)
-    if dead.size == 0:
+    if not (book.usage_counts >= dead_threshold).any():
         return book, []
-    batch = np.asarray(batch, dtype=np.float64)
-    if batch.ndim != 2 or batch.shape[0] == 0:
-        raise EmptyInput("dead entries present but the batch is empty")
-    if batch.shape[1] != book.dim:
-        raise ShapeMismatch(f"batch dim {batch.shape[1]} != codebook dim {book.dim}")
-
-    rng = np.random.Generator(np.random.PCG64(rng_seed))
-    picks = rng.integers(0, batch.shape[0], size=dead.size)
-    vectors = book.vectors.copy()
-    vectors[dead] = batch[picks]
-    usage = book.usage_counts.copy()
-    usage[dead] = 0
-    new_book = Codebook(
-        vectors=vectors,
-        ema_decay=book.ema_decay,
-        norm_beta=book.norm_beta,
-        usage_counts=usage,
-    )
-    return new_book, [int(j) for j in dead]
+    new = book.copy()
+    dead = _restart_dead(new, np.asarray(batch, dtype=np.float64), dead_threshold, rng_seed)
+    _require_finite(new.vectors)
+    return new, dead.tolist()
 
 
 def total_loss(
@@ -614,16 +629,11 @@ class StepRecord:
     feature_mae: float
     utilization: tuple[float, ...]
 
+    def __post_init__(self):
+        object.__setattr__(self, "utilization", tuple(self.utilization))
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "step": self.step,
-                "commit_loss": self.commit_loss,
-                "feature_mae": self.feature_mae,
-                "utilization": list(self.utilization),
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -635,20 +645,10 @@ class TrainingReport:
 
     @classmethod
     def from_jsonl(cls, text: str) -> "TrainingReport":
-        records = []
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            records.append(
-                StepRecord(
-                    step=obj["step"],
-                    commit_loss=obj["commit_loss"],
-                    feature_mae=obj["feature_mae"],
-                    utilization=tuple(obj["utilization"]),
-                )
-            )
-        return cls(steps=tuple(records))
+        """Parse to_jsonl output; blank lines and unknown keys are ignored."""
+        names = [f.name for f in fields(StepRecord)]
+        rows = [json.loads(line) for line in text.splitlines() if line.strip()]
+        return cls(steps=tuple(StepRecord(**{n: row[n] for n in names}) for row in rows))
 
 
 def train_rvq(
@@ -675,10 +675,11 @@ def train_rvq(
     quantized for reporting, but contributes no codebook update.
 
     Deterministic given (seed, corpus order, configs); the input stack
-    is not modified.
+    is not modified: training updates one private copy in place.
     """
     if epochs < 0:
         raise InvalidConfig("epochs must be >= 0")
+    _check_mode(mode)
     if len(corpus) == 0:
         raise EmptyInput("training corpus is empty")
     for seq in corpus:
@@ -694,52 +695,31 @@ def train_rvq(
     dropout_rng = make_rng(seed, "dropout") if dropout is not None else None
 
     records = []
-    step = 0
-    for _epoch in range(epochs):
-        for seq in corpus:
-            x = seq.vectors
-            routed = bool(
-                vq_replacement_gate(
-                    schedule,
-                    min(step, schedule.total_steps),
-                    derive_seed(seed, f"gate:{step}"),
-                    1,
-                )[0]
-            )
-            indices, active, residual, layer_inputs = _cascade(
-                work, x, gumbel, dropout, gumbel_rng, dropout_rng, True
-            )
-            quantized = x - residual
+    for step in range(epochs * len(corpus)):
+        x = corpus[step % len(corpus)].vectors
+        gate_seed = derive_seed(seed, f"gate:{step}")
+        routed = vq_replacement_gate(schedule, min(step, schedule.total_steps), gate_seed, 1)[0]
+        indices, active, residual, layer_inputs = _cascade(
+            work, x, gumbel, dropout, gumbel_rng, dropout_rng, True
+        )
+        quantized = x - residual
+        fmae = float(np.mean(np.abs(x - quantized)))
+        utilization = tuple(
+            codebook_utilization(indices[active[:, layer]], layer, book.size)
+            for layer, book in enumerate(work.layers)
+        )
+        records.append(StepRecord(step, mean_commitment_loss(x, quantized), fmae, utilization))
 
-            commit = mean_commitment_loss(x, quantized)
-            fmae = float(np.mean(np.abs(x - quantized)))
-            utilization = []
+        if routed:
             for layer, book in enumerate(work.layers):
-                used = indices[active[:, layer], layer]
-                utilization.append(float(np.unique(used).size / book.size))
+                rows = active[:, layer]
+                batch = layer_inputs[layer][rows]
+                _ema_step(book, indices[rows, layer], batch, mode)
+                if restart and len(batch):
+                    restart_seed = derive_seed(seed, f"restart:{step}:{layer}")
+                    _restart_dead(book, batch, dead_threshold, restart_seed)
 
-            if routed:
-                for layer, book in enumerate(work.layers):
-                    rows = active[:, layer]
-                    batch = layer_inputs[layer][rows]
-                    book = _ema_step(book, indices[rows, layer], batch, mode)
-                    if restart and len(batch):
-                        book, _ = restart_dead_entries(
-                            book,
-                            batch,
-                            dead_threshold,
-                            derive_seed(seed, f"restart:{step}:{layer}"),
-                        )
-                    work.layers[layer] = book
-
-            records.append(
-                StepRecord(
-                    step=step,
-                    commit_loss=commit,
-                    feature_mae=fmae,
-                    utilization=tuple(utilization),
-                )
-            )
-            step += 1
-
+    # the steps skip Codebook validation, so an overflow is caught here
+    for book in work.layers:
+        _require_finite(book.vectors)
     return work, TrainingReport(steps=tuple(records))

@@ -177,7 +177,8 @@ class SubprocessScorer:
         return float(resp["nll"]), int(resp["tokens"])
 
     def close(self) -> None:
-        """Close the plugin's stdin and reap it; kill it if it will not exit."""
+        """Close the plugin's stdin and reap it, killing it if it will not
+        exit; its stdout is closed either way."""
         if self._proc.stdin and not self._proc.stdin.closed:
             self._proc.stdin.close()
         try:
@@ -186,6 +187,8 @@ class SubprocessScorer:
             self._proc.kill()
             self._proc.wait()
             raise ScorerError("plugin outlived its closed stdin; killed") from exc
+        finally:
+            self._proc.stdout.close()
 
     def __enter__(self) -> "SubprocessScorer":
         return self

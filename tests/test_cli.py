@@ -771,3 +771,116 @@ class TestScorerPluginCommand:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("usage: rvqtok mel")
         assert "--raw-rate" in proc.stdout
+
+
+class TestHostileDocuments:
+    """A bad config document exits 3 and a bad data line exits 4 naming
+    the line; either way with one error line, no traceback and no output."""
+
+    def refused(self, capsys, argv, outputs, code):
+        got, lines, err = run(capsys, *argv)
+        assert (got, lines) == (code, [])
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not any(Path(p).exists() for p in outputs)
+        return err
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '{"stack_factor": 2.5}',
+            '{"hop": 160.5}',
+            '{"stack_factor": "8"}',
+            '{"n_mels": true}',
+            '{"center": "no"}',
+            '{"log_floor": NaN}',
+            "{bad",
+        ],
+    )
+    def test_mel_config(self, capsys, tmp_path, wav_1s, doc):
+        cfg = tmp_path / "mel.json"
+        cfg.write_text(doc)
+        out = tmp_path / "o.afv1"
+        self.refused(capsys, ["mel", wav_1s, out, "--config", cfg], [out], 3)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '{"layer_sizes": [8.5, 8]}',
+            '{"layer_sizes": "ab"}',
+            '{"epochs": "2"}',
+            '{"dead_threshold": "8"}',
+            '{"ema_decay": "0.9"}',
+            '{"ema_decay": true}',
+            '{"restart": "no"}',
+            '{"schedule": {"total_steps": 2.5}}',
+            '{"gumbel": {"enabled": 1}}',
+            '{"dead_treshold": 8}',
+            "[1, 2]",
+            "{bad",
+        ],
+    )
+    def test_train_config(self, capsys, tmp_path, feature_corpus, doc):
+        manifest, _ = feature_corpus
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(doc)
+        out = tmp_path / "books.rvq1"
+        outputs = [out, tmp_path / "books.rvq1.report.jsonl"]
+        self.refused(capsys, ["train-rvq", manifest, out, "--config", cfg], outputs, 3)
+
+    @pytest.mark.parametrize(
+        "doc", ["{bad", '{"switch_ta": 1}', '{"switch_ta": "a", "switch_at": 2}', "[]"]
+    )
+    def test_special_tokens(self, capsys, tmp_path, packable, doc):
+        manifest, _ = packable
+        special = tmp_path / "special.json"
+        special.write_text(doc)
+        out = tmp_path / "r.jsonl"
+        self.refused(capsys, ["pack", manifest, out, "--special", special], [out], 3)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("atk1_path", 0),
+            ("atk1_path", True),
+            ("frame_range", [0]),
+            ("frame_range", [0, 2.0]),
+            ("duration_s", "x"),
+            ("duration_s", float("inf")),
+            ("text", 5),
+        ],
+    )
+    def test_manifest_line(self, capsys, tmp_path, packable, field, value):
+        manifest, rows = packable
+        rows[1][field] = value
+        manifest.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        out = tmp_path / "r.jsonl"
+        err = self.refused(capsys, ["pack", manifest, out], [out], 4)
+        assert "manifest line 2" in err
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"prefix": [1], "candidates": [[2], [3]], "positive": "x"},
+            {"prefix": ["a"], "candidates": [[2], [3]], "positive": 0},
+            {"prefix": [1], "candidates": [[2], [3]], "positive": 1.7},
+            {"prefix": [1], "candidates": [[2.9], [3]], "positive": 0},
+            {"prefix": [1], "candidates": [[2], [True]], "positive": 0},
+            {"prefix": [1], "candidates": [[2]], "positive": 0},
+        ],
+    )
+    def test_eval_record_line(self, capsys, tmp_path, record):
+        path = tmp_path / "eval.jsonl"
+        good = {"prefix": [1], "candidates": [[2], [3]], "positive": 0}
+        path.write_text(json.dumps(good) + "\n" + json.dumps(record) + "\n")
+        err = self.refused(capsys, ["eval", path], [], 4)
+        assert "eval record line 2" in err
+
+    @pytest.mark.parametrize("line", ["{bad", '["a", 1]', '{"x": 1}', "[1.5]"])
+    def test_bigram_corpus_line(self, capsys, tmp_path, line):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("[1, 2]\n" + line + "\n")
+        path = tmp_path / "eval.jsonl"
+        write_eval_records(path, make_oracle_eval_records(2, seed=0))
+        argv = ["eval", path, "--scorer", "bigram", "--bigram-corpus", corpus, "--vocab-size", 16]
+        err = self.refused(capsys, argv, [], 4)
+        assert "line 2" in err

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,6 +37,7 @@ from rvqtok.rvq import (
     train_rvq,
     vq_replacement_gate,
 )
+from rvqtok.seeding import derive_seed, make_rng
 
 
 def small_stack(seed=0, sizes=(4, 4, 4), dim=3):
@@ -453,6 +456,14 @@ class TestRestart:
         with pytest.raises(ShapeMismatch):
             restart_dead_entries(book, np.zeros((3, 4)), 5, 0)
 
+    def test_input_untouched_when_entries_dead(self, rng):
+        book = Codebook(rng.standard_normal((4, 2)), usage_counts=np.array([0, 10, 3, 10]))
+        vectors, usage = book.vectors.copy(), book.usage_counts.copy()
+        new, replaced = restart_dead_entries(book, rng.standard_normal((6, 2)), 5, 1)
+        assert replaced == [1, 3] and new is not book
+        assert np.array_equal(book.vectors, vectors)
+        assert np.array_equal(book.usage_counts, usage)
+
     def test_seed_reproducible(self, rng):
         book = Codebook(np.zeros((8, 2)), usage_counts=np.full(8, 99))
         batch = rng.standard_normal((50, 2))
@@ -597,6 +608,18 @@ class TestTrainingReport:
         report = TrainingReport(steps=(StepRecord(0, 1.0, 0.1, (1.0,)),))
         assert TrainingReport.from_jsonl("\n" + report.to_jsonl() + "\n\n") == report
 
+    def test_to_json_is_the_field_dict(self):
+        rec = StepRecord(3, 1.25, 0.1, (0.5, 0.125))
+        want = {"step": 3, "commit_loss": 1.25, "feature_mae": 0.1, "utilization": [0.5, 0.125]}
+        assert rec.to_json() == json.dumps(want, sort_keys=True)
+
+    def test_unknown_keys_ignored(self):
+        line = json.dumps(
+            {"step": 0, "commit_loss": 1.0, "feature_mae": 0.1, "utilization": [1.0], "extra": 7}
+        )
+        want = TrainingReport(steps=(StepRecord(0, 1.0, 0.1, (1.0,)),))
+        assert TrainingReport.from_jsonl(line + "\n") == want
+
 
 def seq(vectors):
     return FeatureSequence(
@@ -652,6 +675,66 @@ class TestTrainRvq:
                 assert np.array_equal(out.layers[layer].usage_counts, want.usage_counts)
                 residual -= book.vectors[col]
 
+    @pytest.mark.parametrize("mode", ["paper_literal", "standard_ema"])
+    @pytest.mark.parametrize("dropout_mode", ["independent", "suffix"])
+    def test_matches_replay_through_public_steps(self, rng, mode, dropout_mode):
+        # every step, replayed through quantize_batch, ema_update and
+        # restart_dead_entries on the same RNG streams, gives the same books
+        corpus = self.make_corpus(rng, n_seqs=3, n_vecs=25, dim=4)
+        x = np.concatenate([s.vectors for s in corpus])
+        stack = init_rvq_stack((16, 8, 6), x, ema_decay=0.9, norm_beta=0.05, seed=2)
+        sched = TrainingSchedule(replace_start=0.2, replace_end=0.8, total_steps=12)
+        gumbel = GumbelConfig(temperature=0.5, enabled=True)
+        dropout = DropoutConfig(keep_prob_per_layer=0.6, mode=dropout_mode)
+        seed, epochs, dead_threshold = 9, 4, 2
+        out, _ = train_rvq(
+            stack, corpus, sched, gumbel, dropout, epochs,
+            mode=mode, dead_threshold=dead_threshold, seed=seed,
+        )
+
+        work = stack.copy()
+        gumbel_rng, dropout_rng = make_rng(seed, "gumbel"), make_rng(seed, "dropout")
+        restarted = routed_steps = 0
+        for step in range(epochs * len(corpus)):
+            x = corpus[step % len(corpus)].vectors
+            gate = vq_replacement_gate(
+                sched, min(step, sched.total_steps), derive_seed(seed, f"gate:{step}"), 1
+            )
+            indices, _ = quantize_batch(
+                work, x, gumbel, dropout, gumbel_rng=gumbel_rng, dropout_rng=dropout_rng
+            )
+            if not gate[0]:
+                continue
+            routed_steps += 1
+            residual = x.copy()
+            for layer, book in enumerate(work.layers):
+                rows = np.flatnonzero(indices[:, layer] != INACTIVE)
+                batch = residual[rows]
+                groups: dict[int, list] = {}
+                for v, j in zip(batch, indices[rows, layer]):
+                    groups.setdefault(int(j), []).append(v)
+                residual[rows] -= book.vectors[indices[rows, layer]]
+                book = ema_update(book, groups, mode)
+                if rows.size:
+                    book, replaced = restart_dead_entries(
+                        book, batch, dead_threshold, derive_seed(seed, f"restart:{step}:{layer}")
+                    )
+                    restarted += len(replaced)
+                work.layers[layer] = book
+        assert restarted > 0 and 0 < routed_steps < epochs * len(corpus)
+        for got, want in zip(out.layers, work.layers):
+            assert np.array_equal(got.vectors, want.vectors)
+            assert np.array_equal(got.usage_counts, want.usage_counts)
+
+    def test_overflowing_codewords_raise(self, rng):
+        # paper_literal adds the full mean to the decayed codeword, which
+        # overflows at this scale; no non-finite book may come out
+        x = rng.choice([-1e308, 1e308], size=(20, 3))
+        stack = RvqStack([Codebook(x[:4].copy(), ema_decay=0.99)])
+        sched = TrainingSchedule(replace_start=1.0, replace_end=1.0, total_steps=1)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InvalidConfig, match="finite"):
+            train_rvq(stack, [seq(x)], sched, mode="paper_literal")
+
     def test_input_stack_unmodified(self, rng):
         stack = small_stack()
         before = [book.vectors.copy() for book in stack.layers]
@@ -684,6 +767,11 @@ class TestTrainRvq:
             assert rec.feature_mae >= 0
             assert len(rec.utilization) == 3
             assert all(0 <= u <= 1 for u in rec.utilization)
+
+    def test_unknown_mode_rejected_without_a_routed_step(self, rng):
+        sched = TrainingSchedule(replace_start=0.0, replace_end=0.0, total_steps=10)
+        with pytest.raises(InvalidConfig, match="mode"):
+            train_rvq(small_stack(), self.make_corpus(rng), sched, mode="fancy")
 
     def test_gate_off_freezes_codebooks(self, rng):
         stack = small_stack()

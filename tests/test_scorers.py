@@ -226,6 +226,13 @@ class TestSubprocessScorer:
             s.close()
         assert timeouts == [10, None]
         assert proc.returncode is not None and proc.returncode != 0
+        assert proc.stdout.closed
+
+    def test_close_closes_both_pipes(self):
+        s = SubprocessScorer([sys.executable, "-c", PLUGIN_PERFECT])
+        assert s((), (1,)) == (1.0, 1)
+        s.close()
+        assert s._proc.stdin.closed and s._proc.stdout.closed
 
     def test_empty_argv(self):
         with pytest.raises(InvalidConfig):
