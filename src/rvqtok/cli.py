@@ -43,6 +43,7 @@ from .mel import FeatureSequence, MelConfig, mel_blocks
 # traced run still resolves these names on this module.
 from .mel import compute_mel, stack_frames  # noqa: F401
 from .metrics import accuracy, perplexity_compare
+from . import rvq
 from .rvq import (
     DropoutConfig,
     GumbelConfig,
@@ -50,10 +51,14 @@ from .rvq import (
     RvqStack,
     TrainingSchedule,
     decode_frames,
-    encode_frames,
+    encode_blocks,
     init_rvq_stack,
     train_rvq,
 )
+
+# Not called here since `encode` streams through encode_blocks; perfbench's
+# traced run still resolves this name on this module.
+from .rvq import encode_frames  # noqa: F401
 from .scorers import SubprocessScorer, builtin_scorer, run_plugin_loop
 from .streams import SpecialTokens, build_loss_mask
 
@@ -220,16 +225,23 @@ def cmd_train_rvq(args) -> int:
     return 0
 
 
+def _row_blocks(rows: ff.Afv1Rows):
+    """rows in blocks of rvq._ROW_CHUNK, as encode_blocks wants them; a
+    0-row file still gives one (empty) block."""
+    chunk = rvq._ROW_CHUNK
+    for start in range(0, max(rows.n_rows, 1), chunk):
+        yield rows.read(min(chunk, rows.n_rows - start))
+
+
 def cmd_encode(args) -> int:
-    vectors, _ = ff.read_afv1(args.features)
-    stack = ff.read_rvq1(args.codebooks)
-    if vectors.shape[1] != stack.dim:
-        raise ShapeMismatch(
-            f"feature dim {vectors.shape[1]} != codebook dim {stack.dim}"
-        )
-    indices = encode_frames(stack, vectors)
-    ff.write_atk1(args.output, indices, stack.layer_sizes)
-    _emit({"frames": len(indices), "seed": args.seed})
+    with ff.open_afv1(args.features) as rows:
+        stack = ff.read_rvq1(args.codebooks)
+        if rows.dim != stack.dim:
+            raise ShapeMismatch(f"feature dim {rows.dim} != codebook dim {stack.dim}")
+        with ff.atk1_writer(args.output, rows.n_rows, stack.layer_sizes) as write:
+            for indices in encode_blocks(stack, _row_blocks(rows)):
+                write(indices)
+    _emit({"frames": rows.n_rows, "seed": args.seed})
     return 0
 
 
@@ -244,15 +256,20 @@ def cmd_decode(args) -> int:
     n_eoa = int(eoa.sum())
     if n_eoa:
         print(f"skipped {n_eoa} end-of-audio frames", file=sys.stderr)
-    vectors = decode_frames(stack, frames[~eoa])
-    if args.unstack > 1:
-        if stack.dim % args.unstack:
-            raise ShapeMismatch(
-                f"dim {stack.dim} not divisible by unstack factor {args.unstack}"
-            )
-        vectors = vectors.reshape(-1, stack.dim // args.unstack)
-    ff.write_afv1(args.output, vectors, args.frame_rate * args.unstack)
-    _emit({"frames": vectors.shape[0], "seed": args.seed})
+        frames = frames[~eoa]
+    if args.unstack < 1:
+        raise InvalidConfig(f"unstack factor must be >= 1, got {args.unstack}")
+    if stack.dim % args.unstack:
+        raise ShapeMismatch(
+            f"dim {stack.dim} not divisible by unstack factor {args.unstack}"
+        )
+    dim = stack.dim // args.unstack
+    n_rows = len(frames) * args.unstack
+    chunk = rvq._ROW_CHUNK
+    with ff.afv1_writer(args.output, n_rows, dim, args.frame_rate * args.unstack) as write:
+        for start in range(0, len(frames), chunk):
+            write(decode_frames(stack, frames[start : start + chunk]).reshape(-1, dim))
+    _emit({"frames": n_rows, "seed": args.seed})
     return 0
 
 
@@ -320,10 +337,12 @@ def cmd_pack(args) -> int:
 
 
 def _builtin_scorer(name: str, args):
-    """The named built-in scorer; bigram is fit on --bigram-corpus (JSONL)."""
+    """The named built-in scorer; bigram is fit on --bigram-corpus (JSONL),
+    whose ids must lie in [0, --vocab-size)."""
     corpus = None
-    if name == "bigram" and args.bigram_corpus:
-        corpus = ff._read_token_lists(args.bigram_corpus)
+    # without a vocab size, builtin_scorer refuses the bigram config (exit 3)
+    if name == "bigram" and args.bigram_corpus and args.vocab_size >= 1:
+        corpus = ff._read_token_lists(args.bigram_corpus, args.vocab_size)
     return builtin_scorer(
         name, seed=args.seed, corpus=corpus, vocab_size=args.vocab_size
     )

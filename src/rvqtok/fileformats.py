@@ -11,10 +11,13 @@ All binary formats are little-endian with a 4-byte magic:
         K u64 usage counters
 
 Writers are bit-deterministic: the same in-memory values always give
-the same bytes. AFV1 is written incrementally: ``afv1_writer`` takes
-the header's T up front and rows block by block, into a temporary
-file beside the output that replaces it only once all T rows are in,
-so a failed write leaves no output and an existing file untouched.
+the same bytes. AFV1 and ATK1 are written incrementally: ``afv1_writer``
+and ``atk1_writer`` take the header's T up front and rows block by
+block, into a temporary file beside the output that replaces it only
+once all T rows are in, so a failed write leaves no output and an
+existing file untouched. ``open_afv1`` reads AFV1 rows in order, a
+block at a time, from a file or a pipe. ``read_rvq1`` returns the
+codewords as the read-only float32 array they are stored as.
 WAV and raw float32 audio open as a ``SampleSource`` whose samples are
 read by range, never all at once. JSON sidecars: interleaved records,
 eval records, and manifests as JSON-lines; special tokens and stats as
@@ -30,6 +33,7 @@ import os
 import struct
 import wave
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -71,35 +75,52 @@ def _read_exact(fh, n: int, what: str) -> bytes:
     return data
 
 
-# ---------------------------------------------------------------- AFV1
-
 @contextlib.contextmanager
-def afv1_writer(path, n_rows: int, dim: int, frame_rate: float):
-    """Yield ``write(rows)``, which appends (k, dim) rows to an AFV1 of
-    n_rows rows; ``path`` appears only once exactly n_rows are written."""
+def _staged_rows(path, header: bytes, n_rows: int, rows, what: str):
+    """Yield ``write(block)``: rows(block) checks a block and returns it as
+    a 2-D array in file byte order, whose bytes follow the header. They go
+    into ``<path>.<pid>.tmp``, which replaces ``path`` only once exactly
+    n_rows rows are in; on any failure the temporary file is removed."""
     path = os.fspath(path)
     tmp = f"{path}.{os.getpid()}.tmp"
     written = 0
 
-    def write(rows) -> None:
+    def write(block) -> None:
         nonlocal written
-        arr = np.ascontiguousarray(rows, dtype="<f4")
-        if arr.ndim != 2 or arr.shape[1] != dim or written + len(arr) > n_rows:
-            raise ShapeMismatch(f"rows of shape {arr.shape} do not fit {n_rows} x {dim}")
+        arr = rows(block)
+        if written + len(arr) > n_rows:
+            raise ShapeMismatch(f"{written + len(arr)} {what} rows, more than {n_rows}")
         fh.write(arr.tobytes())
         written += len(arr)
 
     try:
         with open(tmp, "wb") as fh:
-            fh.write(_AFV1_HEADER.pack(AFV1_MAGIC, n_rows, dim, frame_rate))
+            fh.write(header)
             yield write
             if written != n_rows:
-                raise ShapeMismatch(f"{written} of {n_rows} AFV1 rows written")
+                raise ShapeMismatch(f"{written} of {n_rows} {what} rows written")
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+
+
+# ---------------------------------------------------------------- AFV1
+
+def afv1_writer(path, n_rows: int, dim: int, frame_rate: float):
+    """Context manager yielding ``write(rows)``, which appends (k, dim)
+    rows to an AFV1 of n_rows rows; ``path`` appears only once exactly
+    n_rows are written."""
+
+    def rows(block) -> np.ndarray:
+        arr = np.ascontiguousarray(block, dtype="<f4")
+        if arr.ndim != 2 or arr.shape[1] != dim:
+            raise ShapeMismatch(f"rows of shape {arr.shape} do not fit {n_rows} x {dim}")
+        return arr
+
+    header = _AFV1_HEADER.pack(AFV1_MAGIC, n_rows, dim, frame_rate)
+    return _staged_rows(path, header, n_rows, rows, "AFV1")
 
 
 def write_afv1(path, vectors: np.ndarray, frame_rate: float) -> None:
@@ -110,37 +131,83 @@ def write_afv1(path, vectors: np.ndarray, frame_rate: float) -> None:
         write(arr)
 
 
-def read_afv1(path) -> tuple[np.ndarray, float]:
+class Afv1Rows(NamedTuple):
+    """An open AFV1: ``read(n)`` returns its next n rows as an (n, dim)
+    float64 array, for n up to the rows not yet read."""
+
+    n_rows: int
+    dim: int
+    frame_rate: float
+    read: Callable[[int], np.ndarray]
+
+
+@contextlib.contextmanager
+def open_afv1(path):
+    """An AFV1 whose rows are read in order, as ``Afv1Rows``. A file that
+    can seek is checked against its header before any row is read; a pipe
+    is checked as it is read, up to the byte after the last row."""
     with open(path, "rb") as fh:
         magic, t, d, frame_rate = _AFV1_HEADER.unpack(
             _read_exact(fh, _AFV1_HEADER.size, "AFV1 header")
         )
         if magic != AFV1_MAGIC:
             raise MalformedWire(f"bad magic {magic!r}, expected AFV1")
-        body = _read_exact(fh, 4 * t * d, "AFV1 body")
-        if fh.read(1):
-            raise MalformedWire("trailing bytes after AFV1 body")
-    vectors = np.frombuffer(body, dtype="<f4").reshape(t, d).astype(np.float64)
-    return vectors, frame_rate
+        if fh.seekable():
+            extra = os.fstat(fh.fileno()).st_size - fh.tell() - 4 * t * d
+            if extra < 0:
+                raise MalformedWire("truncated file while reading AFV1 body")
+            if extra > 0:
+                raise MalformedWire("trailing bytes after AFV1 body")
+        left = t
+
+        def read(n: int) -> np.ndarray:
+            nonlocal left
+            if not 0 <= n <= left:
+                raise ShapeMismatch(f"cannot read {n} rows, {left} of {t} left")
+            body = _read_exact(fh, 4 * n * d, "AFV1 body")
+            left -= n
+            if left == 0 and fh.read(1):
+                raise MalformedWire("trailing bytes after AFV1 body")
+            return np.frombuffer(body, dtype="<f4").reshape(n, d).astype(np.float64)
+
+        yield Afv1Rows(t, d, frame_rate, read)
+
+
+def read_afv1(path) -> tuple[np.ndarray, float]:
+    with open_afv1(path) as rows:
+        return rows.read(rows.n_rows), rows.frame_rate
 
 
 # ---------------------------------------------------------------- ATK1
 
-def write_atk1(path, frames: np.ndarray, layer_sizes) -> None:
-    """Write (T, L) indices; ShapeMismatch unless T x L, IndexOutOfRange
-    for an index that is negative or does not fit u32 (>= 2**32)."""
+def atk1_writer(path, n_frames: int, layer_sizes):
+    """Context manager yielding ``write(frames)``, which appends (k, L)
+    indices to an ATK1 of n_frames frames; ``path`` appears only once
+    exactly n_frames are written. ShapeMismatch unless a block is k x L,
+    IndexOutOfRange for an index that is negative or does not fit u32
+    (>= 2**32)."""
     sizes = tuple(int(k) for k in layer_sizes)
     if not sizes:
         raise InvalidConfig("layer sizes must be non-empty")
+
+    def rows(frames) -> np.ndarray:
+        arr = np.asarray(frames)
+        if arr.ndim != 2 or arr.shape[1] != len(sizes):
+            raise ShapeMismatch(f"frames must be T x {len(sizes)}, got {arr.shape}")
+        if arr.size and (arr.dtype.kind not in "iu" or arr.min() < 0 or arr.max() >= 2**32):
+            raise IndexOutOfRange("ATK1 indices must be integers in [0, 2**32)")
+        return arr.astype("<u4")
+
+    header = struct.pack(f"<4sI{len(sizes)}II", ATK1_MAGIC, len(sizes), *sizes, n_frames)
+    return _staged_rows(path, header, n_frames, rows, "ATK1")
+
+
+def write_atk1(path, frames: np.ndarray, layer_sizes) -> None:
+    """Write (T, L) indices; InvalidConfig without layer sizes, and the
+    checks of ``atk1_writer``."""
     arr = np.asarray(frames)
-    if arr.ndim != 2 or arr.shape[1] != len(sizes):
-        raise ShapeMismatch(f"frames must be T x {len(sizes)}, got {arr.shape}")
-    if arr.size and (arr.dtype.kind not in "iu" or arr.min() < 0 or arr.max() >= 2**32):
-        raise IndexOutOfRange("ATK1 indices must be integers in [0, 2**32)")
-    header = struct.pack(f"<4sI{len(sizes)}II", ATK1_MAGIC, len(sizes), *sizes, len(arr))
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(arr.astype("<u4").tobytes())
+    with atk1_writer(path, arr.shape[0] if arr.ndim == 2 else 0, layer_sizes) as write:
+        write(arr)
 
 
 def read_atk1(path) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -197,7 +264,7 @@ def read_rvq1(path) -> RvqStack:
             )
             layers.append(
                 Codebook(
-                    vectors=vec.astype(np.float64),
+                    vectors=vec,  # read-only float32, as stored
                     ema_decay=alpha,
                     norm_beta=beta,
                     usage_counts=usage.astype(np.int64),
@@ -330,12 +397,16 @@ def _is_int_list(values) -> bool:
     return type(values) is list and _INT_ONLY.issuperset(map(type, values))
 
 
-def _read_token_lists(path) -> list[list[int]]:
-    """A JSON-lines file of token-id lists, such as a bigram corpus."""
+def _read_token_lists(path, vocab_size: int) -> list[list[int]]:
+    """A JSON-lines file of token-id lists in [0, vocab_size), such as a
+    bigram corpus."""
     lists = []
     for line_no, obj in _read_jsonl(path, "token list"):
         if not _is_int_list(obj):
             raise MalformedWire(f"token list line {line_no}: want a list of integer ids")
+        for tok in obj:
+            if not 0 <= tok < vocab_size:
+                raise MalformedWire(f"token list line {line_no}: token {tok} outside vocab")
         lists.append(obj)
     return lists
 

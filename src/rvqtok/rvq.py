@@ -6,6 +6,12 @@ and the reconstruction is the sum of the selected codewords. Selection
 scores rows in blocks of 1024 with a float32 GEMM against codewords
 taken relative to the codebook mean; residuals and reconstruction stay
 float64. It may differ from exact float64 selection only on near-ties.
+Inference runs block by block: ``encode_blocks`` prepares every layer
+once and turns each incoming row block into its indices, so a caller
+can stream features through in bounded memory; ``encode_frames`` is the
+same path over one in-memory matrix. A ``Codebook`` keeps float32
+codewords (as read from RVQ1) in float32 and holds anything else as
+float64; ``copy`` is always float64, so training works in float64.
 Codewords are learned without gradients, by an exponential-moving-average
 update over the vectors assigned to each entry, optionally followed by
 an L2-norm contraction of the whole book. ``train_rvq`` copies the
@@ -72,7 +78,9 @@ class Codebook:
     """One quantizer layer: K codewords plus EMA bookkeeping.
 
     usage_counts[j] is the number of update steps since entry j was
-    last assigned.
+    last assigned. vectors stays float32 when given as a float32 array
+    (a read-only one from RVQ1 cannot be written into) and is float64
+    otherwise.
     """
 
     vectors: np.ndarray
@@ -81,7 +89,8 @@ class Codebook:
     usage_counts: np.ndarray | None = None
 
     def __post_init__(self):
-        self.vectors = np.asarray(self.vectors, dtype=np.float64)
+        if not (isinstance(self.vectors, np.ndarray) and self.vectors.dtype == np.float32):
+            self.vectors = np.asarray(self.vectors, dtype=np.float64)
         if self.vectors.ndim != 2:
             raise ShapeMismatch(f"codebook must be K x D, got {self.vectors.shape}")
         _require_finite(self.vectors)
@@ -105,8 +114,9 @@ class Codebook:
         return self.vectors.shape[1]
 
     def copy(self) -> "Codebook":
+        """A writable float64 copy."""
         return Codebook(
-            vectors=self.vectors.copy(),
+            vectors=self.vectors.astype(np.float64),
             ema_decay=self.ema_decay,
             norm_beta=self.norm_beta,
             usage_counts=self.usage_counts.copy(),
@@ -252,8 +262,17 @@ def _active_mask(
     return active
 
 
+def _centred(book: Codebook):
+    """A layer prepared for selection: (m, c - m as float32, ||c - m||^2),
+    with m the codebook mean; float32 and float64 books give the same m."""
+    center = book.vectors.mean(axis=0, dtype=np.float64)
+    codes = (book.vectors - center).astype(np.float32)
+    return center, codes, np.einsum("kd,kd->k", codes, codes)
+
+
 def _assign_layer(
     book: Codebook,
+    prepared,
     residual: np.ndarray,
     rows,
     gumbel: GumbelConfig,
@@ -262,16 +281,14 @@ def _assign_layer(
     """One cascade layer: select a codeword for each of residual[rows] and
     subtract it from residual in place; returns the chosen indices.
 
-    rows is slice(None) when every row is active (blocks are then views)
-    or an index array. Rows are scored _ROW_CHUNK at a time in float32
-    as ||c - m||^2 - 2 (x - m).(c - m), with m the codebook mean: that
-    is ||x - c||^2 less the per-row constant ||x - m||^2, so argmin and
-    Gumbel selection are unchanged, and centring keeps float32 accurate
-    when x and c sit far from the origin.
+    prepared is ``_centred(book)``. rows is slice(None) when every row is
+    active (blocks are then views) or an index array. Rows are scored
+    _ROW_CHUNK at a time in float32 as ||c - m||^2 - 2 (x - m).(c - m):
+    that is ||x - c||^2 less the per-row constant ||x - m||^2, so argmin
+    and Gumbel selection are unchanged, and centring keeps float32
+    accurate when x and c sit far from the origin.
     """
-    center = book.vectors.mean(axis=0)
-    codes = (book.vectors - center).astype(np.float32)
-    norms = np.einsum("kd,kd->k", codes, codes)
+    center, codes, norms = prepared
     whole = isinstance(rows, slice)
     n = residual.shape[0] if whole else rows.size
     chosen = np.empty(n, dtype=np.int64)
@@ -283,6 +300,19 @@ def _assign_layer(
         chosen[part] = _select_indices(scores, gumbel, rng)
         residual[block] -= book.vectors[chosen[part]]
     return chosen
+
+
+def _check_books(stack: RvqStack) -> None:
+    for book in stack.layers:
+        if book.size == 0:
+            raise InvalidConfig("cannot quantize with an empty codebook")
+
+
+def _check_rows(stack: RvqStack, x: np.ndarray) -> None:
+    if x.shape[1] != stack.dim:
+        raise ShapeMismatch(f"input dim {x.shape[1]} != stack dim {stack.dim}")
+    if not np.isfinite(x).all():
+        raise InvalidSample("input vectors hold NaN or inf")
 
 
 def _cascade(
@@ -302,14 +332,9 @@ def _cascade(
     layer's (T, D) residual input. RNGs default to fresh generators
     seeded from the configs, so a bare call is deterministic.
     """
-    n, dim = x.shape
-    if dim != stack.dim:
-        raise ShapeMismatch(f"input dim {dim} != stack dim {stack.dim}")
-    if not np.isfinite(x).all():
-        raise InvalidSample("input vectors hold NaN or inf")
-    for book in stack.layers:
-        if book.size == 0:
-            raise InvalidConfig("cannot quantize with an empty codebook")
+    _check_rows(stack, x)
+    _check_books(stack)
+    n = x.shape[0]
     if gumbel.enabled and gumbel_rng is None:
         gumbel_rng = np.random.Generator(np.random.PCG64(gumbel.seed))
     if dropout is not None and dropout_rng is None:
@@ -327,7 +352,9 @@ def _cascade(
         if not col.any():
             continue
         rows = slice(None) if col.all() else np.flatnonzero(col)
-        indices[rows, layer] = _assign_layer(book, residual, rows, gumbel, gumbel_rng)
+        indices[rows, layer] = _assign_layer(
+            book, _centred(book), residual, rows, gumbel, gumbel_rng
+        )
 
     return indices, active, residual, layer_inputs
 
@@ -406,6 +433,13 @@ def mean_commitment_loss(vectors: np.ndarray, quantized: np.ndarray) -> float:
 def _check_mode(mode: str) -> None:
     if mode not in EMA_MODES:
         raise InvalidConfig(f"unknown EMA mode {mode!r}")
+
+
+def _check_dead_threshold(dead_threshold: int) -> None:
+    # at 0 every entry counts as dead on every step, so training would
+    # overwrite the whole book from the batch each time
+    if dead_threshold < 1:
+        raise InvalidConfig(f"dead_threshold must be >= 1, got {dead_threshold}")
 
 
 def _ema_step(book: Codebook, chosen: np.ndarray, vectors: np.ndarray, mode: str) -> None:
@@ -497,6 +531,7 @@ def restart_dead_entries(
     Live entries are untouched. Returns (new book, replaced indices);
     with nothing dead, the new book is the input itself.
     """
+    _check_dead_threshold(dead_threshold)
     if not (book.usage_counts >= dead_threshold).any():
         return book, []
     new = book.copy()
@@ -594,14 +629,46 @@ def init_rvq_stack(
         # below cannot alias the book
         book = Codebook(vectors=vectors, ema_decay=ema_decay, norm_beta=norm_beta)
         layers.append(book)
-        _assign_layer(book, residual, slice(None), GUMBEL_OFF, None)
+        _assign_layer(book, _centred(book), residual, slice(None), GUMBEL_OFF, None)
     return RvqStack(layers)
 
 
+def encode_blocks(stack: RvqStack, blocks):
+    """Deterministic inference over a stream of (n, D) row blocks: argmin
+    cascade, no Gumbel, no dropout; yields each block's (n, L) indices.
+
+    Every layer is prepared once, however many blocks follow. Each block
+    must start at a multiple of _ROW_CHUNK rows (all blocks but the last
+    hold a multiple of it), so rows are scored in the same groups, with
+    the same GEMM shapes, as one call over the whole matrix.
+    """
+    _check_books(stack)
+    prepared = [_centred(book) for book in stack.layers]
+    chunk = _ROW_CHUNK
+    ragged = False
+    for block in blocks:
+        residual = np.array(block, dtype=np.float64)  # a copy: layers subtract in place
+        if residual.ndim != 2:
+            raise ShapeMismatch(f"expected a T x D block, got shape {residual.shape}")
+        if ragged:
+            raise ShapeMismatch(f"a block follows one that is not a multiple of {chunk} rows")
+        ragged = len(residual) % chunk != 0
+        _check_rows(stack, residual)
+        indices = np.empty((len(residual), stack.n_layers), dtype=np.int64)
+        for layer, (book, prep) in enumerate(zip(stack.layers, prepared)):
+            indices[:, layer] = _assign_layer(book, prep, residual, slice(None), GUMBEL_OFF, None)
+        yield indices
+
+
 def encode_frames(stack: RvqStack, vectors: np.ndarray) -> np.ndarray:
-    """Deterministic inference path: argmin cascade, no Gumbel, no dropout."""
-    indices, _ = quantize_batch(stack, vectors)
-    return indices
+    """Deterministic inference path: ``encode_blocks`` over _ROW_CHUNK-row
+    views of a (T, D) matrix; returns (T, L) indices."""
+    x = np.asarray(vectors, dtype=np.float64)
+    if x.ndim != 2:
+        raise ShapeMismatch(f"expected a T x D batch, got shape {x.shape}")
+    chunk = _ROW_CHUNK
+    views = [x[start : start + chunk] for start in range(0, max(len(x), 1), chunk)]
+    return np.concatenate(list(encode_blocks(stack, views)))
 
 
 def decode_frames(stack: RvqStack, indices: np.ndarray) -> np.ndarray:
@@ -680,6 +747,7 @@ def train_rvq(
     if epochs < 0:
         raise InvalidConfig("epochs must be >= 0")
     _check_mode(mode)
+    _check_dead_threshold(dead_threshold)
     if len(corpus) == 0:
         raise EmptyInput("training corpus is empty")
     for seq in corpus:

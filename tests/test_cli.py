@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from rvqtok import mel as mel_module
+from rvqtok import rvq
 from rvqtok.cli import main
 from rvqtok.fileformats import (
     read_afv1,
@@ -21,9 +22,11 @@ from rvqtok.fileformats import (
     write_afv1,
     write_atk1,
     write_eval_records,
+    write_rvq1,
     write_wav,
 )
 from rvqtok.mel import AudioBuffer, compute_mel, stack_frames
+from rvqtok.rvq import Codebook, RvqStack, decode_frames, encode_frames
 from rvqtok.streams import eoa_frame
 from rvqtok.synth import (
     make_bigram_world,
@@ -340,10 +343,11 @@ class TestEncodeDecode:
         feats, books, _ = trained
         tokens = tmp_path / "x.atk1"
         run(capsys, "encode", feats, books, tokens)
-        code, _, _ = run(
-            capsys, "decode", tokens, books, tmp_path / "r.afv1", "--unstack", 4
-        )
-        assert code == 3
+        for bad in (4, 0):  # 4 does not divide the 6-d rows
+            code, _, _ = run(
+                capsys, "decode", tokens, books, tmp_path / "r.afv1", "--unstack", bad
+            )
+            assert code == 3
 
     def test_decode_skips_eoa_with_warning(self, capsys, tmp_path, trained):
         _, books, _ = trained
@@ -485,6 +489,90 @@ class TestHostileInput:
         assert "RVQ1 codewords" in err
 
 
+class TestStreamedEncodeDecode:
+    """encode and decode stream rows in _ROW_CHUNK blocks; at 7 rows a
+    block, the 40 fixture vectors span 6 blocks."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(rvq, "_ROW_CHUNK", 7)
+
+    def refused(self, capsys, argv, out, code, message):
+        """argv fails with code, leaving no output, then leaves an older
+        output as it was."""
+        before = sorted(out.parent.iterdir())
+        got, lines, err = run(capsys, *argv)
+        assert (got, lines) == (code, [])
+        assert message in err
+        assert sorted(out.parent.iterdir()) == before
+        out.write_bytes(b"an older output")
+        assert run(capsys, *argv)[0] == code
+        assert out.read_bytes() == b"an older output"
+        assert sorted(out.parent.iterdir()) == sorted(before + [out])
+
+    def test_encode_equals_encode_frames(self, capsys, tmp_path, trained):
+        feats, books, _ = trained
+        tokens = tmp_path / "x.atk1"
+        code, lines, _ = run(capsys, "encode", feats, books, tokens)
+        assert (code, lines[-1]["frames"]) == (0, 40)
+        frames, sizes = read_atk1(tokens)
+        stack = read_rvq1(books)
+        assert np.array_equal(frames, encode_frames(stack, read_afv1(feats)[0]))
+        assert sizes == stack.layer_sizes
+
+    @pytest.mark.parametrize("unstack", [1, 2])
+    def test_decode_equals_decode_frames(self, capsys, tmp_path, trained, rng, unstack):
+        _, books, _ = trained
+        frames = rng.integers(0, 8, size=(30, 2))
+        frames[[3, 17]] = eoa_frame((8, 8))
+        tokens, out = tmp_path / "x.atk1", tmp_path / "r.afv1"
+        write_atk1(tokens, frames, (8, 8))
+        code, lines, _ = run(capsys, "decode", tokens, books, out, "--unstack", unstack)
+        assert (code, lines[-1]["frames"]) == (0, 28 * unstack)
+        want = decode_frames(read_rvq1(books), np.delete(frames, [3, 17], axis=0))
+        assert np.array_equal(read_afv1(out)[0], want.reshape(-1, 6 // unstack).astype(np.float32))
+
+    def test_nan_in_last_block(self, capsys, tmp_path, trained):
+        feats, books, _ = trained
+        x, _ = read_afv1(feats)
+        x[38, 4] = np.nan
+        bad = tmp_path / "bad.afv1"
+        write_afv1(bad, x, 12.5)
+        argv = ["encode", bad, books, tmp_path / "x.atk1"]
+        self.refused(capsys, argv, tmp_path / "x.atk1", 4, "NaN or inf")
+
+    @pytest.mark.parametrize("edit", [lambda d: d[:-3], lambda d: d + b"\x00"])
+    def test_afv1_of_the_wrong_size(self, capsys, tmp_path, trained, edit):
+        feats, books, _ = trained
+        bad = tmp_path / "bad.afv1"
+        bad.write_bytes(edit(feats.read_bytes()))
+        argv = ["encode", bad, books, tmp_path / "x.atk1"]
+        self.refused(capsys, argv, tmp_path / "x.atk1", 4, "AFV1 body")
+
+    def test_out_of_range_index_in_late_block(self, capsys, tmp_path, trained):
+        _, books, _ = trained
+        frames = np.zeros((40, 2), dtype=np.int64)
+        frames[37] = (3, 8)  # block 6 of 6; 8 is past the codebook
+        tokens = tmp_path / "x.atk1"
+        write_atk1(tokens, frames, (8, 8))
+        out = tmp_path / "r.afv1"
+        argv = ["decode", tokens, books, out, "--unstack", 1]
+        self.refused(capsys, argv, out, 3, "layer 1 has indices outside")
+
+    def test_zero_rows(self, capsys, tmp_path, trained):
+        _, books, _ = trained
+        empty = tmp_path / "empty.afv1"
+        write_afv1(empty, np.zeros((0, 6)), 12.5)
+        tokens, out = tmp_path / "x.atk1", tmp_path / "r.afv1"
+        code, lines, _ = run(capsys, "encode", empty, books, tokens)
+        assert (code, lines[-1]["frames"]) == (0, 0)
+        frames, sizes = read_atk1(tokens)
+        assert frames.shape == (0, 2) and sizes == (8, 8)
+        code, lines, _ = run(capsys, "decode", tokens, books, out, "--unstack", 2)
+        assert (code, lines[-1]["frames"]) == (0, 0)
+        assert read_afv1(out)[0].shape == (0, 3)
+
+
 # Runs argv as a child and prints that child's peak RSS in kB. Started
 # from this small interpreter, the child's ru_maxrss is its own: Linux
 # carries the high-water mark of the address space that exec replaces
@@ -496,6 +584,16 @@ print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 """
 
 
+def cli_peak_rss_mb(*argv):
+    """Peak RSS of ``rvqtok <argv>`` run as a child process."""
+    cli = [sys.executable, "-m", "rvqtok.cli", *map(str, argv)]
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS, *cli],
+        env=checkout_env(), capture_output=True, text=True, check=True,
+    )
+    return int(proc.stdout) / 1024
+
+
 def mel_peak_rss_mb(tmp_path, minutes):
     wav = tmp_path / f"{minutes}min.wav"
     rng = np.random.Generator(np.random.PCG64(minutes))
@@ -505,17 +603,50 @@ def mel_peak_rss_mb(tmp_path, minutes):
         w.setframerate(16000)
         for _ in range(minutes):
             w.writeframes(rng.integers(-4000, 4000, 60 * 16000, dtype="<i2").tobytes())
-    argv = [sys.executable, "-m", "rvqtok.cli", "mel", str(wav), str(tmp_path / "out.afv1")]
-    proc = subprocess.run(
-        [sys.executable, "-c", PEAK_RSS, *argv],
-        env=checkout_env(), capture_output=True, text=True, check=True,
-    )
-    return int(proc.stdout) / 1024
+    return cli_peak_rss_mb("mel", wav, tmp_path / "out.afv1")
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kB on Linux")
+linux_only = pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kB on Linux")
+
+
+@linux_only
 def test_mel_memory_does_not_grow_with_clip_length(tmp_path):
     short, long = mel_peak_rss_mb(tmp_path, 2), mel_peak_rss_mb(tmp_path, 8)
+    assert long - short < 20, f"peak RSS {short:.1f} MB at 2 min, {long:.1f} MB at 8 min"
+
+
+@pytest.fixture(scope="module")
+def long_features(tmp_path_factory):
+    """Codebooks and 640-d features for 2 and 8 min at 12.5 Hz, with their
+    tokens: {minutes: (AFV1, ATK1)} and the RVQ1 path."""
+    tmp = tmp_path_factory.mktemp("long")
+    rng = np.random.Generator(np.random.PCG64(8))
+    books = tmp / "books.rvq1"
+    write_rvq1(books, RvqStack([Codebook(rng.standard_normal((256, 640))) for _ in range(2)]))
+    paths = {}
+    for minutes in (2, 8):
+        feats, tokens = tmp / f"{minutes}min.afv1", tmp / f"{minutes}min.atk1"
+        write_afv1(feats, rng.standard_normal((minutes * 750, 640)), 12.5)
+        write_atk1(tokens, rng.integers(0, 256, size=(minutes * 750, 2)), (256, 256))
+        paths[minutes] = feats, tokens
+    return paths, books
+
+
+@linux_only
+def test_encode_memory_does_not_grow_with_length(tmp_path, long_features):
+    paths, books = long_features
+    short, long = (
+        cli_peak_rss_mb("encode", paths[m][0], books, tmp_path / "x.atk1") for m in (2, 8)
+    )
+    assert long - short < 20, f"peak RSS {short:.1f} MB at 2 min, {long:.1f} MB at 8 min"
+
+
+@linux_only
+def test_decode_memory_does_not_grow_with_length(tmp_path, long_features):
+    paths, books = long_features
+    short, long = (
+        cli_peak_rss_mb("decode", paths[m][1], books, tmp_path / "x.afv1") for m in (2, 8)
+    )
     assert long - short < 20, f"peak RSS {short:.1f} MB at 2 min, {long:.1f} MB at 8 min"
 
 
@@ -815,6 +946,8 @@ class TestHostileDocuments:
             '{"schedule": {"total_steps": 2.5}}',
             '{"gumbel": {"enabled": 1}}',
             '{"dead_treshold": 8}',
+            '{"dead_threshold": 0}',
+            '{"dead_threshold": -2}',
             "[1, 2]",
             "{bad",
         ],
@@ -875,7 +1008,9 @@ class TestHostileDocuments:
         err = self.refused(capsys, ["eval", path], [], 4)
         assert "eval record line 2" in err
 
-    @pytest.mark.parametrize("line", ["{bad", '["a", 1]', '{"x": 1}', "[1.5]"])
+    @pytest.mark.parametrize(
+        "line", ["{bad", '["a", 1]', '{"x": 1}', "[1.5]", "[1, 2, 40]", "[3, -1]"]
+    )
     def test_bigram_corpus_line(self, capsys, tmp_path, line):
         corpus = tmp_path / "corpus.jsonl"
         corpus.write_text("[1, 2]\n" + line + "\n")

@@ -18,7 +18,9 @@ from rvqtok.fileformats import (
     AFV1_MAGIC,
     ATK1_MAGIC,
     RVQ1_MAGIC,
+    atk1_writer,
     load_stream_record,
+    open_afv1,
     read_afv1,
     read_atk1,
     read_eval_records,
@@ -45,6 +47,19 @@ from rvqtok.streams import (
     build_loss_mask,
     text_segment,
 )
+
+
+def through_a_pipe(tmp_path, data: bytes, read):
+    """read(fifo) while another thread writes data into the FIFO."""
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,))
+    writer.start()
+    try:
+        return read(fifo)
+    finally:
+        writer.join(timeout=10)
+        assert not writer.is_alive()
 
 
 class TestAfv1:
@@ -91,14 +106,8 @@ class TestAfv1:
         # the header-size check needs a file length; a pipe has none
         x = rng.standard_normal((3, 4)).astype(np.float32).astype(np.float64)
         write_afv1(tmp_path / "x.afv1", x, 12.5)
-        fifo = tmp_path / "pipe"
-        os.mkfifo(fifo)
         data = (tmp_path / "x.afv1").read_bytes()
-        writer = threading.Thread(target=fifo.write_bytes, args=(data,))
-        writer.start()
-        back, rate = read_afv1(fifo)
-        writer.join(timeout=10)
-        assert not writer.is_alive()
+        back, rate = through_a_pipe(tmp_path, data, read_afv1)
         assert np.array_equal(back, x)
         assert rate == 12.5
 
@@ -118,6 +127,45 @@ class TestAfv1:
         write_afv1(a, vec, 12.5)
         write_afv1(b, vec, 12.5)
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestOpenAfv1:
+    def test_rows_in_order(self, tmp_path, rng):
+        path = tmp_path / "x.afv1"
+        x = rng.standard_normal((10, 3)).astype(np.float32).astype(np.float64)
+        write_afv1(path, x, 25.0)
+        with open_afv1(path) as rows:
+            assert (rows.n_rows, rows.dim, rows.frame_rate) == (10, 3, 25.0)
+            parts = [rows.read(4), rows.read(0), rows.read(6)]
+            with pytest.raises(ShapeMismatch):
+                rows.read(1)
+        assert all(p.dtype == np.float64 for p in parts)
+        assert np.array_equal(np.concatenate(parts), x)
+
+    @pytest.mark.parametrize("edit", [lambda d: d[:-1], lambda d: d + b"\x00"])
+    def test_size_checked_before_any_row(self, tmp_path, edit):
+        path = tmp_path / "x.afv1"
+        write_afv1(path, np.ones((3, 2)), 1.0)
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(MalformedWire, match="AFV1 body"):
+            with open_afv1(path):
+                pytest.fail("rows offered from a file of the wrong size")
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [(lambda d: d + b"\x00", "trailing bytes"), (lambda d: d[:-1], "truncated")],
+    )
+    def test_pipe_checked_as_read(self, tmp_path, edit, message):
+        write_afv1(tmp_path / "x.afv1", np.ones((3, 2)), 1.0)
+        data = edit((tmp_path / "x.afv1").read_bytes())
+
+        def read(fifo):
+            with open_afv1(fifo) as rows:
+                rows.read(1)  # a pipe has no size to check up front
+                rows.read(2)
+
+        with pytest.raises(MalformedWire, match=message):
+            through_a_pipe(tmp_path, data, read)
 
 
 class TestAtk1:
@@ -186,6 +234,32 @@ class TestAtk1:
         assert struct.unpack("<II", data[8:16]) == (8, 4)  # K per layer
         assert struct.unpack("<I", data[16:20]) == (1,)  # frame count
         assert struct.unpack("<II", data[20:28]) == (5, 2)
+
+    def test_writer_in_blocks_equals_write_atk1(self, tmp_path):
+        frames = np.array([(0, 3), (7, 1), (8, 4), (2, 2), (5, 0)])
+        write_atk1(tmp_path / "whole.atk1", frames, (8, 4))
+        with atk1_writer(tmp_path / "blocks.atk1", 5, (8, 4)) as write:
+            for block in (frames[:2], frames[2:2], frames[2:]):
+                write(block)
+        assert (tmp_path / "blocks.atk1").read_bytes() == (tmp_path / "whole.atk1").read_bytes()
+
+    @pytest.mark.parametrize(
+        "blocks, error",
+        [
+            ([[(0, 1)]], ShapeMismatch),  # one frame of two
+            ([[(0, 1)], [(1, 1), (2, 2)]], ShapeMismatch),  # three of two
+            ([[(0, 1)], [(1, -1)]], IndexOutOfRange),
+        ],
+    )
+    def test_failed_writer_leaves_old_file(self, tmp_path, blocks, error):
+        path = tmp_path / "x.atk1"
+        path.write_bytes(b"an older output")
+        with pytest.raises(error):
+            with atk1_writer(path, 2, (8, 4)) as write:
+                for block in blocks:
+                    write(np.array(block))
+        assert path.read_bytes() == b"an older output"
+        assert [p.name for p in tmp_path.iterdir()] == ["x.atk1"]
 
 
 def atk1_bytes(seed, tmp_dir):

@@ -12,6 +12,7 @@ from rvqtok.errors import (
     InvalidSample,
     ShapeMismatch,
 )
+from rvqtok.fileformats import read_rvq1, write_rvq1
 from rvqtok.mel import FeatureSequence
 from rvqtok.rvq import (
     DEFAULT_LAYER_SIZES,
@@ -27,6 +28,7 @@ from rvqtok.rvq import (
     commitment_loss,
     decode_frames,
     ema_update,
+    encode_blocks,
     encode_frames,
     init_rvq_stack,
     mean_commitment_loss,
@@ -208,6 +210,123 @@ class TestBlockedSelection:
             assert np.array_equal(a.vectors, b.vectors)
             assert np.array_equal(a.usage_counts, b.usage_counts)
         assert default[3] == small[3]
+
+
+class TestEncodeBlocks:
+    def test_blocks_equal_whole_matrix(self, monkeypatch, rng):
+        monkeypatch.setattr(rvq, "_ROW_CHUNK", 4)
+        stack = small_stack(seed=5, sizes=(16, 8, 8), dim=5)
+        x = rng.standard_normal((23, 5))
+        got = np.concatenate(list(encode_blocks(stack, [x[:8], x[8:12], x[12:12], x[12:]])))
+        assert np.array_equal(got, encode_frames(stack, x))
+        assert np.array_equal(got, quantize_batch(stack, x)[0])
+
+    def test_prepares_each_layer_once(self, monkeypatch, rng):
+        prepared = []
+        centred = rvq._centred
+        monkeypatch.setattr(rvq, "_centred", lambda book: prepared.append(book) or centred(book))
+        monkeypatch.setattr(rvq, "_ROW_CHUNK", 2)
+        stack = small_stack(sizes=(4, 4, 4))
+        assert encode_frames(stack, rng.standard_normal((9, 3))).shape == (9, 3)  # 5 blocks
+        assert prepared == stack.layers
+
+    def test_only_the_last_block_may_be_partial(self, monkeypatch, rng):
+        monkeypatch.setattr(rvq, "_ROW_CHUNK", 4)
+        x = rng.standard_normal((10, 3))
+        blocks = encode_blocks(small_stack(), [x[:3], x[3:]])
+        assert next(blocks).shape == (3, 3)
+        with pytest.raises(ShapeMismatch):
+            next(blocks)
+
+    def test_bad_late_block(self, monkeypatch, rng):
+        monkeypatch.setattr(rvq, "_ROW_CHUNK", 4)
+        x = rng.standard_normal((6, 3))
+        x[5, 1] = np.nan
+        blocks = encode_blocks(small_stack(), [x[:4], x[4:]])
+        next(blocks)
+        with pytest.raises(InvalidSample):
+            next(blocks)
+        with pytest.raises(ShapeMismatch):
+            next(encode_blocks(small_stack(dim=3), [np.zeros((2, 4))]))
+
+    def test_zero_rows(self):
+        assert encode_frames(small_stack(), np.zeros((0, 3))).shape == (0, 3)
+        with pytest.raises(InvalidConfig):
+            encode_frames(RvqStack([Codebook(np.zeros((0, 3)))]), np.zeros((0, 3)))
+
+
+class TestFloat32Books:
+    """A stack read from RVQ1 keeps its float32 codewords, read-only, and
+    every result equals that of the same stack upcast to float64."""
+
+    @pytest.fixture
+    def books(self, tmp_path):
+        stack = small_stack(seed=8, sizes=(16, 8, 8), dim=5)
+        for book in stack.layers:
+            book.usage_counts[::3] = 4  # dead at a threshold of 3
+        write_rvq1(tmp_path / "books.rvq1", stack)
+        loaded = read_rvq1(tmp_path / "books.rvq1")
+        upcast = RvqStack(
+            [
+                Codebook(b.vectors.astype(np.float64), b.ema_decay, b.norm_beta, b.usage_counts)
+                for b in loaded.layers
+            ]
+        )
+        return loaded, upcast
+
+    def test_vectors_stay_float32_and_read_only(self, books):
+        loaded, upcast = books
+        for book, wide in zip(loaded.layers, upcast.layers):
+            assert book.vectors.dtype == np.float32 and wide.vectors.dtype == np.float64
+            assert not book.vectors.flags.writeable
+            with pytest.raises(ValueError):
+                book.vectors[0, 0] = 1.0
+
+    def test_inference_equals_upcast(self, books, rng):
+        loaded, upcast = books
+        x = rng.standard_normal((30, 5)) + 50.0  # far from the origin
+        indices = encode_frames(loaded, x)
+        assert np.array_equal(indices, encode_frames(upcast, x))
+        assert np.array_equal(decode_frames(loaded, indices), decode_frames(upcast, indices))
+        gumbel = GumbelConfig(temperature=2.0, enabled=True, seed=3)
+        dropout = DropoutConfig(seed=4)
+        for a, b in zip(
+            quantize_batch(loaded, x, gumbel, dropout), quantize_batch(upcast, x, gumbel, dropout)
+        ):
+            assert np.array_equal(a, b)
+        one, wide = quantize(loaded, x[0], gumbel), quantize(upcast, x[0], gumbel)
+        assert one.indices == wide.indices
+        assert np.array_equal(one.quantized, wide.quantized)
+
+    def test_training_returns_float64_equal_to_upcast(self, books, rng):
+        loaded, upcast = books
+
+        def same(a, b):
+            assert a.vectors.dtype == b.vectors.dtype == np.float64
+            assert np.array_equal(a.vectors, b.vectors)
+            assert np.array_equal(a.usage_counts, b.usage_counts)
+
+        for book, wide in zip(loaded.layers, upcast.layers):
+            same(book.copy(), wide.copy())
+            assigned = {0: [rng.standard_normal(5)], 2: list(rng.standard_normal((3, 5)))}
+            same(ema_update(book, assigned), ema_update(wide, assigned))
+            batch = rng.standard_normal((7, 5))
+            (new, dead), (new_wide, dead_wide) = (
+                restart_dead_entries(b, batch, 3, rng_seed=2) for b in (book, wide)
+            )
+            assert dead == dead_wide != []
+            same(new, new_wide)
+        corpus = [seq(rng.standard_normal((12, 5))) for _ in range(3)]
+        schedule = TrainingSchedule(replace_start=1.0, total_steps=4)
+        kwargs = dict(epochs=2, dead_threshold=3, seed=5)
+        gumbel = GumbelConfig(enabled=True, seed=1)
+        (trained, report), (trained_wide, report_wide) = (
+            train_rvq(s, corpus, schedule, gumbel, DropoutConfig(seed=2), **kwargs)
+            for s in (loaded, upcast)
+        )
+        assert report == report_wide
+        for a, b in zip(trained.layers, trained_wide.layers):
+            same(a, b)
 
 
 class TestQuantize:
@@ -464,6 +583,12 @@ class TestRestart:
         assert np.array_equal(book.vectors, vectors)
         assert np.array_equal(book.usage_counts, usage)
 
+    @pytest.mark.parametrize("threshold", [0, -1])
+    def test_threshold_must_be_positive(self, rng, threshold):
+        # at 0 every entry would count as dead on every step
+        with pytest.raises(InvalidConfig):
+            restart_dead_entries(Codebook(np.zeros((2, 2))), rng.standard_normal((3, 2)), threshold, 0)
+
     def test_seed_reproducible(self, rng):
         book = Codebook(np.zeros((8, 2)), usage_counts=np.full(8, 99))
         batch = rng.standard_normal((50, 2))
@@ -646,6 +771,13 @@ class TestTrainRvq:
     def test_empty_corpus(self):
         with pytest.raises(EmptyInput):
             train_rvq(small_stack(), [], TrainingSchedule())
+
+    @pytest.mark.parametrize("threshold", [0, -3])
+    def test_dead_threshold_must_be_positive(self, rng, threshold):
+        with pytest.raises(InvalidConfig):
+            train_rvq(
+                small_stack(), self.make_corpus(rng), TrainingSchedule(), dead_threshold=threshold
+            )
 
     def test_dim_mismatch(self, rng):
         corpus = [seq(rng.standard_normal((10, 5)))]
