@@ -42,7 +42,7 @@ from .mel import FeatureSequence, MelConfig, mel_blocks
 # Not called here since `mel` streams through mel_blocks; perfbench's
 # traced run still resolves these names on this module.
 from .mel import compute_mel, stack_frames  # noqa: F401
-from .metrics import accuracy, perplexity_compare
+from .metrics import accuracy, perplexity_compare_all
 from . import rvq
 from .rvq import (
     DropoutConfig,
@@ -349,16 +349,15 @@ def _builtin_scorer(name: str, args):
 
 
 def cmd_eval(args) -> int:
-    records = ff.read_eval_records(args.records)
-    if args.plugin:
-        scorer = SubprocessScorer(shlex.split(args.plugin))
-    else:
-        scorer = _builtin_scorer(args.scorer, args)
+    # a plugin starts first, so its interpreter loads while the records do
+    scorer = SubprocessScorer(shlex.split(args.plugin)) if args.plugin else None
     try:
+        records = ff.read_eval_records(args.records)
+        if scorer is None:
+            scorer = _builtin_scorer(args.scorer, args)
         if args.format == "jsonl":
             correct = 0
-            for i, rec in enumerate(records):
-                ok = perplexity_compare(rec, scorer)
+            for i, ok in enumerate(perplexity_compare_all(records, scorer)):
                 correct += ok
                 sys.stdout.write(json.dumps({"record": i, "correct": ok}) + "\n")
             acc = correct / len(records)

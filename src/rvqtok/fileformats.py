@@ -384,7 +384,9 @@ def _read_jsonl(path, what: str):
                 continue
             try:
                 obj = json.loads(line.decode())
-            except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+            except (ValueError, RecursionError) as exc:
+                # UnicodeDecodeError, JSONDecodeError, an integer of too many
+                # digits, or arrays nested too deep for the decoder
                 raise MalformedWire(f"{what} line {line_no}: {exc}") from exc
             yield line_no, obj
 
@@ -511,6 +513,17 @@ def read_eval_records(path) -> list[EvalRecord]:
 _MANIFEST_KEYS = frozenset(("text", "atk1_path", "frame_range", "duration_s"))
 
 
+def _finite_number(value) -> bool:
+    """value is a JSON number that a float holds finitely; an int too large
+    for a float is not."""
+    if type(value) not in (int, float):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _manifest_problem(obj) -> str | None:
     if not isinstance(obj, dict):
         return "not a JSON object"
@@ -525,8 +538,7 @@ def _manifest_problem(obj) -> str | None:
     frame_range = obj["frame_range"]
     if not (_is_int_list(frame_range) and len(frame_range) == 2):
         return "frame_range must be two integers"
-    duration = obj["duration_s"]
-    if type(duration) not in (int, float) or not math.isfinite(duration):
+    if not _finite_number(obj["duration_s"]):
         return "duration_s must be a finite number"
     return None
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Protocol
+from typing import Iterator, Protocol, Sequence
 
 import numpy as np
 
@@ -48,7 +48,12 @@ class EvalRecord:
 
 
 class Scorer(Protocol):
-    """Callable contract: (prefix, candidate) -> (total NLL, token count)."""
+    """Callable contract: (prefix, candidate) -> (total NLL, token count).
+
+    A scorer may also offer score_all(pairs), yielding the same answers
+    for an iterable of (prefix, candidate) pairs, in order; the
+    comparisons below then send it every candidate as one stream.
+    """
 
     def __call__(
         self, prefix: tuple[int, ...], candidate: tuple[int, ...]
@@ -72,12 +77,23 @@ def wer(reference, hypothesis) -> float:
     return prev[len(hyp)] / len(ref)
 
 
-def _score(scorer: Scorer, prefix, candidate) -> float:
-    """Per-token NLL from one scorer call, with contract checks."""
+def _answers(scorer: Scorer, pairs) -> Iterator[tuple[float, int]]:
+    """(NLL, token count) for each (prefix, candidate) pair, in order: one
+    ordered stream from a scorer with score_all, else a call per pair."""
+    score_all = getattr(scorer, "score_all", None)
+    if score_all is not None:
+        return score_all(pairs)
+    return (scorer(prefix, candidate) for prefix, candidate in pairs)
+
+
+def _per_token(answers: Iterator[tuple[float, int]]) -> float:
+    """Per-token NLL from the scorer's next answer, with contract checks."""
     try:
-        nll, tokens = scorer(prefix, candidate)
+        nll, tokens = next(answers)
     except ScorerError:
         raise
+    except StopIteration:
+        raise ScorerError("scorer gave fewer answers than candidates") from None
     except Exception as exc:
         raise ScorerError(f"scorer raised: {exc}") from exc
     if isinstance(tokens, bool) or not isinstance(tokens, (int, np.integer)) or tokens < 1:
@@ -95,25 +111,35 @@ def perplexity(nll: float, tokens: int) -> float:
     return math.exp(nll / tokens)
 
 
+def perplexity_compare_all(
+    records: Sequence[EvalRecord], scorer: Scorer
+) -> Iterator[bool]:
+    """perplexity_compare for each record, in order, from one stream of
+    scorer answers covering every candidate of every record."""
+    answers = _answers(scorer, ((r.prefix, c) for r in records for c in r.candidates))
+    for record in records:
+        per_token = [_per_token(answers) for _ in record.candidates]
+        pos = per_token[record.positive_index]
+        yield all(
+            pos < nll for i, nll in enumerate(per_token) if i != record.positive_index
+        )
+
+
 def perplexity_compare(record: EvalRecord, scorer: Scorer) -> bool:
     """True iff the positive candidate's perplexity is strictly minimal.
 
     Perplexity exp(NLL/tokens) is monotone in the per-token NLL, so the
     comparison happens in log space; ties count as incorrect.
     """
-    per_token = [_score(scorer, record.prefix, c) for c in record.candidates]
-    pos = per_token[record.positive_index]
-    return all(
-        pos < nll for i, nll in enumerate(per_token) if i != record.positive_index
-    )
+    (correct,) = perplexity_compare_all([record], scorer)
+    return correct
 
 
 def accuracy(records: list[EvalRecord], scorer: Scorer) -> float:
     """Fraction of records where perplexity_compare holds."""
     if not records:
         raise EmptyInput("no eval records")
-    correct = sum(perplexity_compare(r, scorer) for r in records)
-    return correct / len(records)
+    return sum(perplexity_compare_all(records, scorer)) / len(records)
 
 
 def _layer_indices(frames, layer: int) -> np.ndarray:

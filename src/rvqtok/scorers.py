@@ -8,17 +8,27 @@ iid uniform draw per (prefix, candidate), and an add-one-smoothed
 bigram model fit on a toy corpus.
 
 External scorers run as child processes speaking line-delimited JSON:
-request {"prefix": [...], "candidate": [...]} followed by response
-{"nll": <float>, "tokens": <int>}, one pair per line, in order.
+request {"prefix": [...], "candidate": [...]}, response {"nll": <float>,
+"tokens": <int>} (or {"error": <str>}), one of each per line, answers in
+request order. The client pipelines: it writes requests ahead while at
+most _WINDOW_BYTES of them are unanswered, so a plugin must keep reading
+stdin while it answers. A plugin may batch its answers, but must flush
+them before it blocks on a read. A plugin that sends no answer within
+RESPONSE_DEADLINE_S of the client starting to wait for one is killed,
+and the client raises ScorerError (exit 5 from the CLI).
 """
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import json
 import math
+import os
+import selectors
 import subprocess
 import sys
+import time
 from dataclasses import dataclass, field
 
 from .errors import InvalidConfig, ScorerError
@@ -107,80 +117,200 @@ def builtin_scorer(name: str, seed: int = 0, corpus=None, vocab_size: int = 0):
     raise InvalidConfig(f"unknown scorer {name!r}")
 
 
+_READ_SIZE = 65536  # bytes asked of one read from a pipe
+
+
+def _request_chunks(stdin):
+    """Request bytes as they arrive: what one read of a binary stdin
+    returns, or one line at a time from a text stream without a binary
+    buffer (such as io.StringIO)."""
+    buffer = getattr(stdin, "buffer", None)
+    if buffer is not None:
+        return iter(lambda: buffer.read1(_READ_SIZE), b"")
+    return (line.encode() for line in iter(stdin.readline, ""))
+
+
 def run_plugin_loop(scorer, stdin=None, stdout=None) -> int:
     """Serve a scorer over the line-delimited JSON protocol until EOF.
 
     Each request line {"prefix", "candidate"} gets one response line
-    {"nll", "tokens"}. Malformed requests produce an error response and
-    a nonzero return.
+    {"nll", "tokens"}. Every complete request that one read brings in
+    is answered, then those answers go out in one write and one flush,
+    before the next read. Malformed requests produce an error response
+    and a nonzero return.
     """
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
     status = 0
-    for line in stdin:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            req = json.loads(line)
-            prefix = tuple(int(t) for t in req["prefix"])
-            candidate = tuple(int(t) for t in req["candidate"])
-            nll, tokens = scorer(prefix, candidate)
-            resp = {"nll": float(nll), "tokens": int(tokens)}
-        except Exception as exc:
-            resp = {"error": str(exc)}
-            status = 1
-        stdout.write(json.dumps(resp) + "\n")
-        stdout.flush()
+
+    def answer(lines) -> None:
+        nonlocal status
+        out = []
+        for line in lines:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                req = json.loads(line)
+                prefix = tuple(int(t) for t in req["prefix"])
+                candidate = tuple(int(t) for t in req["candidate"])
+                nll, tokens = scorer(prefix, candidate)
+                resp = {"nll": float(nll), "tokens": int(tokens)}
+            except Exception as exc:
+                resp = {"error": str(exc)}
+                status = 1
+            out.append(json.dumps(resp) + "\n")
+        if out:
+            stdout.write("".join(out))
+            stdout.flush()
+
+    partial = b""  # the start of a request line still arriving
+    for chunk in _request_chunks(stdin):
+        lines = (partial + chunk).split(b"\n")
+        partial = lines.pop()
+        answer(lines)
+    answer([partial])  # a last request without its newline
     return status
+
+
+RESPONSE_DEADLINE_S = 60.0  # longest wait for one plugin answer
+# Unanswered request bytes the client lets through. Under the 64 KiB pipe
+# buffer, so a write of requests never blocks while the plugin is blocked
+# writing answers nobody reads yet. The client tops the window up once a
+# quarter of it is free, so a plugin that finishes a batch of answers
+# finds the next requests already waiting.
+_WINDOW_BYTES = 32 * 1024
+
+
+def _request_line(prefix, candidate) -> bytes:
+    req = {"prefix": list(map(int, prefix)), "candidate": list(map(int, candidate))}
+    return (json.dumps(req) + "\n").encode()
+
+
+def _parse_answer(line: bytes) -> tuple[float, int]:
+    try:
+        resp = json.loads(line)
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise ScorerError(f"plugin sent invalid JSON: {line!r}") from exc
+    if not isinstance(resp, dict):
+        raise ScorerError(f"plugin response is not an object: {resp!r}")
+    if "error" in resp:
+        raise ScorerError(f"plugin error: {resp['error']}")
+    if "nll" not in resp or "tokens" not in resp:
+        raise ScorerError(f"plugin response missing fields: {resp!r}")
+    return float(resp["nll"]), int(resp["tokens"])
 
 
 class SubprocessScorer:
     """Scorer backed by a child process speaking the plugin protocol.
 
-    Requests go down stdin one JSON line at a time; responses come back
-    in request order. Use as a context manager or call close().
+    score_all streams requests ahead of the answers; a call is score_all
+    over one pair. Use as a context manager or call close().
     """
 
     def __init__(self, argv: list[str]):
         if not argv:
             raise InvalidConfig("plugin command must be non-empty")
         self._proc = subprocess.Popen(
-            argv,
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            text=True,
+            argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0
         )
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self._proc.stdout, selectors.EVENT_READ)
+        self._lines = collections.deque()  # answer lines read, not yet used
+        self._partial = b""  # the start of an answer line still arriving
+        self._owed = 0  # requests written whose answers are not yet read
 
     def __call__(self, prefix, candidate) -> tuple[float, int]:
+        (answer,) = self.score_all([(prefix, candidate)])
+        return answer
+
+    def score_all(self, pairs):
+        """Yield (nll, tokens) for each (prefix, candidate) pair, in order.
+
+        Requests go out in batches while at most _WINDOW_BYTES of them
+        are unanswered; a request larger than that goes alone. A failed
+        write is raised only when the first answer it cost is needed,
+        so answers that arrived before it are still used. One stream at
+        a time: answers an abandoned stream still owes are dropped
+        before the next one starts.
+        """
+        for _ in range(self._owed):
+            self._read_line()
+        todo = iter(pairs)
+        sizes = collections.deque()  # bytes of each request awaiting its answer
+        unanswered = 0
+        failure = None  # a ScorerError owed once the answers before it are used
+        ahead = None  # the next request line, held back by the window
+        while True:
+            if failure is None and unanswered <= _WINDOW_BYTES * 3 // 4:
+                batch = []
+                room = _WINDOW_BYTES - unanswered
+                while True:
+                    if ahead is None:
+                        pair = next(todo, None)
+                        if pair is None:
+                            break
+                        ahead = _request_line(*pair)
+                    if (batch or sizes) and len(ahead) > room:
+                        break
+                    batch.append(ahead)
+                    room -= len(ahead)
+                    ahead = None
+                if batch:
+                    failure = self._send(batch)
+                    if failure is None:
+                        sizes.extend(map(len, batch))
+                        unanswered += sum(map(len, batch))
+            if not sizes:
+                if failure is not None:
+                    raise failure
+                return
+            line = self._read_line()
+            unanswered -= sizes.popleft()
+            yield _parse_answer(line)
+
+    def _send(self, lines: list[bytes]) -> ScorerError | None:
+        """Write request lines; a failure is returned, not raised."""
         if self._proc.poll() is not None:
-            raise ScorerError("plugin process has exited")
-        req = json.dumps(
-            {"prefix": list(map(int, prefix)), "candidate": list(map(int, candidate))}
-        )
+            return ScorerError("plugin process has exited")
+        data = memoryview(b"".join(lines))
         try:
-            self._proc.stdin.write(req + "\n")
-            self._proc.stdin.flush()
-            line = self._proc.stdout.readline()
-        except (BrokenPipeError, OSError) as exc:
-            raise ScorerError(f"plugin pipe failure: {exc}") from exc
-        if not line:
-            raise ScorerError("plugin closed its stdout mid-protocol")
-        try:
-            resp = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ScorerError(f"plugin sent invalid JSON: {line!r}") from exc
-        if "error" in resp:
-            raise ScorerError(f"plugin error: {resp['error']}")
-        if "nll" not in resp or "tokens" not in resp:
-            raise ScorerError(f"plugin response missing fields: {resp!r}")
-        return float(resp["nll"]), int(resp["tokens"])
+            while data:
+                data = data[os.write(self._proc.stdin.fileno(), data) :]
+        except OSError as exc:  # BrokenPipeError once the plugin is gone
+            return ScorerError(f"plugin pipe failure: {exc}")
+        self._owed += len(lines)
+        return None
+
+    def _read_line(self) -> bytes:
+        """The next answer line; killing the plugin and raising ScorerError
+        if none arrives within RESPONSE_DEADLINE_S."""
+        deadline = time.monotonic() + RESPONSE_DEADLINE_S
+        while not self._lines:
+            if not self._selector.select(max(deadline - time.monotonic(), 0.0)):
+                self._proc.kill()
+                self._proc.wait()
+                raise ScorerError(
+                    f"plugin sent no answer within {RESPONSE_DEADLINE_S:g} s; killed"
+                )
+            data = os.read(self._proc.stdout.fileno(), _READ_SIZE)
+            if not data:
+                raise ScorerError("plugin closed its stdout mid-protocol")
+            lines = (self._partial + data).split(b"\n")
+            self._partial = lines.pop()
+            self._lines.extend(lines)
+        self._owed -= 1
+        return self._lines.popleft()
 
     def close(self) -> None:
         """Close the plugin's stdin and reap it, killing it if it will not
-        exit; its stdout is closed either way."""
-        if self._proc.stdin and not self._proc.stdin.closed:
-            self._proc.stdin.close()
+        exit; its stdout is closed either way. A plugin that still owes
+        answers (a stream stopped early) is killed at once, since nothing
+        will read them and it could block writing them."""
+        self._selector.close()
+        if self._owed:
+            self._proc.kill()
+        self._proc.stdin.close()
         try:
             self._proc.wait(timeout=10)
         except subprocess.TimeoutExpired as exc:

@@ -1,17 +1,21 @@
 import importlib
 import json
 import os
+import shlex
 import struct
 import subprocess
 import sys
+import time
 import wave
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from rvqtok import cli
 from rvqtok import mel as mel_module
 from rvqtok import rvq
+from rvqtok import scorers
 from rvqtok.cli import main
 from rvqtok.fileformats import (
     read_afv1,
@@ -27,6 +31,7 @@ from rvqtok.fileformats import (
 )
 from rvqtok.mel import AudioBuffer, compute_mel, stack_frames
 from rvqtok.rvq import Codebook, RvqStack, decode_frames, encode_frames
+from rvqtok.scorers import SubprocessScorer
 from rvqtok.streams import eoa_frame
 from rvqtok.synth import (
     make_bigram_world,
@@ -854,6 +859,104 @@ class TestEval:
         assert "killed" in err
         assert timeouts == [10, None]
 
+    def bigram_world(self, tmp_path, n_records):
+        corpus, records = make_bigram_world(n_records=n_records, seed=9)
+        corpus_path = tmp_path / "corpus.jsonl"
+        corpus_path.write_text("".join(json.dumps(seq) + "\n" for seq in corpus))
+        return self.write_records(tmp_path, records), corpus_path
+
+    @pytest.mark.parametrize("fmt", ["json", "jsonl"])
+    def test_plugin_output_equals_in_process(self, capsys, tmp_path, monkeypatch, fmt):
+        # 1,500 records are about 140 KB of requests: several windows
+        path, corpus = self.bigram_world(tmp_path, 1500)
+        monkeypatch.setenv("PYTHONPATH", checkout_pythonpath())
+        bigram = ["--bigram-corpus", corpus, "--vocab-size", 16]
+        plugin = (
+            f"{sys.executable} -m rvqtok.cli scorer-plugin --name bigram "
+            f"--bigram-corpus {corpus} --vocab-size 16"
+        )
+        outputs = []
+        for scorer in (["--scorer", "bigram", *bigram], ["--plugin", plugin]):
+            assert main([str(a) for a in ["eval", path, *scorer, "--format", fmt]]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    def boom_plugin(self, tmp_path, at: int) -> Path:
+        """A plugin script that answers an error to request number `at`."""
+        prog = tmp_path / "boom.py"
+        prog.write_text(
+            "import json, sys\n"
+            "for n, line in enumerate(sys.stdin, 1):\n"
+            "    c = json.loads(line)['candidate']\n"
+            "    out = {'nll': 1.0 * len(c), 'tokens': len(c)}\n"
+            f"    print(json.dumps({{'error': 'boom'}} if n == {at} else out), flush=True)\n"
+        )
+        return prog
+
+    def test_plugin_error_mid_run(self, capsys, tmp_path):
+        # request 201 is record 100's first candidate
+        path, _ = self.bigram_world(tmp_path, 300)
+        plugin = f"{sys.executable} {self.boom_plugin(tmp_path, 201)}"
+        argv = ["eval", path, "--plugin", plugin, "--format", "jsonl"]
+        code, lines, err = run(capsys, *argv)
+        assert code == 5
+        assert err == "error: plugin error: boom\n"
+        assert [l["record"] for l in lines] == list(range(100))
+
+    def test_plugin_that_never_answers(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(scorers, "RESPONSE_DEADLINE_S", 0.2)
+        path = self.write_records(tmp_path, make_oracle_eval_records(3, seed=8))
+        prog = tmp_path / "mute.py"
+        prog.write_text("import sys\nfor line in sys.stdin:\n    pass\n")
+        t0 = time.monotonic()
+        code, lines, err = run(capsys, "eval", path, "--plugin", f"{sys.executable} {prog}")
+        assert (code, lines) == (5, [])
+        assert "no answer within 0.2 s" in err
+        assert time.monotonic() - t0 < 10  # includes the plugin's start-up
+
+    @pytest.mark.parametrize("boom", [False, True])
+    def test_plugin_under_dev_mode(self, tmp_path, boom):
+        # pytest's ResourceWarning filter does not reach child processes:
+        # this covers the closing of the pipes and the reaping of the plugin,
+        # after a clean run and after a plugin error mid-window
+        path, corpus = self.bigram_world(tmp_path, 200)
+        dev = [sys.executable, "-X", "dev", "-W", "error::ResourceWarning"]
+        if boom:
+            plugin = shlex.join([*dev, str(self.boom_plugin(tmp_path, 150))])
+        else:
+            plugin = shlex.join([
+                *dev, "-m", "rvqtok.cli", "scorer-plugin", "--name", "bigram",
+                "--bigram-corpus", str(corpus), "--vocab-size", "16",
+            ])
+        proc = subprocess.run(
+            [*dev, "-m", "rvqtok.cli", "eval", str(path), "--plugin", plugin],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=checkout_env(),
+        )
+        if boom:
+            assert (proc.returncode, proc.stderr) == (5, "error: plugin error: boom\n")
+        else:
+            assert (proc.returncode, proc.stderr) == (0, "")
+
+    @pytest.mark.parametrize("records, code", [(None, 2), ("{bad\n", 4)])
+    def test_plugin_reaped_when_records_fail(self, capsys, tmp_path, monkeypatch, records, code):
+        started = []
+
+        class Recorded(SubprocessScorer):
+            def __init__(self, argv):
+                super().__init__(argv)
+                started.append(self)
+
+        monkeypatch.setattr(cli, "SubprocessScorer", Recorded)
+        path = tmp_path / "eval.jsonl"
+        if records is not None:
+            path.write_text(records)
+        prog = f"{sys.executable} -c pass"
+        assert run(capsys, "eval", path, "--plugin", prog)[0] == code
+        assert len(started) == 1 and started[0]._proc.returncode is not None
+
     def test_missing_records_file(self, capsys, tmp_path):
         code, _, _ = run(capsys, "eval", tmp_path / "ghost.jsonl")
         assert code == 2
@@ -878,6 +981,30 @@ class TestScorerPluginCommand:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout.splitlines()[0]) == {"nll": 5.0, "tokens": 2}
+
+    def test_batched_answers_over_a_pipe(self):
+        # 1,000 requests in one pipe, a blank line and a malformed one among them
+        reqs = [json.dumps({"prefix": [i], "candidate": [i % 9 + 1, 2]}) for i in range(1000)]
+        reqs[300] = ""
+        reqs[600] = "{bad"
+        proc = subprocess.run(
+            [sys.executable, "-m", "rvqtok.cli", "scorer-plugin", "--name", "perfect"],
+            input="".join(r + "\n" for r in reqs),
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=checkout_env(),
+        )
+        assert proc.returncode == 1
+        answers = [json.loads(line) for line in proc.stdout.splitlines()]
+        want = []
+        for i, req in enumerate(reqs):
+            if i == 600:
+                want.append("error")
+            elif req:
+                want.append({"nll": float(i % 9 + 3), "tokens": 2})
+        assert len(answers) == 999
+        assert ["error" if "error" in a else a for a in answers] == want
 
     def test_installed_entry_point(self, tmp_path):
         # the console script wires to the same main
@@ -979,6 +1106,7 @@ class TestHostileDocuments:
             ("frame_range", [0, 2.0]),
             ("duration_s", "x"),
             ("duration_s", float("inf")),
+            pytest.param("duration_s", 10**400, id="duration_s-beyond-float"),
             ("text", 5),
         ],
     )
@@ -1005,6 +1133,13 @@ class TestHostileDocuments:
         path = tmp_path / "eval.jsonl"
         good = {"prefix": [1], "candidates": [[2], [3]], "positive": 0}
         path.write_text(json.dumps(good) + "\n" + json.dumps(record) + "\n")
+        err = self.refused(capsys, ["eval", path], [], 4)
+        assert "eval record line 2" in err
+
+    def test_eval_line_nested_too_deep(self, capsys, tmp_path):
+        path = tmp_path / "eval.jsonl"
+        good = {"prefix": [1], "candidates": [[2], [3]], "positive": 0}
+        path.write_text(json.dumps(good) + "\n" + "[" * 100_000 + "\n")
         err = self.refused(capsys, ["eval", path], [], 4)
         assert "eval record line 2" in err
 

@@ -47,6 +47,7 @@ from rvqtok.streams import (
     build_loss_mask,
     text_segment,
 )
+from rvqtok.synth import make_random_eval_records
 
 
 def through_a_pipe(tmp_path, data: bytes, read):
@@ -591,3 +592,138 @@ class TestManifest:
         path = tmp_path / "manifest.jsonl"
         path.write_text("")
         assert read_manifest(path) == []
+
+
+def eval_file(seed, tmp_dir) -> bytes:
+    path = tmp_dir / "valid.jsonl"
+    write_eval_records(path, make_random_eval_records(4, n_candidates=2 + seed % 3, seed=seed))
+    return path.read_bytes()
+
+
+def manifest_file(seed, tmp_dir) -> bytes:
+    rng = np.random.default_rng(seed)
+    rows = []
+    for i in range(4):
+        start = int(rng.integers(0, 1000))
+        rows.append({
+            "text": f"line {i} of {seed}.",
+            "atk1_path": f"clip{seed}.atk1",
+            "frame_range": [start, start + int(rng.integers(1, 20))],
+            "duration_s": float(rng.uniform(0.1, 2.0)),
+            "provenance": ("synthetic", "crawl")[i % 2],
+        })
+    return "".join(json.dumps(r) + "\n" for r in rows).encode()
+
+
+def read_bytes_with(read, data, tmp_dir):
+    path = tmp_dir / "fuzz.jsonl"
+    path.write_bytes(data)
+    return read(path)
+
+
+JSONL_READERS = pytest.mark.parametrize(
+    "read, make", [(read_eval_records, eval_file), (read_manifest, manifest_file)]
+)
+# an eval-record file with no records is EmptyInput; the manifest reader
+# returns an empty list instead
+JSONL_ERRORS = (MalformedWire, EmptyInput)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+class TestJsonlFuzz:
+    """Hostile eval-record and manifest lines raise MalformedWire naming the
+    line (or EmptyInput for an eval file without records) and nothing else;
+    the CLI turns both into exit 4."""
+
+    @JSONL_READERS
+    @given(seed=st.integers(0, 10_000), data=st.data())
+    @settings(max_examples=100)
+    def test_truncation(self, read, make, seed, data, tmp_path_factory):
+        tmp_dir = tmp_path_factory.mktemp("jsonl")
+        valid = make(seed, tmp_dir)
+        whole = read_bytes_with(read, valid, tmp_dir)
+        cut = data.draw(st.integers(0, len(valid)))
+        kept = valid[:cut]
+        n_lines = kept.count(b"\n")
+        tail = kept[kept.rfind(b"\n") + 1 :]
+        if tail and not valid[cut:].startswith(b"\n"):
+            # a JSON object cut short is never JSON
+            with pytest.raises(MalformedWire, match=f"line {n_lines + 1}:"):
+                read_bytes_with(read, kept, tmp_dir)
+            return
+        n_whole = n_lines + bool(tail)
+        if n_whole == 0 and read is read_eval_records:
+            with pytest.raises(EmptyInput):
+                read_bytes_with(read, kept, tmp_dir)
+        else:
+            assert read_bytes_with(read, kept, tmp_dir) == whole[:n_whole]
+
+    @JSONL_READERS
+    @given(seed=st.integers(0, 10_000), data=st.data())
+    @settings(max_examples=100)
+    def test_bit_flips(self, read, make, seed, data, tmp_path_factory):
+        tmp_dir = tmp_path_factory.mktemp("jsonl")
+        valid = make(seed, tmp_dir)
+        flipped = bytearray(valid)
+        for _ in range(data.draw(st.integers(1, 3))):
+            bit = data.draw(st.integers(0, 8 * len(valid) - 1))
+            flipped[bit // 8] ^= 1 << (bit % 8)
+        try:
+            read_bytes_with(read, bytes(flipped), tmp_dir)
+        except JSONL_ERRORS:
+            pass
+
+    @JSONL_READERS
+    @given(seed=st.integers(0, 10_000), value=JSON_VALUES, data=st.data())
+    @settings(max_examples=150)
+    def test_wrong_types(self, read, make, seed, value, data, tmp_path_factory):
+        tmp_dir = tmp_path_factory.mktemp("jsonl")
+        lines = make(seed, tmp_dir).splitlines()
+        row = json.loads(lines[1])
+        key = data.draw(st.sampled_from(sorted(row)))
+        row[key] = value
+        lines[1] = json.dumps(row).encode()
+        try:
+            read_bytes_with(read, b"\n".join(lines), tmp_dir)
+        except MalformedWire as exc:
+            assert "line 2:" in str(exc)
+
+    @JSONL_READERS
+    @given(seed=st.integers(0, 10_000), digits=st.integers(19, 5000), data=st.data())
+    @settings(max_examples=100)
+    def test_huge_integers(self, read, make, seed, digits, data, tmp_path_factory):
+        tmp_dir = tmp_path_factory.mktemp("jsonl")
+        lines = make(seed, tmp_dir).decode().splitlines()
+        row = json.loads(lines[1])
+        key = data.draw(st.sampled_from(sorted(row)))
+        # a literal integer with that many digits; past 4300 the decoder refuses it
+        huge = data.draw(st.sampled_from(["", "-"])) + "9" * digits
+        if isinstance(row[key], list) and row[key]:
+            row[key][0] = "HUGE"
+        else:
+            row[key] = "HUGE"
+        lines[1] = json.dumps(row).replace('"HUGE"', huge)
+        try:
+            read_bytes_with(read, "\n".join(lines).encode(), tmp_dir)
+        except MalformedWire as exc:
+            assert "line 2:" in str(exc)
+
+    @JSONL_READERS
+    def test_nesting_too_deep_to_decode(self, read, make, tmp_path):
+        valid = make(0, tmp_path)
+        with pytest.raises(MalformedWire, match="line 5:"):
+            read_bytes_with(read, valid + b"[" * 100_000 + b"\n", tmp_path)
+
+    @pytest.mark.parametrize("duration", [10**400, -(10**400)], ids=["1e400", "-1e400"])
+    def test_duration_beyond_float_range(self, tmp_path, duration):
+        lines = manifest_file(0, tmp_path).decode().splitlines()
+        row = json.loads(lines[2])
+        row["duration_s"] = duration
+        lines[2] = json.dumps(row)
+        with pytest.raises(MalformedWire, match="line 3: duration_s"):
+            read_bytes_with(read_manifest, "\n".join(lines).encode(), tmp_path)

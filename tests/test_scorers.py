@@ -1,11 +1,14 @@
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+import time
 
 import pytest
 
+from rvqtok import scorers
 from rvqtok.errors import InvalidConfig, ScorerError
 from rvqtok.metrics import accuracy
 from rvqtok.scorers import (
@@ -156,6 +159,50 @@ class TestPluginLoop:
         assert status == 1
         assert "error" in resps[0]
 
+    def test_last_request_without_newline(self):
+        status, resps = run_loop(json.dumps({"prefix": [], "candidate": [4]}))
+        assert (status, resps) == (0, [{"nll": 4.0, "tokens": 1}])
+
+
+class ChunkedStdin:
+    """A binary stdin whose reads return the given chunks, one per read."""
+
+    def __init__(self, chunks):
+        self.buffer = self
+        self.chunks = list(chunks)
+
+    def read1(self, size):
+        return self.chunks.pop(0) if self.chunks else b""
+
+
+class CountingStdout(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = self.flushes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+    def flush(self):
+        self.flushes += 1
+
+
+class TestBatchedPluginLoop:
+    def test_one_write_and_flush_per_read(self):
+        reqs = b"".join(
+            json.dumps({"prefix": [], "candidate": [i + 1]}).encode() + b"\n"
+            for i in range(10)
+        )
+        # a request split across reads is answered once its newline arrives
+        chunks = [reqs[:100], reqs[100:101], reqs[101:]]
+        out = CountingStdout()
+        assert run_plugin_loop(perfect_scorer, ChunkedStdin(chunks), out) == 0
+        answers = [json.loads(l) for l in out.getvalue().splitlines()]
+        assert answers == [{"nll": float(i + 1), "tokens": 1} for i in range(10)]
+        # the one-byte read completes no request, so it costs no write
+        assert out.writes == out.flushes == 2
+
 
 PLUGIN_PERFECT = (
     "import sys, json\n"
@@ -237,3 +284,149 @@ class TestSubprocessScorer:
     def test_empty_argv(self):
         with pytest.raises(InvalidConfig):
             SubprocessScorer([])
+
+
+def plugin(body):
+    """argv of a Python plugin running body."""
+    return [sys.executable, "-c", "import sys, json, os, time\n" + body]
+
+
+# answers a request with perfect_scorer's answer, or an error at request ERR
+ANSWER = (
+    "def answer(n, line):\n"
+    "    c = json.loads(line)['candidate']\n"
+    "    if n == ERR:\n"
+    "        return json.dumps({'error': 'boom'}) + '\\n'\n"
+    "    return json.dumps({'nll': float(sum(c)), 'tokens': len(c)}) + '\\n'\n"
+)
+
+
+def pairs(n):
+    return [((i,), (i % 7 + 1, 2)) for i in range(n)]
+
+
+def want(n):
+    return [perfect_scorer(p, c) for p, c in pairs(n)]
+
+
+class TestPipelinedScorer:
+    def test_many_windows_in_order(self):
+        # about 200 KB of requests, several windows' worth
+        with SubprocessScorer(plugin(PLUGIN_PERFECT)) as s:
+            assert list(s.score_all(pairs(5000))) == want(5000)
+            # the scorer serves a second stream, and single calls
+            assert list(s.score_all(pairs(3))) == want(3)
+            assert s((0,), (3, 4)) == (7.0, 2)
+
+    def test_answers_split_across_reads(self):
+        # a few bytes per write, flushed each time
+        body = "ERR = 0\n" + ANSWER + (
+            "for n, line in enumerate(sys.stdin, 1):\n"
+            "    out = answer(n, line)\n"
+            "    for i in range(0, len(out), 3):\n"
+            "        sys.stdout.write(out[i:i + 3])\n"
+            "        sys.stdout.flush()\n"
+        )
+        with SubprocessScorer(plugin(body)) as s:
+            assert list(s.score_all(pairs(300))) == want(300)
+
+    def test_plugin_that_answers_after_reading_a_whole_batch(self):
+        # answers every complete line of each read at once, in one write
+        body = "ERR = 0\n" + ANSWER + (
+            "n, rest = 0, b''\n"
+            "while True:\n"
+            "    data = os.read(0, 1 << 20)\n"
+            "    if not data:\n"
+            "        break\n"
+            "    *lines, rest = (rest + data).split(b'\\n')\n"
+            "    out = []\n"
+            "    for line in lines:\n"
+            "        n += 1\n"
+            "        out.append(answer(n, line))\n"
+            "    os.write(1, ''.join(out).encode())\n"
+        )
+        with SubprocessScorer(plugin(body)) as s:
+            assert list(s.score_all(pairs(3000))) == want(3000)
+
+    def test_error_mid_window_then_close_is_prompt(self):
+        body = "ERR = 40\n" + ANSWER + (
+            "for n, line in enumerate(sys.stdin, 1):\n"
+            "    print(answer(n, line), end='', flush=True)\n"
+            "time.sleep(60)\n"  # would outlive close()'s grace period
+        )
+        s = SubprocessScorer(plugin(body))
+        got = []
+        with pytest.raises(ScorerError, match="boom"):
+            for answer in s.score_all(pairs(3000)):
+                got.append(answer)
+        assert got == want(39)
+        t0 = time.monotonic()
+        s.close()
+        assert time.monotonic() - t0 < 5
+        assert s._proc.returncode is not None
+
+    def test_write_failure_costs_only_later_answers(self, monkeypatch):
+        # two 37-byte requests per window; the second write fails
+        monkeypatch.setattr(scorers, "_WINDOW_BYTES", 2 * 37)
+        real_write, writes = os.write, []
+
+        def write(fd, data):
+            writes.append(len(data))
+            if len(writes) == 2:
+                raise BrokenPipeError(32, "Broken pipe")
+            return real_write(fd, data)
+
+        monkeypatch.setattr(scorers.os, "write", write)
+        got = []
+        with SubprocessScorer(plugin(PLUGIN_PERFECT)) as s:
+            with pytest.raises(ScorerError, match="pipe failure"):
+                for answer in s.score_all(pairs(10)):
+                    got.append(answer)
+        # both requests of the first batch were answered and used
+        assert got == want(2)
+
+    def test_request_larger_than_the_window_goes_alone(self, monkeypatch):
+        monkeypatch.setattr(scorers, "_WINDOW_BYTES", 64)
+        big = [((), tuple(range(1, 40))), ((5,), (1,)), ((), tuple(range(1, 40)))]
+        with SubprocessScorer(plugin(PLUGIN_PERFECT)) as s:
+            assert list(s.score_all(big)) == [perfect_scorer(p, c) for p, c in big]
+
+    def test_abandoned_stream_answers_are_dropped(self):
+        with SubprocessScorer(plugin(PLUGIN_PERFECT)) as s:
+            stream = s.score_all(pairs(100))
+            assert next(stream) == want(1)[0]
+            stream.close()
+            assert s((), (9,)) == (9.0, 1)
+
+
+class TestResponseDeadline:
+    @pytest.fixture(autouse=True)
+    def short_deadline(self, monkeypatch):
+        monkeypatch.setattr(scorers, "RESPONSE_DEADLINE_S", 0.2)
+
+    def test_plugin_that_never_answers(self):
+        t0 = time.monotonic()
+        s = SubprocessScorer(plugin("for line in sys.stdin:\n    pass\n"))
+        with pytest.raises(ScorerError, match="no answer within 0.2 s"):
+            list(s.score_all(pairs(5)))
+        assert s._proc.returncode is not None  # killed and reaped
+        s.close()
+        assert time.monotonic() - t0 < 5
+
+    def test_plugin_that_answers_once_then_hangs(self, monkeypatch):
+        body = (
+            "line = sys.stdin.readline()\n"
+            "print(json.dumps({'nll': 1.0, 'tokens': 1}), flush=True)\n"
+            "time.sleep(60)\n"
+        )
+        s = SubprocessScorer(plugin(body))
+        # the plugin's start-up is not part of what this test times
+        monkeypatch.setattr(scorers, "RESPONSE_DEADLINE_S", 60.0)
+        assert s((), (1,)) == (1.0, 1)
+        monkeypatch.setattr(scorers, "RESPONSE_DEADLINE_S", 0.2)
+        t0 = time.monotonic()
+        with pytest.raises(ScorerError, match="no answer"):
+            s((), (2,))
+        assert s._proc.returncode is not None
+        s.close()
+        assert time.monotonic() - t0 < 5
