@@ -14,10 +14,13 @@ codewords (as read from RVQ1) in float32 and holds anything else as
 float64; ``copy`` is always float64, so training works in float64.
 Codewords are learned without gradients, by an exponential-moving-average
 update over the vectors assigned to each entry, optionally followed by
-an L2-norm contraction of the whole book. ``train_rvq`` copies the
-stack once and updates that private copy in place, step by step;
-``ema_update`` and ``restart_dead_entries`` apply the same steps to a
-copy and return a new book, leaving their input untouched.
+an L2-norm contraction of the whole book. A step sums the vectors of
+the assigned entries only and makes no K x D temporary: the decay, and
+the contraction when beta > 0, scale the book in place, and selection
+writes the centred codewords straight into float32. ``train_rvq``
+copies the stack once and updates that private copy in place, step by
+step; ``ema_update`` and ``restart_dead_entries`` apply the same steps
+to a copy and return a new book, leaving their input untouched.
 
 Two EMA modes are provided. ``paper_literal`` adds the full assignment
 mean on top of the decayed codeword:
@@ -242,9 +245,9 @@ def _select_indices(
 ) -> np.ndarray:
     if not gumbel.enabled:
         return np.argmin(dists, axis=1)
-    logits = -dists / gumbel.temperature
     noise = rng.gumbel(size=dists.shape)
-    return np.argmax(logits + noise, axis=1)
+    noise -= dists / gumbel.temperature
+    return np.argmax(noise, axis=1)
 
 
 def _active_mask(
@@ -264,9 +267,12 @@ def _active_mask(
 
 def _centred(book: Codebook):
     """A layer prepared for selection: (m, c - m as float32, ||c - m||^2),
-    with m the codebook mean; float32 and float64 books give the same m."""
+    with m the codebook mean; float32 and float64 books give the same m.
+    c - m is rounded once into the float32 array, with no K x D float64
+    temporary."""
     center = book.vectors.mean(axis=0, dtype=np.float64)
-    codes = (book.vectors - center).astype(np.float32)
+    codes = np.empty(book.vectors.shape, dtype=np.float32)
+    np.subtract(book.vectors, center, out=codes, casting="same_kind")
     return center, codes, np.einsum("kd,kd->k", codes, codes)
 
 
@@ -445,27 +451,27 @@ def _check_dead_threshold(dead_threshold: int) -> None:
 def _ema_step(book: Codebook, chosen: np.ndarray, vectors: np.ndarray, mode: str) -> None:
     """One EMA step, in place, from row-aligned entry indices and assigned vectors.
 
-    np.add.at sums each entry's vectors in row order, so the result
-    does not depend on thread count. The caller has checked mode.
+    Only the assigned entries are summed: np.add.at adds each entry's
+    vectors in row order onto +0.0 in an (assigned entries, D) array, so
+    the result does not depend on thread count and no K x D temporary is
+    made. The caller has checked mode.
     """
-    sums = np.zeros_like(book.vectors)
-    counts = np.zeros(book.size, dtype=np.int64)
-    np.add.at(sums, chosen, vectors)
-    np.add.at(counts, chosen, 1)
+    entries, inverse = np.unique(chosen, return_inverse=True)
+    sums = np.zeros((entries.size, book.dim))
+    np.add.at(sums, inverse, vectors)
+    means = sums / np.bincount(inverse)[:, None]
 
     alpha, beta = book.ema_decay, book.norm_beta
     book.vectors *= alpha
-    assigned = counts > 0
-    if assigned.any():
-        means = sums[assigned] / counts[assigned, None]
-        if mode == "paper_literal":
-            book.vectors[assigned] += means
-        else:
-            book.vectors[assigned] += (1.0 - alpha) * means
-    book.vectors *= 1.0 - beta
+    if mode == "paper_literal":
+        book.vectors[entries] += means
+    else:
+        book.vectors[entries] += (1.0 - alpha) * means
+    if beta:
+        book.vectors *= 1.0 - beta
 
     book.usage_counts += 1
-    book.usage_counts[assigned] = 0
+    book.usage_counts[entries] = 0
 
 
 def ema_update(book: Codebook, assignments, mode: str = "paper_literal") -> Codebook:

@@ -532,6 +532,58 @@ class TestEmaUpdate:
         assert np.allclose(a.vectors, b.vectors)
 
 
+def dense_ema_step(book, chosen, rows, mode):
+    """The EMA step summed over the whole book: K x D sums, every row
+    decayed, then the (1 - beta) contraction even at beta 0."""
+    vectors, usage = book.vectors.copy(), book.usage_counts + 1
+    sums = np.zeros_like(vectors)
+    counts = np.zeros(book.size, dtype=np.int64)
+    np.add.at(sums, chosen, rows)
+    np.add.at(counts, chosen, 1)
+    alpha = book.ema_decay
+    vectors *= alpha
+    assigned = counts > 0
+    means = sums[assigned] / counts[assigned, None]
+    vectors[assigned] += means if mode == "paper_literal" else (1.0 - alpha) * means
+    vectors *= 1.0 - book.norm_beta
+    usage[assigned] = 0
+    return vectors, usage
+
+
+class TestSparseEmaStep:
+    @given(
+        seed=st.integers(0, 10_000),
+        k=st.integers(1, 12),
+        dim=st.integers(1, 5),
+        n=st.integers(0, 30),
+        distinct=st.integers(1, 4),
+        mode=st.sampled_from(rvq.EMA_MODES),
+        alpha=st.sampled_from([0.0, 0.99, 1.0]),
+        beta=st.sampled_from([0.0, 0.05]),
+    )
+    @settings(max_examples=200)
+    def test_equals_dense_reference(self, seed, k, dim, n, distinct, mode, alpha, beta):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        vectors = rng.standard_normal((k, dim))
+        rows = rng.standard_normal((n, dim))
+        # signed zeros in the book and the rows, and some all-zero rows
+        vectors[rng.random((k, dim)) < 0.2] = -0.0
+        rows[rng.random((n, dim)) < 0.2] = -0.0
+        rows[rng.random(n) < 0.2] = 0.0
+        # few distinct entries, so most are chosen many times
+        chosen = rng.choice(k, size=distinct)[rng.integers(0, distinct, size=n)]
+        book = Codebook(
+            vectors,
+            ema_decay=alpha,
+            norm_beta=beta,
+            usage_counts=rng.integers(0, 9, size=k),
+        )
+        want_vectors, want_usage = dense_ema_step(book, chosen, rows, mode)
+        rvq._ema_step(book, chosen, rows, mode)
+        assert book.vectors.tobytes() == want_vectors.tobytes()
+        assert np.array_equal(book.usage_counts, want_usage)
+
+
 class TestNormConstraint:
     def test_norms_bounded_under_iteration(self, rng):
         # repeated update-with-assignments keeps norms under m/beta scale
