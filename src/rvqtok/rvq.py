@@ -243,11 +243,25 @@ class TrainingSchedule:
 def _select_indices(
     dists: np.ndarray, gumbel: GumbelConfig, rng: np.random.Generator | None
 ) -> np.ndarray:
+    """Row-wise argmin of dists, or with Gumbel enabled a draw from
+    softmax(-dists / tau) by the Gumbel-max trick (Jang et al., arXiv
+    1611.01144): argmin(dists / tau + log(-log u)) is argmax(-dists / tau
+    + G) with G = -log(-log u) ~ Gumbel(0, 1) for u ~ U[0, 1).
+
+    u is float32 and the logs run in place on it. u = 0 (probability
+    2^-24 per score) gives G = -inf, so that score is never picked; the
+    largest u below 1 caps G near 16.6, which cuts a tail of probability
+    6e-8.
+    """
     if not gumbel.enabled:
         return np.argmin(dists, axis=1)
-    noise = rng.gumbel(size=dists.shape)
-    noise -= dists / gumbel.temperature
-    return np.argmax(noise, axis=1)
+    noise = rng.random(dists.shape, dtype=np.float32)
+    with np.errstate(divide="ignore"):  # log(0) = -inf is meant
+        np.log(noise, out=noise)
+    np.negative(noise, out=noise)
+    np.log(noise, out=noise)
+    noise += dists / gumbel.temperature
+    return np.argmin(noise, axis=1)
 
 
 def _active_mask(

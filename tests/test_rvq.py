@@ -1,8 +1,10 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats as scipy_stats
 
 from rvqtok import rvq
 from rvqtok.errors import (
@@ -404,6 +406,49 @@ class TestGumbel:
         a, _ = quantize_batch(stack, batch, g)
         b, _ = quantize_batch(stack, batch, g)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("tau", [0.25, 1.0, 4.0])
+    def test_float32_noise_keeps_softmax_law(self, tau):
+        # scores sit near 10^3, where float32 holds about 6e-5, so the
+        # sum of scaled scores and noise is rounded as in a real layer
+        gaps = tau * np.array([0.0, 0.4, 0.8, 1.2, 1.6, 2.0])
+        draws = 100_000
+        dists = np.tile(np.float32(1000.0) + gaps.astype(np.float32), (draws, 1))
+        rng = np.random.Generator(np.random.PCG64(17))
+        idx = rvq._select_indices(dists, GumbelConfig(temperature=tau, enabled=True), rng)
+        probs = np.exp(-gaps / tau)
+        probs /= probs.sum()
+        _, pval = scipy_stats.chisquare(np.bincount(idx, minlength=6), probs * draws)
+        assert pval > 0.01
+
+    def test_tiny_temperature_matches_argmin_at_k1024(self, rng):
+        stack = RvqStack([Codebook(rng.standard_normal((1024, 8)))])
+        batch = rng.standard_normal((500, 8))
+        hard, _ = quantize_batch(stack, batch)
+        soft, _ = quantize_batch(
+            stack, batch, GumbelConfig(temperature=1e-6, enabled=True, seed=3)
+        )
+        assert np.array_equal(hard, soft)
+
+    def test_zero_uniform_is_never_chosen(self):
+        class ZeroFirst:
+            """Real float32 uniforms, except 0 for every row's entry 0."""
+
+            def __init__(self):
+                self.inner = np.random.Generator(np.random.PCG64(5))
+
+            def random(self, shape, dtype):
+                u = self.inner.random(shape, dtype=dtype)
+                u[:, 0] = 0.0
+                return u
+
+        # entry 0 is the nearest by far, so only its u = 0 can rule it out
+        dists = np.tile(np.array([0.0, 3.0, 3.0, 3.0], dtype=np.float32), (2000, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            idx = rvq._select_indices(dists, GumbelConfig(enabled=True), ZeroFirst())
+        assert not (idx == 0).any()
+        assert set(np.unique(idx)) == {1, 2, 3}
 
 
 class TestDropout:
