@@ -82,9 +82,20 @@ _JSON_TYPES = {
 }
 
 
+def _in_range(value, want: str) -> bool:
+    """A JSON number fits what a field of type want is read into: a
+    float64 for a float field, an int64 for an int field."""
+    if type(value) is not int:
+        return True
+    if want == "float":
+        return abs(value) <= sys.float_info.max
+    return -(2**63) <= value < 2**63
+
+
 def _checked(doc, types: dict[str, str], what: str) -> dict:
     """doc, once it is a JSON object whose keys are all in types and whose
-    values have the named types; anything else is InvalidConfig."""
+    values have the named types and fit them; anything else is
+    InvalidConfig."""
     if not isinstance(doc, dict):
         raise InvalidConfig(f"{what} must be a JSON object")
     for key, value in doc.items():
@@ -99,6 +110,9 @@ def _checked(doc, types: dict[str, str], what: str) -> dict:
             raise InvalidConfig(f"{what} key {key!r} must be {want}, got {value!r}")
         if type(value) is float and not math.isfinite(value):
             raise InvalidConfig(f"{what} key {key!r} must be finite, got {value!r}")
+        numbers = value if want == "list of int" else [value]
+        if not all(_in_range(v, want) for v in numbers):
+            raise InvalidConfig(f"{what} key {key!r} holds a number too large for {want}")
     return doc
 
 

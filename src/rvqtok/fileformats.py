@@ -119,6 +119,8 @@ def afv1_writer(path, n_rows: int, dim: int, frame_rate: float):
             raise ShapeMismatch(f"rows of shape {arr.shape} do not fit {n_rows} x {dim}")
         return arr
 
+    if not (0 <= n_rows < 2**32 and 0 <= dim < 2**32):
+        raise ShapeMismatch(f"AFV1 stores rows and dim as u32, got {n_rows} x {dim}")
     header = _AFV1_HEADER.pack(AFV1_MAGIC, n_rows, dim, frame_rate)
     return _staged_rows(path, header, n_rows, rows, "AFV1")
 

@@ -639,6 +639,8 @@ def init_rvq_stack(
     for layer, k in enumerate(layer_sizes):
         if k <= 0:
             raise InvalidConfig(f"layer {layer} size must be positive, got {k}")
+        if k >= 2**32:
+            raise InvalidConfig(f"layer {layer} size {k} does not fit the u32 RVQ1 stores")
         if method == "kmeans++":
             vectors = _kmeanspp_pick(residual, k, rng)
         else:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import wave
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +30,16 @@ from rvqtok.fileformats import (
     write_rvq1,
     write_wav,
 )
-from rvqtok.mel import AudioBuffer, compute_mel, stack_frames
-from rvqtok.rvq import Codebook, RvqStack, decode_frames, encode_frames
+from rvqtok.mel import AudioBuffer, MelConfig, compute_mel, stack_frames
+from rvqtok.rvq import (
+    Codebook,
+    DropoutConfig,
+    GumbelConfig,
+    RvqStack,
+    TrainingSchedule,
+    decode_frames,
+    encode_frames,
+)
 from rvqtok.scorers import SubprocessScorer
 from rvqtok.streams import eoa_frame
 from rvqtok.synth import (
@@ -1031,6 +1040,50 @@ class TestScorerPluginCommand:
         assert "--raw-rate" in proc.stdout
 
 
+HUGE = 10**400  # fits neither an int64 nor a float64
+
+
+def _numbers(cls):
+    return [f.name for f in fields(cls) if f.type in ("int", "float")]
+
+
+# every MelConfig field and the stack factor, at a size nothing can hold
+# and at one the u32 dim of AFV1 cannot
+MEL_OVERSIZE = [
+    *({name: HUGE} for name in [f.name for f in fields(MelConfig)] + ["stack_factor"]),
+    {"n_mels": 2**40},
+]
+
+# every number field of the train-rvq config, top level and nested, and
+# layer sizes the u32 of RVQ1 cannot hold
+TRAIN_OVERSIZE = [
+    *(
+        {key: [HUGE] if want == "list of int" else HUGE}
+        for key, want in cli._TRAIN_KEYS.items()
+        if want in ("int", "float", "list of int")
+    ),
+    *(
+        {key: {name: HUGE}}
+        for key, cls in (
+            ("schedule", TrainingSchedule),
+            ("gumbel", GumbelConfig),
+            ("dropout", DropoutConfig),
+        )
+        for name in _numbers(cls)
+    ),
+    {"gumbel": {"enabled": True, "temperature": HUGE}},
+    {"layer_sizes": [2**62]},
+    {"layer_sizes": [8, 2**32]},
+]
+
+
+def _doc_id(doc):
+    (key, value), = doc.items()
+    if isinstance(value, dict):
+        return key + "." + "-".join(value)
+    return key if value is HUGE or value == [HUGE] else f"{key}={value}"
+
+
 class TestHostileDocuments:
     """A bad config document exits 3 and a bad data line exits 4 naming
     the line; either way with one error line, no traceback and no output."""
@@ -1083,6 +1136,22 @@ class TestHostileDocuments:
         manifest, _ = feature_corpus
         cfg = tmp_path / "cfg.json"
         cfg.write_text(doc)
+        out = tmp_path / "books.rvq1"
+        outputs = [out, tmp_path / "books.rvq1.report.jsonl"]
+        self.refused(capsys, ["train-rvq", manifest, out, "--config", cfg], outputs, 3)
+
+    @pytest.mark.parametrize("doc", MEL_OVERSIZE, ids=_doc_id)
+    def test_mel_config_number_too_large(self, capsys, tmp_path, wav_1s, doc):
+        cfg = tmp_path / "mel.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "o.afv1"
+        self.refused(capsys, ["mel", wav_1s, out, "--config", cfg], [out], 3)
+
+    @pytest.mark.parametrize("doc", TRAIN_OVERSIZE, ids=_doc_id)
+    def test_train_config_number_too_large(self, capsys, tmp_path, feature_corpus, doc):
+        manifest, _ = feature_corpus
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
         out = tmp_path / "books.rvq1"
         outputs = [out, tmp_path / "books.rvq1.report.jsonl"]
         self.refused(capsys, ["train-rvq", manifest, out, "--config", cfg], outputs, 3)
