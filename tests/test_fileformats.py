@@ -12,6 +12,7 @@ from rvqtok.errors import (
     IndexOutOfRange,
     InvalidConfig,
     MalformedWire,
+    RvqtokError,
     ShapeMismatch,
 )
 from rvqtok.fileformats import (
@@ -392,6 +393,80 @@ class TestRvq1:
         path.write_bytes(path.read_bytes()[:-9])
         with pytest.raises(MalformedWire):
             read_rvq1(path)
+
+
+def rvq1_bytes(seed, tmp_dir):
+    """A valid RVQ1 file from a seed: 1-3 layers of 1-5 float32 codewords
+    of dim 1-4; returns its bytes and the offsets of its u32 header words."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    dim = int(rng.integers(1, 5))
+    layers = []
+    for _ in range(int(rng.integers(1, 4))):
+        k = int(rng.integers(1, 6))
+        layers.append(
+            Codebook(
+                rng.standard_normal((k, dim)).astype(np.float32),
+                ema_decay=float(rng.random()),
+                norm_beta=float(rng.random()) * 0.5,
+                usage_counts=rng.integers(0, 1000, size=k),
+            )
+        )
+    path = tmp_dir / "valid.rvq1"
+    write_rvq1(path, RvqStack(layers))
+    words, at = [4], 8  # the layer count, then each layer's K and D
+    for book in layers:
+        words += [at, at + 4]
+        at += 24 + 4 * book.size * dim + 8 * book.size
+    return path.read_bytes(), words
+
+
+def read_rvq1_bytes(data, tmp_dir):
+    path = tmp_dir / "fuzz.rvq1"
+    path.write_bytes(data)
+    return read_rvq1(path)
+
+
+class TestRvq1Fuzz:
+    """Hostile RVQ1 bytes raise toolkit errors and nothing else: a short
+    file is MalformedWire, and a header or value that cannot be a
+    codebook is one of the RvqtokError subclasses."""
+
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=40)
+    def test_every_truncation(self, seed, tmp_path_factory):
+        tmp_dir = tmp_path_factory.mktemp("rvq1")
+        data, _ = rvq1_bytes(seed, tmp_dir)
+        read_rvq1_bytes(data, tmp_dir)
+        for cut in range(len(data)):
+            with pytest.raises(MalformedWire):
+                read_rvq1_bytes(data[:cut], tmp_dir)
+
+    @given(seed=st.integers(0, 10_000), data=st.data())
+    @settings(max_examples=150)
+    def test_bit_flips(self, seed, data, tmp_path_factory):
+        tmp_dir = tmp_path_factory.mktemp("rvq1")
+        valid, _ = rvq1_bytes(seed, tmp_dir)
+        flipped = bytearray(valid)
+        for _ in range(data.draw(st.integers(1, 3))):
+            bit = data.draw(st.integers(0, 8 * len(valid) - 1))
+            flipped[bit // 8] ^= 1 << (bit % 8)
+        try:
+            read_rvq1_bytes(bytes(flipped), tmp_dir)
+        except RvqtokError:
+            pass
+
+    @given(seed=st.integers(0, 10_000), data=st.data())
+    @settings(max_examples=150)
+    def test_random_header_words(self, seed, data, tmp_path_factory):
+        tmp_dir = tmp_path_factory.mktemp("rvq1")
+        valid, words = rvq1_bytes(seed, tmp_dir)
+        at = data.draw(st.sampled_from(words))
+        word = data.draw(st.integers(0, 2**32 - 1))
+        hostile = valid[:at] + struct.pack("<I", word) + valid[at + 4 :]
+        try:
+            read_rvq1_bytes(hostile, tmp_dir)
+        except RvqtokError:
+            pass
 
 
 class TestWav:
