@@ -1043,45 +1043,46 @@ class TestScorerPluginCommand:
 HUGE = 10**400  # fits neither an int64 nor a float64
 
 
-def _numbers(cls):
-    return [f.name for f in fields(cls) if f.type in ("int", "float")]
+def _oversize(doc):
+    """A config document holding one number too large to use."""
+    (key, value), = doc.items()
+    if isinstance(value, dict):
+        name = key + "." + "-".join(value)
+    else:
+        name = key if value is HUGE or value == [HUGE] else f"{key}={value}"
+    return pytest.param(json.dumps(doc), id=name + "-too-large")
 
 
 # every MelConfig field and the stack factor, at a size nothing can hold
 # and at one the u32 dim of AFV1 cannot
 MEL_OVERSIZE = [
-    *({name: HUGE} for name in [f.name for f in fields(MelConfig)] + ["stack_factor"]),
-    {"n_mels": 2**40},
+    *(_oversize({f.name: HUGE}) for f in fields(MelConfig)),
+    _oversize({"stack_factor": HUGE}),
+    _oversize({"n_mels": 2**40}),
 ]
 
 # every number field of the train-rvq config, top level and nested, and
 # layer sizes the u32 of RVQ1 cannot hold
 TRAIN_OVERSIZE = [
     *(
-        {key: [HUGE] if want == "list of int" else HUGE}
+        _oversize({key: [HUGE] if want == "list of int" else HUGE})
         for key, want in cli._TRAIN_KEYS.items()
         if want in ("int", "float", "list of int")
     ),
     *(
-        {key: {name: HUGE}}
+        _oversize({key: {f.name: HUGE}})
         for key, cls in (
             ("schedule", TrainingSchedule),
             ("gumbel", GumbelConfig),
             ("dropout", DropoutConfig),
         )
-        for name in _numbers(cls)
+        for f in fields(cls)
+        if f.type in ("int", "float")
     ),
-    {"gumbel": {"enabled": True, "temperature": HUGE}},
-    {"layer_sizes": [2**62]},
-    {"layer_sizes": [8, 2**32]},
+    _oversize({"gumbel": {"enabled": True, "temperature": HUGE}}),
+    _oversize({"layer_sizes": [2**62]}),
+    _oversize({"layer_sizes": [8, 2**32]}),
 ]
-
-
-def _doc_id(doc):
-    (key, value), = doc.items()
-    if isinstance(value, dict):
-        return key + "." + "-".join(value)
-    return key if value is HUGE or value == [HUGE] else f"{key}={value}"
 
 
 class TestHostileDocuments:
@@ -1105,6 +1106,7 @@ class TestHostileDocuments:
             '{"center": "no"}',
             '{"log_floor": NaN}',
             "{bad",
+            *MEL_OVERSIZE,
         ],
     )
     def test_mel_config(self, capsys, tmp_path, wav_1s, doc):
@@ -1130,28 +1132,13 @@ class TestHostileDocuments:
             '{"dead_threshold": -2}',
             "[1, 2]",
             "{bad",
+            *TRAIN_OVERSIZE,
         ],
     )
     def test_train_config(self, capsys, tmp_path, feature_corpus, doc):
         manifest, _ = feature_corpus
         cfg = tmp_path / "cfg.json"
         cfg.write_text(doc)
-        out = tmp_path / "books.rvq1"
-        outputs = [out, tmp_path / "books.rvq1.report.jsonl"]
-        self.refused(capsys, ["train-rvq", manifest, out, "--config", cfg], outputs, 3)
-
-    @pytest.mark.parametrize("doc", MEL_OVERSIZE, ids=_doc_id)
-    def test_mel_config_number_too_large(self, capsys, tmp_path, wav_1s, doc):
-        cfg = tmp_path / "mel.json"
-        cfg.write_text(json.dumps(doc))
-        out = tmp_path / "o.afv1"
-        self.refused(capsys, ["mel", wav_1s, out, "--config", cfg], [out], 3)
-
-    @pytest.mark.parametrize("doc", TRAIN_OVERSIZE, ids=_doc_id)
-    def test_train_config_number_too_large(self, capsys, tmp_path, feature_corpus, doc):
-        manifest, _ = feature_corpus
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(doc))
         out = tmp_path / "books.rvq1"
         outputs = [out, tmp_path / "books.rvq1.report.jsonl"]
         self.refused(capsys, ["train-rvq", manifest, out, "--config", cfg], outputs, 3)
