@@ -30,7 +30,6 @@ from .mel import (
     multiscale_mel_loss,
     reconstruction_loss,
     stack_frames,
-    unstack_frames,
 )
 from .rvq import (
     DEFAULT_LAYER_SIZES,
@@ -59,7 +58,6 @@ from .rvq import (
 from .seeding import derive_seed, make_rng
 from .streams import (
     FORMAT_TAGS,
-    EmbeddingSpec,
     InterleavedStream,
     LossMask,
     Segment,
@@ -69,27 +67,22 @@ from .streams import (
     build_loss_mask,
     deserialize,
     eoa_frame,
-    is_eoa,
     serialize,
-    sum_embeddings,
     text_segment,
 )
 from .datapipe import (
-    DEFAULT_PUNCTUATION,
     AlignedPair,
     CorpusStats,
     build_intlv,
     build_itts,
     byte_tokenizer,
     corpus_stats,
-    segment_text,
 )
 from .metrics import (
     EvalRecord,
     accuracy,
     codebook_utilization,
     interlayer_mi,
-    perplexity,
     perplexity_compare,
     token_entropy,
     wer,

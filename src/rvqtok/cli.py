@@ -9,7 +9,9 @@ byte-identical at any --threads value; acceptance criterion 10 checks
 this.
 
 Exit codes: 0 success, 2 I/O, 3 shape or config, 4 data format,
-5 scorer-plugin protocol.
+5 scorer-plugin protocol. Running out of memory exits 3 as well: the
+inputs that can reach it are configs whose arrays are too large to
+allocate (a huge n_fft or layer size).
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ from .rvq import (
     DropoutConfig,
     GumbelConfig,
     GUMBEL_OFF,
-    RvqStack,
     TrainingSchedule,
     decode_frames,
     encode_blocks,
@@ -332,7 +333,7 @@ def cmd_pack(args) -> int:
         if args.format_tag == "ITTS":
             stream = build_itts(group_pairs, tokenize=byte_tokenizer)
         else:
-            stream = build_intlv(group_pairs, args.seed, tokenize=byte_tokenizer)
+            stream = build_intlv(group_pairs, tokenize=byte_tokenizer)
         mask = build_loss_mask(stream)
         # INTLV takes its audio from every other pair, starting with the first
         refs = [ref for _, ref in group]
@@ -475,6 +476,9 @@ def main(argv=None) -> int:
         return 2
     except (InvalidConfig, ShapeMismatch, IndexOutOfRange) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"error: {args.command}: out of memory: {exc}", file=sys.stderr)
         return 3
     except (MalformedWire, InvalidStream, InsufficientData, EmptyInput, InvalidSample) as exc:
         print(f"error: {exc}", file=sys.stderr)

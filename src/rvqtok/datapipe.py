@@ -1,11 +1,10 @@
 """Desk-scale interleaved-data assembly.
 
 Aligned (text, audio-token) pairs become INTLV or ITTS records: INTLV
-alternates whole utterances across modalities, ITTS emits each pair as
-text followed by its audio. Text segmentation is rule-based splitting
-on sentence-ending punctuation; upstream LLM-driven normalization is
-out of scope. A provenance tag (crawl or synthetic) rides along
-untouched.
+alternates whole utterances across modalities, audio first, and ITTS
+emits each pair as text followed by its audio. Utterances are never
+split; upstream text normalization is out of scope. A provenance tag
+(crawl or synthetic) rides along untouched.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import InsufficientData, InvalidConfig, InvalidStream
-from .seeding import make_rng
 from .streams import (
     InterleavedStream,
     Segment,
@@ -24,9 +22,6 @@ from .streams import (
     frame_array,
     text_segment,
 )
-
-# English and Chinese sentence enders.
-DEFAULT_PUNCTUATION = frozenset({".", "!", "?", ";", "。", "！", "？", "；"})
 
 PROVENANCE_TAGS = ("crawl", "synthetic")
 
@@ -57,49 +52,20 @@ class AlignedPair:
             raise InvalidConfig("a pair needs text or frames")
 
 
-def segment_text(text: str, rules=DEFAULT_PUNCTUATION) -> list[str]:
-    """Split after every rule character; lossless, empty pieces dropped.
-
-    join(segments) == text always holds, since each delimiter stays
-    attached to the piece it ends.
-    """
-    if not rules:
-        raise InvalidConfig("punctuation rule set must be non-empty")
-    rule_set = set(rules)
-    pieces: list[str] = []
-    start = 0
-    for i, ch in enumerate(text):
-        if ch in rule_set:
-            pieces.append(text[start : i + 1])
-            start = i + 1
-    if start < len(text):
-        pieces.append(text[start:])
-    return pieces
-
-
 def build_intlv(
-    pairs: list[AlignedPair],
-    alternation_seed: int = 0,
-    *,
-    tokenize: Tokenizer = byte_tokenizer,
-    start_with_text: bool | None = False,
+    pairs: list[AlignedPair], *, tokenize: Tokenizer = byte_tokenizer
 ) -> InterleavedStream:
-    """Interleave consecutive pairs into an INTLV record.
+    """Interleave consecutive pairs into an INTLV record, audio first.
 
-    Default layout starts with audio: pair 0 contributes its frames,
-    pair 1 its text, and so on. start_with_text=True flips the roles;
-    None picks the leading modality by coin flip from alternation_seed
-    (the seed has no effect otherwise, since the layout is pinned).
+    Even pairs contribute their frames and odd pairs their text: pair 0
+    gives audio, pair 1 text, and so on. The layout is fixed, so the
+    audio of a record always comes from pairs 0, 2, 4, ...
     """
     if len(pairs) < 2:
         raise InsufficientData(f"INTLV needs at least 2 pairs, got {len(pairs)}")
-    if start_with_text is None:
-        start_with_text = bool(make_rng(alternation_seed, "intlv-start").integers(0, 2))
-
     segments: list[Segment] = []
     for i, pair in enumerate(pairs):
-        wants_text = (i % 2 == 0) == start_with_text
-        if wants_text:
+        if i % 2:
             ids = tokenize(pair.text)
             if not ids:
                 raise InvalidStream(f"pair {i} supplies no text tokens")
@@ -135,17 +101,6 @@ class CorpusStats:
     audio_hours: float = 0.0
     text_tokens: int = 0
     audio_frames: int = 0
-
-    def __add__(self, other: "CorpusStats") -> "CorpusStats":
-        counts = dict(self.records_per_format)
-        for tag, n in other.records_per_format.items():
-            counts[tag] = counts.get(tag, 0) + n
-        return CorpusStats(
-            records_per_format=counts,
-            audio_hours=self.audio_hours + other.audio_hours,
-            text_tokens=self.text_tokens + other.text_tokens,
-            audio_frames=self.audio_frames + other.audio_frames,
-        )
 
     def to_dict(self) -> dict:
         return {

@@ -354,13 +354,6 @@ def read_raw_f32(path, sample_rate: int) -> AudioBuffer:
 
 # ------------------------------------------------------------- JSONL
 
-def write_special_tokens(path, special: SpecialTokens) -> None:
-    Path(path).write_text(
-        json.dumps({"switch_ta": special.switch_ta, "switch_at": special.switch_at})
-        + "\n"
-    )
-
-
 def read_special_tokens(path) -> SpecialTokens:
     """The {"switch_ta": int, "switch_at": int} table; any other document is
     InvalidConfig."""

@@ -294,13 +294,6 @@ def stack_frames(mel: MelSpectrogram, stack_factor: int) -> FeatureSequence:
     )
 
 
-def unstack_frames(seq: FeatureSequence, n_mels: int) -> np.ndarray:
-    """Inverse of stack_frames: recover the first T'*s mel frames."""
-    if seq.dim % n_mels != 0:
-        raise ShapeMismatch(f"dim {seq.dim} not divisible by n_mels {n_mels}")
-    return seq.vectors.reshape(seq.n_vectors * seq.stack_factor, n_mels).copy()
-
-
 def _check_same_grid(gt: MelSpectrogram, other: MelSpectrogram):
     if gt.frames.shape != other.frames.shape:
         raise ShapeMismatch(

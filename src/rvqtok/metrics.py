@@ -104,13 +104,6 @@ def _per_token(answers: Iterator[tuple[float, int]]) -> float:
     return nll / tokens
 
 
-def perplexity(nll: float, tokens: int) -> float:
-    """exp of the mean per-token NLL."""
-    if tokens < 1:
-        raise InvalidConfig("token count must be >= 1")
-    return math.exp(nll / tokens)
-
-
 def perplexity_compare_all(
     records: Sequence[EvalRecord], scorer: Scorer
 ) -> Iterator[bool]:

@@ -19,13 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InvalidConfig,
-    InvalidStream,
-    IndexOutOfRange,
-    MalformedWire,
-    ShapeMismatch,
-)
+from .errors import InvalidConfig, InvalidStream, MalformedWire
 
 FORMAT_TAGS = ("ASR", "AQA", "S2TT", "INTLV", "TTS", "ITTS", "PURE_AUDIO")
 
@@ -38,15 +32,6 @@ class SegmentKind(enum.Enum):
 def eoa_frame(layer_sizes) -> tuple[int, ...]:
     """The end-of-audio frame: index K_l in every layer."""
     return tuple(int(k) for k in layer_sizes)
-
-
-def is_eoa(frame, layer_sizes) -> bool:
-    """Whether a length-L integer sequence is the end-of-audio frame."""
-    sizes = eoa_frame(layer_sizes)
-    indices = tuple(int(i) for i in frame)
-    if len(indices) != len(sizes):
-        raise ShapeMismatch(f"frame has {len(indices)} layers, expected {len(sizes)}")
-    return indices == sizes
 
 
 def frame_array(frames) -> np.ndarray:
@@ -388,60 +373,3 @@ def build_loss_mask(stream: InterleavedStream) -> LossMask:
         if seg.kind is SegmentKind.AUDIO:
             flags.append(flag)  # the end-of-audio frame
     return LossMask(flags=tuple(flags))
-
-
-@dataclass(frozen=True)
-class EmbeddingSpec:
-    """Per-layer embedding vocabularies: K_l + 1 rows each.
-
-    The extra row embeds the end-of-audio index. A frame embeds as the
-    sum of its per-layer lookups.
-    """
-
-    layer_sizes: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "layer_sizes", tuple(int(k) for k in self.layer_sizes)
-        )
-        if not self.layer_sizes or any(k <= 0 for k in self.layer_sizes):
-            raise InvalidConfig("layer sizes must be positive")
-
-    @property
-    def vocab_sizes(self) -> tuple[int, ...]:
-        return tuple(k + 1 for k in self.layer_sizes)
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.layer_sizes)
-
-
-def sum_embeddings(
-    frame, tables: list[np.ndarray], spec: EmbeddingSpec | None = None
-) -> np.ndarray:
-    """Sum of per-layer table rows selected by a length-L index sequence."""
-    indices = [int(i) for i in frame]
-    if len(indices) != len(tables):
-        raise ShapeMismatch(
-            f"frame has {len(indices)} layers but {len(tables)} tables given"
-        )
-    arrays = [np.asarray(t, dtype=np.float64) for t in tables]
-    dims = {a.shape[1] for a in arrays}
-    if any(a.ndim != 2 for a in arrays) or len(dims) != 1:
-        raise ShapeMismatch("embedding tables must be 2-D with a shared width")
-    if spec is not None:
-        if spec.n_layers != len(arrays):
-            raise ShapeMismatch("spec layer count does not match tables")
-        for layer, (a, want) in enumerate(zip(arrays, spec.vocab_sizes)):
-            if a.shape[0] != want:
-                raise ShapeMismatch(
-                    f"table {layer} has {a.shape[0]} rows, spec wants {want}"
-                )
-    out = np.zeros(arrays[0].shape[1])
-    for layer, (a, idx) in enumerate(zip(arrays, indices)):
-        if not 0 <= idx < a.shape[0]:
-            raise IndexOutOfRange(
-                f"index {idx} outside table {layer} with {a.shape[0]} rows"
-            )
-        out += a[idx]
-    return out

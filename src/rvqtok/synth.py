@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .datapipe import AlignedPair
 from .mel import (
     DEFAULT_MEL,
     AudioBuffer,
@@ -98,29 +97,6 @@ def make_token_frames(n_frames: int, layer_sizes, seed: int = 0) -> np.ndarray:
     rng = make_rng(seed, "frames")
     sizes = np.asarray(layer_sizes, dtype=np.int64)
     return rng.integers(0, sizes, size=(n_frames, sizes.size))
-
-
-def make_aligned_pairs(
-    n_pairs: int,
-    layer_sizes,
-    seed: int = 0,
-    frame_rate: float = 12.5,
-) -> list[AlignedPair]:
-    rng = make_rng(seed, "pairs")
-    pairs = []
-    for i in range(n_pairs):
-        n_frames = int(rng.integers(3, 12))
-        frames = make_token_frames(n_frames, layer_sizes, seed=seed * 7919 + i)
-        provenance = "crawl" if rng.integers(0, 2) else "synthetic"
-        pairs.append(
-            AlignedPair(
-                text=f"Utterance number {i}.",
-                frames=frames,
-                duration_s=n_frames / frame_rate,
-                provenance=provenance,
-            )
-        )
-    return pairs
 
 
 def make_oracle_eval_records(

@@ -664,6 +664,38 @@ def test_decode_memory_does_not_grow_with_length(tmp_path, long_features):
     assert long - short < 20, f"peak RSS {short:.1f} MB at 2 min, {long:.1f} MB at 8 min"
 
 
+def _address_space_cap():
+    """preexec_fn: cap the child's address space at 3 GiB (this process
+    keeps its own limit)."""
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+
+@linux_only
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("mel", {"n_fft": 2**31, "hop": 160}),  # an 8 GiB window
+        ("train-rvq", {"layer_sizes": [2**31]}),  # 16 GiB of init picks
+    ],
+)
+def test_out_of_memory_exits_3(tmp_path, wav_1s, feature_corpus, command, doc):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    source = wav_1s if command == "mel" else feature_corpus[0]
+    proc = subprocess.run(
+        [sys.executable, "-m", "rvqtok.cli", command, str(source), str(out), "--config", str(cfg)],
+        env={**checkout_env(), "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=_address_space_cap, capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith(f"error: {command}: out of memory: ")
+    assert proc.stderr.count("\n") == 1
+    assert not any(p.name.startswith("out") for p in tmp_path.iterdir())
+
+
 @pytest.fixture
 def packable(tmp_path):
     atk1 = tmp_path / "clips.atk1"
@@ -777,6 +809,31 @@ class TestPack:
         for out in (a, b):
             assert run(capsys, "pack", manifest, out, "--seed", 3)[0] == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_intlv_layout_ignores_seed(self, capsys, tmp_path):
+        # seven rows in one record: audio from rows 0, 2, 4, 6, text from the rest
+        atk1 = tmp_path / "clips.atk1"
+        write_atk1(atk1, np.array([(i % 8, i % 4) for i in range(14)]), (8, 4))
+        rows = [
+            {"text": f"row {i}.", "atk1_path": str(atk1),
+             "frame_range": [2 * i, 2 * i + 2], "duration_s": 0.5}
+            for i in range(7)
+        ]
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        outputs = {}
+        for seed in (0, 7):
+            out = tmp_path / f"seed{seed}.jsonl"
+            argv = ["pack", manifest, out, "--format-tag", "INTLV", "--group-size", 7]
+            assert run(capsys, *argv, "--seed", seed)[0] == 0
+            stats = Path(str(out) + ".stats.json")
+            outputs[seed] = out.read_bytes(), stats.read_bytes()
+        assert outputs[0] == outputs[7]
+        rec, = (json.loads(line) for line in outputs[0][0].decode().splitlines())
+        refs = [s["frames_ref"] for s in rec["segments"] if s["kind"] == "audio"]
+        assert refs == [
+            {"path": str(atk1), "start": 2 * i, "end": 2 * i + 2} for i in (0, 2, 4, 6)
+        ]
 
 
 class TestEval:

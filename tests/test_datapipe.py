@@ -1,15 +1,12 @@
 import pytest
-from hypothesis import given, strategies as st
 
 from rvqtok.datapipe import (
-    DEFAULT_PUNCTUATION,
     AlignedPair,
     CorpusStats,
     build_intlv,
     build_itts,
     byte_tokenizer,
     corpus_stats,
-    segment_text,
 )
 from rvqtok.errors import InsufficientData, InvalidConfig, InvalidStream
 from rvqtok.streams import SegmentKind, audio_segment, text_segment
@@ -48,48 +45,6 @@ class TestAlignedPair:
             AlignedPair(text="", frames=(), duration_s=1.0)
 
 
-class TestSegmentText:
-    def test_splits_after_delimiters(self):
-        assert segment_text("One. Two! Three") == ["One.", " Two!", " Three"]
-
-    def test_delimiter_stays_attached(self):
-        assert segment_text("a?b") == ["a?", "b"]
-
-    def test_cjk_enders(self):
-        assert segment_text("你好。再见！") == ["你好。", "再见！"]
-
-    def test_no_delimiters(self):
-        assert segment_text("no breaks here") == ["no breaks here"]
-
-    def test_trailing_delimiter_no_empty_piece(self):
-        assert segment_text("end.") == ["end."]
-
-    def test_empty_text(self):
-        assert segment_text("") == []
-
-    def test_consecutive_delimiters(self):
-        assert segment_text("a.!b") == ["a.", "!", "b"]
-
-    def test_custom_rules(self):
-        assert segment_text("a|b|c", rules={"|"}) == ["a|", "b|", "c"]
-
-    def test_empty_rules_rejected(self):
-        with pytest.raises(InvalidConfig):
-            segment_text("abc", rules=set())
-
-    @given(st.text(max_size=80))
-    def test_lossless(self, text):
-        assert "".join(segment_text(text)) == text
-
-    @given(st.text(min_size=1, max_size=80))
-    def test_pieces_nonempty_and_end_on_rule(self, text):
-        pieces = segment_text(text)
-        for piece in pieces:
-            assert piece
-        for piece in pieces[:-1]:
-            assert piece[-1] in DEFAULT_PUNCTUATION
-
-
 class TestBuildIntlv:
     def test_default_starts_with_audio(self):
         pairs = [pair(text="a"), pair(text="b"), pair(text="c")]
@@ -100,25 +55,6 @@ class TestBuildIntlv:
         # pair 0 contributes frames, pair 1 its text
         assert s.segments[0] == audio_segment(pairs[0].frames)
         assert s.segments[1].tokens == tuple(byte_tokenizer("b"))
-
-    def test_start_with_text(self):
-        s = build_intlv([pair(text="a"), pair(text="b")], start_with_text=True)
-        assert s.segments[0].kind is SegmentKind.TEXT
-        assert s.segments[0].tokens == tuple(byte_tokenizer("a"))
-
-    def test_coin_flip_is_seeded(self):
-        pairs = [pair(text="a"), pair(text="b")]
-        a = build_intlv(pairs, alternation_seed=3, start_with_text=None)
-        b = build_intlv(pairs, alternation_seed=3, start_with_text=None)
-        assert a == b
-        # both leading modalities occur over a seed range
-        leads = {
-            build_intlv(pairs, alternation_seed=s, start_with_text=None)
-            .segments[0]
-            .kind
-            for s in range(16)
-        }
-        assert leads == {SegmentKind.TEXT, SegmentKind.AUDIO}
 
     def test_needs_two_pairs(self):
         with pytest.raises(InsufficientData):
@@ -192,12 +128,6 @@ class TestCorpusStats:
         s, _ = intlv_record()
         with pytest.raises(InvalidConfig):
             corpus_stats([(s, -1.0)])
-
-    def test_additivity(self):
-        records = [intlv_record(2, 100.0), intlv_record(3, 200.0)]
-        merged = corpus_stats(records)
-        split = corpus_stats(records[:1]) + corpus_stats(records[1:])
-        assert merged == split
 
     def test_to_dict_sorted(self):
         s1, _ = intlv_record()

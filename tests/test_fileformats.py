@@ -35,7 +35,6 @@ from rvqtok.fileformats import (
     write_atk1,
     write_eval_records,
     write_rvq1,
-    write_special_tokens,
     write_wav,
 )
 from rvqtok.mel import AudioBuffer
@@ -520,7 +519,7 @@ class TestWav:
 class TestSpecialTokens:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "special.json"
-        write_special_tokens(path, SpecialTokens(switch_ta=300, switch_at=301))
+        path.write_text('{"switch_ta": 300, "switch_at": 301}\n')
         back = read_special_tokens(path)
         assert back == SpecialTokens(switch_ta=300, switch_at=301)
 

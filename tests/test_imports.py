@@ -1,0 +1,30 @@
+"""Every import in a package module is used: a name a module imports
+but never reads is dead code that a deletion left behind. A line marked
+``# noqa: F401`` keeps an import on purpose. ``__init__.py`` re-exports
+and is not checked."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rvqtok"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = [
+        f"{path.name}:{alias.lineno} {alias.asname or alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+        if (alias.asname or alias.name).split(".")[0] not in used
+        and "# noqa: F401" not in lines[alias.lineno - 1]
+    ]
+    assert unused == []

@@ -19,7 +19,6 @@ from rvqtok.mel import (
     multiscale_mel_loss,
     reconstruction_loss,
     stack_frames,
-    unstack_frames,
 )
 from rvqtok.synth import make_sine_noise_audio
 
@@ -253,7 +252,8 @@ class TestStacking:
     def test_unstack_inverts(self):
         mel = compute_mel(sine(440.0))
         seq = stack_frames(mel, 4)
-        frames = unstack_frames(seq, mel.n_mels)
+        # frame-major stacking: the rows read back as consecutive mel frames
+        frames = seq.vectors.reshape(-1, mel.n_mels)
         assert np.array_equal(frames, mel.frames[: frames.shape[0]])
 
     def test_stack_factor_one_is_identity(self):
@@ -277,7 +277,7 @@ class TestStacking:
         )
         seq = stack_frames(mel, factor)
         assert seq.n_vectors == n_frames // factor
-        back = unstack_frames(seq, 4)
+        back = seq.vectors.reshape(-1, 4)
         assert np.array_equal(back, mel.frames[: seq.n_vectors * factor])
 
 

@@ -10,7 +10,6 @@ from rvqtok.metrics import (
     accuracy,
     codebook_utilization,
     interlayer_mi,
-    perplexity,
     perplexity_compare,
     token_entropy,
     wer,
@@ -88,18 +87,6 @@ class TestEvalRecord:
 
     def test_empty_prefix_allowed(self):
         EvalRecord(prefix=(), candidates=((1,), (2,)), positive_index=0)
-
-
-class TestPerplexity:
-    def test_exp_of_mean(self):
-        assert perplexity(math.log(8.0) * 3, 3) == pytest.approx(8.0)
-
-    def test_zero_nll(self):
-        assert perplexity(0.0, 5) == 1.0
-
-    def test_token_count_check(self):
-        with pytest.raises(InvalidConfig):
-            perplexity(1.0, 0)
 
 
 def table_scorer(table):

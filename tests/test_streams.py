@@ -2,16 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rvqtok.errors import (
-    IndexOutOfRange,
-    InvalidConfig,
-    InvalidStream,
-    MalformedWire,
-    ShapeMismatch,
-)
+from rvqtok.errors import InvalidConfig, InvalidStream, MalformedWire
 from rvqtok.streams import (
     FORMAT_TAGS,
-    EmbeddingSpec,
     InterleavedStream,
     LossMask,
     Segment,
@@ -21,9 +14,7 @@ from rvqtok.streams import (
     build_loss_mask,
     deserialize,
     eoa_frame,
-    is_eoa,
     serialize,
-    sum_embeddings,
     text_segment,
     validate_frames,
 )
@@ -44,15 +35,6 @@ def stream(tag, *segments):
 class TestEoa:
     def test_eoa_frame_values(self):
         assert EOA == SIZES
-
-    def test_is_eoa(self):
-        assert is_eoa(EOA, SIZES)
-        assert is_eoa(np.array(SIZES, dtype=np.uint32), SIZES)
-        assert not is_eoa(frame(0, 0, 0), SIZES)
-
-    def test_is_eoa_layer_count(self):
-        with pytest.raises(ShapeMismatch):
-            is_eoa(frame(0, 0), SIZES)
 
     def test_validate_accepts_max_index(self):
         eoa = validate_frames([frame(7, 3, 3), EOA, frame(0, 0, 0)], SIZES)
@@ -481,62 +463,3 @@ class TestLossMask:
         m = LossMask(flags=(1, 0))
         assert m.flags == (True, False)
         assert len(m) == 2
-
-
-class TestEmbeddings:
-    def test_vocab_adds_eoa_row(self):
-        spec = EmbeddingSpec(layer_sizes=(8, 4))
-        assert spec.vocab_sizes == (9, 5)
-        assert spec.n_layers == 2
-
-    def test_spec_rejects_bad_sizes(self):
-        with pytest.raises(InvalidConfig):
-            EmbeddingSpec(layer_sizes=())
-        with pytest.raises(InvalidConfig):
-            EmbeddingSpec(layer_sizes=(4, 0))
-
-    def test_sum_oracle(self, rng):
-        tables = [rng.standard_normal((9, 6)), rng.standard_normal((5, 6))]
-        f = frame(3, 4)
-        got = sum_embeddings(f, tables)
-        assert np.allclose(got, tables[0][3] + tables[1][4], atol=1e-12)
-
-    def test_eoa_embeds_like_any_frame(self, rng):
-        spec = EmbeddingSpec(layer_sizes=(8, 4))
-        tables = [rng.standard_normal((n, 3)) for n in spec.vocab_sizes]
-        got = sum_embeddings(eoa_frame((8, 4)), tables, spec)
-        assert np.allclose(got, tables[0][8] + tables[1][4], atol=1e-12)
-
-    def test_linearity(self, rng):
-        a = [rng.standard_normal((9, 4)), rng.standard_normal((5, 4))]
-        b = [rng.standard_normal((9, 4)), rng.standard_normal((5, 4))]
-        f = frame(2, 1)
-        combined = sum_embeddings(f, [a[0] + b[0], a[1] + b[1]])
-        assert np.allclose(
-            combined, sum_embeddings(f, a) + sum_embeddings(f, b), atol=1e-12
-        )
-
-    def test_index_out_of_range(self, rng):
-        tables = [rng.standard_normal((4, 2))]
-        with pytest.raises(IndexOutOfRange):
-            sum_embeddings(frame(4), tables)
-
-    def test_negative_index_rejected(self, rng):
-        # a negative index would otherwise select a row from the end
-        tables = [rng.standard_normal((4, 2))]
-        with pytest.raises(IndexOutOfRange):
-            sum_embeddings(frame(-1), tables)
-
-    def test_table_count_mismatch(self, rng):
-        with pytest.raises(ShapeMismatch):
-            sum_embeddings(frame(0, 0), [rng.standard_normal((4, 2))])
-
-    def test_width_mismatch(self, rng):
-        tables = [rng.standard_normal((4, 2)), rng.standard_normal((4, 3))]
-        with pytest.raises(ShapeMismatch):
-            sum_embeddings(frame(0, 0), tables)
-
-    def test_spec_row_check(self, rng):
-        spec = EmbeddingSpec(layer_sizes=(8,))
-        with pytest.raises(ShapeMismatch):
-            sum_embeddings(frame(0), [rng.standard_normal((8, 2))], spec)

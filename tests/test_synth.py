@@ -4,7 +4,6 @@ import numpy as np
 
 from rvqtok.seeding import make_rng
 from rvqtok.synth import (
-    make_aligned_pairs,
     make_bigram_world,
     make_cluster_vectors,
     make_feature_corpus,
@@ -81,20 +80,6 @@ class TestTokenFrames:
         rng = make_rng(11, "frames")
         want = [[int(rng.integers(0, k)) for k in sizes] for _ in range(40)]
         assert make_token_frames(40, sizes, seed=11).tolist() == want
-
-
-class TestAlignedPairs:
-    def test_invariants(self):
-        pairs = make_aligned_pairs(25, (8, 8), seed=4)
-        assert len(pairs) == 25
-        for pair in pairs:
-            assert len(pair.frames) >= 1
-            assert pair.duration_s == len(pair.frames) / 12.5
-            assert pair.provenance in ("crawl", "synthetic")
-
-    def test_both_provenances_appear(self):
-        pairs = make_aligned_pairs(40, (4,), seed=6)
-        assert {p.provenance for p in pairs} == {"crawl", "synthetic"}
 
 
 class TestEvalRecords:
