@@ -1,12 +1,14 @@
 """Batch command-line surface.
 
 Subcommands: mel, train-rvq, encode, decode, pack, eval, scorer-plugin.
-Every command takes --seed, --threads, and --format. --threads is
-accepted for interface stability and ignored: nothing here starts
-threads, though the BLAS library behind NumPy may use its own unless
-OPENBLAS_NUM_THREADS (or its equivalent) is set. Artifacts are
-byte-identical at any --threads value; acceptance criterion 10 checks
-this.
+Every command takes --seed and --threads; mel and train-rvq also take
+--config, and eval --format. Each command takes only the options it
+reads, so an option it does not take is an argparse usage error (exit
+2). --threads is accepted for interface stability and ignored: nothing
+here starts threads, though the BLAS library behind NumPy may use its
+own unless OPENBLAS_NUM_THREADS (or its equivalent) is set. Artifacts
+are byte-identical at any --threads value; acceptance criterion 10
+checks this.
 
 Exit codes: 0 success, 2 I/O, 3 shape or config, 4 data format,
 5 scorer-plugin protocol. Running out of memory exits 3 as well: the
@@ -63,6 +65,7 @@ from .rvq import encode_frames  # noqa: F401
 from .scorers import SubprocessScorer, builtin_scorer, run_plugin_loop
 from .streams import SpecialTokens, build_loss_mask
 
+# Unused by pack (records hold no switch ids); perfbench serializes with it.
 DEFAULT_SPECIAL = SpecialTokens(switch_ta=256, switch_at=257)
 
 
@@ -195,8 +198,11 @@ _TRAIN_KEYS = {
 
 
 def _train_configs(doc: dict):
+    # train_rvq draws Gumbel noise and dropout from --seed, so the seed
+    # fields of these configs are not keys here
     def config(cls, key):
-        return cls(**_checked(doc.get(key) or {}, _field_types(cls), key))
+        types = {k: v for k, v in _field_types(cls).items() if k != "seed"}
+        return cls(**_checked(doc.get(key) or {}, types, key))
 
     schedule = config(TrainingSchedule, "schedule")
     gumbel = config(GumbelConfig, "gumbel") if doc.get("gumbel") else GUMBEL_OFF
@@ -297,9 +303,6 @@ def _pack_groups(rows: list[dict], tag: str, group_size: int):
 
 
 def cmd_pack(args) -> int:
-    special = (
-        ff.read_special_tokens(args.special) if args.special else DEFAULT_SPECIAL
-    )
     rows = ff.read_manifest(args.manifest)
 
     atk1_cache: dict[str, np.ndarray] = {}
@@ -398,8 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="accepted and ignored; outputs are byte-identical at any value",
     )
-    common.add_argument("--format", choices=("json", "jsonl"), default="json")
-    common.add_argument("--config", default=None, help="JSON config file")
 
     parser = argparse.ArgumentParser(
         prog="rvqtok", description="speech tokenizer toolkit"
@@ -409,6 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mel", parents=[common], help="extract stacked mel features")
     p.add_argument("input", help="WAV or raw float32 path")
     p.add_argument("output", help="AFV1 output path")
+    p.add_argument("--config", default=None, help="mel config JSON")
     p.add_argument("--raw-rate", type=int, default=None)
     p.add_argument("--stack", type=int, default=8, help="frame stacking factor")
     p.set_defaults(fn=cmd_mel)
@@ -416,6 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-rvq", parents=[common], help="train codebooks")
     p.add_argument("manifest", help="text file of AFV1 paths, one per line")
     p.add_argument("output", help="RVQ1 output path")
+    p.add_argument("--config", default=None, help="training config JSON")
     p.add_argument("--epochs", type=int, default=1)
     p.add_argument("--report", default=None, help="training report JSONL path")
     p.set_defaults(fn=cmd_train_rvq)
@@ -441,12 +444,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("output", help="records JSONL output path")
     p.add_argument("--format-tag", choices=("INTLV", "ITTS"), default="ITTS")
     p.add_argument("--group-size", type=int, default=4, help="pairs per record")
-    p.add_argument("--special", default=None, help="special-token table JSON")
     p.add_argument("--stats", default=None, help="stats JSON path")
     p.set_defaults(fn=cmd_pack)
 
     p = sub.add_parser("eval", parents=[common], help="perplexity-comparison accuracy")
     p.add_argument("records", help="eval records JSONL path")
+    p.add_argument("--format", choices=("json", "jsonl"), default="json")
     p.add_argument("--scorer", choices=("perfect", "random", "bigram"), default="perfect")
     p.add_argument("--plugin", default=None, help="external scorer command line")
     p.add_argument("--bigram-corpus", default=None, help="JSONL of token-id lists")

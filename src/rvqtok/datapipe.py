@@ -3,8 +3,9 @@
 Aligned (text, audio-token) pairs become INTLV or ITTS records: INTLV
 alternates whole utterances across modalities, audio first, and ITTS
 emits each pair as text followed by its audio. Utterances are never
-split; upstream text normalization is out of scope. A provenance tag
-(crawl or synthetic) rides along untouched.
+split; upstream text normalization is out of scope. Each pair's
+provenance tag (crawl or synthetic) is checked but not written to the
+packed records.
 """
 
 from __future__ import annotations

@@ -20,8 +20,7 @@ block at a time, from a file or a pipe. ``read_rvq1`` returns the
 codewords as the read-only float32 array they are stored as.
 WAV and raw float32 audio open as a ``SampleSource`` whose samples are
 read by range, never all at once. JSON sidecars: interleaved records,
-eval records, and manifests as JSON-lines; special tokens and stats as
-single objects.
+eval records, and manifests as JSON-lines; stats as a single object.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ import math
 import os
 import struct
 import wave
-from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -51,7 +49,6 @@ from .streams import (
     LossMask,
     Segment,
     SegmentKind,
-    SpecialTokens,
     audio_segment,
     text_segment,
 )
@@ -170,7 +167,10 @@ def open_afv1(path):
             left -= n
             if left == 0 and fh.read(1):
                 raise MalformedWire("trailing bytes after AFV1 body")
-            return np.frombuffer(body, dtype="<f4").reshape(n, d).astype(np.float64)
+            rows = np.frombuffer(body, dtype="<f4").reshape(n, d)
+            # a signalling NaN warns as it is cast; callers refuse NaN rows
+            with np.errstate(invalid="ignore"):
+                return rows.astype(np.float64)
 
         yield Afv1Rows(t, d, frame_rate, read)
 
@@ -341,7 +341,9 @@ def open_raw_f32(path, sample_rate: int):
         def read(start: int, stop: int) -> np.ndarray:
             fh.seek(4 * start)
             raw = _read_exact(fh, 4 * (stop - start), "raw float32 samples")
-            return np.frombuffer(raw, dtype="<f4").astype(np.float64)
+            # a signalling NaN warns as it is cast; mel refuses NaN samples
+            with np.errstate(invalid="ignore"):
+                return np.frombuffer(raw, dtype="<f4").astype(np.float64)
 
         yield SampleSource(size // 4, sample_rate, read)
 
@@ -353,22 +355,6 @@ def read_raw_f32(path, sample_rate: int) -> AudioBuffer:
 
 
 # ------------------------------------------------------------- JSONL
-
-def read_special_tokens(path) -> SpecialTokens:
-    """The {"switch_ta": int, "switch_at": int} table; any other document is
-    InvalidConfig."""
-    try:
-        obj = json.loads(Path(path).read_text())
-    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-        raise InvalidConfig(f"special-token table is not JSON: {exc}") from exc
-    if not (
-        isinstance(obj, dict)
-        and obj.keys() == {"switch_ta", "switch_at"}
-        and _is_int_list(list(obj.values()))
-    ):
-        raise InvalidConfig('special-token table must be {"switch_ta": int, "switch_at": int}')
-    return SpecialTokens(**obj)
-
 
 def _read_jsonl(path, what: str):
     """Yield (line number, value) for each non-blank line of a JSON-lines

@@ -252,16 +252,25 @@ def _select_indices(
     2^-24 per score) gives G = -inf, so that score is never picked; the
     largest u below 1 caps G near 16.6, which cuts a tail of probability
     6e-8.
+
+    A tau below the float32 range overflows dists / tau to +-inf (or NaN
+    at 0 / 0). A row whose pick is then not finite takes argmin(dists),
+    the limit of the law as tau -> 0.
     """
     if not gumbel.enabled:
         return np.argmin(dists, axis=1)
     noise = rng.random(dists.shape, dtype=np.float32)
-    with np.errstate(divide="ignore"):  # log(0) = -inf is meant
+    # log(0) = -inf is meant, and so are the overflows a tiny tau makes
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         np.log(noise, out=noise)
-    np.negative(noise, out=noise)
-    np.log(noise, out=noise)
-    noise += dists / gumbel.temperature
-    return np.argmin(noise, axis=1)
+        np.negative(noise, out=noise)
+        np.log(noise, out=noise)
+        noise += dists / gumbel.temperature
+    picks = np.argmin(noise, axis=1)
+    stray = ~np.isfinite(noise[np.arange(len(picks)), picks])
+    if stray.any():
+        picks[stray] = np.argmin(dists[stray], axis=1)
+    return picks
 
 
 def _active_mask(
@@ -632,6 +641,8 @@ def init_rvq_stack(
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise EmptyInput("initialization needs a non-empty T x D batch")
+    if not np.isfinite(x).all():
+        raise InvalidSample("initialization features hold NaN or inf")
 
     rng = make_rng(seed, "init")
     residual = x.copy()

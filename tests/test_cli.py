@@ -1,6 +1,9 @@
+import argparse
 import importlib
+import inspect
 import json
 import os
+import re
 import shlex
 import struct
 import subprocess
@@ -1184,6 +1187,8 @@ class TestHostileDocuments:
             '{"restart": "no"}',
             '{"schedule": {"total_steps": 2.5}}',
             '{"gumbel": {"enabled": 1}}',
+            '{"gumbel": {"enabled": true, "seed": 2}}',
+            '{"dropout": {"seed": 2}}',
             '{"dead_treshold": 8}',
             '{"dead_threshold": 0}',
             '{"dead_threshold": -2}',
@@ -1200,15 +1205,22 @@ class TestHostileDocuments:
         outputs = [out, tmp_path / "books.rvq1.report.jsonl"]
         self.refused(capsys, ["train-rvq", manifest, out, "--config", cfg], outputs, 3)
 
-    @pytest.mark.parametrize(
-        "doc", ["{bad", '{"switch_ta": 1}', '{"switch_ta": "a", "switch_at": 2}', "[]"]
-    )
-    def test_special_tokens(self, capsys, tmp_path, packable, doc):
-        manifest, _ = packable
-        special = tmp_path / "special.json"
-        special.write_text(doc)
-        out = tmp_path / "r.jsonl"
-        self.refused(capsys, ["pack", manifest, out, "--special", special], [out], 3)
+    @pytest.mark.parametrize("layer_sizes, seed", [([20], 0), ([2], 1)])
+    def test_train_features_with_nan(self, capsys, tmp_path, layer_sizes, seed):
+        # [20] makes init pick the NaN row; at [2] and seed 1 it does not
+        x = np.random.default_rng(0).standard_normal((20, 6))
+        x[7, 3] = np.nan
+        feats = tmp_path / "nan.afv1"
+        write_afv1(feats, x, 12.5)
+        manifest = tmp_path / "corpus.txt"
+        manifest.write_text(f"{feats}\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"layer_sizes": layer_sizes}))
+        out = tmp_path / "books.rvq1"
+        outputs = [out, tmp_path / "books.rvq1.report.jsonl"]
+        argv = ["train-rvq", manifest, out, "--config", cfg, "--seed", seed]
+        err = self.refused(capsys, argv, outputs, 4)
+        assert "NaN or inf" in err
 
     @pytest.mark.parametrize(
         "field, value",
@@ -1267,3 +1279,63 @@ class TestHostileDocuments:
         argv = ["eval", path, "--scorer", "bigram", "--bigram-corpus", corpus, "--vocab-size", 16]
         err = self.refused(capsys, argv, [], 4)
         assert "line 2" in err
+
+
+# A command given an option it does not take exits 2 with argparse's usage
+# error; the positional paths are never opened.
+UNTAKEN = [
+    ["pack", "m.jsonl", "r.jsonl", "--special", "s.json"],
+    *(
+        [*argv, "--config", "c.json"]
+        for argv in (
+            ["encode", "f.afv1", "b.rvq1", "t.atk1"],
+            ["decode", "t.atk1", "b.rvq1", "f.afv1"],
+            ["pack", "m.jsonl", "r.jsonl"],
+            ["eval", "e.jsonl"],
+            ["scorer-plugin"],
+        )
+    ),
+    *(
+        [*argv, "--format", "json"]
+        for argv in (
+            ["mel", "in.wav", "f.afv1"],
+            ["train-rvq", "corpus.txt", "b.rvq1"],
+            ["encode", "f.afv1", "b.rvq1", "t.atk1"],
+            ["decode", "t.atk1", "b.rvq1", "f.afv1"],
+            ["pack", "m.jsonl", "r.jsonl"],
+            ["scorer-plugin"],
+        )
+    ),
+]
+
+
+@pytest.mark.parametrize("argv", UNTAKEN, ids=lambda argv: f"{argv[0]}{argv[-2]}")
+def test_untaken_option_is_usage_error(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage: rvqtok" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_every_option_is_read():
+    """Each dest a subcommand sets is read as args.<dest> by the command's
+    fn, by a cli function that fn passes args to, or by main."""
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    main_source = inspect.getsource(cli.main)
+    unread = []
+    for name, command in sub.choices.items():
+        fn_source = inspect.getsource(command.get_default("fn"))
+        callees = re.findall(r"(\w+)\([^()]*\bargs\)", fn_source)
+        sources = [fn_source, main_source]
+        sources += [inspect.getsource(getattr(cli, f)) for f in callees if hasattr(cli, f)]
+        for action in command._actions:
+            if action.dest == "help":
+                continue
+            if not any(re.search(rf"\bargs\.{action.dest}\b", src) for src in sources):
+                unread.append(f"{name} {'/'.join(action.option_strings) or action.dest}")
+    assert unread == []

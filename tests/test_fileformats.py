@@ -11,6 +11,7 @@ from rvqtok.errors import (
     EmptyInput,
     IndexOutOfRange,
     InvalidConfig,
+    InvalidSample,
     MalformedWire,
     RvqtokError,
     ShapeMismatch,
@@ -28,7 +29,6 @@ from rvqtok.fileformats import (
     read_manifest,
     read_raw_f32,
     read_rvq1,
-    read_special_tokens,
     read_wav,
     stream_record,
     write_afv1,
@@ -42,7 +42,6 @@ from rvqtok.metrics import EvalRecord
 from rvqtok.rvq import Codebook, RvqStack
 from rvqtok.streams import (
     InterleavedStream,
-    SpecialTokens,
     audio_segment,
     build_loss_mask,
     text_segment,
@@ -468,6 +467,71 @@ class TestRvq1Fuzz:
             pass
 
 
+def afv1_bytes(seed, tmp_dir):
+    """A valid AFV1 file from a seed: 0-5 rows of dim 1-4 and a random
+    frame rate; returns its bytes and the offsets of its u32 header words."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    rows = rng.standard_normal((int(rng.integers(0, 6)), int(rng.integers(1, 5))))
+    path = tmp_dir / "valid.afv1"
+    write_afv1(path, rows, float(rng.random()) * 100)
+    return path.read_bytes(), [4, 8]  # T, then D
+
+
+def read_afv1_bytes(data, tmp_dir):
+    path = tmp_dir / "fuzz.afv1"
+    path.write_bytes(data)
+    return read_afv1(path)
+
+
+class TestAfv1Fuzz:
+    """Hostile AFV1 bytes raise toolkit errors and nothing else: a short
+    file is MalformedWire, and a flipped bit or header word either reads
+    (a NaN row or frame rate included) or raises an RvqtokError subclass."""
+
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=40)
+    def test_every_truncation(self, seed, tmp_path_factory):
+        tmp_dir = tmp_path_factory.mktemp("afv1")
+        data, _ = afv1_bytes(seed, tmp_dir)
+        read_afv1_bytes(data, tmp_dir)
+        for cut in range(len(data)):
+            with pytest.raises(MalformedWire):
+                read_afv1_bytes(data[:cut], tmp_dir)
+
+    @given(seed=st.integers(0, 10_000), data=st.data())
+    @settings(max_examples=150)
+    def test_bit_flips(self, seed, data, tmp_path_factory):
+        tmp_dir = tmp_path_factory.mktemp("afv1")
+        valid, _ = afv1_bytes(seed, tmp_dir)
+        flipped = bytearray(valid)
+        for _ in range(data.draw(st.integers(1, 3))):
+            bit = data.draw(st.integers(0, 8 * len(valid) - 1))
+            flipped[bit // 8] ^= 1 << (bit % 8)
+        try:
+            read_afv1_bytes(bytes(flipped), tmp_dir)
+        except RvqtokError:
+            pass
+
+    def test_signalling_nan_row_reads_without_warning(self, tmp_path):
+        # 0x7f800001 is a float32 signalling NaN; its cast must not warn
+        data = struct.pack("<4sIId", AFV1_MAGIC, 1, 2, 12.5) + struct.pack("<2I", 0x7F800001, 0)
+        rows, _ = read_afv1_bytes(data, tmp_path)
+        assert np.isnan(rows[0, 0]) and rows[0, 1] == 0
+
+    @given(seed=st.integers(0, 10_000), data=st.data())
+    @settings(max_examples=150)
+    def test_random_header_words(self, seed, data, tmp_path_factory):
+        tmp_dir = tmp_path_factory.mktemp("afv1")
+        valid, words = afv1_bytes(seed, tmp_dir)
+        at = data.draw(st.sampled_from(words))
+        word = data.draw(st.integers(0, 2**32 - 1))
+        hostile = valid[:at] + struct.pack("<I", word) + valid[at + 4 :]
+        try:
+            read_afv1_bytes(hostile, tmp_dir)
+        except RvqtokError:
+            pass
+
+
 class TestWav:
     def test_round_trip(self, tmp_path, rng):
         samples = np.clip(rng.standard_normal(800) * 0.3, -1, 1)
@@ -515,13 +579,11 @@ class TestWav:
         assert np.array_equal(back.samples, samples.astype(np.float64))
         assert back.sample_rate == 16000
 
-
-class TestSpecialTokens:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "special.json"
-        path.write_text('{"switch_ta": 300, "switch_at": 301}\n')
-        back = read_special_tokens(path)
-        assert back == SpecialTokens(switch_ta=300, switch_at=301)
+    def test_raw_f32_signalling_nan_is_refused_without_warning(self, tmp_path):
+        path = tmp_path / "x.f32"
+        path.write_bytes(struct.pack("<2I", 0, 0x7F800001))  # 0.0, a float32 sNaN
+        with pytest.raises(InvalidSample):
+            read_raw_f32(path, 16000)
 
 
 def sample_stream():
