@@ -393,7 +393,8 @@ def cmd_scorer_plugin(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    # no abbreviations: every option answers only to the spelling it declares
+    common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     common.add_argument("--seed", type=int, default=0, help="global RNG seed")
     common.add_argument(
         "--threads",
@@ -403,11 +404,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     parser = argparse.ArgumentParser(
-        prog="rvqtok", description="speech tokenizer toolkit"
+        prog="rvqtok", description="speech tokenizer toolkit", allow_abbrev=False
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("mel", parents=[common], help="extract stacked mel features")
+    def command(name: str, help: str) -> argparse.ArgumentParser:
+        return sub.add_parser(name, parents=[common], help=help, allow_abbrev=False)
+
+    p = command("mel", "extract stacked mel features")
     p.add_argument("input", help="WAV or raw float32 path")
     p.add_argument("output", help="AFV1 output path")
     p.add_argument("--config", default=None, help="mel config JSON")
@@ -415,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stack", type=int, default=8, help="frame stacking factor")
     p.set_defaults(fn=cmd_mel)
 
-    p = sub.add_parser("train-rvq", parents=[common], help="train codebooks")
+    p = command("train-rvq", "train codebooks")
     p.add_argument("manifest", help="text file of AFV1 paths, one per line")
     p.add_argument("output", help="RVQ1 output path")
     p.add_argument("--config", default=None, help="training config JSON")
@@ -423,13 +427,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", default=None, help="training report JSONL path")
     p.set_defaults(fn=cmd_train_rvq)
 
-    p = sub.add_parser("encode", parents=[common], help="features to tokens")
+    p = command("encode", "features to tokens")
     p.add_argument("features", help="AFV1 input path")
     p.add_argument("codebooks", help="RVQ1 path")
     p.add_argument("output", help="ATK1 output path")
     p.set_defaults(fn=cmd_encode)
 
-    p = sub.add_parser("decode", parents=[common], help="tokens to features")
+    p = command("decode", "tokens to features")
     p.add_argument("tokens", help="ATK1 input path")
     p.add_argument("codebooks", help="RVQ1 path")
     p.add_argument("output", help="AFV1 output path")
@@ -439,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frame-rate", type=float, default=12.5)
     p.set_defaults(fn=cmd_decode)
 
-    p = sub.add_parser("pack", parents=[common], help="assemble interleaved records")
+    p = command("pack", "assemble interleaved records")
     p.add_argument("manifest", help="JSONL manifest path")
     p.add_argument("output", help="records JSONL output path")
     p.add_argument("--format-tag", choices=("INTLV", "ITTS"), default="ITTS")
@@ -447,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stats", default=None, help="stats JSON path")
     p.set_defaults(fn=cmd_pack)
 
-    p = sub.add_parser("eval", parents=[common], help="perplexity-comparison accuracy")
+    p = command("eval", "perplexity-comparison accuracy")
     p.add_argument("records", help="eval records JSONL path")
     p.add_argument("--format", choices=("json", "jsonl"), default="json")
     p.add_argument("--scorer", choices=("perfect", "random", "bigram"), default="perfect")
@@ -456,9 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab-size", type=int, default=0)
     p.set_defaults(fn=cmd_eval)
 
-    p = sub.add_parser(
-        "scorer-plugin", parents=[common], help="serve a built-in scorer over stdio"
-    )
+    p = command("scorer-plugin", "serve a built-in scorer over stdio")
     p.add_argument("--name", choices=("perfect", "random", "bigram"), default="perfect")
     p.add_argument("--bigram-corpus", default=None)
     p.add_argument("--vocab-size", type=int, default=0)

@@ -50,6 +50,7 @@ from .streams import (
     Segment,
     SegmentKind,
     audio_segment,
+    build_loss_mask,
     text_segment,
 )
 from .metrics import EvalRecord
@@ -429,25 +430,45 @@ def stream_record(
     }
 
 
+def _record_segment(seg, frames_by_path) -> Segment:
+    if seg["kind"] == "text":
+        if not _is_int_list(seg["tokens"]):
+            raise TypeError("text tokens must be integer ids")
+        return text_segment(seg["tokens"])
+    if seg["kind"] != "audio":
+        raise MalformedWire(f"unknown segment kind {seg['kind']!r}")
+    ref = seg["frames_ref"]
+    frames = frames_by_path[ref["path"]]
+    start, end = ref["start"], ref["end"]
+    if type(start) is not int or type(end) is not int:
+        raise TypeError("frame range bounds must be integers")
+    if not 0 <= start <= end <= len(frames):
+        raise MalformedWire(f"frame range [{start}, {end}) outside ATK1 of {len(frames)}")
+    return audio_segment(frames[start:end])
+
+
 def load_stream_record(obj: dict, frames_by_path) -> tuple[InterleavedStream, LossMask]:
-    """Rebuild a stream from a record dict and loaded (T, L) ATK1 frames."""
-    segments: list[Segment] = []
-    for seg in obj["segments"]:
-        if seg["kind"] == "text":
-            segments.append(text_segment(seg["tokens"]))
-        elif seg["kind"] == "audio":
-            ref = seg["frames_ref"]
-            frames = frames_by_path[ref["path"]]
-            start, end = int(ref["start"]), int(ref["end"])
-            if not 0 <= start <= end <= len(frames):
-                raise MalformedWire(
-                    f"frame range [{start}, {end}) outside ATK1 of {len(frames)}"
-                )
-            segments.append(audio_segment(frames[start:end]))
-        else:
-            raise MalformedWire(f"unknown segment kind {seg['kind']!r}")
-    stream = InterleavedStream(format_tag=obj["format"], segments=tuple(segments))
-    return stream, LossMask(flags=tuple(bool(f) for f in obj["mask"]))
+    """Rebuild a stream from a record dict and loaded (T, L) ATK1 frames.
+
+    A record that is not the dict stream_record writes (a field missing
+    or of the wrong type, a frames_ref path not in frames_by_path, a
+    frame range outside its ATK1, a mask that is not one JSON boolean
+    per wire position) raises MalformedWire; a stream its format does
+    not allow raises InvalidStream, an unknown format InvalidConfig.
+    """
+    try:
+        segments = tuple(_record_segment(seg, frames_by_path) for seg in obj["segments"])
+        stream = InterleavedStream(format_tag=obj["format"], segments=segments)
+        mask = obj["mask"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MalformedWire(f"stream record: {exc!r}") from exc
+    if not (
+        type(mask) is list
+        and all(type(f) is bool for f in mask)
+        and len(mask) == len(build_loss_mask(stream))
+    ):
+        raise MalformedWire("stream record mask must be one boolean per wire position")
+    return stream, LossMask(flags=tuple(mask))
 
 
 def write_eval_records(path, records: list[EvalRecord]) -> None:

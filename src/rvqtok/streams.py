@@ -6,6 +6,9 @@ external tokenizer. A stream is an alternating run of text and audio
 segments whose layout is fixed by its format tag; on the wire, where
 each audio frame is a tuple of L ints, modality boundaries are marked
 by switch tokens and every audio run ends with one end-of-audio frame.
+deserialize cuts the wire at its switch tokens and accepts only what
+serialize writes: with edge_switches the wire must open and close with
+the switches serialize puts there.
 
 The end-of-audio marker is frame-shaped: layer l uses the special index
 K_l, one past its codebook, so each layer's embedding vocabulary is
@@ -15,18 +18,33 @@ K_l + 1 and the terminator embeds like any other frame.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from .errors import InvalidConfig, InvalidStream, MalformedWire
 
-FORMAT_TAGS = ("ASR", "AQA", "S2TT", "INTLV", "TTS", "ITTS", "PURE_AUDIO")
-
 
 class SegmentKind(enum.Enum):
     TEXT = "text"
     AUDIO = "audio"
+
+
+# Per format tag: its segment layout, a regex over one letter per segment
+# (T text, A audio), and its loss rule, whether the segment at a position
+# and of a kind contributes to the loss. The empty stream fits every layout.
+_FORMATS = {
+    "ASR": ("TAT", lambda pos, kind: pos == 2),
+    "AQA": ("TAT", lambda pos, kind: pos == 2),
+    "S2TT": ("TAT", lambda pos, kind: pos == 2),
+    "INTLV": ("[TA]{2,}", lambda pos, kind: kind is SegmentKind.TEXT),
+    "TTS": ("TA", lambda pos, kind: kind is SegmentKind.AUDIO),
+    "ITTS": ("(TA)+", lambda pos, kind: pos > 0),
+    "PURE_AUDIO": ("A", lambda pos, kind: True),
+}
+FORMAT_TAGS = tuple(_FORMATS)
 
 
 def eoa_frame(layer_sizes) -> tuple[int, ...]:
@@ -90,9 +108,8 @@ class Segment:
                 raise InvalidStream("text segment needs tokens and no frames")
             if any(t < 0 for t in self.tokens):
                 raise InvalidStream("text token ids must be non-negative")
-        else:
-            if not len(self.frames) or self.tokens:
-                raise InvalidStream("audio segment needs frames and no tokens")
+        elif self.kind is not SegmentKind.AUDIO or not len(self.frames) or self.tokens:
+            raise InvalidStream("a non-text segment must be audio, with frames and no tokens")
 
     def __len__(self) -> int:
         return len(self.tokens) if self.kind is SegmentKind.TEXT else len(self.frames)
@@ -119,29 +136,9 @@ def audio_segment(frames) -> Segment:
     return Segment(kind=SegmentKind.AUDIO, frames=frames)
 
 
-def _check_grammar(tag: str, kinds: list[SegmentKind]) -> None:
-    T, A = SegmentKind.TEXT, SegmentKind.AUDIO
-    if not kinds:
-        return  # the empty stream is a degenerate member of every format
-    if tag in ("ASR", "AQA", "S2TT"):
-        if kinds != [T, A, T]:
-            raise InvalidStream(f"{tag} layout must be text, audio, text")
-    elif tag == "TTS":
-        if kinds != [T, A]:
-            raise InvalidStream("TTS layout must be text, audio")
-    elif tag == "PURE_AUDIO":
-        if kinds != [A]:
-            raise InvalidStream("PURE_AUDIO layout must be a single audio segment")
-    elif tag == "ITTS":
-        # one or more (text, audio) pairs
-        if len(kinds) % 2 != 0 or any(
-            k is not (T if i % 2 == 0 else A) for i, k in enumerate(kinds)
-        ):
-            raise InvalidStream("ITTS layout must be text-audio pairs")
-    elif tag == "INTLV":
-        # strict alternation with >= 2 segments; either modality may lead
-        if len(kinds) < 2:
-            raise InvalidStream("INTLV needs at least two segments")
+def _check_grammar(tag: str, layout: str) -> None:
+    if layout and not re.fullmatch(_FORMATS[tag][0], layout):
+        raise InvalidStream(f"{tag} layout must be {_FORMATS[tag][0]}, not {layout}")
 
 
 @dataclass(frozen=True)
@@ -155,10 +152,10 @@ class InterleavedStream:
         object.__setattr__(self, "segments", tuple(self.segments))
         if self.format_tag not in FORMAT_TAGS:
             raise InvalidConfig(f"unknown format tag {self.format_tag!r}")
-        for prev, cur in zip(self.segments, self.segments[1:]):
-            if prev.kind is cur.kind:
-                raise InvalidStream("adjacent segments share a modality")
-        _check_grammar(self.format_tag, [s.kind for s in self.segments])
+        layout = "".join("T" if s.kind is SegmentKind.TEXT else "A" for s in self.segments)
+        if "TT" in layout or "AA" in layout:
+            raise InvalidStream("adjacent segments share a modality")
+        _check_grammar(self.format_tag, layout)
 
     def n_audio_frames(self) -> int:
         return sum(len(s.frames) for s in self.segments)
@@ -203,6 +200,11 @@ class LossMask:
         return len(self.flags)
 
 
+def _switch_kinds(special: SpecialTokens) -> dict[int, SegmentKind]:
+    """Each switch id and the kind of run it opens."""
+    return {special.switch_ta: SegmentKind.AUDIO, special.switch_at: SegmentKind.TEXT}
+
+
 def serialize(
     stream: InterleavedStream,
     special: SpecialTokens,
@@ -218,14 +220,11 @@ def serialize(
     the last; the default wire has no switches at the edges.
     """
     eoa = eoa_frame(layer_sizes)
+    switch = {kind: sid for sid, kind in _switch_kinds(special).items()}
     wire: list = []
-
-    def opening_switch(kind: SegmentKind) -> int:
-        return special.switch_ta if kind is SegmentKind.AUDIO else special.switch_at
-
     for pos, seg in enumerate(stream.segments):
         if pos > 0 or edge_switches:
-            wire.append(opening_switch(seg.kind))
+            wire.append(switch[seg.kind])
         if seg.kind is SegmentKind.TEXT:
             clash = [t for t in seg.tokens if t in special.ids]
             if clash:
@@ -237,12 +236,25 @@ def serialize(
             wire.extend(map(tuple, seg.frames.tolist()))
             wire.append(eoa)
     if edge_switches and stream.segments:
-        last = stream.segments[-1].kind
         # the switch that would transition out of the final modality
-        wire.append(
-            special.switch_ta if last is SegmentKind.TEXT else special.switch_at
-        )
+        text_last = stream.segments[-1].kind is SegmentKind.TEXT
+        wire.append(switch[SegmentKind.AUDIO if text_last else SegmentKind.TEXT])
     return wire
+
+
+def _audio_run(run: list, layer_sizes) -> Segment:
+    """Frames closed by exactly one end-of-audio frame, checked as one block."""
+    if not all(map(isinstance, run, repeat(tuple))):
+        raise MalformedWire("an audio run holds only frame tuples")
+    try:
+        # the safe cast refuses entries serialize never writes, such as floats
+        frames = np.array(run).astype(np.int64, casting="safe")
+        eoa = validate_frames(frames, layer_sizes)
+    except (InvalidStream, TypeError, ValueError) as exc:
+        raise MalformedWire(f"bad audio run: {exc}") from exc
+    if len(run) < 2 or not eoa[-1] or eoa.sum() > 1:
+        raise MalformedWire("an audio run is frames closed by one end-of-audio frame")
+    return audio_segment(frames[:-1])
 
 
 def deserialize(
@@ -253,106 +265,50 @@ def deserialize(
     *,
     edge_switches: bool = False,
 ) -> InterleavedStream:
-    """Parse wire tokens back into a stream; inverse of serialize.
+    """Parse wire tokens back into a stream; the inverse of serialize.
 
     The tag is supplied by the caller since the wire does not carry it.
-    Raises MalformedWire on framing violations: a switch with nothing
-    after it, an audio run without its end-of-audio frame, a frame in
-    text position, or a switch pointing the wrong way. Each audio run is
-    validated as one block once its end-of-audio tuple closes it.
+    The wire is cut into runs at its switch tokens: a text run must be
+    all ids, an audio run frames closed by exactly one end-of-audio
+    frame (validated as one block), and each switch must open the other
+    modality than the run before it. With edge_switches a non-empty wire
+    must open and close with the switches serialize writes there. Other
+    wires raise MalformedWire; a layout the tag forbids, InvalidStream.
     """
-    eoa = eoa_frame(layer_sizes)
-    tokens = list(wire)
-    if edge_switches and tokens:
-        first, last = tokens[0], tokens[-1]
-        if isinstance(first, int) and first in special.ids:
-            tokens = tokens[1:]
-        if tokens and isinstance(last, int) and last in special.ids:
-            tokens = tokens[:-1]
+    wire = list(wire)
+    if not wire:
+        return InterleavedStream(format_tag=format_tag, segments=())
+    opens = _switch_kinds(special)
+    # runs[i] and runs[i + 1] lie either side of a switch opening kinds[i]
+    runs: list[list] = [[]]
+    kinds: list[SegmentKind] = []
+    for item in wire:
+        if isinstance(item, (int, np.integer)) and int(item) in opens:
+            kinds.append(opens[int(item)])
+            runs.append([])
+        else:
+            runs[-1].append(item)
+    if edge_switches:
+        if runs[0] or runs[-1] or len(runs) < 3:
+            raise MalformedWire("wire must open and close with a switch token")
+        kind, runs, closers = kinds[0], runs[1:-1], kinds[1:]
+    else:
+        audio_first = runs[0] and isinstance(runs[0][0], tuple)
+        kind = SegmentKind.AUDIO if audio_first else SegmentKind.TEXT
+        closers = [*kinds, None]
 
     segments: list[Segment] = []
-    text_run: list[int] = []
-    frame_run: list[tuple] = []
-    mode: SegmentKind | None = None  # set by the first payload token
-    run_closed = False  # audio mode only: saw EOA, awaiting switch or end
-
-    def flush_text():
-        if not text_run:
-            raise MalformedWire("empty text run")
-        segments.append(text_segment(text_run))
-        text_run.clear()
-
-    def flush_audio():
-        if not frame_run:
-            raise MalformedWire("empty audio run")
-        try:
-            segment = audio_segment(frame_run)
-            validate_frames(segment.frames, eoa)
-        except InvalidStream as exc:
-            raise MalformedWire(str(exc)) from exc
-        segments.append(segment)
-        frame_run.clear()
-
-    for item in tokens:
-        if isinstance(item, tuple):
-            if mode is SegmentKind.TEXT:
-                raise MalformedWire("audio frame inside a text run")
-            if run_closed:
-                raise MalformedWire("audio frame after end-of-audio")
-            mode = SegmentKind.AUDIO
-            if item == eoa:
-                flush_audio()
-                run_closed = True
-            else:
-                frame_run.append(item)
-        elif isinstance(item, (int, np.integer)):
-            item = int(item)
-            if item == special.switch_ta:
-                if mode is not SegmentKind.TEXT:
-                    raise MalformedWire("text-to-audio switch outside a text run")
-                flush_text()
-                mode = SegmentKind.AUDIO
-                run_closed = False
-            elif item == special.switch_at:
-                if mode is not SegmentKind.AUDIO or not run_closed:
-                    raise MalformedWire("audio-to-text switch outside a closed audio run")
-                mode = SegmentKind.TEXT
-                run_closed = False
-            else:
-                if mode is SegmentKind.AUDIO:
-                    if not run_closed:
-                        raise MalformedWire("text token inside an audio run")
-                    raise MalformedWire("text token after audio without a switch")
-                mode = SegmentKind.TEXT
-                text_run.append(item)
+    for run, closer in zip(runs, closers):
+        if closer is kind:
+            raise MalformedWire(f"switch into {kind.value} after a {kind.value} run")
+        if kind is SegmentKind.AUDIO:
+            segments.append(_audio_run(run, layer_sizes))
+        elif run and all(map(isinstance, run, repeat((int, np.integer)))):
+            segments.append(text_segment(run))
         else:
-            raise MalformedWire(f"unrecognized wire item {item!r}")
-
-    # a dangling trailing switch dies here: switch_ta leaves an open audio
-    # run, switch_at leaves an empty text run
-    if mode is SegmentKind.TEXT:
-        flush_text()
-    elif mode is SegmentKind.AUDIO and not run_closed:
-        raise MalformedWire("wire ends mid-audio-run without end-of-audio")
-
+            raise MalformedWire("a text run is one or more token ids")
+        kind = closer
     return InterleavedStream(format_tag=format_tag, segments=tuple(segments))
-
-
-def _segment_flags(stream: InterleavedStream) -> list[bool]:
-    tag = stream.format_tag
-    flags = []
-    for pos, seg in enumerate(stream.segments):
-        if tag == "INTLV":
-            flags.append(seg.kind is SegmentKind.TEXT)
-        elif tag == "ITTS":
-            flags.append(pos > 0)
-        elif tag in ("ASR", "AQA", "S2TT"):
-            flags.append(pos == 2)
-        elif tag == "TTS":
-            flags.append(seg.kind is SegmentKind.AUDIO)
-        else:  # PURE_AUDIO
-            flags.append(True)
-    return flags
 
 
 def build_loss_mask(stream: InterleavedStream) -> LossMask:
@@ -364,12 +320,10 @@ def build_loss_mask(stream: InterleavedStream) -> LossMask:
     the segment it opens, and an end-of-audio frame the flag of its
     run. Mask length equals the default serialized length.
     """
-    seg_flags = _segment_flags(stream)
+    rule = _FORMATS[stream.format_tag][1]
     flags: list[bool] = []
-    for pos, (seg, flag) in enumerate(zip(stream.segments, seg_flags)):
-        if pos > 0:
-            flags.append(flag)  # the switch opening this segment
-        flags.extend([flag] * len(seg))
-        if seg.kind is SegmentKind.AUDIO:
-            flags.append(flag)  # the end-of-audio frame
+    for pos, seg in enumerate(stream.segments):
+        # the opening switch (none at pos 0), payload and end-of-audio frame
+        n_wire = (pos > 0) + len(seg) + (seg.kind is SegmentKind.AUDIO)
+        flags += [rule(pos, seg.kind)] * n_wire
     return LossMask(flags=tuple(flags))

@@ -1306,6 +1306,10 @@ UNTAKEN = [
             ["scorer-plugin"],
         )
     ),
+    # a prefix of a declared option is not that option
+    ["pack", "m.jsonl", "r.jsonl", "--format-t", "ITTS"],
+    ["pack", "m.jsonl", "r.jsonl", "--group", "2"],
+    ["eval", "e.jsonl", "--scor", "random"],
 ]
 
 
@@ -1319,6 +1323,16 @@ def test_untaken_option_is_usage_error(capsys, tmp_path, monkeypatch, argv):
     assert captured.out == ""
     assert "usage: rvqtok" in captured.err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", ["INTLV", "json"])
+def test_prefix_of_an_option_is_unrecognized(capsys, tmp_path, monkeypatch, value):
+    # --format is a prefix of pack's --format-tag, which it must not stand for
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["pack", "m.jsonl", "r.jsonl", "--format", value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: --format {value}" in capsys.readouterr().err
 
 
 def test_every_option_is_read():

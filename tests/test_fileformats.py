@@ -642,6 +642,129 @@ class TestStreamRecord:
             )
 
 
+def valid_record():
+    """An ITTS record over two ATK1 files, and the frames it refers to."""
+    s = InterleavedStream(
+        format_tag="ITTS",
+        segments=(
+            text_segment([1, 2]),
+            audio_segment([(0, 1), (3, 2)]),
+            text_segment([5]),
+            audio_segment([(2, 2)]),
+        ),
+    )
+    refs = [{"path": "a.atk1", "start": 1, "end": 3}, {"path": "b.atk1", "start": 0, "end": 1}]
+    frames_by_path = {
+        "a.atk1": np.array([(9, 9), (0, 1), (3, 2)], dtype=np.int64),
+        "b.atk1": np.array([(2, 2)], dtype=np.int64),
+    }
+    return stream_record(s, build_loss_mask(s), refs), frames_by_path
+
+
+def json_paths(node, path=()):
+    """The key or index path of every value inside a JSON tree."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from json_paths(value, path + (key,))
+
+
+DROP = object()
+
+
+def edited(obj, path, value):
+    """A deep copy of obj with the value at path replaced, or dropped."""
+    obj = json.loads(json.dumps(obj))
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return obj
+
+
+HOSTILE_VALUES = [None, "x", "", 1.5, -1, 0, True, 10**30, [], [1], ["a"], {}]
+HOSTILE_VALUES += [{"kind": "text"}, {"kind": "audio"}]
+
+
+class TestStreamRecordFuzz:
+    """Hostile stream records raise toolkit errors and nothing else: each
+    key dropped, each value swapped for another JSON type, each list cut
+    short. A valid record loads as written."""
+
+    def load(self, obj, frames_by_path):
+        try:
+            stream, mask = load_stream_record(obj, frames_by_path)
+        except RvqtokError:
+            return
+        assert len(mask) == len(build_loss_mask(stream))
+
+    def test_valid_record_loads(self):
+        obj, frames_by_path = valid_record()
+        stream, mask = load_stream_record(obj, frames_by_path)
+        refs = [seg["frames_ref"] for seg in obj["segments"] if seg["kind"] == "audio"]
+        assert stream_record(stream, mask, refs) == obj
+
+    def test_every_key_or_item_dropped(self):
+        obj, frames_by_path = valid_record()
+        for path in json_paths(obj):
+            self.load(edited(obj, path, DROP), frames_by_path)
+
+    @pytest.mark.parametrize("value", HOSTILE_VALUES, ids=repr)
+    def test_every_value_swapped(self, value):
+        obj, frames_by_path = valid_record()
+        for path in json_paths(obj):
+            self.load(edited(obj, path, value), frames_by_path)
+
+    def test_every_list_truncated(self):
+        obj, frames_by_path = valid_record()
+        for path in json_paths(obj):
+            value = obj
+            for key in path:
+                value = value[key]
+            if isinstance(value, list):
+                for cut in range(len(value)):
+                    self.load(edited(obj, path, value[:cut]), frames_by_path)
+
+    @pytest.mark.parametrize("value", HOSTILE_VALUES, ids=repr)
+    def test_hostile_top_level(self, value):
+        with pytest.raises(MalformedWire):
+            load_stream_record(value, valid_record()[1])
+
+    def test_named_faults_are_malformed(self):
+        obj, frames_by_path = valid_record()
+        for bad in [
+            {},
+            {**obj, "segments": 3},
+            [obj],
+            edited(obj, ("segments", 1, "frames_ref", "start"), "x"),
+            edited(obj, ("segments", 1, "frames_ref", "path"), "c.atk1"),
+            {**obj, "mask": "abc"},
+            {**obj, "mask": [1] * len(obj["mask"])},
+            {**obj, "mask": obj["mask"][:-1]},
+            {**obj, "mask": obj["mask"] + [True]},
+        ]:
+            with pytest.raises(MalformedWire):
+                load_stream_record(bad, frames_by_path)
+
+    def test_mask_length_is_the_wire_length(self):
+        # two frames and their end-of-audio frame: three wire positions
+        ref = {"path": "a.atk1", "start": 0, "end": 2}
+        record = {
+            "format": "PURE_AUDIO",
+            "segments": [{"kind": "audio", "frames_ref": ref}],
+            "mask": [True],
+        }
+        frames_by_path = {"a.atk1": np.zeros((2, 2), dtype=np.int64)}
+        with pytest.raises(MalformedWire):
+            load_stream_record(record, frames_by_path)
+        stream, mask = load_stream_record({**record, "mask": [True] * 3}, frames_by_path)
+        assert mask.flags == (True, True, True)
+
+
 class TestEvalRecordsFile:
     def records(self):
         return [

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rvqtok.errors import InvalidConfig, InvalidStream, MalformedWire
+from rvqtok.errors import InvalidConfig, InvalidStream, MalformedWire, RvqtokError
 from rvqtok.streams import (
     FORMAT_TAGS,
     InterleavedStream,
@@ -22,6 +22,7 @@ from rvqtok.streams import (
 SIZES = (8, 4, 4)
 SPECIAL = SpecialTokens(switch_ta=100, switch_at=101)
 EOA = eoa_frame(SIZES)
+TA, AT = SPECIAL.switch_ta, SPECIAL.switch_at
 
 
 def frame(*indices):
@@ -94,6 +95,12 @@ class TestSegment:
     def test_mixed_payload_rejected(self):
         with pytest.raises(InvalidStream):
             Segment(kind=SegmentKind.TEXT, tokens=(1,), frames=(frame(0, 0, 0),))
+
+    def test_kind_must_be_a_segment_kind(self):
+        # a stream's layout and its switch tokens both read the kind
+        for kind in ("audio", None):
+            with pytest.raises(InvalidStream):
+                Segment(kind=kind, frames=(frame(0, 0, 0),))
 
     def test_frames_are_read_only_int64(self):
         source = np.array([[0, 1, 2]])
@@ -374,6 +381,56 @@ class TestDeserialize:
         wire = serialize(s, SPECIAL, SIZES)
         assert deserialize(wire, tag, SPECIAL, SIZES) == s
         assert len(build_loss_mask(s)) == len(wire)
+
+    def test_non_integer_frame_entries(self):
+        # numpy would truncate 1.5 and parse "3"; serialize writes neither
+        for bad in [frame(1.5, 0, 0), frame("3", 0, 0), frame(8.0, 4, 4)]:
+            with pytest.raises(MalformedWire):
+                deserialize([frame(1, 1, 1), bad, EOA], "PURE_AUDIO", SPECIAL, SIZES)
+            with pytest.raises(MalformedWire):
+                deserialize([frame(1, 1, 1), bad], "PURE_AUDIO", SPECIAL, SIZES)
+
+    @pytest.mark.parametrize(
+        "wire",
+        [
+            # the opening switch points at audio, the run it opens is text
+            [TA, 1, 2, TA, frame(0, 1, 2), EOA, AT],
+            [1, 2, TA, frame(0, 1, 2), EOA],  # no edge switches
+            [TA],  # serialize writes [] for the empty stream
+            [AT, TA],
+        ],
+    )
+    def test_edge_switches_are_the_ones_serialize_writes(self, wire):
+        with pytest.raises(MalformedWire):
+            deserialize(wire, "TTS", SPECIAL, SIZES, edge_switches=True)
+
+    @given(seed=st.integers(0, 10_000), edge=st.booleans(), data=st.data())
+    @settings(max_examples=400)
+    def test_parser_is_exact_inverse(self, seed, edge, data):
+        """A valid wire with one item deleted, inserted, duplicated or
+        substituted either raises a toolkit error or parses to a stream
+        that serializes back to the edited wire, item for item."""
+        rng = np.random.Generator(np.random.PCG64(seed))
+        tag = FORMAT_TAGS[int(rng.integers(len(FORMAT_TAGS)))]
+        wire = serialize(random_stream(tag, rng), SPECIAL, SIZES, edge_switches=edge)
+        at = data.draw(st.integers(0, len(wire) - 1))
+        item = data.draw(st.sampled_from(WIRE_ITEMS))
+        for edited in (
+            wire[:at] + wire[at + 1 :],  # delete
+            wire[:at] + [item] + wire[at:],  # insert
+            wire[: at + 1] + wire[at:],  # duplicate
+            wire[:at] + [item] + wire[at + 1 :],  # substitute
+        ):
+            try:
+                s = deserialize(edited, tag, SPECIAL, SIZES, edge_switches=edge)
+            except RvqtokError:
+                continue
+            assert serialize(s, SPECIAL, SIZES, edge_switches=edge) == edited
+
+
+# items a hostile edit may put on the wire: ids, switches, frames valid or not
+WIRE_ITEMS = [0, 7, -1, np.int64(5), TA, AT, frame(0, 1, 2), EOA, frame(8, 0, 0), frame(1, 1)]
+WIRE_ITEMS += [frame(1.5, 0, 0), frame("3", 0, 0), [0, 0, 0], "text", None]
 
 
 def random_text(rng):
