@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import shlex
 import sys
 from dataclasses import fields
@@ -51,7 +50,6 @@ from . import rvq
 from .rvq import (
     DropoutConfig,
     GumbelConfig,
-    GUMBEL_OFF,
     TrainingSchedule,
     decode_frames,
     encode_blocks,
@@ -74,49 +72,12 @@ def _emit(obj: dict) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
-# JSON value types a config field of each annotated type accepts: a bool
-# is not a number, and an int passes where a float is wanted.
-_JSON_TYPES = {
-    "int": (int,),
-    "float": (int, float),
-    "bool": (bool,),
-    "str": (str,),
-    "object": (dict,),
-    "object or null": (dict, type(None)),
-}
-
-
-def _in_range(value, want: str) -> bool:
-    """A JSON number fits what a field of type want is read into: a
-    float64 for a float field, an int64 for an int field."""
-    if type(value) is not int:
-        return True
-    if want == "float":
-        return abs(value) <= sys.float_info.max
-    return -(2**63) <= value < 2**63
-
-
-def _checked(doc, types: dict[str, str], what: str) -> dict:
-    """doc, once it is a JSON object whose keys are all in types and whose
-    values have the named types and fit them; anything else is
-    InvalidConfig."""
-    if not isinstance(doc, dict):
-        raise InvalidConfig(f"{what} must be a JSON object")
-    for key, value in doc.items():
-        if key not in types:
-            raise InvalidConfig(f"unknown {what} key {key!r}")
-        want = types[key]
-        if want == "list of int":
-            ok = ff._is_int_list(value)
-        else:
-            ok = type(value) in _JSON_TYPES[want]
-        if not ok:
-            raise InvalidConfig(f"{what} key {key!r} must be {want}, got {value!r}")
-        if type(value) is float and not math.isfinite(value):
-            raise InvalidConfig(f"{what} key {key!r} must be finite, got {value!r}")
-        numbers = value if want == "list of int" else [value]
-        if not all(_in_range(v, want) for v in numbers):
-            raise InvalidConfig(f"{what} key {key!r} holds a number too large for {want}")
+def _config(doc, types: dict[str, str], what: str) -> dict:
+    """doc, once ff.check_fields passes it and it holds no key outside
+    types; anything else is InvalidConfig."""
+    unknown = ff.check_fields(doc, types, what).keys() - types
+    if unknown:
+        raise InvalidConfig(f"unknown key {min(unknown)!r} in {what}")
     return doc
 
 
@@ -131,7 +92,7 @@ def _load_json(path, types: dict[str, str], what: str) -> dict:
         doc = json.loads(Path(path).read_text())
     except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise InvalidConfig(f"{what} is not JSON: {exc}") from exc
-    return _checked(doc, types, what)
+    return _config(doc, types, what)
 
 
 def _open_audio(path: str, raw_rate: int | None):
@@ -202,12 +163,11 @@ def _train_configs(doc: dict):
     # fields of these configs are not keys here
     def config(cls, key):
         types = {k: v for k, v in _field_types(cls).items() if k != "seed"}
-        return cls(**_checked(doc.get(key) or {}, types, key))
+        return cls(**_config(doc.get(key) or {}, types, key))
 
-    schedule = config(TrainingSchedule, "schedule")
-    gumbel = config(GumbelConfig, "gumbel") if doc.get("gumbel") else GUMBEL_OFF
-    dropout = config(DropoutConfig, "dropout") if doc.get("dropout") else None
-    return schedule, gumbel, dropout
+    # only null or an absent key turns dropout off; {} takes its defaults
+    dropout = config(DropoutConfig, "dropout") if doc.get("dropout") is not None else None
+    return config(TrainingSchedule, "schedule"), config(GumbelConfig, "gumbel"), dropout
 
 
 def cmd_train_rvq(args) -> int:
@@ -303,6 +263,8 @@ def _pack_groups(rows: list[dict], tag: str, group_size: int):
 
 
 def cmd_pack(args) -> int:
+    if args.group_size < 1:
+        raise InvalidConfig(f"group size must be >= 1, got {args.group_size}")
     rows = ff.read_manifest(args.manifest)
 
     atk1_cache: dict[str, np.ndarray] = {}
@@ -360,7 +322,7 @@ def _builtin_scorer(name: str, args):
     corpus = None
     # without a vocab size, builtin_scorer refuses the bigram config (exit 3)
     if name == "bigram" and args.bigram_corpus and args.vocab_size >= 1:
-        corpus = ff._read_token_lists(args.bigram_corpus, args.vocab_size)
+        corpus = ff.read_token_lists(args.bigram_corpus, args.vocab_size)
     return builtin_scorer(
         name, seed=args.seed, corpus=corpus, vocab_size=args.vocab_size
     )

@@ -21,6 +21,9 @@ codewords as the read-only float32 array they are stored as.
 WAV and raw float32 audio open as a ``SampleSource`` whose samples are
 read by range, never all at once. JSON sidecars: interleaved records,
 eval records, and manifests as JSON-lines; stats as a single object.
+``check_fields`` checks the fields of every JSON document (configs,
+manifest lines, eval and stream records) against one table of type
+names, which token lists share.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import json
 import math
 import os
 import struct
+import sys
 import wave
 from typing import Callable, NamedTuple
 
@@ -119,6 +123,8 @@ def afv1_writer(path, n_rows: int, dim: int, frame_rate: float):
 
     if not (0 <= n_rows < 2**32 and 0 <= dim < 2**32):
         raise ShapeMismatch(f"AFV1 stores rows and dim as u32, got {n_rows} x {dim}")
+    if not 0 < frame_rate < math.inf:
+        raise InvalidConfig(f"AFV1 frame rate must be finite and positive, got {frame_rate}")
     header = _AFV1_HEADER.pack(AFV1_MAGIC, n_rows, dim, frame_rate)
     return _staged_rows(path, header, n_rows, rows, "AFV1")
 
@@ -152,6 +158,8 @@ def open_afv1(path):
         )
         if magic != AFV1_MAGIC:
             raise MalformedWire(f"bad magic {magic!r}, expected AFV1")
+        if not 0 < frame_rate < math.inf:
+            raise MalformedWire(f"AFV1 frame rate {frame_rate} is not finite and positive")
         if fh.seekable():
             extra = os.fstat(fh.fileno()).st_size - fh.tell() - 4 * t * d
             if extra < 0:
@@ -355,7 +363,54 @@ def read_raw_f32(path, sample_rate: int) -> AudioBuffer:
         return AudioBuffer(source.read(0, source.n_samples), sample_rate)
 
 
-# ------------------------------------------------------------- JSONL
+# ------------------------------------------------------------- JSON
+
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
+def _is_int64_list(v) -> bool:
+    # one C-level pass each for the types, the least and the greatest value
+    return (
+        type(v) is list
+        and {int}.issuperset(map(type, v))
+        and (not v or _INT64_MIN <= min(v) and max(v) <= _INT64_MAX)
+    )
+
+
+# What each field type name accepts of a JSON value: a bool is not a
+# number, an int passes where a float is wanted, a float must be finite,
+# and every number must fit the int64 or float64 it is read into.
+_JSON_TESTS = {
+    "str": lambda v: type(v) is str,
+    "bool": lambda v: type(v) is bool,
+    "int": lambda v: type(v) is int and _INT64_MIN <= v <= _INT64_MAX,
+    "float": lambda v: (
+        math.isfinite(v) if type(v) is float else type(v) is int and abs(v) <= sys.float_info.max
+    ),
+    "list of int": _is_int64_list,
+    "list of bool": lambda v: type(v) is list and {bool}.issuperset(map(type, v)),
+    "list of list of int": lambda v: type(v) is list and all(map(_is_int64_list, v)),
+    "list of object": lambda v: type(v) is list and {dict}.issuperset(map(type, v)),
+    "object": lambda v: type(v) is dict,
+    "object or null": lambda v: v is None or type(v) is dict,
+}
+
+
+def check_fields(doc, types: dict[str, str], what: str, required=()) -> dict:
+    """doc, once it is a JSON object whose keys in types hold values of the
+    named types (keys of _JSON_TESTS) and which lacks none of the keys of
+    types named in required; anything else is InvalidConfig naming the
+    key. Keys outside types are left alone."""
+    if type(doc) is not dict:
+        raise InvalidConfig(f"{what} must be a JSON object")
+    for key, want in types.items():
+        if key in doc:
+            if not _JSON_TESTS[want](doc[key]):
+                raise InvalidConfig(f"{key} must be {want} in {what}")
+        elif key in required:
+            raise InvalidConfig(f"{key} missing from {what}")
+    return doc
+
 
 def _read_jsonl(path, what: str):
     """Yield (line number, value) for each non-blank line of a JSON-lines
@@ -373,24 +428,13 @@ def _read_jsonl(path, what: str):
             yield line_no, obj
 
 
-_INT_ONLY = frozenset((int,))
-
-
-def _is_int_list(values) -> bool:
-    """values is a JSON list of integers; a bool is not an integer here."""
-    return type(values) is list and _INT_ONLY.issuperset(map(type, values))
-
-
-def _read_token_lists(path, vocab_size: int) -> list[list[int]]:
+def read_token_lists(path, vocab_size: int) -> list[list[int]]:
     """A JSON-lines file of token-id lists in [0, vocab_size), such as a
     bigram corpus."""
     lists = []
     for line_no, obj in _read_jsonl(path, "token list"):
-        if not _is_int_list(obj):
-            raise MalformedWire(f"token list line {line_no}: want a list of integer ids")
-        for tok in obj:
-            if not 0 <= tok < vocab_size:
-                raise MalformedWire(f"token list line {line_no}: token {tok} outside vocab")
+        if not (_JSON_TESTS["list of int"](obj) and all(0 <= t < vocab_size for t in obj)):
+            raise MalformedWire(f"token list line {line_no}: want ids in [0, {vocab_size})")
         lists.append(obj)
     return lists
 
@@ -430,18 +474,20 @@ def stream_record(
     }
 
 
+_RECORD_FIELDS = {"format": "str", "segments": "list of object", "mask": "list of bool"}
+_SEGMENT_FIELDS = {"kind": "str", "tokens": "list of int", "frames_ref": "object"}
+_FRAMES_REF_FIELDS = {"path": "str", "start": "int", "end": "int"}
+
+
 def _record_segment(seg, frames_by_path) -> Segment:
+    check_fields(seg, _SEGMENT_FIELDS, "segment", required=("kind",))
     if seg["kind"] == "text":
-        if not _is_int_list(seg["tokens"]):
-            raise TypeError("text tokens must be integer ids")
         return text_segment(seg["tokens"])
     if seg["kind"] != "audio":
         raise MalformedWire(f"unknown segment kind {seg['kind']!r}")
-    ref = seg["frames_ref"]
+    ref = check_fields(seg["frames_ref"], _FRAMES_REF_FIELDS, "frames_ref", _FRAMES_REF_FIELDS)
     frames = frames_by_path[ref["path"]]
     start, end = ref["start"], ref["end"]
-    if type(start) is not int or type(end) is not int:
-        raise TypeError("frame range bounds must be integers")
     if not 0 <= start <= end <= len(frames):
         raise MalformedWire(f"frame range [{start}, {end}) outside ATK1 of {len(frames)}")
     return audio_segment(frames[start:end])
@@ -457,18 +503,14 @@ def load_stream_record(obj: dict, frames_by_path) -> tuple[InterleavedStream, Lo
     not allow raises InvalidStream, an unknown format InvalidConfig.
     """
     try:
+        check_fields(obj, _RECORD_FIELDS, "stream record", _RECORD_FIELDS)
         segments = tuple(_record_segment(seg, frames_by_path) for seg in obj["segments"])
-        stream = InterleavedStream(format_tag=obj["format"], segments=segments)
-        mask = obj["mask"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, InvalidConfig) as exc:
         raise MalformedWire(f"stream record: {exc!r}") from exc
-    if not (
-        type(mask) is list
-        and all(type(f) is bool for f in mask)
-        and len(mask) == len(build_loss_mask(stream))
-    ):
+    stream = InterleavedStream(format_tag=obj["format"], segments=segments)
+    if len(obj["mask"]) != len(build_loss_mask(stream)):
         raise MalformedWire("stream record mask must be one boolean per wire position")
-    return stream, LossMask(flags=tuple(mask))
+    return stream, LossMask(flags=tuple(obj["mask"]))
 
 
 def write_eval_records(path, records: list[EvalRecord]) -> None:
@@ -486,16 +528,7 @@ def write_eval_records(path, records: list[EvalRecord]) -> None:
             )
 
 
-def _eval_record(obj) -> EvalRecord:
-    prefix, candidates, positive = obj["prefix"], obj["candidates"], obj["positive"]
-    if not (
-        _is_int_list(prefix)
-        and type(candidates) is list
-        and all(map(_is_int_list, candidates))
-        and type(positive) is int
-    ):
-        raise TypeError("prefix and candidates must hold integer ids, positive an integer")
-    return EvalRecord(tuple(prefix), tuple(map(tuple, candidates)), positive)
+_EVAL_FIELDS = {"prefix": "list of int", "candidates": "list of list of int", "positive": "int"}
 
 
 def read_eval_records(path) -> list[EvalRecord]:
@@ -504,45 +537,21 @@ def read_eval_records(path) -> list[EvalRecord]:
     records = []
     for line_no, obj in _read_jsonl(path, "eval record"):
         try:
-            records.append(_eval_record(obj))
-        except (KeyError, TypeError, InvalidConfig) as exc:
+            check_fields(obj, _EVAL_FIELDS, "eval record", _EVAL_FIELDS)
+            candidates = tuple(map(tuple, obj["candidates"]))
+            records.append(EvalRecord(tuple(obj["prefix"]), candidates, obj["positive"]))
+        except InvalidConfig as exc:
             raise MalformedWire(f"eval record line {line_no}: {exc}") from exc
     if not records:
         raise EmptyInput("no eval records in file")
     return records
 
 
-_MANIFEST_KEYS = frozenset(("text", "atk1_path", "frame_range", "duration_s"))
-
-
-def _finite_number(value) -> bool:
-    """value is a JSON number that a float holds finitely; an int too large
-    for a float is not."""
-    if type(value) not in (int, float):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
-
-
-def _manifest_problem(obj) -> str | None:
-    if not isinstance(obj, dict):
-        return "not a JSON object"
-    if not _MANIFEST_KEYS <= obj.keys():
-        return f"missing {sorted(_MANIFEST_KEYS - obj.keys())}"
-    if not (
-        type(obj["text"]) is str
-        and type(obj["atk1_path"]) is str
-        and type(obj.get("provenance", "")) is str
-    ):
-        return "text, atk1_path and provenance must be strings"
-    frame_range = obj["frame_range"]
-    if not (_is_int_list(frame_range) and len(frame_range) == 2):
-        return "frame_range must be two integers"
-    if not _finite_number(obj["duration_s"]):
-        return "duration_s must be a finite number"
-    return None
+_MANIFEST_FIELDS = {
+    "text": "str", "atk1_path": "str", "frame_range": "list of int", "duration_s": "float",
+    "provenance": "str",
+}
+_MANIFEST_REQUIRED = ("text", "atk1_path", "frame_range", "duration_s")
 
 
 def read_manifest(path) -> list[dict]:
@@ -550,9 +559,12 @@ def read_manifest(path) -> list[dict]:
     a line with a field missing or of the wrong type is MalformedWire naming it."""
     rows = []
     for line_no, obj in _read_jsonl(path, "manifest"):
-        problem = _manifest_problem(obj)
-        if problem:
-            raise MalformedWire(f"manifest line {line_no}: {problem}")
+        try:
+            check_fields(obj, _MANIFEST_FIELDS, "manifest row", _MANIFEST_REQUIRED)
+            if len(obj["frame_range"]) != 2:
+                raise InvalidConfig("frame_range must be two integers")
+        except InvalidConfig as exc:
+            raise MalformedWire(f"manifest line {line_no}: {exc}") from exc
         obj.setdefault("provenance", "synthetic")
         obj["line_no"] = line_no
         rows.append(obj)

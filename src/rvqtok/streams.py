@@ -53,13 +53,16 @@ def eoa_frame(layer_sizes) -> tuple[int, ...]:
 
 
 def frame_array(frames) -> np.ndarray:
-    """Frames as a read-only int64 (n, L) copy; an empty sequence is (0, 0)."""
+    """Frames as a read-only int64 (n, L) copy; an empty sequence is (0, 0).
+    The safe cast refuses entries that are not integers, such as floats."""
     try:
-        arr = np.array(frames, dtype=np.int64)
-    except (TypeError, ValueError, OverflowError) as exc:
+        arr = np.asarray(frames)
+        if arr.shape == (0,):
+            arr = np.empty((0, 0), dtype=np.int64)
+        else:
+            arr = arr.astype(np.int64, casting="safe")
+    except (TypeError, ValueError) as exc:
         raise InvalidStream(f"frames must be an (n, L) integer array: {exc}") from exc
-    if arr.shape == (0,):
-        arr = arr.reshape(0, 0)
     if arr.ndim != 2:
         raise InvalidStream(f"frames must be an (n, L) integer array, got {arr.shape}")
     arr.setflags(write=False)
@@ -101,7 +104,10 @@ class Segment:
     frames: np.ndarray = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "tokens", tuple(int(t) for t in self.tokens))
+        tokens = tuple(self.tokens)
+        if not all(map(isinstance, tokens, repeat((int, np.integer)))):
+            raise InvalidStream("text tokens must be integer ids")
+        object.__setattr__(self, "tokens", tuple(map(int, tokens)))
         object.__setattr__(self, "frames", frame_array(self.frames))
         if self.kind is SegmentKind.TEXT:
             if not self.tokens or len(self.frames):
@@ -247,10 +253,9 @@ def _audio_run(run: list, layer_sizes) -> Segment:
     if not all(map(isinstance, run, repeat(tuple))):
         raise MalformedWire("an audio run holds only frame tuples")
     try:
-        # the safe cast refuses entries serialize never writes, such as floats
-        frames = np.array(run).astype(np.int64, casting="safe")
+        frames = frame_array(run)
         eoa = validate_frames(frames, layer_sizes)
-    except (InvalidStream, TypeError, ValueError) as exc:
+    except InvalidStream as exc:
         raise MalformedWire(f"bad audio run: {exc}") from exc
     if len(run) < 2 or not eoa[-1] or eoa.sum() > 1:
         raise MalformedWire("an audio run is frames closed by one end-of-audio frame")

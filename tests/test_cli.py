@@ -252,6 +252,25 @@ class TestTrainRvq:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_empty_dropout_takes_its_defaults(self, capsys, tmp_path, feature_corpus):
+        manifest, _ = feature_corpus
+        # every sample routed through the quantizer, so dropout shows in the bytes
+        schedule = {"total_steps": 4, "replace_start": 1.0}
+        books = {}
+        for name, dropout in [
+            ("empty", {}),
+            ("defaults", {"keep_prob_per_layer": 0.5, "mode": "independent"}),
+            ("null", None),
+        ]:
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps({**TRAIN_CFG, "schedule": schedule, "dropout": dropout}))
+            out = tmp_path / f"{name}.rvq1"
+            code, _, _ = run(capsys, "train-rvq", manifest, out, "--config", cfg, "--seed", 3)
+            assert code == 0
+            books[name] = out.read_bytes()
+        assert books["empty"] == books["defaults"]
+        assert books["empty"] != books["null"]
+
     def test_dim_disagreement(self, capsys, tmp_path, rng):
         p1, p2 = tmp_path / "a.afv1", tmp_path / "b.afv1"
         write_afv1(p1, rng.standard_normal((10, 4)), 12.5)
@@ -365,6 +384,16 @@ class TestEncodeDecode:
                 capsys, "decode", tokens, books, tmp_path / "r.afv1", "--unstack", bad
             )
             assert code == 3
+
+    @pytest.mark.parametrize("rate", ["nan", "inf", "0", "-5"])
+    def test_decode_rejects_bad_frame_rate(self, capsys, tmp_path, trained, rate):
+        feats, books, _ = trained
+        tokens = tmp_path / "x.atk1"
+        run(capsys, "encode", feats, books, tokens)
+        out = tmp_path / "r.afv1"
+        argv = ["decode", tokens, books, out, "--unstack", 1, "--frame-rate", rate]
+        code, lines, _ = run(capsys, *argv)
+        assert (code, lines, out.exists()) == (3, [], False)
 
     def test_decode_skips_eoa_with_warning(self, capsys, tmp_path, trained):
         _, books, _ = trained
@@ -805,6 +834,14 @@ class TestPack:
         code, _, err = run(capsys, "pack", manifest, tmp_path / "r.jsonl")
         assert code == 4
         assert "line 2" in err
+
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_group_size_below_one(self, capsys, tmp_path, size):
+        # refused before the manifest is read: a missing one would exit 2
+        out = tmp_path / "r.jsonl"
+        code, lines, err = run(capsys, "pack", tmp_path / "none.jsonl", out, "--group-size", size)
+        assert (code, lines, out.exists()) == (3, [], False)
+        assert "group size" in err
 
     def test_byte_identical_runs(self, capsys, tmp_path, packable):
         manifest, _ = packable

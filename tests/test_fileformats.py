@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rvqtok import cli
 from rvqtok.errors import (
     EmptyInput,
     IndexOutOfRange,
@@ -29,6 +30,7 @@ from rvqtok.fileformats import (
     read_manifest,
     read_raw_f32,
     read_rvq1,
+    read_token_lists,
     read_wav,
     stream_record,
     write_afv1,
@@ -485,8 +487,18 @@ def read_afv1_bytes(data, tmp_dir):
 
 class TestAfv1Fuzz:
     """Hostile AFV1 bytes raise toolkit errors and nothing else: a short
-    file is MalformedWire, and a flipped bit or header word either reads
-    (a NaN row or frame rate included) or raises an RvqtokError subclass."""
+    file or a frame rate that is not finite and positive is MalformedWire,
+    and a flipped bit or header word either reads (a NaN row included) or
+    raises an RvqtokError subclass."""
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), -float("inf"), 0.0, -5.0])
+    def test_frame_rate_not_finite_and_positive(self, tmp_path, rate):
+        with pytest.raises(InvalidConfig):
+            write_afv1(tmp_path / "x.afv1", np.ones((1, 2)), rate)
+        assert list(tmp_path.iterdir()) == []
+        data = struct.pack("<4sIId", AFV1_MAGIC, 1, 2, rate) + struct.pack("<2f", 0, 0)
+        with pytest.raises(MalformedWire, match="frame rate"):
+            read_afv1_bytes(data, tmp_path)
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=40)
@@ -986,3 +998,95 @@ class TestJsonlFuzz:
         lines[2] = json.dumps(row)
         with pytest.raises(MalformedWire, match="line 3: duration_s"):
             read_bytes_with(read_manifest, "\n".join(lines).encode(), tmp_path)
+
+
+# values the shared type rules refuse where an int is wanted: a bool, ints
+# outside int64, one outside float64 too, and NaN, which json.loads accepts
+INT_REFUSED = {
+    "true": True,
+    "2**63": 2**63,
+    "-2**63-1": -(2**63) - 1,
+    "1e400": 10**400,
+    "nan": float("nan"),
+}
+# and where a float is wanted: an int passes, but not one outside float64
+FLOAT_REFUSED = {
+    "true": True,
+    "1e400": 10**400,
+    "-1e400": -(10**400),
+    "nan": float("nan"),
+    "inf": float("inf"),
+}
+
+
+def load_config(text, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    return cli._train_configs(cli._load_json(path, cli._TRAIN_KEYS, "train-rvq config"))
+
+
+def load_line_with(read):
+    def load(text, tmp_path):
+        path = tmp_path / "doc.jsonl"
+        path.write_text(text + "\n")
+        return read(path)
+
+    return load
+
+
+# per document kind: a valid document, how it loads, the error that refuses
+# it, and the paths of its int and its float values
+DOCUMENTS = {
+    "config": (
+        {"epochs": 1, "layer_sizes": [8], "ema_decay": 0.9, "schedule": {"total_steps": 4}},
+        load_config,
+        InvalidConfig,
+        [("epochs",), ("layer_sizes", 0), ("schedule", "total_steps")],
+        [("ema_decay",), ("norm_beta",), ("schedule", "replace_end")],
+    ),
+    "manifest line": (
+        {"text": "a.", "atk1_path": "a.atk1", "frame_range": [0, 4], "duration_s": 0.3},
+        load_line_with(read_manifest),
+        MalformedWire,
+        [("frame_range", 0), ("frame_range", 1)],
+        [("duration_s",)],
+    ),
+    "eval record": (
+        {"prefix": [1], "candidates": [[2], [3, 4]], "positive": 0},
+        load_line_with(read_eval_records),
+        MalformedWire,
+        [("prefix", 0), ("candidates", 1, 1), ("positive",)],
+        [],
+    ),
+    "stream record": (
+        valid_record()[0],
+        lambda text, _: load_stream_record(json.loads(text), valid_record()[1]),
+        MalformedWire,
+        [("segments", 0, "tokens", 1), ("segments", 1, "frames_ref", "start")],
+        [],
+    ),
+    "token list": (
+        [1, 2],
+        load_line_with(lambda path: read_token_lists(path, 16)),
+        MalformedWire,
+        [(1,)],
+        [],
+    ),
+}
+TYPE_RULE_CASES = [
+    pytest.param(kind, at, value, id=f"{kind}-{'.'.join(map(str, at))}-{name}")
+    for kind, (_, _, _, ints, floats) in DOCUMENTS.items()
+    for slots, refused in ((ints, INT_REFUSED), (floats, FLOAT_REFUSED))
+    for at in slots
+    for name, value in refused.items()
+]
+
+
+@pytest.mark.parametrize("kind, at, value", TYPE_RULE_CASES)
+def test_type_rules_shared_by_every_document(tmp_path, kind, at, value):
+    """One set of type rules holds in configs and data lines alike; each
+    document refuses a value it breaks with its own error."""
+    doc, load, error, _, _ = DOCUMENTS[kind]
+    load(json.dumps(doc), tmp_path)
+    with pytest.raises(error):
+        load(json.dumps(edited(doc, at, value)), tmp_path)

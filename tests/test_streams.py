@@ -96,6 +96,16 @@ class TestSegment:
         with pytest.raises(InvalidStream):
             Segment(kind=SegmentKind.TEXT, tokens=(1,), frames=(frame(0, 0, 0),))
 
+    def test_payloads_are_checked_not_cast(self):
+        # a cast would hold (1, 0, 0) and (2, 3); deserialize refuses both
+        for frames in ([frame(1.5, 0, 0)], [frame("3", 0, 0)], [frame(2**70, 0, 0)]):
+            with pytest.raises(InvalidStream):
+                audio_segment(frames)
+        for tokens in ([2.7], ["3"], [1, None]):
+            with pytest.raises(InvalidStream):
+                text_segment(tokens)
+        assert text_segment([np.int32(4), 5]).tokens == (4, 5)
+
     def test_kind_must_be_a_segment_kind(self):
         # a stream's layout and its switch tokens both read the kind
         for kind in ("audio", None):
