@@ -46,18 +46,17 @@ from .mel import FeatureSequence, MelConfig, mel_blocks
 # traced run still resolves these names on this module.
 from .mel import compute_mel, stack_frames  # noqa: F401
 from .metrics import accuracy, perplexity_compare_all
-from . import rvq
 from .rvq import (
     DropoutConfig,
     GumbelConfig,
     TrainingSchedule,
     decode_frames,
-    encode_blocks,
+    encode_rows,
     init_rvq_stack,
     train_rvq,
 )
 
-# Not called here since `encode` streams through encode_blocks; perfbench's
+# Not called here since `encode` streams through encode_rows; perfbench's
 # traced run still resolves this name on this module.
 from .rvq import encode_frames  # noqa: F401
 from .scorers import SubprocessScorer, builtin_scorer, run_plugin_loop
@@ -65,6 +64,10 @@ from .streams import SpecialTokens, build_loss_mask
 
 # Unused by pack (records hold no switch ids); perfbench serializes with it.
 DEFAULT_SPECIAL = SpecialTokens(switch_ta=256, switch_at=257)
+
+# Frames per decode block; decode_frames treats each frame alone, so the
+# size bounds memory and changes no byte.
+_DECODE_ROWS = 1024
 
 
 def _emit(obj: dict) -> None:
@@ -206,21 +209,13 @@ def cmd_train_rvq(args) -> int:
     return 0
 
 
-def _row_blocks(rows: ff.Afv1Rows):
-    """rows in blocks of rvq._ROW_CHUNK, as encode_blocks wants them; a
-    0-row file still gives one (empty) block."""
-    chunk = rvq._ROW_CHUNK
-    for start in range(0, max(rows.n_rows, 1), chunk):
-        yield rows.read(min(chunk, rows.n_rows - start))
-
-
 def cmd_encode(args) -> int:
     with ff.open_afv1(args.features) as rows:
         stack = ff.read_rvq1(args.codebooks)
         if rows.dim != stack.dim:
             raise ShapeMismatch(f"feature dim {rows.dim} != codebook dim {stack.dim}")
         with ff.atk1_writer(args.output, rows.n_rows, stack.layer_sizes) as write:
-            for indices in encode_blocks(stack, _row_blocks(rows)):
+            for indices in encode_rows(stack, rows.n_rows, rows.read):
                 write(indices)
     _emit({"frames": rows.n_rows, "seed": args.seed})
     return 0
@@ -246,10 +241,9 @@ def cmd_decode(args) -> int:
         )
     dim = stack.dim // args.unstack
     n_rows = len(frames) * args.unstack
-    chunk = rvq._ROW_CHUNK
     with ff.afv1_writer(args.output, n_rows, dim, args.frame_rate * args.unstack) as write:
-        for start in range(0, len(frames), chunk):
-            write(decode_frames(stack, frames[start : start + chunk]).reshape(-1, dim))
+        for start in range(0, len(frames), _DECODE_ROWS):
+            write(decode_frames(stack, frames[start : start + _DECODE_ROWS]).reshape(-1, dim))
     _emit({"frames": n_rows, "seed": args.seed})
     return 0
 

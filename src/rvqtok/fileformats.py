@@ -470,7 +470,7 @@ def stream_record(
     return {
         "format": stream.format_tag,
         "segments": segments,
-        "mask": [bool(f) for f in mask.flags],
+        "mask": list(mask.flags),
     }
 
 

@@ -212,11 +212,12 @@ def mel_blocks(
 
     Entries are log(max(mel_energy, log_floor)). The input is checked
     before this returns; samples and frames are checked for finiteness
-    block by block as the iterator reads them. A signal of at most one
-    block is reflect-padded whole by ``np.pad``. A longer one is read
-    in ranges that overlap by n_fft - hop samples and is reflected only
-    at its two ends; every block has the same row count, so each frame
-    is bit-identical to the whole-signal computation.
+    block by block as the iterator reads them. The signal is read in
+    ranges that overlap by n_fft - hop samples, and a frame past either
+    end reflects about it as often as ``np.pad`` does (a one-sample
+    signal repeats its sample). Every block has the same row count, and
+    a signal of at most one block is one block, so each frame is
+    bit-identical to the whole-signal computation. T = 0 gives no block.
     """
     n = source.n_samples
     if n == 0:
@@ -232,9 +233,11 @@ def mel_blocks(
     else:
         n_frames = max((n - cfg.n_fft) // cfg.hop + 1, 0)
     # BLAS takes a one-row product through its matrix-vector routine,
-    # which rounds differently, so a block has at least two rows.
+    # which rounds differently, so a block has at least two rows; a signal
+    # of no more frames than that is one block (of one row at T = 0, since
+    # a range needs a step).
     block = max(_MEL_BLOCK // stack_factor * stack_factor, stack_factor, 2)
-    return n_frames, _blocks(source, cfg, n_frames, block)
+    return n_frames, _blocks(source, cfg, n_frames, max(min(block, n_frames), 1))
 
 
 def _blocks(source: SampleSource, cfg: MelConfig, n_frames: int, block: int):
@@ -243,18 +246,12 @@ def _blocks(source: SampleSource, cfg: MelConfig, n_frames: int, block: int):
     # C-ordered: OpenBLAS rounds a product with the transposed view
     # differently when it has fewer than about 16 rows
     fb = np.ascontiguousarray(mel_filterbank(cfg).T)
-    if n_frames <= block or n <= pad:
-        # np.pad reflects more than once when the signal is no longer than the pad
-        signal = _finite(source.read(0, n))
-        if pad:
-            signal = np.pad(signal, pad, mode="reflect" if n > 1 else "edge")
-        yield _log_mel(signal, n_frames, cfg, fb)
-        return
+    period = max(2 * n - 2, 1)  # np.pad's reflection repeats every 2n - 2 samples
     for start in range(0, n_frames, block):
         first = min(start, n_frames - block)  # the last block ends at frame T
         j = np.arange(first * cfg.hop, (first + block - 1) * cfg.hop + cfg.n_fft) - pad
-        j = np.abs(j)  # reflect about the first sample
-        j = np.where(j < n, j, 2 * (n - 1) - j)  # and about the last
+        j = np.abs(j) % period  # reflect about the first sample
+        j = np.where(j < n, j, period - j)  # and about the last
         lo = int(j.min())
         samples = _finite(source.read(lo, int(j.max()) + 1))
         yield _log_mel(samples[j - lo], block, cfg, fb)[start - first :]
@@ -269,7 +266,7 @@ def compute_mel(audio: AudioBuffer, cfg: MelConfig = DEFAULT_MEL) -> MelSpectrog
     x = audio.samples
     _, blocks = mel_blocks(SampleSource(len(x), audio.sample_rate, lambda a, b: x[a:b]), cfg)
     return MelSpectrogram(
-        frames=np.concatenate(list(blocks)),
+        frames=np.concatenate([np.empty((0, cfg.n_mels)), *blocks]),
         n_mels=cfg.n_mels,
         frame_rate=cfg.frame_rate,
         config_id=cfg.config_id,

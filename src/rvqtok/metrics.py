@@ -30,12 +30,8 @@ class EvalRecord:
     positive_index: int
 
     def __post_init__(self):
-        object.__setattr__(self, "prefix", tuple(int(t) for t in self.prefix))
-        object.__setattr__(
-            self,
-            "candidates",
-            tuple(tuple(int(t) for t in c) for c in self.candidates),
-        )
+        object.__setattr__(self, "prefix", tuple(map(int, self.prefix)))
+        object.__setattr__(self, "candidates", tuple(tuple(map(int, c)) for c in self.candidates))
         if len(self.candidates) < 2:
             raise InvalidConfig("need at least 2 candidates")
         if not 0 <= self.positive_index < len(self.candidates):

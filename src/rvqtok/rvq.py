@@ -6,21 +6,24 @@ and the reconstruction is the sum of the selected codewords. Selection
 scores rows in blocks of 1024 with a float32 GEMM against codewords
 taken relative to the codebook mean; residuals and reconstruction stay
 float64. It may differ from exact float64 selection only on near-ties.
-Inference runs block by block: ``encode_blocks`` prepares every layer
-once and turns each incoming row block into its indices, so a caller
-can stream features through in bounded memory; ``encode_frames`` is the
-same path over one in-memory matrix. A ``Codebook`` keeps float32
+Inference runs block by block: ``encode_rows`` prepares every layer
+once and asks a reader for 1024 rows at a time, so a caller can
+stream features through in bounded memory; ``encode_frames`` is the
+same cascade over one in-memory matrix. A ``Codebook`` keeps float32
 codewords (as read from RVQ1) in float32 and holds anything else as
 float64; ``copy`` is always float64, so training works in float64.
 Codewords are learned without gradients, by an exponential-moving-average
 update over the vectors assigned to each entry, optionally followed by
-an L2-norm contraction of the whole book. A step sums the vectors of
-the assigned entries only and makes no K x D temporary: the decay, and
-the contraction when beta > 0, scale the book in place, and selection
-writes the centred codewords straight into float32. ``train_rvq``
-copies the stack once and updates that private copy in place, step by
-step; ``ema_update`` and ``restart_dead_entries`` apply the same steps
-to a copy and return a new book, leaving their input untouched.
+an L2-norm contraction of the whole book. ``train_rvq`` updates each
+layer as soon as the cascade yields it, from that layer's input rows:
+the cascade never reads the book again in the step. A step sums the
+vectors of the assigned entries only and makes no K x D temporary: the
+decay, and the contraction when beta > 0, scale the book in place, and
+selection writes the centred codewords straight into float32.
+``train_rvq`` copies the stack once and updates that private copy in
+place, step by step; ``ema_update`` and ``restart_dead_entries`` apply
+the same steps to a copy and return a new book, leaving their input
+untouched.
 
 Two EMA modes are provided. ``paper_literal`` adds the full assignment
 mean on top of the decayed codeword:
@@ -279,6 +282,7 @@ def _active_mask(
     active = np.ones((n, n_layers), dtype=bool)
     if dropout is None or n_layers == 1:
         return active
+    rng = rng or np.random.Generator(np.random.PCG64(dropout.seed))
     draws = rng.random((n, n_layers - 1))
     keep = draws < dropout.keep_prob_per_layer
     if dropout.mode == "independent":
@@ -344,48 +348,39 @@ def _check_rows(stack: RvqStack, x: np.ndarray) -> None:
         raise InvalidSample("input vectors hold NaN or inf")
 
 
-def _cascade(
-    stack: RvqStack,
-    x: np.ndarray,
-    gumbel: GumbelConfig,
-    dropout: DropoutConfig | None,
-    gumbel_rng: np.random.Generator | None,
-    dropout_rng: np.random.Generator | None,
-    collect_layer_inputs: bool = False,
-):
-    """Run the residual cascade over a (T, D) batch.
-
-    Returns (indices, active, residual, layer_inputs) where indices is
-    (T, L) with INACTIVE sentinels, residual is the (T, D) remainder
-    after the last layer, and layer_inputs (when collected) lists each
-    layer's (T, D) residual input. RNGs default to fresh generators
-    seeded from the configs, so a bare call is deterministic.
-    """
+def _batch(stack: RvqStack, x: np.ndarray, dropout: DropoutConfig | None, rng=None):
+    """A checked (T, D) batch as (float64 residual copy, (T, L) active mask)."""
     _check_rows(stack, x)
     _check_books(stack)
-    n = x.shape[0]
-    if gumbel.enabled and gumbel_rng is None:
-        gumbel_rng = np.random.Generator(np.random.PCG64(gumbel.seed))
-    if dropout is not None and dropout_rng is None:
-        dropout_rng = np.random.Generator(np.random.PCG64(dropout.seed))
+    return x.astype(np.float64), _active_mask(len(x), stack.n_layers, dropout, rng)
 
-    active = _active_mask(n, stack.n_layers, dropout, dropout_rng)
-    indices = np.full((n, stack.n_layers), INACTIVE, dtype=np.int64)
-    residual = x.astype(np.float64, copy=True)
-    layer_inputs: list[np.ndarray] | None = [] if collect_layer_inputs else None
 
-    for layer, book in enumerate(stack.layers):
-        if collect_layer_inputs:
-            layer_inputs.append(residual.copy())
-        col = active[:, layer]
-        if not col.any():
-            continue
-        rows = slice(None) if col.all() else np.flatnonzero(col)
-        indices[rows, layer] = _assign_layer(
-            book, _centred(book), residual, rows, gumbel, gumbel_rng
-        )
+def _cascade(
+    stack: RvqStack,
+    residual: np.ndarray,
+    active: np.ndarray | None = None,
+    gumbel: GumbelConfig = GUMBEL_OFF,
+    rng: np.random.Generator | None = None,
+    prepared=None,
+):
+    """Run the residual cascade in place on a float64 (T, D) residual.
 
-    return indices, active, residual, layer_inputs
+    Yields (layer, rows, chosen) after every layer, one with no active
+    rows included: rows is slice(None) when all T rows are active in the
+    layer (active is a (T, L) mask; None keeps every row), else the
+    index array of the active ones, and chosen holds their indices.
+    prepared lists each layer's ``_centred`` state; without it a layer is
+    prepared when the cascade reaches it, so a caller may update a book
+    as soon as its layer is yielded: the cascade never reads it again.
+    The Gumbel RNG defaults to a fresh generator seeded from its config.
+    """
+    if gumbel.enabled and rng is None:
+        rng = np.random.Generator(np.random.PCG64(gumbel.seed))
+    layers = zip(stack.layers, prepared or map(_centred, stack.layers))
+    for layer, (book, prep) in enumerate(layers):
+        col = True if active is None else active[:, layer]
+        rows = slice(None) if np.all(col) else np.flatnonzero(col)
+        yield layer, rows, _assign_layer(book, prep, residual, rows, gumbel, rng)
 
 
 def quantize(
@@ -408,13 +403,15 @@ def quantize(
     x = np.asarray(input_vec, dtype=np.float64)
     if x.ndim != 1:
         raise ShapeMismatch(f"expected a single vector, got shape {x.shape}")
-    indices, active, residual, layer_inputs = _cascade(
-        stack, x[None, :], gumbel, dropout, gumbel_rng, dropout_rng, True
-    )
+    residual, active = _batch(stack, x[None, :], dropout, dropout_rng)
+    indices, residuals = [], []
+    for _, _, chosen in _cascade(stack, residual, active, gumbel, gumbel_rng):
+        indices.append(int(chosen[0]) if chosen.size else INACTIVE)
+        residuals.append(residual[0].copy())
     return QuantizeResult(
-        indices=tuple(int(i) for i in indices[0]),
+        indices=tuple(indices),
         quantized=x - residual[0],
-        residuals=tuple(r[0] for r in layer_inputs[1:]) + (residual[0],),
+        residuals=tuple(residuals),
         active_layers=tuple(int(l) for l in np.flatnonzero(active[0])),
     )
 
@@ -436,7 +433,10 @@ def quantize_batch(
     x = np.asarray(vectors, dtype=np.float64)
     if x.ndim != 2:
         raise ShapeMismatch(f"expected a T x D batch, got shape {x.shape}")
-    indices, _, residual, _ = _cascade(stack, x, gumbel, dropout, gumbel_rng, dropout_rng)
+    residual, active = _batch(stack, x, dropout, dropout_rng)
+    indices = np.full(active.shape, INACTIVE, dtype=np.int64)
+    for layer, rows, chosen in _cascade(stack, residual, active, gumbel, gumbel_rng):
+        indices[rows, layer] = chosen
     return indices, x - residual
 
 
@@ -666,42 +666,31 @@ def init_rvq_stack(
     return RvqStack(layers)
 
 
-def encode_blocks(stack: RvqStack, blocks):
-    """Deterministic inference over a stream of (n, D) row blocks: argmin
-    cascade, no Gumbel, no dropout; yields each block's (n, L) indices.
+def encode_rows(stack: RvqStack, n_rows: int, read):
+    """Deterministic inference over n_rows feature rows that ``read(n)``
+    returns in order as (n, D) arrays, the ``Afv1Rows.read`` contract:
+    argmin cascade, no Gumbel, no dropout. Yields the (n, L) indices of
+    each block of _ROW_CHUNK rows; the last block may be shorter, and 0
+    rows give one empty block.
 
-    Every layer is prepared once, however many blocks follow. Each block
-    must start at a multiple of _ROW_CHUNK rows (all blocks but the last
-    hold a multiple of it), so rows are scored in the same groups, with
-    the same GEMM shapes, as one call over the whole matrix.
+    Every layer is prepared once, however many blocks follow, and the
+    blocks hold the row groups selection scores together, so the indices
+    equal those of ``encode_frames`` over the whole matrix.
     """
     _check_books(stack)
     prepared = [_centred(book) for book in stack.layers]
-    chunk = _ROW_CHUNK
-    ragged = False
-    for block in blocks:
-        residual = np.array(block, dtype=np.float64)  # a copy: layers subtract in place
-        if residual.ndim != 2:
-            raise ShapeMismatch(f"expected a T x D block, got shape {residual.shape}")
-        if ragged:
-            raise ShapeMismatch(f"a block follows one that is not a multiple of {chunk} rows")
-        ragged = len(residual) % chunk != 0
-        _check_rows(stack, residual)
+    for start in range(0, max(n_rows, 1), _ROW_CHUNK):
+        residual, _ = _batch(stack, read(min(_ROW_CHUNK, n_rows - start)), None)
         indices = np.empty((len(residual), stack.n_layers), dtype=np.int64)
-        for layer, (book, prep) in enumerate(zip(stack.layers, prepared)):
-            indices[:, layer] = _assign_layer(book, prep, residual, slice(None), GUMBEL_OFF, None)
+        for layer, _, chosen in _cascade(stack, residual, prepared=prepared):
+            indices[:, layer] = chosen
         yield indices
 
 
 def encode_frames(stack: RvqStack, vectors: np.ndarray) -> np.ndarray:
-    """Deterministic inference path: ``encode_blocks`` over _ROW_CHUNK-row
-    views of a (T, D) matrix; returns (T, L) indices."""
-    x = np.asarray(vectors, dtype=np.float64)
-    if x.ndim != 2:
-        raise ShapeMismatch(f"expected a T x D batch, got shape {x.shape}")
-    chunk = _ROW_CHUNK
-    views = [x[start : start + chunk] for start in range(0, max(len(x), 1), chunk)]
-    return np.concatenate(list(encode_blocks(stack, views)))
+    """Deterministic inference path: the argmin cascade over a (T, D)
+    matrix, no Gumbel, no dropout; returns (T, L) indices."""
+    return quantize_batch(stack, vectors)[0]
 
 
 def decode_frames(stack: RvqStack, indices: np.ndarray) -> np.ndarray:
@@ -766,13 +755,14 @@ def train_rvq(
 ) -> tuple[RvqStack, TrainingReport]:
     """Train the stack over the corpus; returns (new stack, report).
 
-    One step processes one FeatureSequence: its vectors are quantized
-    (Gumbel and dropout per configs), per-layer assignments are
-    accumulated from each layer's residual inputs, every layer takes an
-    EMA update, and dead entries restart from the layer's current
-    batch. The replacement schedule gates whole steps at instance
-    granularity: a sequence not routed through VQ this step is still
-    quantized for reporting, but contributes no codebook update.
+    One step processes one FeatureSequence: its vectors run through the
+    cascade (Gumbel and dropout per configs) and, on a routed step, each
+    layer takes an EMA update from its residual inputs as soon as the
+    cascade yields it, then restarts dead entries from those inputs. A
+    layer no row reaches still decays and ages. The replacement schedule
+    gates whole steps at instance granularity: a sequence not routed
+    through VQ this step is still quantized for reporting, but
+    contributes no codebook update.
 
     Deterministic given (seed, corpus order, configs); the input stack
     is not modified: training updates one private copy in place.
@@ -800,25 +790,22 @@ def train_rvq(
         x = corpus[step % len(corpus)].vectors
         gate_seed = derive_seed(seed, f"gate:{step}")
         routed = vq_replacement_gate(schedule, min(step, schedule.total_steps), gate_seed, 1)[0]
-        indices, active, residual, layer_inputs = _cascade(
-            work, x, gumbel, dropout, gumbel_rng, dropout_rng, True
-        )
-        quantized = x - residual
-        fmae = float(np.mean(np.abs(x - quantized)))
-        utilization = tuple(
-            codebook_utilization(indices[active[:, layer]], layer, book.size)
-            for layer, book in enumerate(work.layers)
-        )
-        records.append(StepRecord(step, mean_commitment_loss(x, quantized), fmae, utilization))
-
-        if routed:
-            for layer, book in enumerate(work.layers):
-                rows = active[:, layer]
-                batch = layer_inputs[layer][rows]
-                _ema_step(book, indices[rows, layer], batch, mode)
+        residual, active = _batch(work, x, dropout, dropout_rng)
+        layer_input, utilization = x, []  # x is the first layer's input
+        for layer, rows, chosen in _cascade(work, residual, active, gumbel, gumbel_rng):
+            book = work.layers[layer]
+            utilization.append(codebook_utilization(chosen[:, None], 0, book.size))
+            if routed:
+                # an idle layer (no rows) still decays and ages
+                batch = layer_input[rows]
+                _ema_step(book, chosen, batch, mode)
                 if restart and len(batch):
                     restart_seed = derive_seed(seed, f"restart:{step}:{layer}")
                     _restart_dead(book, batch, dead_threshold, restart_seed)
+                layer_input = residual.copy()
+        quantized = x - residual
+        fmae = float(np.mean(np.abs(x - quantized)))
+        records.append(StepRecord(step, mean_commitment_loss(x, quantized), fmae, utilization))
 
     # the steps skip Codebook validation, so an overflow is caught here
     for book in work.layers:

@@ -536,12 +536,14 @@ class TestHostileInput:
 
 
 class TestStreamedEncodeDecode:
-    """encode and decode stream rows in _ROW_CHUNK blocks; at 7 rows a
-    block, the 40 fixture vectors span 6 blocks."""
+    """encode streams rows in rvq._ROW_CHUNK blocks and decode in
+    cli._DECODE_ROWS blocks; at 7 rows a block, the 40 fixture vectors
+    span 6 blocks."""
 
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):
         monkeypatch.setattr(rvq, "_ROW_CHUNK", 7)
+        monkeypatch.setattr(cli, "_DECODE_ROWS", 7)
 
     def refused(self, capsys, argv, out, code, message):
         """argv fails with code, leaving no output, then leaves an older

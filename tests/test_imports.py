@@ -28,3 +28,29 @@ def test_no_unused_imports(path):
         and "# noqa: F401" not in lines[alias.lineno - 1]
     ]
     assert unused == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_reads_across_modules(path):
+    # a module reads no underscore name of another rvqtok module, by
+    # attribute (rvq._ROW_CHUNK) or by import (from .rvq import _x)
+    tree = ast.parse(path.read_text())
+    modules = set()  # local names bound to rvqtok modules
+    private = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module == "rvqtok"):
+            for alias in node.names:
+                if node.module in (None, "rvqtok"):
+                    modules.add(alias.asname or alias.name)
+                elif alias.name.startswith("_"):
+                    private.append(f"{path.name}:{node.lineno} {node.module}.{alias.name}")
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and node.attr.startswith("_")
+            and not node.attr.startswith("__")
+        ):
+            private.append(f"{path.name}:{node.lineno} {node.value.id}.{node.attr}")
+    assert private == []

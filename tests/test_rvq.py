@@ -30,8 +30,8 @@ from rvqtok.rvq import (
     commitment_loss,
     decode_frames,
     ema_update,
-    encode_blocks,
     encode_frames,
+    encode_rows,
     init_rvq_stack,
     mean_commitment_loss,
     quantize,
@@ -214,14 +214,38 @@ class TestBlockedSelection:
         assert default[3] == small[3]
 
 
+def reader(x, asked):
+    """read(n) over the rows of x, in order, as Afv1Rows.read hands them
+    out; asked records each n."""
+    done = 0
+
+    def read(n):
+        nonlocal done
+        asked.append(n)
+        done += n
+        return x[done - n : done]
+
+    return read
+
+
 class TestEncodeBlocks:
+    """encode_rows asks its reader for _ROW_CHUNK rows at a time."""
+
     def test_blocks_equal_whole_matrix(self, monkeypatch, rng):
         monkeypatch.setattr(rvq, "_ROW_CHUNK", 4)
         stack = small_stack(seed=5, sizes=(16, 8, 8), dim=5)
-        x = rng.standard_normal((23, 5))
-        got = np.concatenate(list(encode_blocks(stack, [x[:8], x[8:12], x[12:12], x[12:]])))
-        assert np.array_equal(got, encode_frames(stack, x))
-        assert np.array_equal(got, quantize_batch(stack, x)[0])
+        # no rows, below one chunk, one chunk, ragged: whole chunks but the last
+        for n, reads in ((0, [0]), (3, [3]), (4, [4]), (23, [4] * 5 + [3])):
+            x = rng.standard_normal((n, 5))
+            before = x.copy()
+            asked = []
+            blocks = list(encode_rows(stack, n, reader(x, asked)))
+            assert asked == [len(b) for b in blocks] == reads
+            got = np.concatenate(blocks)
+            assert got.shape == (n, 3)
+            assert np.array_equal(got, encode_frames(stack, x))
+            assert np.array_equal(got, quantize_batch(stack, x)[0])
+            assert np.array_equal(x, before)  # the cascade ran on a copy
 
     def test_prepares_each_layer_once(self, monkeypatch, rng):
         prepared = []
@@ -229,32 +253,28 @@ class TestEncodeBlocks:
         monkeypatch.setattr(rvq, "_centred", lambda book: prepared.append(book) or centred(book))
         monkeypatch.setattr(rvq, "_ROW_CHUNK", 2)
         stack = small_stack(sizes=(4, 4, 4))
-        assert encode_frames(stack, rng.standard_normal((9, 3))).shape == (9, 3)  # 5 blocks
+        blocks = list(encode_rows(stack, 9, reader(rng.standard_normal((9, 3)), [])))
+        assert len(blocks) == 5
         assert prepared == stack.layers
-
-    def test_only_the_last_block_may_be_partial(self, monkeypatch, rng):
-        monkeypatch.setattr(rvq, "_ROW_CHUNK", 4)
-        x = rng.standard_normal((10, 3))
-        blocks = encode_blocks(small_stack(), [x[:3], x[3:]])
-        assert next(blocks).shape == (3, 3)
-        with pytest.raises(ShapeMismatch):
-            next(blocks)
 
     def test_bad_late_block(self, monkeypatch, rng):
         monkeypatch.setattr(rvq, "_ROW_CHUNK", 4)
         x = rng.standard_normal((6, 3))
         x[5, 1] = np.nan
-        blocks = encode_blocks(small_stack(), [x[:4], x[4:]])
+        blocks = encode_rows(small_stack(), 6, reader(x, []))
         next(blocks)
         with pytest.raises(InvalidSample):
             next(blocks)
         with pytest.raises(ShapeMismatch):
-            next(encode_blocks(small_stack(dim=3), [np.zeros((2, 4))]))
+            next(encode_rows(small_stack(dim=3), 2, reader(np.zeros((2, 4)), [])))
 
     def test_zero_rows(self):
         assert encode_frames(small_stack(), np.zeros((0, 3))).shape == (0, 3)
+        empty = RvqStack([Codebook(np.zeros((0, 3)))])
         with pytest.raises(InvalidConfig):
-            encode_frames(RvqStack([Codebook(np.zeros((0, 3)))]), np.zeros((0, 3)))
+            encode_frames(empty, np.zeros((0, 3)))
+        with pytest.raises(InvalidConfig):
+            next(encode_rows(empty, 0, reader(np.zeros((0, 3)), [])))
 
 
 class TestFloat32Books:
@@ -908,8 +928,11 @@ class TestTrainRvq:
     @pytest.mark.parametrize("dropout_mode", ["independent", "suffix"])
     def test_matches_replay_through_public_steps(self, rng, mode, dropout_mode):
         # every step, replayed through quantize_batch, ema_update and
-        # restart_dead_entries on the same RNG streams, gives the same books
+        # restart_dead_entries on the same RNG streams, gives the same books;
+        # one-vector sequences leave layers no row reaches, which still
+        # decay and age
         corpus = self.make_corpus(rng, n_seqs=3, n_vecs=25, dim=4)
+        corpus += self.make_corpus(rng, n_seqs=2, n_vecs=1, dim=4)
         x = np.concatenate([s.vectors for s in corpus])
         stack = init_rvq_stack((16, 8, 6), x, ema_decay=0.9, norm_beta=0.05, seed=2)
         sched = TrainingSchedule(replace_start=0.2, replace_end=0.8, total_steps=12)
@@ -923,7 +946,7 @@ class TestTrainRvq:
 
         work = stack.copy()
         gumbel_rng, dropout_rng = make_rng(seed, "gumbel"), make_rng(seed, "dropout")
-        restarted = routed_steps = 0
+        restarted = routed_steps = idle_layers = 0
         for step in range(epochs * len(corpus)):
             x = corpus[step % len(corpus)].vectors
             gate = vq_replacement_gate(
@@ -938,6 +961,7 @@ class TestTrainRvq:
             residual = x.copy()
             for layer, book in enumerate(work.layers):
                 rows = np.flatnonzero(indices[:, layer] != INACTIVE)
+                idle_layers += rows.size == 0
                 batch = residual[rows]
                 groups: dict[int, list] = {}
                 for v, j in zip(batch, indices[rows, layer]):
@@ -951,6 +975,7 @@ class TestTrainRvq:
                     restarted += len(replaced)
                 work.layers[layer] = book
         assert restarted > 0 and 0 < routed_steps < epochs * len(corpus)
+        assert idle_layers > 0
         for got, want in zip(out.layers, work.layers):
             assert np.array_equal(got.vectors, want.vectors)
             assert np.array_equal(got.usage_counts, want.usage_counts)
