@@ -195,9 +195,10 @@ def cmd_train_rvq(args) -> int:
     stack, report = train_rvq(
         stack, corpus, schedule, gumbel, dropout, epochs=epochs, seed=args.seed, **train_kwargs
     )
-    ff.write_rvq1(args.output, stack)
     report_path = args.report or args.output + ".report.jsonl"
-    Path(report_path).write_text(report.to_jsonl())
+    with ff.staged(args.output, report_path) as (books_tmp, report_tmp):
+        ff.write_rvq1(books_tmp, stack)
+        ff.write_lines(report_tmp, (rec.to_json() for rec in report.steps))
     _emit(
         {
             "layers": stack.n_layers,
@@ -300,12 +301,11 @@ def cmd_pack(args) -> int:
         records.append(ff.stream_record(stream, mask, audio_refs))
         stats_input.append((stream, sum(p.duration_s for p in group_pairs)))
 
-    with open(args.output, "w") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
     stats = corpus_stats(stats_input)
     stats_path = args.stats or args.output + ".stats.json"
-    Path(stats_path).write_text(json.dumps(stats.to_dict(), sort_keys=True) + "\n")
+    with ff.staged(args.output, stats_path) as (records_tmp, stats_tmp):
+        ff.write_lines(records_tmp, (json.dumps(rec, sort_keys=True) for rec in records))
+        ff.write_lines(stats_tmp, [json.dumps(stats.to_dict(), sort_keys=True)])
     _emit({"records": len(records), "seed": args.seed, **stats.to_dict()})
     return 0
 

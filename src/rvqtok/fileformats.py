@@ -11,11 +11,12 @@ All binary formats are little-endian with a 4-byte magic:
         K u64 usage counters
 
 Writers are bit-deterministic: the same in-memory values always give
-the same bytes. AFV1 and ATK1 are written incrementally: ``afv1_writer``
-and ``atk1_writer`` take the header's T up front and rows block by
-block, into a temporary file beside the output that replaces it only
-once all T rows are in, so a failed write leaves no output and an
-existing file untouched. ``open_afv1`` reads AFV1 rows in order, a
+the same bytes. Every file is written through ``staged``: into a
+temporary file beside it, which replaces it only once the block that
+writes it succeeds, so a failed write leaves no output and an existing
+file untouched. A command stages all of its outputs in one block.
+``afv1_writer`` and ``atk1_writer`` take the header's T up front and rows
+block by block. ``open_afv1`` reads AFV1 rows in order, a
 block at a time, from a file or a pipe. ``read_rvq1`` returns the
 codewords as the read-only float32 array they are stored as.
 WAV and raw float32 audio open as a ``SampleSource`` whose samples are
@@ -29,6 +30,7 @@ names, which token lists share.
 from __future__ import annotations
 
 import contextlib
+import errno
 import json
 import math
 import os
@@ -78,13 +80,42 @@ def _read_exact(fh, n: int, what: str) -> bytes:
 
 
 @contextlib.contextmanager
+def staged(*paths):
+    """Yield a temporary path ``<path>.<pid>.tmp`` beside each target path.
+    When the block exits cleanly, the temporaries replace their targets in
+    the order given; a failure in the block removes every temporary and
+    leaves every target untouched. Two paths naming one file are
+    InvalidConfig before the block runs; a target that is a directory is
+    IsADirectoryError before any rename. An OSError on a temporary names
+    its target instead."""
+    targets = [os.fspath(p) for p in paths]
+    real = [os.path.realpath(p) for p in targets]
+    for i, path in enumerate(real):
+        if path in real[:i]:
+            raise InvalidConfig(f"output path {targets[i]} is given twice")
+    tmps = [f"{p}.{os.getpid()}.tmp" for p in targets]
+    try:
+        yield tmps
+        for path in targets:
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        for tmp, path in zip(tmps, targets):
+            os.replace(tmp, path)
+    except BaseException as exc:
+        for tmp in tmps:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.filename in tmps:
+            path = targets[tmps.index(exc.filename)]
+            raise OSError(exc.errno, exc.strerror, path) from exc
+        raise
+
+
+@contextlib.contextmanager
 def _staged_rows(path, header: bytes, n_rows: int, rows, what: str):
     """Yield ``write(block)``: rows(block) checks a block and returns it as
-    a 2-D array in file byte order, whose bytes follow the header. They go
-    into ``<path>.<pid>.tmp``, which replaces ``path`` only once exactly
-    n_rows rows are in; on any failure the temporary file is removed."""
-    path = os.fspath(path)
-    tmp = f"{path}.{os.getpid()}.tmp"
+    a 2-D array in file byte order, whose bytes follow the header in the
+    staged ``path``; a row count other than n_rows is ShapeMismatch."""
     written = 0
 
     def write(block) -> None:
@@ -95,17 +126,19 @@ def _staged_rows(path, header: bytes, n_rows: int, rows, what: str):
         fh.write(arr.tobytes())
         written += len(arr)
 
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(header)
-            yield write
-            if written != n_rows:
-                raise ShapeMismatch(f"{written} of {n_rows} {what} rows written")
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-        raise
+    with staged(path) as [tmp], open(tmp, "wb") as fh:
+        fh.write(header)
+        yield write
+        if written != n_rows:
+            raise ShapeMismatch(f"{written} of {n_rows} {what} rows written")
+
+
+def write_lines(path, lines) -> None:
+    """Write each string of ``lines`` and a newline after it to ``path``,
+    staged."""
+    with staged(path) as [tmp], open(tmp, "w") as fh:
+        for line in lines:
+            fh.write(line + "\n")
 
 
 # ---------------------------------------------------------------- AFV1
@@ -243,7 +276,7 @@ def read_atk1(path) -> tuple[np.ndarray, tuple[int, ...]]:
 # ---------------------------------------------------------------- RVQ1
 
 def write_rvq1(path, stack: RvqStack) -> None:
-    with open(path, "wb") as fh:
+    with staged(path) as [tmp], open(tmp, "wb") as fh:
         fh.write(struct.pack("<4sI", RVQ1_MAGIC, stack.n_layers))
         for book in stack.layers:
             fh.write(
@@ -329,7 +362,7 @@ def read_wav(path) -> AudioBuffer:
 def write_wav(path, audio: AudioBuffer) -> None:
     clipped = np.clip(audio.samples, -1.0, 1.0)
     pcm = np.round(clipped * 32767.0).astype("<i2")
-    with wave.open(str(path), "wb") as wav:
+    with staged(path) as [tmp], open(tmp, "wb") as fh, wave.open(fh, "wb") as wav:
         wav.setnchannels(1)
         wav.setsampwidth(2)
         wav.setframerate(audio.sample_rate)
@@ -498,8 +531,8 @@ def load_stream_record(obj: dict, frames_by_path) -> tuple[InterleavedStream, Lo
 
     A record that is not the dict stream_record writes (a field missing
     or of the wrong type, a frames_ref path not in frames_by_path, a
-    frame range outside its ATK1, a mask that is not one JSON boolean
-    per wire position) raises MalformedWire; a stream its format does
+    frame range outside its ATK1, a mask other than the stream's
+    ``build_loss_mask``) raises MalformedWire; a stream its format does
     not allow raises InvalidStream, an unknown format InvalidConfig.
     """
     try:
@@ -508,24 +541,19 @@ def load_stream_record(obj: dict, frames_by_path) -> tuple[InterleavedStream, Lo
     except (KeyError, InvalidConfig) as exc:
         raise MalformedWire(f"stream record: {exc!r}") from exc
     stream = InterleavedStream(format_tag=obj["format"], segments=segments)
-    if len(obj["mask"]) != len(build_loss_mask(stream)):
-        raise MalformedWire("stream record mask must be one boolean per wire position")
-    return stream, LossMask(flags=tuple(obj["mask"]))
+    mask = build_loss_mask(stream)
+    if tuple(obj["mask"]) != mask.flags:
+        raise MalformedWire("stream record mask is not its format's loss mask")
+    return stream, mask
 
 
 def write_eval_records(path, records: list[EvalRecord]) -> None:
-    with open(path, "w") as fh:
-        for rec in records:
-            fh.write(
-                json.dumps(
-                    {
-                        "prefix": list(rec.prefix),
-                        "candidates": [list(c) for c in rec.candidates],
-                        "positive": rec.positive_index,
-                    }
-                )
-                + "\n"
-            )
+    docs = (
+        {"prefix": list(r.prefix), "candidates": [list(c) for c in r.candidates],
+         "positive": r.positive_index}
+        for r in records
+    )
+    write_lines(path, map(json.dumps, docs))
 
 
 _EVAL_FIELDS = {"prefix": "list of int", "candidates": "list of list of int", "positive": "int"}

@@ -1,4 +1,5 @@
 import argparse
+import errno
 import importlib
 import inspect
 import json
@@ -84,6 +85,32 @@ def run(capsys, *argv):
     return code, out, captured.err
 
 
+def snapshot(folder):
+    """{name: bytes, or None for a directory} of everything in folder."""
+    return {p.name: None if p.is_dir() else p.read_bytes() for p in folder.iterdir()}
+
+
+def refused(capsys, argv, folder, code, message):
+    """argv exits with code, message on stderr and nothing on stdout,
+    leaving folder as it was: no new file, no older one changed, no
+    ``*.tmp`` behind."""
+    before = snapshot(folder)
+    got, lines, err = run(capsys, *argv)
+    assert (got, lines) == (code, [])
+    assert message in err
+    assert snapshot(folder) == before
+    assert not list(folder.glob("*.tmp"))
+    return err
+
+
+def refused_twice(capsys, argv, out, code, message):
+    """argv is refused with no output at out, then again once out holds
+    an older output, which it leaves as it was."""
+    refused(capsys, argv, out.parent, code, message)
+    out.write_bytes(b"an older output")
+    refused(capsys, argv, out.parent, code, message)
+
+
 @pytest.fixture
 def wav_1s(tmp_path):
     path = tmp_path / "in.wav"
@@ -158,16 +185,7 @@ class TestMel:
         raw = tmp_path / "nan.f32"
         samples.tofile(raw)
         out = tmp_path / "out.afv1"
-        before = sorted(tmp_path.iterdir())
-        code, lines, err = run(capsys, "mel", raw, out, "--raw-rate", 16000)
-        assert code == 4
-        assert lines == []
-        assert "non-finite" in err
-        assert sorted(tmp_path.iterdir()) == before
-        out.write_bytes(b"an older output")
-        assert run(capsys, "mel", raw, out, "--raw-rate", 16000)[0] == 4
-        assert out.read_bytes() == b"an older output"
-        assert sorted(tmp_path.iterdir()) == sorted(before + [out])
+        refused_twice(capsys, ["mel", raw, out, "--raw-rate", 16000], out, 4, "non-finite")
 
     def test_config_overrides_stack_factor(self, capsys, tmp_path, wav_1s):
         cfg = tmp_path / "mel.json"
@@ -545,19 +563,6 @@ class TestStreamedEncodeDecode:
         monkeypatch.setattr(rvq, "_ROW_CHUNK", 7)
         monkeypatch.setattr(cli, "_DECODE_ROWS", 7)
 
-    def refused(self, capsys, argv, out, code, message):
-        """argv fails with code, leaving no output, then leaves an older
-        output as it was."""
-        before = sorted(out.parent.iterdir())
-        got, lines, err = run(capsys, *argv)
-        assert (got, lines) == (code, [])
-        assert message in err
-        assert sorted(out.parent.iterdir()) == before
-        out.write_bytes(b"an older output")
-        assert run(capsys, *argv)[0] == code
-        assert out.read_bytes() == b"an older output"
-        assert sorted(out.parent.iterdir()) == sorted(before + [out])
-
     def test_encode_equals_encode_frames(self, capsys, tmp_path, trained):
         feats, books, _ = trained
         tokens = tmp_path / "x.atk1"
@@ -587,7 +592,7 @@ class TestStreamedEncodeDecode:
         bad = tmp_path / "bad.afv1"
         write_afv1(bad, x, 12.5)
         argv = ["encode", bad, books, tmp_path / "x.atk1"]
-        self.refused(capsys, argv, tmp_path / "x.atk1", 4, "NaN or inf")
+        refused_twice(capsys, argv, tmp_path / "x.atk1", 4, "NaN or inf")
 
     @pytest.mark.parametrize("edit", [lambda d: d[:-3], lambda d: d + b"\x00"])
     def test_afv1_of_the_wrong_size(self, capsys, tmp_path, trained, edit):
@@ -595,7 +600,7 @@ class TestStreamedEncodeDecode:
         bad = tmp_path / "bad.afv1"
         bad.write_bytes(edit(feats.read_bytes()))
         argv = ["encode", bad, books, tmp_path / "x.atk1"]
-        self.refused(capsys, argv, tmp_path / "x.atk1", 4, "AFV1 body")
+        refused_twice(capsys, argv, tmp_path / "x.atk1", 4, "AFV1 body")
 
     def test_out_of_range_index_in_late_block(self, capsys, tmp_path, trained):
         _, books, _ = trained
@@ -605,7 +610,7 @@ class TestStreamedEncodeDecode:
         write_atk1(tokens, frames, (8, 8))
         out = tmp_path / "r.afv1"
         argv = ["decode", tokens, books, out, "--unstack", 1]
-        self.refused(capsys, argv, out, 3, "layer 1 has indices outside")
+        refused_twice(capsys, argv, out, 3, "layer 1 has indices outside")
 
     def test_zero_rows(self, capsys, tmp_path, trained):
         _, books, _ = trained
@@ -876,6 +881,96 @@ class TestPack:
         assert refs == [
             {"path": str(atk1), "start": 2 * i, "end": 2 * i + 2} for i in (0, 2, 4, 6)
         ]
+
+
+# Every (command, output) pair the CLI writes.
+COMMAND_OUTPUTS = [
+    ("mel", "afv1"),
+    ("train-rvq", "rvq1"),
+    ("train-rvq", "report"),
+    ("encode", "atk1"),
+    ("decode", "afv1"),
+    ("pack", "records"),
+    ("pack", "stats"),
+]
+
+
+@pytest.fixture
+def commands(tmp_path, trained, wav_1s, packable):
+    """{command: (argv, {output: path})}, every output in tmp_path / "out"."""
+    feats, books, _ = trained
+    tokens = tmp_path / "tokens.atk1"
+    write_atk1(tokens, np.arange(10).reshape(5, 2) % 8, (8, 8))
+    out = tmp_path / "out"
+    out.mkdir()
+    rvq1, report, records, stats = (
+        out / n for n in ("b.rvq1", "b.report.jsonl", "r.jsonl", "r.stats.json")
+    )
+    return {
+        "mel": (["mel", wav_1s, out / "o.afv1"], {"afv1": out / "o.afv1"}),
+        "train-rvq": (
+            ["train-rvq", tmp_path / "corpus.txt", rvq1, "--config", tmp_path / "cfg.json",
+             "--report", report],
+            {"rvq1": rvq1, "report": report},
+        ),
+        "encode": (["encode", feats, books, out / "x.atk1"], {"atk1": out / "x.atk1"}),
+        "decode": (["decode", tokens, books, out / "r.afv1", "--unstack", 2],
+                   {"afv1": out / "r.afv1"}),
+        "pack": (["pack", packable[0], records, "--stats", stats],
+                 {"records": records, "stats": stats}),
+    }
+
+
+class TestOutputs:
+    """A command commits all of its outputs or none of them."""
+
+    @pytest.mark.parametrize("command", sorted({c for c, _ in COMMAND_OUTPUTS}))
+    def test_good_run_writes_every_output(self, capsys, commands, command):
+        argv, outputs = commands[command]
+        assert run(capsys, *argv)[0] == 0
+        folder = next(iter(outputs.values())).parent
+        assert sorted(snapshot(folder)) == sorted(p.name for p in outputs.values())
+
+    @pytest.mark.parametrize("command, output", COMMAND_OUTPUTS)
+    def test_output_that_is_a_directory(self, capsys, commands, command, output):
+        argv, outputs = commands[command]
+        target = outputs[output]
+        target.mkdir()
+        for path in outputs.values():
+            if path != target:
+                path.write_bytes(b"an older output")
+        refused(capsys, argv, target.parent, 2, f"Is a directory: '{target}'")
+
+    @pytest.mark.parametrize("command, output", COMMAND_OUTPUTS)
+    def test_first_replace_fails(self, capsys, monkeypatch, commands, command, output):
+        argv, outputs = commands[command]
+        outputs[output].write_bytes(b"an older output")
+        replace, calls = os.replace, []
+
+        def replace_once_failing(src, dst):
+            calls.append(dst)
+            if len(calls) == 1:
+                raise OSError(errno.EIO, "injected failure")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace_once_failing)
+        refused(capsys, argv, outputs[output].parent, 2, "injected failure")
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("command", ["train-rvq", "pack"])
+    def test_one_path_for_two_outputs(self, capsys, commands, command):
+        argv, outputs = commands[command]
+        first, second = outputs.values()
+        argv = list(argv)
+        # the second output's option names the first output, spelled otherwise
+        argv[argv.index(second)] = first.parent / ".." / first.parent.name / first.name
+        refused(capsys, argv, first.parent, 3, "given twice")
+
+    def test_missing_folder_names_the_output(self, capsys, commands):
+        argv, outputs = commands["encode"]
+        out = outputs["atk1"].parent / "nodir" / "x.atk1"
+        err = refused(capsys, argv[:-1] + [out], out.parent.parent, 2, "")
+        assert err == f"error: [Errno 2] No such file or directory: '{out}'\n"
 
 
 class TestEval:

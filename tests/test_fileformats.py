@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import struct
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rvqtok import cli
+from rvqtok import cli, fileformats
 from rvqtok.errors import (
     EmptyInput,
     IndexOutOfRange,
@@ -21,6 +22,7 @@ from rvqtok.fileformats import (
     AFV1_MAGIC,
     ATK1_MAGIC,
     RVQ1_MAGIC,
+    afv1_writer,
     atk1_writer,
     load_stream_record,
     open_afv1,
@@ -32,6 +34,7 @@ from rvqtok.fileformats import (
     read_rvq1,
     read_token_lists,
     read_wav,
+    staged,
     stream_record,
     write_afv1,
     write_atk1,
@@ -62,6 +65,92 @@ def through_a_pipe(tmp_path, data: bytes, read):
     finally:
         writer.join(timeout=10)
         assert not writer.is_alive()
+
+
+class FailsAfterFirstWrite:
+    """A file whose first write goes through and whose later ones fail."""
+
+    def __init__(self, fh):
+        self.fh, self.writes = fh, 0
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes > 1:
+            raise OSError(errno.ENOSPC, "injected failure")
+        return self.fh.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def write_through(writer, block):
+    with writer as write:
+        write(block)
+
+
+WRITERS = [
+    pytest.param(
+        lambda p: write_through(atk1_writer(p, 2, (8, 4)), np.array([(0, 1), (3, 2)])),
+        id="atk1_writer",
+    ),
+    pytest.param(
+        lambda p: write_through(afv1_writer(p, 2, 3, 12.5), np.ones((2, 3))), id="afv1_writer"
+    ),
+    pytest.param(lambda p: write_rvq1(p, RvqStack([Codebook(np.ones((2, 3)))])), id="write_rvq1"),
+    pytest.param(
+        lambda p: write_eval_records(p, make_random_eval_records(3)), id="write_eval_records"
+    ),
+    pytest.param(lambda p: write_wav(p, AudioBuffer(np.zeros(100), 16000)), id="write_wav"),
+]
+
+
+class TestStaged:
+    def test_commits_in_the_order_given(self, tmp_path, monkeypatch):
+        a, b = tmp_path / "a", tmp_path / "b"
+        replace, replaced = os.replace, []
+
+        def recorded(src, dst):
+            replaced.append(dst)
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", recorded)
+        with staged(a, b) as tmps:
+            assert tmps == [f"{a}.{os.getpid()}.tmp", f"{b}.{os.getpid()}.tmp"]
+            for tmp, text in zip(tmps, ("first", "second")):
+                with open(tmp, "w") as fh:
+                    fh.write(text)
+            assert not a.exists() and not b.exists()
+        assert replaced == [str(a), str(b)]
+        assert (a.read_text(), b.read_text()) == ("first", "second")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b"]
+
+    def test_a_link_to_another_target_is_the_same_file(self, tmp_path):
+        a, link = tmp_path / "a", tmp_path / "link"
+        link.symlink_to(a)
+        with pytest.raises(InvalidConfig, match="given twice"):
+            with staged(a, link):
+                raise AssertionError("the block must not run")
+        assert [p.name for p in tmp_path.iterdir()] == ["link"]
+
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_failed_writer_leaves_old_file(self, tmp_path, monkeypatch, writer):
+        path = tmp_path / "out"
+        writer(path)
+        older = path.read_bytes()
+        monkeypatch.setattr(
+            fileformats, "open", lambda *a, **k: FailsAfterFirstWrite(open(*a, **k)),
+            raising=False,
+        )
+        with pytest.raises(OSError, match="injected failure"):
+            writer(path)
+        assert path.read_bytes() == older
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
 
 class TestAfv1:
@@ -712,7 +801,7 @@ class TestStreamRecordFuzz:
             stream, mask = load_stream_record(obj, frames_by_path)
         except RvqtokError:
             return
-        assert len(mask) == len(build_loss_mask(stream))
+        assert mask == build_loss_mask(stream)
 
     def test_valid_record_loads(self):
         obj, frames_by_path = valid_record()
@@ -758,6 +847,7 @@ class TestStreamRecordFuzz:
             {**obj, "mask": [1] * len(obj["mask"])},
             {**obj, "mask": obj["mask"][:-1]},
             {**obj, "mask": obj["mask"] + [True]},
+            edited(obj, ("mask", 3), not obj["mask"][3]),
         ]:
             with pytest.raises(MalformedWire):
                 load_stream_record(bad, frames_by_path)

@@ -1,9 +1,11 @@
 """Every import in a package module is used: a name a module imports
 but never reads is dead code that a deletion left behind. A line marked
 ``# noqa: F401`` keeps an import on purpose. ``__init__.py`` re-exports
-and is not checked."""
+and is not checked. Only ``fileformats`` writes files, so that one
+module decides how every output is committed."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -54,3 +56,34 @@ def test_no_private_reads_across_modules(path):
         ):
             private.append(f"{path.name}:{node.lineno} {node.value.id}.{node.attr}")
     assert private == []
+
+
+# an open() mode that writes: w, a, x or + among mode letters
+WRITE_MODE = re.compile(r"[rbtU]*[wax+][rwaxbtU+]*")
+
+
+def _writes_a_file(call: ast.Call) -> bool:
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name != "open":
+        return False
+    # open(file, mode), Path.open(mode) and wave.open(file, mode)
+    modes = [*call.args[:2], *(k.value for k in call.keywords if k.arg == "mode")]
+    return any(
+        isinstance(m, ast.Constant) and isinstance(m.value, str) and WRITE_MODE.fullmatch(m.value)
+        for m in modes
+    )
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in PACKAGE.glob("*.py") if p.name != "fileformats.py"], ids=lambda p: p.name
+)
+def test_only_fileformats_writes_files(path):
+    writes = [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and _writes_a_file(node)
+    ]
+    assert writes == []
