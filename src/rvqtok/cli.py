@@ -19,6 +19,7 @@ allocate (a huge n_fft or layer size).
 from __future__ import annotations
 
 import argparse
+import bisect
 import json
 import shlex
 import sys
@@ -60,7 +61,10 @@ from .rvq import (
 # traced run still resolves this name on this module.
 from .rvq import encode_frames  # noqa: F401
 from .scorers import SubprocessScorer, builtin_scorer, run_plugin_loop
-from .streams import SpecialTokens, build_loss_mask
+from .streams import SpecialTokens
+
+# Not called since pack stores no mask; perfbench's traced run resolves it here.
+from .streams import build_loss_mask  # noqa: F401
 
 # Unused by pack (records hold no switch ids); perfbench serializes with it.
 DEFAULT_SPECIAL = SpecialTokens(switch_ta=256, switch_at=257)
@@ -122,7 +126,7 @@ def cmd_mel(args) -> int:
             raise EmptyInput(f"{n_frames} mel frames, too few to stack {stack_factor}")
         dim = stack_factor * cfg.n_mels
         frame_rate = cfg.frame_rate / stack_factor
-        with ff.afv1_writer(args.output, n_vectors, dim, frame_rate) as write:
+        with ff.afv1_writer(args.output, n_vectors, dim, frame_rate, [args.input]) as write:
             for block in blocks:
                 # blocks start on stack groups; only the last can end inside one
                 whole = len(block) // stack_factor * stack_factor
@@ -131,17 +135,17 @@ def cmd_mel(args) -> int:
     return 0
 
 
-def _read_afv1_manifest(path) -> list[FeatureSequence]:
+def _read_afv1_manifest(path) -> tuple[list[str], list[FeatureSequence]]:
+    """The AFV1 paths a manifest lists, and their features."""
+    lines = (line.strip() for line in Path(path).read_text().splitlines())
+    paths = [line for line in lines if line and not line.startswith("#")]
     corpus = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        vectors, frame_rate = ff.read_afv1(line)
+    for afv1 in paths:
+        vectors, frame_rate = ff.read_afv1(afv1)
         corpus.append(
             FeatureSequence(vectors=vectors, frame_rate=frame_rate, stack_factor=1)
         )
-    return corpus
+    return paths, corpus
 
 
 # train-rvq --config keys; init_rvq_stack and train_rvq hold the defaults
@@ -183,7 +187,7 @@ def cmd_train_rvq(args) -> int:
         init_kwargs["method"] = doc["init_method"]
     train_kwargs = {k: doc[k] for k in ("mode", "dead_threshold", "restart") if k in doc}
 
-    corpus = _read_afv1_manifest(args.manifest)
+    afv1_paths, corpus = _read_afv1_manifest(args.manifest)
     if not corpus:
         raise EmptyInput("manifest lists no feature files")
     dims = {seq.dim for seq in corpus}
@@ -196,7 +200,8 @@ def cmd_train_rvq(args) -> int:
         stack, corpus, schedule, gumbel, dropout, epochs=epochs, seed=args.seed, **train_kwargs
     )
     report_path = args.report or args.output + ".report.jsonl"
-    with ff.staged(args.output, report_path) as (books_tmp, report_tmp):
+    inputs = [args.manifest, *afv1_paths]
+    with ff.staged(args.output, report_path, inputs=inputs) as (books_tmp, report_tmp):
         ff.write_rvq1(books_tmp, stack)
         ff.write_lines(report_tmp, (rec.to_json() for rec in report.steps))
     _emit(
@@ -215,7 +220,8 @@ def cmd_encode(args) -> int:
         stack = ff.read_rvq1(args.codebooks)
         if rows.dim != stack.dim:
             raise ShapeMismatch(f"feature dim {rows.dim} != codebook dim {stack.dim}")
-        with ff.atk1_writer(args.output, rows.n_rows, stack.layer_sizes) as write:
+        inputs = [args.features, args.codebooks]
+        with ff.atk1_writer(args.output, rows.n_rows, stack.layer_sizes, inputs) as write:
             for indices in encode_rows(stack, rows.n_rows, rows.read):
                 write(indices)
     _emit({"frames": rows.n_rows, "seed": args.seed})
@@ -242,7 +248,8 @@ def cmd_decode(args) -> int:
         )
     dim = stack.dim // args.unstack
     n_rows = len(frames) * args.unstack
-    with ff.afv1_writer(args.output, n_rows, dim, args.frame_rate * args.unstack) as write:
+    rate = args.frame_rate * args.unstack
+    with ff.afv1_writer(args.output, n_rows, dim, rate, [args.tokens, args.codebooks]) as write:
         for start in range(0, len(frames), _DECODE_ROWS):
             write(decode_frames(stack, frames[start : start + _DECODE_ROWS]).reshape(-1, dim))
     _emit({"frames": n_rows, "seed": args.seed})
@@ -258,22 +265,40 @@ def _pack_groups(rows: list[dict], tag: str, group_size: int):
 
 
 def cmd_pack(args) -> int:
-    if args.group_size < 1:
-        raise InvalidConfig(f"group size must be >= 1, got {args.group_size}")
+    # an INTLV record needs two pairs, so a group of one could never pack
+    least = 2 if args.format_tag == "INTLV" else 1
+    if args.group_size < least:
+        raise InvalidConfig(
+            f"group size must be >= {least} for {args.format_tag}, got {args.group_size}"
+        )
     rows = ff.read_manifest(args.manifest)
 
-    atk1_cache: dict[str, np.ndarray] = {}
+    # per ATK1: its frames, and the numbers of those no record may hold
+    # (an index past its layer size, such as an end-of-audio frame)
+    atk1_cache: dict[str, tuple[np.ndarray, list[int]]] = {}
+    sizes = None
     pairs = []
     for row in rows:
-        path = row["atk1_path"]
+        path, where = row["atk1_path"], f"manifest line {row['line_no']}"
         if path not in atk1_cache:
-            atk1_cache[path], _ = ff.read_atk1(path)
+            frames, file_sizes = ff.read_atk1(path)
+            sizes = sizes or file_sizes
+            if file_sizes != sizes:
+                raise MalformedWire(
+                    f"{where}: ATK1 {path} has layer sizes {file_sizes}, not {sizes}"
+                )
+            atk1_cache[path] = frames, np.flatnonzero((frames >= sizes).any(axis=1)).tolist()
+        frames, past_end = atk1_cache[path]
         start, end = row["frame_range"]
-        frames = atk1_cache[path]
         if not 0 <= start < end <= len(frames):
             raise MalformedWire(
-                f"manifest line {row['line_no']}: frame range [{start}, {end}) "
-                f"outside ATK1 of {len(frames)}"
+                f"{where}: frame range [{start}, {end}) outside ATK1 of {len(frames)}"
+            )
+        i = bisect.bisect_left(past_end, start)
+        if i < len(past_end) and past_end[i] < end:
+            raise MalformedWire(
+                f"{where}: frame {past_end[i]} of {path} holds an index past "
+                f"its layer sizes {sizes}"
             )
         try:
             pair = AlignedPair(
@@ -283,27 +308,29 @@ def cmd_pack(args) -> int:
                 provenance=row["provenance"],
             )
         except InvalidConfig as exc:
-            raise MalformedWire(f"manifest line {row['line_no']}: {exc}") from exc
-        pairs.append((pair, {"path": path, "start": start, "end": end}))
+            raise MalformedWire(f"{where}: {exc}") from exc
+        pairs.append((pair, {"path": path, "start": start, "end": end}, row["line_no"]))
 
+    build = build_itts if args.format_tag == "ITTS" else build_intlv
     records = []
     stats_input = []
     for group in _pack_groups(pairs, args.format_tag, args.group_size):
-        group_pairs = [p for p, _ in group]
-        if args.format_tag == "ITTS":
-            stream = build_itts(group_pairs, tokenize=byte_tokenizer)
-        else:
-            stream = build_intlv(group_pairs, tokenize=byte_tokenizer)
-        mask = build_loss_mask(stream)
+        group_pairs, refs, line_nos = zip(*group)
         # INTLV takes its audio from every other pair, starting with the first
-        refs = [ref for _, ref in group]
         audio_refs = refs if args.format_tag == "ITTS" else refs[::2]
-        records.append(ff.stream_record(stream, mask, audio_refs))
+        try:
+            stream = build(list(group_pairs), tokenize=byte_tokenizer)
+        except (InsufficientData, InvalidStream) as exc:
+            first, last = line_nos[0], line_nos[-1]
+            lines = f"line {first}" if first == last else f"lines {first}-{last}"
+            raise type(exc)(f"manifest {lines}: {exc}") from exc
+        records.append(ff.stream_record(stream, audio_refs))
         stats_input.append((stream, sum(p.duration_s for p in group_pairs)))
 
     stats = corpus_stats(stats_input)
     stats_path = args.stats or args.output + ".stats.json"
-    with ff.staged(args.output, stats_path) as (records_tmp, stats_tmp):
+    inputs = [args.manifest, *atk1_cache]
+    with ff.staged(args.output, stats_path, inputs=inputs) as (records_tmp, stats_tmp):
         ff.write_lines(records_tmp, (json.dumps(rec, sort_keys=True) for rec in records))
         ff.write_lines(stats_tmp, [json.dumps(stats.to_dict(), sort_keys=True)])
     _emit({"records": len(records), "seed": args.seed, **stats.to_dict()})

@@ -80,19 +80,24 @@ def _read_exact(fh, n: int, what: str) -> bytes:
 
 
 @contextlib.contextmanager
-def staged(*paths):
+def staged(*paths, inputs=()):
     """Yield a temporary path ``<path>.<pid>.tmp`` beside each target path.
     When the block exits cleanly, the temporaries replace their targets in
     the order given; a failure in the block removes every temporary and
-    leaves every target untouched. Two paths naming one file are
-    InvalidConfig before the block runs; a target that is a directory is
-    IsADirectoryError before any rename. An OSError on a temporary names
-    its target instead."""
+    leaves every target untouched. Two paths naming one file, or a target
+    that is the same file as one of ``inputs`` (the paths the command
+    reads), are InvalidConfig before the block runs; a target that is a
+    directory is IsADirectoryError before any rename. An OSError on a
+    temporary names its target instead."""
     targets = [os.fspath(p) for p in paths]
     real = [os.path.realpath(p) for p in targets]
     for i, path in enumerate(real):
         if path in real[:i]:
             raise InvalidConfig(f"output path {targets[i]} is given twice")
+    for path in filter(os.path.exists, targets):
+        # samefile, so a symlink or a hard link to an input counts too
+        if any(os.path.exists(p) and os.path.samefile(path, p) for p in inputs):
+            raise InvalidConfig(f"output path {path} is also an input")
     tmps = [f"{p}.{os.getpid()}.tmp" for p in targets]
     try:
         yield tmps
@@ -112,7 +117,7 @@ def staged(*paths):
 
 
 @contextlib.contextmanager
-def _staged_rows(path, header: bytes, n_rows: int, rows, what: str):
+def _staged_rows(path, header: bytes, n_rows: int, rows, what: str, inputs):
     """Yield ``write(block)``: rows(block) checks a block and returns it as
     a 2-D array in file byte order, whose bytes follow the header in the
     staged ``path``; a row count other than n_rows is ShapeMismatch."""
@@ -126,7 +131,7 @@ def _staged_rows(path, header: bytes, n_rows: int, rows, what: str):
         fh.write(arr.tobytes())
         written += len(arr)
 
-    with staged(path) as [tmp], open(tmp, "wb") as fh:
+    with staged(path, inputs=inputs) as [tmp], open(tmp, "wb") as fh:
         fh.write(header)
         yield write
         if written != n_rows:
@@ -143,10 +148,10 @@ def write_lines(path, lines) -> None:
 
 # ---------------------------------------------------------------- AFV1
 
-def afv1_writer(path, n_rows: int, dim: int, frame_rate: float):
+def afv1_writer(path, n_rows: int, dim: int, frame_rate: float, inputs=()):
     """Context manager yielding ``write(rows)``, which appends (k, dim)
     rows to an AFV1 of n_rows rows; ``path`` appears only once exactly
-    n_rows are written."""
+    n_rows are written, and must not be one of ``inputs``."""
 
     def rows(block) -> np.ndarray:
         arr = np.ascontiguousarray(block, dtype="<f4")
@@ -159,7 +164,7 @@ def afv1_writer(path, n_rows: int, dim: int, frame_rate: float):
     if not 0 < frame_rate < math.inf:
         raise InvalidConfig(f"AFV1 frame rate must be finite and positive, got {frame_rate}")
     header = _AFV1_HEADER.pack(AFV1_MAGIC, n_rows, dim, frame_rate)
-    return _staged_rows(path, header, n_rows, rows, "AFV1")
+    return _staged_rows(path, header, n_rows, rows, "AFV1", inputs)
 
 
 def write_afv1(path, vectors: np.ndarray, frame_rate: float) -> None:
@@ -224,10 +229,11 @@ def read_afv1(path) -> tuple[np.ndarray, float]:
 
 # ---------------------------------------------------------------- ATK1
 
-def atk1_writer(path, n_frames: int, layer_sizes):
+def atk1_writer(path, n_frames: int, layer_sizes, inputs=()):
     """Context manager yielding ``write(frames)``, which appends (k, L)
     indices to an ATK1 of n_frames frames; ``path`` appears only once
-    exactly n_frames are written. ShapeMismatch unless a block is k x L,
+    exactly n_frames are written, and must not be one of ``inputs``.
+    ShapeMismatch unless a block is k x L,
     IndexOutOfRange for an index that is negative or does not fit u32
     (>= 2**32)."""
     sizes = tuple(int(k) for k in layer_sizes)
@@ -243,7 +249,7 @@ def atk1_writer(path, n_frames: int, layer_sizes):
         return arr.astype("<u4")
 
     header = struct.pack(f"<4sI{len(sizes)}II", ATK1_MAGIC, len(sizes), *sizes, n_frames)
-    return _staged_rows(path, header, n_frames, rows, "ATK1")
+    return _staged_rows(path, header, n_frames, rows, "ATK1", inputs)
 
 
 def write_atk1(path, frames: np.ndarray, layer_sizes) -> None:
@@ -472,16 +478,13 @@ def read_token_lists(path, vocab_size: int) -> list[list[int]]:
     return lists
 
 
-def stream_record(
-    stream: InterleavedStream,
-    mask: LossMask,
-    audio_refs: list[dict],
-) -> dict:
+def stream_record(stream: InterleavedStream, audio_refs: list[dict]) -> dict:
     """One interleaved record as a JSON-able dict.
 
     Audio segments are stored by reference: audio_refs carries one
     {path, start, end} per audio segment, in stream order, indexing the
-    named ATK1 file's frame array.
+    named ATK1 file's frame array. The loss mask is not stored: it
+    follows from the format tag, so readers derive it.
     """
     n_audio = sum(1 for s in stream.segments if s.kind is SegmentKind.AUDIO)
     if n_audio != len(audio_refs):
@@ -500,13 +503,10 @@ def stream_record(
                 raise ShapeMismatch(f"frame ref {ref} does not cover {len(seg)} frames")
             frames_ref = {"path": str(ref["path"]), "start": start, "end": end}
             segments.append({"kind": "audio", "frames_ref": frames_ref})
-    return {
-        "format": stream.format_tag,
-        "segments": segments,
-        "mask": list(mask.flags),
-    }
+    return {"format": stream.format_tag, "segments": segments}
 
 
+# "mask" is optional: records written before masks were derived carry one
 _RECORD_FIELDS = {"format": "str", "segments": "list of object", "mask": "list of bool"}
 _SEGMENT_FIELDS = {"kind": "str", "tokens": "list of int", "frames_ref": "object"}
 _FRAMES_REF_FIELDS = {"path": "str", "start": "int", "end": "int"}
@@ -527,22 +527,24 @@ def _record_segment(seg, frames_by_path) -> Segment:
 
 
 def load_stream_record(obj: dict, frames_by_path) -> tuple[InterleavedStream, LossMask]:
-    """Rebuild a stream from a record dict and loaded (T, L) ATK1 frames.
+    """Rebuild a stream from a record dict and loaded (T, L) ATK1 frames,
+    and return it with its ``build_loss_mask``.
 
-    A record that is not the dict stream_record writes (a field missing
+    A record that is not a dict stream_record writes (a field missing
     or of the wrong type, a frames_ref path not in frames_by_path, a
-    frame range outside its ATK1, a mask other than the stream's
-    ``build_loss_mask``) raises MalformedWire; a stream its format does
-    not allow raises InvalidStream, an unknown format InvalidConfig.
+    frame range outside its ATK1) raises MalformedWire, as does a stored
+    mask other than the derived one; a record without a mask loads. A
+    stream its format does not allow raises InvalidStream, an unknown
+    format InvalidConfig.
     """
     try:
-        check_fields(obj, _RECORD_FIELDS, "stream record", _RECORD_FIELDS)
+        check_fields(obj, _RECORD_FIELDS, "stream record", ("format", "segments"))
         segments = tuple(_record_segment(seg, frames_by_path) for seg in obj["segments"])
     except (KeyError, InvalidConfig) as exc:
         raise MalformedWire(f"stream record: {exc!r}") from exc
     stream = InterleavedStream(format_tag=obj["format"], segments=segments)
     mask = build_loss_mask(stream)
-    if tuple(obj["mask"]) != mask.flags:
+    if "mask" in obj and tuple(obj["mask"]) != mask.flags:
         raise MalformedWire("stream record mask is not its format's loss mask")
     return stream, mask
 

@@ -23,6 +23,7 @@ from rvqtok import rvq
 from rvqtok import scorers
 from rvqtok.cli import main
 from rvqtok.fileformats import (
+    load_stream_record,
     read_afv1,
     read_atk1,
     read_raw_f32,
@@ -45,7 +46,7 @@ from rvqtok.rvq import (
     encode_frames,
 )
 from rvqtok.scorers import SubprocessScorer
-from rvqtok.streams import eoa_frame
+from rvqtok.streams import deserialize, eoa_frame, serialize
 from rvqtok.synth import (
     make_bigram_world,
     make_oracle_eval_records,
@@ -750,6 +751,14 @@ def packable(tmp_path):
     return manifest, rows
 
 
+def packed(out):
+    """Each record of a pack output, loaded: its stream and its mask."""
+    docs = [json.loads(line) for line in out.read_text().splitlines()]
+    paths = {s["frames_ref"]["path"] for d in docs for s in d["segments"] if "frames_ref" in s}
+    frames_by_path = {path: read_atk1(path)[0] for path in paths}
+    return [load_stream_record(doc, frames_by_path) for doc in docs]
+
+
 class TestPack:
     def test_itts_records(self, capsys, tmp_path, packable):
         manifest, rows = packable
@@ -768,10 +777,12 @@ class TestPack:
         assert first["segments"][1]["frames_ref"] == {
             "path": rows[0]["atk1_path"], "start": 0, "end": 3,
         }
+        assert "mask" not in first
         # first text segment unsupervised: its token flags are false
         n_first_text = len("one.".encode())
-        assert first["mask"][:n_first_text] == [False] * n_first_text
-        assert all(first["mask"][n_first_text:])
+        _, mask = packed(out)[0]
+        assert mask.flags[:n_first_text] == (False,) * n_first_text
+        assert all(mask.flags[n_first_text:])
 
     def test_intlv_folds_leftover(self, capsys, tmp_path, packable):
         manifest, _ = packable
@@ -790,11 +801,25 @@ class TestPack:
         manifest, _ = packable
         out = tmp_path / "records.jsonl"
         run(capsys, "pack", manifest, out, "--format-tag", "INTLV", "--group-size", 3)
-        rec = json.loads(out.read_text().splitlines()[0])
+        (_, mask), = packed(out)
         # audio segments contribute nothing to the loss in INTLV
         n_audio_0 = 3 + 1  # frames of row 0 plus end-of-audio
-        assert rec["mask"][:n_audio_0] == [False] * n_audio_0
-        assert rec["mask"][-5:] == [False] * 5  # trailing audio run + its switch
+        assert mask.flags[:n_audio_0] == (False,) * n_audio_0
+        assert mask.flags[-5:] == (False,) * 5  # trailing audio run + its switch
+
+    @pytest.mark.parametrize("tag", ["ITTS", "INTLV"])
+    def test_records_load_and_round_trip(self, capsys, tmp_path, packable, tag):
+        # group size 2 over three rows: INTLV folds its last row back
+        manifest, rows = packable
+        out = tmp_path / "records.jsonl"
+        code, lines, _ = run(capsys, "pack", manifest, out, "--format-tag", tag, "--group-size", 2)
+        assert code == 0
+        records = packed(out)
+        assert len(records) == lines[-1]["records"] == {"ITTS": 2, "INTLV": 1}[tag]
+        _, sizes = read_atk1(rows[0]["atk1_path"])
+        for stream, _ in records:
+            wire = serialize(stream, cli.DEFAULT_SPECIAL, sizes)
+            assert deserialize(wire, tag, cli.DEFAULT_SPECIAL, sizes) == stream
 
     def test_stats_sidecar(self, capsys, tmp_path, packable):
         manifest, _ = packable
@@ -849,6 +874,52 @@ class TestPack:
         code, lines, err = run(capsys, "pack", tmp_path / "none.jsonl", out, "--group-size", size)
         assert (code, lines, out.exists()) == (3, [], False)
         assert "group size" in err
+
+    def test_intlv_group_of_one(self, capsys, tmp_path):
+        # an INTLV record needs two pairs: refused before the manifest is read
+        argv = ["pack", tmp_path / "none.jsonl", tmp_path / "r.jsonl", "--format-tag", "INTLV",
+                "--group-size", 1]
+        refused(capsys, argv, tmp_path, 3, "group size must be >= 2 for INTLV, got 1")
+
+    @pytest.mark.parametrize("frame", [(0, 5), (8, 4)], ids=["past-layer-size", "end-of-audio"])
+    def test_frame_no_record_may_hold(self, capsys, tmp_path, packable, frame):
+        manifest, rows = packable
+        frames = np.array([(i % 8, i % 4) for i in range(10)])
+        frames[7] = frame  # inside row 3's range [6, 10)
+        write_atk1(rows[0]["atk1_path"], frames, (8, 4))
+        argv = ["pack", manifest, tmp_path / "r.jsonl"]
+        err = refused(capsys, argv, tmp_path, 4, "manifest line 3: frame 7 of ")
+        assert "index past its layer sizes (8, 4)" in err
+
+    def test_bad_frame_outside_every_range(self, capsys, tmp_path, packable):
+        manifest, rows = packable
+        frames = np.array([(i % 8, i % 4) for i in range(11)])
+        frames[10] = (8, 4)
+        write_atk1(rows[0]["atk1_path"], frames, (8, 4))
+        assert run(capsys, "pack", manifest, tmp_path / "r.jsonl")[0] == 0
+
+    def test_layer_sizes_differ_between_files(self, capsys, tmp_path, packable):
+        manifest, rows = packable
+        other = tmp_path / "other.atk1"
+        write_atk1(other, np.zeros((4, 3), dtype=np.int64), (8, 4, 4))
+        rows[2]["atk1_path"] = str(other)
+        rows[2]["frame_range"] = [0, 4]
+        manifest.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        argv = ["pack", manifest, tmp_path / "r.jsonl"]
+        message = f"manifest line 3: ATK1 {other} has layer sizes (8, 4, 4), not (8, 4)"
+        refused(capsys, argv, tmp_path, 4, message)
+
+    @pytest.mark.parametrize(
+        "size, where",
+        [(1, "manifest line 3: "), (2, "manifest lines 3-4: "), (4, "manifest lines 1-4: ")],
+    )
+    def test_record_error_names_manifest_lines(self, capsys, tmp_path, packable, size, where):
+        manifest, rows = packable
+        rows.append({**rows[0], "text": ""})
+        rows[2], rows[3] = rows[3], rows[2]
+        manifest.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        argv = ["pack", manifest, tmp_path / "r.jsonl", "--group-size", size]
+        refused(capsys, argv, tmp_path, 4, where + "pair ")
 
     def test_byte_identical_runs(self, capsys, tmp_path, packable):
         manifest, _ = packable
@@ -921,6 +992,20 @@ def commands(tmp_path, trained, wav_1s, packable):
     }
 
 
+# An output of each command named by each path the command reads.
+OUTPUT_INPUTS = [
+    ("mel", "afv1", "in.wav"),
+    ("train-rvq", "rvq1", "corpus.txt"),
+    ("train-rvq", "report", "feats.afv1"),
+    ("encode", "atk1", "feats.afv1"),
+    ("encode", "atk1", "books.rvq1"),
+    ("decode", "afv1", "tokens.atk1"),
+    ("decode", "afv1", "books.rvq1"),
+    ("pack", "records", "clips.atk1"),
+    ("pack", "stats", "manifest.jsonl"),
+]
+
+
 class TestOutputs:
     """A command commits all of its outputs or none of them."""
 
@@ -965,6 +1050,22 @@ class TestOutputs:
         # the second output's option names the first output, spelled otherwise
         argv[argv.index(second)] = first.parent / ".." / first.parent.name / first.name
         refused(capsys, argv, first.parent, 3, "given twice")
+
+    @pytest.mark.parametrize("alias", ["path", "symlink", "hardlink"])
+    @pytest.mark.parametrize("command, output, name", OUTPUT_INPUTS)
+    def test_output_that_is_an_input(self, capsys, tmp_path, commands, command, output, name,
+                                     alias):
+        argv, outputs = commands[command]
+        source = tmp_path / name
+        link = tmp_path / "alias"
+        if alias == "path":
+            link = tmp_path / "out" / ".." / name
+        elif alias == "symlink":
+            link.symlink_to(source)
+        else:
+            os.link(source, link)
+        argv = [link if a == outputs[output] else a for a in argv]
+        refused(capsys, argv, tmp_path, 3, "is also an input")
 
     def test_missing_folder_names_the_output(self, capsys, commands):
         argv, outputs = commands["encode"]

@@ -138,6 +138,25 @@ class TestStaged:
                 raise AssertionError("the block must not run")
         assert [p.name for p in tmp_path.iterdir()] == ["link"]
 
+    @pytest.mark.parametrize("alias", ["path", "symlink", "hardlink"])
+    def test_a_target_that_is_an_input(self, tmp_path, alias):
+        source, target = tmp_path / "in", tmp_path / "out"
+        source.write_text("input")
+        if alias == "path":
+            target = tmp_path / "." / "in"
+        elif alias == "symlink":
+            target.symlink_to(source)
+        else:
+            os.link(source, target)
+        with pytest.raises(InvalidConfig, match="is also an input"):
+            with staged(tmp_path / "other", target, inputs=[tmp_path / "missing", source]):
+                raise AssertionError("the block must not run")
+        assert source.read_text() == "input"
+        # a target that does not exist yet is no input
+        with staged(tmp_path / "other", inputs=[source]) as [tmp], open(tmp, "w") as fh:
+            fh.write("output")
+        assert (tmp_path / "other").read_text() == "output"
+
     @pytest.mark.parametrize("writer", WRITERS)
     def test_failed_writer_leaves_old_file(self, tmp_path, monkeypatch, writer):
         path = tmp_path / "out"
@@ -700,46 +719,37 @@ def sample_stream():
 class TestStreamRecord:
     def test_round_trip(self):
         s = sample_stream()
-        mask = build_loss_mask(s)
-        obj = stream_record(
-            s, mask, [{"path": "a.atk1", "start": 10, "end": 12}]
-        )
+        obj = stream_record(s, [{"path": "a.atk1", "start": 10, "end": 12}])
         frames = np.array([(9, 9)] * 10 + [(0, 1), (3, 2)], dtype=np.int64)
         back, back_mask = load_stream_record(obj, {"a.atk1": frames})
         assert back == s
-        assert back_mask == mask
+        assert back_mask == build_loss_mask(s)
 
     def test_json_serializable(self):
         s = sample_stream()
-        obj = stream_record(
-            s, build_loss_mask(s), [{"path": "a.atk1", "start": 0, "end": 2}]
-        )
+        obj = stream_record(s, [{"path": "a.atk1", "start": 0, "end": 2}])
         assert json.loads(json.dumps(obj)) == obj
 
     def test_ref_count_check(self):
         s = sample_stream()
         with pytest.raises(ShapeMismatch):
-            stream_record(s, build_loss_mask(s), [])
+            stream_record(s, [])
 
     def test_ref_coverage_check(self):
         s = sample_stream()
         with pytest.raises(ShapeMismatch):
-            stream_record(
-                s, build_loss_mask(s), [{"path": "a.atk1", "start": 0, "end": 5}]
-            )
+            stream_record(s, [{"path": "a.atk1", "start": 0, "end": 5}])
 
     def test_load_rejects_bad_range(self):
         s = sample_stream()
-        obj = stream_record(
-            s, build_loss_mask(s), [{"path": "a.atk1", "start": 0, "end": 2}]
-        )
+        obj = stream_record(s, [{"path": "a.atk1", "start": 0, "end": 2}])
         with pytest.raises(MalformedWire):
             load_stream_record(obj, {"a.atk1": np.zeros((1, 2), dtype=np.int64)})
 
     def test_load_rejects_unknown_kind(self):
         with pytest.raises(MalformedWire):
             load_stream_record(
-                {"format": "TTS", "segments": [{"kind": "video"}], "mask": []}, {}
+                {"format": "TTS", "segments": [{"kind": "video"}]}, {}
             )
 
 
@@ -759,7 +769,7 @@ def valid_record():
         "a.atk1": np.array([(9, 9), (0, 1), (3, 2)], dtype=np.int64),
         "b.atk1": np.array([(2, 2)], dtype=np.int64),
     }
-    return stream_record(s, build_loss_mask(s), refs), frames_by_path
+    return stream_record(s, refs), frames_by_path
 
 
 def json_paths(node, path=()):
@@ -794,7 +804,15 @@ HOSTILE_VALUES += [{"kind": "text"}, {"kind": "audio"}]
 class TestStreamRecordFuzz:
     """Hostile stream records raise toolkit errors and nothing else: each
     key dropped, each value swapped for another JSON type, each list cut
-    short. A valid record loads as written."""
+    short, in a record with and without a stored mask. A valid record
+    loads as written."""
+
+    def records(self):
+        """The valid record as written, and as written with its mask, as
+        records from before masks were derived carry it."""
+        obj, frames_by_path = valid_record()
+        flags = list(load_stream_record(obj, frames_by_path)[1].flags)
+        return [obj, {**obj, "mask": flags}], frames_by_path
 
     def load(self, obj, frames_by_path):
         try:
@@ -807,22 +825,35 @@ class TestStreamRecordFuzz:
         obj, frames_by_path = valid_record()
         stream, mask = load_stream_record(obj, frames_by_path)
         refs = [seg["frames_ref"] for seg in obj["segments"] if seg["kind"] == "audio"]
-        assert stream_record(stream, mask, refs) == obj
+        assert stream_record(stream, refs) == obj
+        assert "mask" not in obj
+        assert mask == build_loss_mask(stream)
+
+    def test_stored_mask_is_checked(self):
+        # a stored mask loads if it is the derived one; one flipped flag is refused
+        (obj, masked), frames_by_path = self.records()
+        loaded = load_stream_record(obj, frames_by_path)
+        assert load_stream_record(masked, frames_by_path) == loaded
+        flipped = edited(masked, ("mask", 3), not masked["mask"][3])
+        with pytest.raises(MalformedWire, match="not its format's loss mask"):
+            load_stream_record(flipped, frames_by_path)
 
     def test_every_key_or_item_dropped(self):
-        obj, frames_by_path = valid_record()
-        for path in json_paths(obj):
-            self.load(edited(obj, path, DROP), frames_by_path)
+        objs, frames_by_path = self.records()
+        for obj in objs:
+            for path in json_paths(obj):
+                self.load(edited(obj, path, DROP), frames_by_path)
 
     @pytest.mark.parametrize("value", HOSTILE_VALUES, ids=repr)
     def test_every_value_swapped(self, value):
-        obj, frames_by_path = valid_record()
-        for path in json_paths(obj):
-            self.load(edited(obj, path, value), frames_by_path)
+        objs, frames_by_path = self.records()
+        for obj in objs:
+            for path in json_paths(obj):
+                self.load(edited(obj, path, value), frames_by_path)
 
     def test_every_list_truncated(self):
-        obj, frames_by_path = valid_record()
-        for path in json_paths(obj):
+        objs, frames_by_path = self.records()
+        for obj, path in ((obj, path) for obj in objs for path in json_paths(obj)):
             value = obj
             for key in path:
                 value = value[key]
@@ -836,7 +867,7 @@ class TestStreamRecordFuzz:
             load_stream_record(value, valid_record()[1])
 
     def test_named_faults_are_malformed(self):
-        obj, frames_by_path = valid_record()
+        (_, obj), frames_by_path = self.records()
         for bad in [
             {},
             {**obj, "segments": 3},

@@ -1,16 +1,20 @@
 """Every import in a package module is used: a name a module imports
 but never reads is dead code that a deletion left behind. A line marked
-``# noqa: F401`` keeps an import on purpose. ``__init__.py`` re-exports
-and is not checked. Only ``fileformats`` writes files, so that one
-module decides how every output is committed."""
+``# noqa: F401`` keeps an import on purpose, such as a name perfbench's
+traced run wraps; every name it wraps must resolve. ``__init__.py``
+re-exports and is not checked. Only ``fileformats`` writes files, so
+that one module decides how every output is committed."""
 
 import ast
+import importlib.util
 import re
+import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rvqtok"
+REPO = Path(__file__).resolve().parents[1]
+PACKAGE = REPO / "src" / "rvqtok"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -30,6 +34,22 @@ def test_no_unused_imports(path):
         and "# noqa: F401" not in lines[alias.lineno - 1]
     ]
     assert unused == []
+
+
+def test_trace_targets_resolve(monkeypatch):
+    # the benchmark's file is only read: no bytecode is written beside it
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", REPO / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    missing = [
+        f"{owner.__name__}.{name}"
+        for owner, name, *_ in workloads.TRACE_TARGETS
+        if not hasattr(owner, name)
+    ]
+    assert workloads.TRACE_TARGETS and missing == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
