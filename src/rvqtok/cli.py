@@ -97,13 +97,16 @@ def _field_types(cls) -> dict[str, str]:
 def _load_json(path, types: dict[str, str], what: str) -> dict:
     try:
         doc = json.loads(Path(path).read_text())
-    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, UnicodeDecodeError, or arrays nested too deep
         raise InvalidConfig(f"{what} is not JSON: {exc}") from exc
     return _config(doc, types, what)
 
 
 def _open_audio(path: str, raw_rate: int | None):
     if path.endswith(".wav"):
+        if raw_rate is not None:
+            raise InvalidConfig("--raw-rate is for raw float32 input; a WAV header gives the rate")
         return ff.open_wav(path)
     if raw_rate is None:
         raise InvalidConfig("raw float32 input needs --raw-rate")
@@ -111,34 +114,41 @@ def _open_audio(path: str, raw_rate: int | None):
 
 
 def cmd_mel(args) -> int:
-    cfg_kwargs: dict = {}
-    stack_factor = args.stack
-    if args.config:
-        types = {**_field_types(MelConfig), "stack_factor": "int"}
-        cfg_kwargs = _load_json(args.config, types, "mel config")
-        stack_factor = cfg_kwargs.pop("stack_factor", stack_factor)
-    cfg = MelConfig(**cfg_kwargs)
+    doc = _load_json(args.config, _field_types(MelConfig), "mel config") if args.config else {}
+    cfg = MelConfig(**doc)
 
     with _open_audio(args.input, args.raw_rate) as source:
-        n_frames, blocks = mel_blocks(source, cfg, stack_factor)
-        n_vectors = n_frames // stack_factor
+        n_frames, blocks = mel_blocks(source, cfg, args.stack)
+        n_vectors = n_frames // args.stack
         if n_vectors == 0:
-            raise EmptyInput(f"{n_frames} mel frames, too few to stack {stack_factor}")
-        dim = stack_factor * cfg.n_mels
-        frame_rate = cfg.frame_rate / stack_factor
+            raise EmptyInput(f"{n_frames} mel frames, too few to stack {args.stack}")
+        dim = args.stack * cfg.n_mels
+        frame_rate = cfg.frame_rate / args.stack
         with ff.afv1_writer(args.output, n_vectors, dim, frame_rate, [args.input]) as write:
             for block in blocks:
                 # blocks start on stack groups; only the last can end inside one
-                whole = len(block) // stack_factor * stack_factor
+                whole = len(block) // args.stack * args.stack
                 write(block[:whole].reshape(-1, dim))
     _emit({"frames": n_vectors, "frame_rate": frame_rate, "seed": args.seed})
     return 0
 
 
 def _read_afv1_manifest(path) -> tuple[list[str], list[FeatureSequence]]:
-    """The AFV1 paths a manifest lists, and their features."""
-    lines = (line.strip() for line in Path(path).read_text().splitlines())
-    paths = [line for line in lines if line and not line.startswith("#")]
+    """The AFV1 paths a manifest lists, and their features; a line that is
+    not UTF-8 or holds a NUL is MalformedWire naming it."""
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode()
+    except UnicodeDecodeError as exc:
+        line_no = raw.count(b"\n", 0, exc.start) + 1
+        raise MalformedWire(f"train-rvq manifest line {line_no}: not UTF-8") from exc
+    paths = []
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        if "\0" in line:
+            raise MalformedWire(f"train-rvq manifest line {line_no}: NUL in path")
+        line = line.strip()
+        if line and not line.startswith("#"):
+            paths.append(line)
     corpus = []
     for afv1 in paths:
         vectors, frame_rate = ff.read_afv1(afv1)
@@ -152,13 +162,11 @@ def _read_afv1_manifest(path) -> tuple[list[str], list[FeatureSequence]]:
 # of those the config leaves out
 _TRAIN_KEYS = {
     "layer_sizes": "list of int",
-    "epochs": "int",
     "schedule": "object",
     "gumbel": "object or null",
     "dropout": "object or null",
     "ema_decay": "float",
     "norm_beta": "float",
-    "init_method": "str",
     "mode": "str",
     "dead_threshold": "int",
     "restart": "bool",
@@ -180,11 +188,8 @@ def _train_configs(doc: dict):
 def cmd_train_rvq(args) -> int:
     doc = _load_json(args.config, _TRAIN_KEYS, "train-rvq config") if args.config else {}
     layer_sizes = doc.get("layer_sizes", [64, 64])
-    epochs = doc.get("epochs", args.epochs)
     schedule, gumbel, dropout = _train_configs(doc)
     init_kwargs = {k: doc[k] for k in ("ema_decay", "norm_beta") if k in doc}
-    if "init_method" in doc:
-        init_kwargs["method"] = doc["init_method"]
     train_kwargs = {k: doc[k] for k in ("mode", "dead_threshold", "restart") if k in doc}
 
     afv1_paths, corpus = _read_afv1_manifest(args.manifest)
@@ -197,7 +202,7 @@ def cmd_train_rvq(args) -> int:
     features = np.concatenate([seq.vectors for seq in corpus], axis=0)
     stack = init_rvq_stack(layer_sizes, features, seed=args.seed, **init_kwargs)
     stack, report = train_rvq(
-        stack, corpus, schedule, gumbel, dropout, epochs=epochs, seed=args.seed, **train_kwargs
+        stack, corpus, schedule, gumbel, dropout, args.epochs, seed=args.seed, **train_kwargs
     )
     report_path = args.report or args.output + ".report.jsonl"
     inputs = [args.manifest, *afv1_paths]
@@ -337,21 +342,34 @@ def cmd_pack(args) -> int:
     return 0
 
 
+def _check_bigram_options(name: str | None, args) -> None:
+    """Refuse --bigram-corpus and --vocab-size unless the built-in scorer
+    named (None for a plugin) is bigram, the only one that reads them."""
+    if name != "bigram" and (args.bigram_corpus, args.vocab_size) != (None, None):
+        raise InvalidConfig("--bigram-corpus and --vocab-size are for the bigram scorer only")
+
+
 def _builtin_scorer(name: str, args):
     """The named built-in scorer; bigram is fit on --bigram-corpus (JSONL),
     whose ids must lie in [0, --vocab-size)."""
-    corpus = None
+    corpus, vocab_size = None, args.vocab_size or 0
     # without a vocab size, builtin_scorer refuses the bigram config (exit 3)
-    if name == "bigram" and args.bigram_corpus and args.vocab_size >= 1:
-        corpus = ff.read_token_lists(args.bigram_corpus, args.vocab_size)
-    return builtin_scorer(
-        name, seed=args.seed, corpus=corpus, vocab_size=args.vocab_size
-    )
+    if name == "bigram" and args.bigram_corpus and vocab_size >= 1:
+        corpus = ff.read_token_lists(args.bigram_corpus, vocab_size)
+    return builtin_scorer(name, seed=args.seed, corpus=corpus, vocab_size=vocab_size)
+
+
+def _plugin_argv(command: str) -> list[str]:
+    try:
+        return shlex.split(command)
+    except ValueError as exc:  # such as an unclosed quote
+        raise InvalidConfig(f"--plugin: {exc}") from exc
 
 
 def cmd_eval(args) -> int:
+    _check_bigram_options(None if args.plugin is not None else args.scorer, args)
     # a plugin starts first, so its interpreter loads while the records do
-    scorer = SubprocessScorer(shlex.split(args.plugin)) if args.plugin else None
+    scorer = SubprocessScorer(_plugin_argv(args.plugin)) if args.plugin is not None else None
     try:
         records = ff.read_eval_records(args.records)
         if scorer is None:
@@ -372,6 +390,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_scorer_plugin(args) -> int:
+    _check_bigram_options(args.name, args)
     return run_plugin_loop(_builtin_scorer(args.name, args))
 
 
@@ -437,16 +456,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("eval", "perplexity-comparison accuracy")
     p.add_argument("records", help="eval records JSONL path")
     p.add_argument("--format", choices=("json", "jsonl"), default="json")
-    p.add_argument("--scorer", choices=("perfect", "random", "bigram"), default="perfect")
-    p.add_argument("--plugin", default=None, help="external scorer command line")
+    scorer = p.add_mutually_exclusive_group()
+    scorer.add_argument("--scorer", choices=("perfect", "random", "bigram"), default="perfect")
+    scorer.add_argument("--plugin", default=None, help="external scorer command line")
     p.add_argument("--bigram-corpus", default=None, help="JSONL of token-id lists")
-    p.add_argument("--vocab-size", type=int, default=0)
+    p.add_argument("--vocab-size", type=int, default=None)
     p.set_defaults(fn=cmd_eval)
 
     p = command("scorer-plugin", "serve a built-in scorer over stdio")
     p.add_argument("--name", choices=("perfect", "random", "bigram"), default="perfect")
     p.add_argument("--bigram-corpus", default=None)
-    p.add_argument("--vocab-size", type=int, default=0)
+    p.add_argument("--vocab-size", type=int, default=None)
     p.set_defaults(fn=cmd_scorer_plugin)
 
     return parser

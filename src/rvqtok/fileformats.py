@@ -34,6 +34,7 @@ import errno
 import json
 import math
 import os
+import re
 import struct
 import sys
 import wave
@@ -416,11 +417,16 @@ def _is_int64_list(v) -> bool:
     )
 
 
-# What each field type name accepts of a JSON value: a bool is not a
-# number, an int passes where a float is wanted, a float must be finite,
-# and every number must fit the int64 or float64 it is read into.
+# the code points UTF-8 cannot encode; json.loads takes them as "\ud800"
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+# What each field type name accepts of a JSON value: a str must encode as
+# UTF-8, a path is a str without NUL, a bool is not a number, an int
+# passes where a float is wanted, a float must be finite, and every number
+# must fit the int64 or float64 it is read into.
 _JSON_TESTS = {
-    "str": lambda v: type(v) is str,
+    "str": lambda v: type(v) is str and not _SURROGATE.search(v),
+    "path": lambda v: _JSON_TESTS["str"](v) and "\0" not in v,
     "bool": lambda v: type(v) is bool,
     "int": lambda v: type(v) is int and _INT64_MIN <= v <= _INT64_MAX,
     "float": lambda v: (
@@ -509,7 +515,7 @@ def stream_record(stream: InterleavedStream, audio_refs: list[dict]) -> dict:
 # "mask" is optional: records written before masks were derived carry one
 _RECORD_FIELDS = {"format": "str", "segments": "list of object", "mask": "list of bool"}
 _SEGMENT_FIELDS = {"kind": "str", "tokens": "list of int", "frames_ref": "object"}
-_FRAMES_REF_FIELDS = {"path": "str", "start": "int", "end": "int"}
+_FRAMES_REF_FIELDS = {"path": "path", "start": "int", "end": "int"}
 
 
 def _record_segment(seg, frames_by_path) -> Segment:
@@ -578,7 +584,7 @@ def read_eval_records(path) -> list[EvalRecord]:
 
 
 _MANIFEST_FIELDS = {
-    "text": "str", "atk1_path": "str", "frame_range": "list of int", "duration_s": "float",
+    "text": "str", "atk1_path": "path", "frame_range": "list of int", "duration_s": "float",
     "provenance": "str",
 }
 _MANIFEST_REQUIRED = ("text", "atk1_path", "frame_range", "duration_s")

@@ -606,21 +606,6 @@ def vq_replacement_gate(
     return rng.random(n_instances) < p
 
 
-def _kmeanspp_pick(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    chosen = [int(rng.integers(0, x.shape[0]))]
-    d2 = np.sum((x - x[chosen[0]]) ** 2, axis=1)
-    for _ in range(1, k):
-        total = float(d2.sum())
-        if total <= 0.0:
-            chosen.append(int(rng.integers(0, x.shape[0])))
-            continue
-        probs = d2 / total
-        nxt = int(rng.choice(x.shape[0], p=probs))
-        chosen.append(nxt)
-        d2 = np.minimum(d2, np.sum((x - x[nxt]) ** 2, axis=1))
-    return x[np.asarray(chosen)]
-
-
 def init_rvq_stack(
     layer_sizes,
     features: np.ndarray,
@@ -628,16 +613,13 @@ def init_rvq_stack(
     ema_decay: float = 0.99,
     norm_beta: float = 0.0,
     seed: int = 0,
-    method: str = "sample",
 ) -> RvqStack:
     """Initialize a stack from a batch of feature vectors.
 
-    Layer l's codewords are drawn from the residuals left after
-    quantizing the batch through layers < l, either sampled uniformly
-    (default) or by k-means++ seeding.
+    Layer l's codewords are rows sampled uniformly from the residuals
+    left after quantizing the batch through layers < l; which rows are
+    picked depends only on the row count, the layer sizes and the seed.
     """
-    if method not in ("sample", "kmeans++"):
-        raise InvalidConfig(f"unknown init method {method!r}")
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise EmptyInput("initialization needs a non-empty T x D batch")
@@ -652,12 +634,8 @@ def init_rvq_stack(
             raise InvalidConfig(f"layer {layer} size must be positive, got {k}")
         if k >= 2**32:
             raise InvalidConfig(f"layer {layer} size {k} does not fit the u32 RVQ1 stores")
-        if method == "kmeans++":
-            vectors = _kmeanspp_pick(residual, k, rng)
-        else:
-            replace_draw = residual.shape[0] < k
-            picks = rng.choice(residual.shape[0], size=k, replace=replace_draw)
-            vectors = residual[picks]
+        picks = rng.choice(residual.shape[0], size=k, replace=residual.shape[0] < k)
+        vectors = residual[picks]
         # fancy indexing copied the picks, so the in-place cascade step
         # below cannot alias the book
         book = Codebook(vectors=vectors, ema_decay=ema_decay, norm_beta=norm_beta)

@@ -188,15 +188,6 @@ class TestMel:
         out = tmp_path / "out.afv1"
         refused_twice(capsys, ["mel", raw, out, "--raw-rate", 16000], out, 4, "non-finite")
 
-    def test_config_overrides_stack_factor(self, capsys, tmp_path, wav_1s):
-        cfg = tmp_path / "mel.json"
-        cfg.write_text(json.dumps({"stack_factor": 4}))
-        out = tmp_path / "out.afv1"
-        code, lines, _ = run(capsys, "mel", wav_1s, out, "--config", cfg)
-        assert code == 0
-        assert lines[-1]["frames"] == 25
-        assert read_afv1(out)[0].shape == (25, 320)
-
     def test_unknown_config_key(self, capsys, tmp_path, wav_1s):
         cfg = tmp_path / "mel.json"
         cfg.write_text(json.dumps({"window": "hann"}))
@@ -1348,11 +1339,10 @@ def _oversize(doc):
     return pytest.param(json.dumps(doc), id=name + "-too-large")
 
 
-# every MelConfig field and the stack factor, at a size nothing can hold
-# and at one the u32 dim of AFV1 cannot
+# every MelConfig field, at a size nothing can hold, and n_mels at one the
+# u32 dim of AFV1 cannot
 MEL_OVERSIZE = [
     *(_oversize({f.name: HUGE}) for f in fields(MelConfig)),
-    _oversize({"stack_factor": HUGE}),
     _oversize({"n_mels": 2**40}),
 ]
 
@@ -1401,6 +1391,7 @@ class TestHostileDocuments:
             '{"center": "no"}',
             '{"log_floor": NaN}',
             "{bad",
+            pytest.param("[" * 100_000, id="nested-too-deep"),
             *MEL_OVERSIZE,
         ],
     )
@@ -1429,6 +1420,7 @@ class TestHostileDocuments:
             '{"dead_threshold": -2}',
             "[1, 2]",
             "{bad",
+            pytest.param("[" * 100_000, id="nested-too-deep"),
             *TRAIN_OVERSIZE,
         ],
     )
@@ -1439,6 +1431,44 @@ class TestHostileDocuments:
         out = tmp_path / "books.rvq1"
         outputs = [out, tmp_path / "books.rvq1.report.jsonl"]
         self.refused(capsys, ["train-rvq", manifest, out, "--config", cfg], outputs, 3)
+
+    @pytest.mark.parametrize(
+        "command, doc",
+        [
+            ("mel", {"stack_factor": 4}),
+            ("train-rvq", {"epochs": 2}),
+            ("train-rvq", {"init_method": "sample"}),
+        ],
+        ids=["mel-stack_factor", "train-rvq-epochs", "train-rvq-init_method"],
+    )
+    def test_flag_or_removed_setting_as_config_key(
+        self, capsys, tmp_path, wav_1s, feature_corpus, command, doc
+    ):
+        # --stack and --epochs are the only sources of their settings, and
+        # init always samples rows
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "o.bin"
+        source = wav_1s if command == "mel" else feature_corpus[0]
+        outputs = [out, tmp_path / "o.bin.report.jsonl"]
+        err = self.refused(capsys, [command, source, out, "--config", cfg], outputs, 3)
+        assert f"unknown key {min(doc)!r}" in err
+
+    def test_raw_rate_with_wav(self, capsys, tmp_path, wav_1s):
+        out = tmp_path / "o.afv1"
+        err = self.refused(capsys, ["mel", wav_1s, out, "--raw-rate", 8000], [out], 3)
+        assert "--raw-rate" in err
+
+    @pytest.mark.parametrize(
+        "content", [b"# corpus\n\xff.afv1\n", b"a.afv1\nb\x00.afv1\n"], ids=["not-utf8", "nul"]
+    )
+    def test_train_manifest_line(self, capsys, tmp_path, content):
+        manifest = tmp_path / "corpus.txt"
+        manifest.write_bytes(content)
+        out = tmp_path / "books.rvq1"
+        outputs = [out, tmp_path / "books.rvq1.report.jsonl"]
+        err = self.refused(capsys, ["train-rvq", manifest, out], outputs, 4)
+        assert "manifest line 2" in err
 
     @pytest.mark.parametrize("layer_sizes, seed", [([20], 0), ([2], 1)])
     def test_train_features_with_nan(self, capsys, tmp_path, layer_sizes, seed):
@@ -1468,6 +1498,8 @@ class TestHostileDocuments:
             ("duration_s", float("inf")),
             pytest.param("duration_s", 10**400, id="duration_s-beyond-float"),
             ("text", 5),
+            pytest.param("text", "\ud800", id="text-lone-surrogate"),
+            pytest.param("atk1_path", "clips\u0000.atk1", id="atk1_path-nul"),
         ],
     )
     def test_manifest_line(self, capsys, tmp_path, packable, field, value):
@@ -1514,6 +1546,42 @@ class TestHostileDocuments:
         argv = ["eval", path, "--scorer", "bigram", "--bigram-corpus", corpus, "--vocab-size", 16]
         err = self.refused(capsys, argv, [], 4)
         assert "line 2" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "e.jsonl", "--scorer", "perfect", "--bigram-corpus", "ghost.jsonl",
+             "--vocab-size", 16],
+            ["eval", "e.jsonl", "--scorer", "random", "--vocab-size", 16],
+            ["eval", "e.jsonl", "--plugin", "plugin", "--bigram-corpus", "ghost.jsonl"],
+            ["scorer-plugin", "--name", "perfect", "--bigram-corpus", "ghost.jsonl"],
+            ["scorer-plugin", "--name", "random", "--vocab-size", 16],
+        ],
+        ids=["eval-perfect", "eval-random", "eval-plugin", "plugin-perfect", "plugin-random"],
+    )
+    def test_bigram_options_without_bigram(self, capsys, tmp_path, monkeypatch, argv):
+        # refused before any file is opened or plugin started
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "SubprocessScorer", None)
+        err = self.refused(capsys, argv, [], 3)
+        assert "--bigram-corpus and --vocab-size" in err
+
+    def test_plugin_command_unclosed_quote(self, capsys, tmp_path):
+        path = tmp_path / "eval.jsonl"
+        write_eval_records(path, make_oracle_eval_records(2, seed=0))
+        err = self.refused(capsys, ["eval", path, "--plugin", 'python3 "x'], [], 3)
+        assert "--plugin" in err
+
+    def test_scorer_and_plugin_together(self, capsys, tmp_path):
+        path = tmp_path / "eval.jsonl"
+        write_eval_records(path, make_oracle_eval_records(2, seed=0))
+        plugin = f"{sys.executable} -m rvqtok.cli scorer-plugin --name perfect"
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", str(path), "--scorer", "random", "--plugin", plugin])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--plugin: not allowed with argument --scorer" in captured.err
 
 
 # A command given an option it does not take exits 2 with argparse's usage
@@ -1588,3 +1656,24 @@ def test_every_option_is_read():
             if not any(re.search(rf"\bargs\.{action.dest}\b", src) for src in sources):
                 unread.append(f"{name} {'/'.join(action.option_strings) or action.dest}")
     assert unread == []
+
+
+def test_every_setting_has_one_source(capsys, tmp_path, monkeypatch):
+    """No setting comes from both a flag and a config key: no train-rvq
+    config key is the dest of a train-rvq flag, and a mel config takes
+    exactly the MelConfig fields."""
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    keys = {}
+
+    def load_json(path, types, what):
+        keys[what] = set(types)
+        return {}
+
+    monkeypatch.setattr(cli, "_load_json", load_json)
+    monkeypatch.chdir(tmp_path)
+    main(["mel", "in.wav", "o.afv1", "--config", "mel.json"])
+    main(["train-rvq", "corpus.txt", "b.rvq1", "--config", "train.json"])
+    assert keys["mel config"] == {f.name for f in fields(MelConfig)}
+    train_flags = {a.dest for a in sub.choices["train-rvq"]._actions}
+    assert keys["train-rvq config"] & train_flags == set()

@@ -24,6 +24,7 @@ from rvqtok.fileformats import (
     RVQ1_MAGIC,
     afv1_writer,
     atk1_writer,
+    check_fields,
     load_stream_record,
     open_afv1,
     read_afv1,
@@ -1159,10 +1160,10 @@ def load_line_with(read):
 # it, and the paths of its int and its float values
 DOCUMENTS = {
     "config": (
-        {"epochs": 1, "layer_sizes": [8], "ema_decay": 0.9, "schedule": {"total_steps": 4}},
+        {"dead_threshold": 1, "layer_sizes": [8], "ema_decay": 0.9, "schedule": {"total_steps": 4}},
         load_config,
         InvalidConfig,
-        [("epochs",), ("layer_sizes", 0), ("schedule", "total_steps")],
+        [("dead_threshold",), ("layer_sizes", 0), ("schedule", "total_steps")],
         [("ema_decay",), ("norm_beta",), ("schedule", "replace_end")],
     ),
     "manifest line": (
@@ -1211,3 +1212,14 @@ def test_type_rules_shared_by_every_document(tmp_path, kind, at, value):
     load(json.dumps(doc), tmp_path)
     with pytest.raises(error):
         load(json.dumps(edited(doc, at, value)), tmp_path)
+
+
+@pytest.mark.parametrize(
+    "want, value",
+    [("str", "\ud800"), ("path", "clip\udfff.atk1"), ("path", "clip\x00.atk1")],
+    ids=["str-lone-surrogate", "path-lone-surrogate", "path-nul"],
+)
+def test_text_encodes_as_utf8_and_paths_hold_no_nul(want, value):
+    check_fields({"k": "clip.atk1"}, {"k": want}, "doc")
+    with pytest.raises(InvalidConfig, match=f"k must be {want} in doc"):
+        check_fields({"k": value}, {"k": want}, "doc")

@@ -771,22 +771,14 @@ class TestInit:
             assert book.ema_decay == 0.5
             assert book.norm_beta == 0.1
 
-    def test_kmeanspp_spreads(self, rng):
-        # two far clusters: kmeans++ with k=2 should hit both
-        a = rng.standard_normal((30, 2)) * 0.01
-        b = rng.standard_normal((30, 2)) * 0.01 + 100.0
-        x = np.vstack([a, b])
-        stack = init_rvq_stack((2,), x, seed=3, method="kmeans++")
-        centers = stack.layers[0].vectors
-        assert abs(centers[0, 0] - centers[1, 0]) > 50.0
-
     def test_empty_features(self):
         with pytest.raises(EmptyInput):
             init_rvq_stack((4,), np.zeros((0, 3)))
 
     def test_bad_method(self, rng):
-        with pytest.raises(InvalidConfig):
-            init_rvq_stack((4,), rng.standard_normal((10, 2)), method="zeros")
+        # init only samples rows, so it takes no method at all
+        with pytest.raises(TypeError):
+            init_rvq_stack((4,), rng.standard_normal((10, 2)), method="sample")
 
     def test_bad_layer_size(self, rng):
         with pytest.raises(InvalidConfig):
