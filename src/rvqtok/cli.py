@@ -20,6 +20,9 @@ from __future__ import annotations
 
 import argparse
 import bisect
+import collections
+import contextlib
+import itertools
 import json
 import shlex
 import sys
@@ -73,6 +76,13 @@ DEFAULT_SPECIAL = SpecialTokens(switch_ta=256, switch_at=257)
 # size bounds memory and changes no byte.
 _DECODE_ROWS = 1024
 
+# pack reads ATK1 frames in blocks of _ATK1_BLOCK, each from a multiple
+# of it, and holds the blocks it used last, up to _ATK1_HELD frames over
+# every ATK1 (5.8 audio-hours at 12.5 Hz; 8 MB at 8 layers). Both bound
+# memory and change no byte.
+_ATK1_BLOCK = 1024
+_ATK1_HELD = 1 << 18
+
 
 def _emit(obj: dict) -> None:
     # json and jsonl coincide for single-document summaries
@@ -104,7 +114,7 @@ def _load_json(path, types: dict[str, str], what: str) -> dict:
 
 
 def _open_audio(path: str, raw_rate: int | None):
-    if path.endswith(".wav"):
+    if path.lower().endswith(".wav"):
         if raw_rate is not None:
             raise InvalidConfig("--raw-rate is for raw float32 input; a WAV header gives the rate")
         return ff.open_wav(path)
@@ -261,12 +271,92 @@ def cmd_decode(args) -> int:
     return 0
 
 
-def _pack_groups(rows: list[dict], tag: str, group_size: int):
-    groups = [rows[i : i + group_size] for i in range(0, len(rows), group_size)]
-    if tag == "INTLV" and len(groups) > 1 and len(groups[-1]) < 2:
-        # an INTLV record needs two pairs; fold the leftover back
-        groups[-2].extend(groups.pop())
-    return groups
+def _past_end(frames, first: int, sizes) -> list[int]:
+    """The numbers of the frames no record may hold: an index past its
+    layer size, such as an end-of-audio frame. frames[0] is frame first."""
+    past = frames >= sizes
+    # the whole-array any is the cheap test; most blocks hold no such frame
+    return (np.flatnonzero(past.any(axis=1)) + first).tolist() if past.any() else []
+
+
+def _pack_pairs(rows, outputs):
+    """Yield (pair, frames ref, manifest line) for each manifest row. Its
+    frames are slices of the ATK1 blocks that hold its range. Rows that go
+    back, or move between ATK1 files, read again only the blocks that are
+    no longer held. An ATK1 that cannot seek, such as a pipe, is read whole
+    when first opened and held to the end. An ATK1 that is one of
+    ``outputs`` is refused when first opened."""
+    sizes = None
+    n_frames = {}  # the frame count of each ATK1 opened
+    held = collections.OrderedDict()  # (path, block) -> (frames, past_end), oldest first
+    held_frames = 0
+    pinned = {}  # the blocks of each ATK1 that cannot seek
+    for row in rows:
+        path, where = row["atk1_path"], f"manifest line {row['line_no']}"
+        if path not in n_frames:
+            with ff.open_atk1(path) as atk1:
+                ff.check_not_inputs(outputs, [path])
+                sizes = sizes or atk1.sizes
+                if atk1.sizes != sizes:
+                    raise MalformedWire(
+                        f"{where}: ATK1 {path} has layer sizes {atk1.sizes}, not {sizes}"
+                    )
+                n_frames[path] = atk1.n_frames
+                if not atk1.seekable:
+                    whole = atk1.read(0, atk1.n_frames)
+                    for first in range(0, len(whole), _ATK1_BLOCK):
+                        frames = whole[first : first + _ATK1_BLOCK]
+                        pinned[path, first // _ATK1_BLOCK] = frames, _past_end(frames, first, sizes)
+        start, end = row["frame_range"]
+        if not 0 <= start < end <= n_frames[path]:
+            raise MalformedWire(
+                f"{where}: frame range [{start}, {end}) outside ATK1 of {n_frames[path]}"
+            )
+        parts = []
+        for block in range(start // _ATK1_BLOCK, (end - 1) // _ATK1_BLOCK + 1):
+            key, first = (path, block), block * _ATK1_BLOCK
+            if key in held:
+                held.move_to_end(key)
+            elif key not in pinned:
+                with ff.open_atk1(path) as atk1:
+                    frames = atk1.read(first, min(first + _ATK1_BLOCK, atk1.n_frames))
+                held[key] = frames, _past_end(frames, first, sizes)
+                held_frames += len(frames)
+                while held_frames > _ATK1_HELD and len(held) > 1:
+                    held_frames -= len(held.popitem(last=False)[1][0])
+            frames, past_end = held.get(key) or pinned[key]
+            i = bisect.bisect_left(past_end, start)
+            if i < len(past_end) and past_end[i] < end:
+                raise MalformedWire(
+                    f"{where}: frame {past_end[i]} of {path} holds an index past "
+                    f"its layer sizes {sizes}"
+                )
+            parts.append(frames[max(start - first, 0) : end - first])
+        try:
+            pair = AlignedPair(
+                text=row["text"],
+                frames=parts[0] if len(parts) == 1 else np.concatenate(parts),
+                duration_s=float(row["duration_s"]),
+                provenance=row["provenance"],
+            )
+        except InvalidConfig as exc:
+            raise MalformedWire(f"{where}: {exc}") from exc
+        yield pair, {"path": path, "start": start, "end": end}, row["line_no"]
+
+
+def _pack_groups(pairs, tag: str, group_size: int):
+    """Yield the pairs group_size at a time. An INTLV record needs two
+    pairs, so a last pair on its own folds into the group before it: INTLV
+    reads two pairs past a group before it yields the group."""
+    ahead = 2 if tag == "INTLV" else 0
+    pairs = iter(pairs)
+    held = list(itertools.islice(pairs, group_size + ahead))
+    while held:
+        if len(held) == group_size + 1:
+            yield held
+            return
+        yield held[:group_size]
+        held = held[group_size:] + list(itertools.islice(pairs, group_size))
 
 
 def cmd_pack(args) -> int:
@@ -276,69 +366,34 @@ def cmd_pack(args) -> int:
         raise InvalidConfig(
             f"group size must be >= {least} for {args.format_tag}, got {args.group_size}"
         )
-    rows = ff.read_manifest(args.manifest)
-
-    # per ATK1: its frames, and the numbers of those no record may hold
-    # (an index past its layer size, such as an end-of-audio frame)
-    atk1_cache: dict[str, tuple[np.ndarray, list[int]]] = {}
-    sizes = None
-    pairs = []
-    for row in rows:
-        path, where = row["atk1_path"], f"manifest line {row['line_no']}"
-        if path not in atk1_cache:
-            frames, file_sizes = ff.read_atk1(path)
-            sizes = sizes or file_sizes
-            if file_sizes != sizes:
-                raise MalformedWire(
-                    f"{where}: ATK1 {path} has layer sizes {file_sizes}, not {sizes}"
-                )
-            atk1_cache[path] = frames, np.flatnonzero((frames >= sizes).any(axis=1)).tolist()
-        frames, past_end = atk1_cache[path]
-        start, end = row["frame_range"]
-        if not 0 <= start < end <= len(frames):
-            raise MalformedWire(
-                f"{where}: frame range [{start}, {end}) outside ATK1 of {len(frames)}"
-            )
-        i = bisect.bisect_left(past_end, start)
-        if i < len(past_end) and past_end[i] < end:
-            raise MalformedWire(
-                f"{where}: frame {past_end[i]} of {path} holds an index past "
-                f"its layer sizes {sizes}"
-            )
-        try:
-            pair = AlignedPair(
-                text=row["text"],
-                frames=frames[start:end],
-                duration_s=float(row["duration_s"]),
-                provenance=row["provenance"],
-            )
-        except InvalidConfig as exc:
-            raise MalformedWire(f"{where}: {exc}") from exc
-        pairs.append((pair, {"path": path, "start": start, "end": end}, row["line_no"]))
-
     build = build_itts if args.format_tag == "ITTS" else build_intlv
-    records = []
-    stats_input = []
-    for group in _pack_groups(pairs, args.format_tag, args.group_size):
-        group_pairs, refs, line_nos = zip(*group)
-        # INTLV takes its audio from every other pair, starting with the first
-        audio_refs = refs if args.format_tag == "ITTS" else refs[::2]
-        try:
-            stream = build(list(group_pairs), tokenize=byte_tokenizer)
-        except (InsufficientData, InvalidStream) as exc:
-            first, last = line_nos[0], line_nos[-1]
-            lines = f"line {first}" if first == last else f"lines {first}-{last}"
-            raise type(exc)(f"manifest {lines}: {exc}") from exc
-        records.append(ff.stream_record(stream, audio_refs))
-        stats_input.append((stream, sum(p.duration_s for p in group_pairs)))
-
-    stats = corpus_stats(stats_input)
     stats_path = args.stats or args.output + ".stats.json"
-    inputs = [args.manifest, *atk1_cache]
-    with ff.staged(args.output, stats_path, inputs=inputs) as (records_tmp, stats_tmp):
-        ff.write_lines(records_tmp, (json.dumps(rec, sort_keys=True) for rec in records))
+    outputs = (args.output, stats_path)
+
+    def packed(pairs, write):
+        """Write each group's record as it is built; yield its stream and
+        its duration."""
+        for group in _pack_groups(pairs, args.format_tag, args.group_size):
+            group_pairs, refs, line_nos = zip(*group)
+            # INTLV takes its audio from every other pair, starting with the first
+            audio_refs = refs if args.format_tag == "ITTS" else refs[::2]
+            try:
+                stream = build(list(group_pairs), tokenize=byte_tokenizer)
+            except (InsufficientData, InvalidStream) as exc:
+                first, last = line_nos[0], line_nos[-1]
+                lines = f"line {first}" if first == last else f"lines {first}-{last}"
+                raise type(exc)(f"manifest {lines}: {exc}") from exc
+            write(json.dumps(ff.stream_record(stream, audio_refs), sort_keys=True))
+            yield stream, sum(p.duration_s for p in group_pairs)
+
+    with ff.staged(*outputs, inputs=[args.manifest]) as (records_tmp, stats_tmp):
+        pairs = _pack_pairs(ff.read_manifest(args.manifest), outputs)
+        # closing the pairs ends the manifest rows they read, which closes it
+        with contextlib.closing(pairs), ff.line_writer(records_tmp) as write:
+            stats = corpus_stats(packed(pairs, write))
         ff.write_lines(stats_tmp, [json.dumps(stats.to_dict(), sort_keys=True)])
-    _emit({"records": len(records), "seed": args.seed, **stats.to_dict()})
+    n_records = sum(stats.records_per_format.values())
+    _emit({"records": n_records, "seed": args.seed, **stats.to_dict()})
     return 0
 
 

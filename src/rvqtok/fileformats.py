@@ -80,6 +80,14 @@ def _read_exact(fh, n: int, what: str) -> bytes:
     return data
 
 
+def check_not_inputs(outputs, inputs) -> None:
+    """InvalidConfig if an output that exists is the same file as one of
+    inputs: the same path, a symlink or a hard link to it."""
+    for path in filter(os.path.exists, map(os.fspath, outputs)):
+        if any(os.path.exists(p) and os.path.samefile(path, p) for p in inputs):
+            raise InvalidConfig(f"output path {path} is also an input")
+
+
 @contextlib.contextmanager
 def staged(*paths, inputs=()):
     """Yield a temporary path ``<path>.<pid>.tmp`` beside each target path.
@@ -95,10 +103,7 @@ def staged(*paths, inputs=()):
     for i, path in enumerate(real):
         if path in real[:i]:
             raise InvalidConfig(f"output path {targets[i]} is given twice")
-    for path in filter(os.path.exists, targets):
-        # samefile, so a symlink or a hard link to an input counts too
-        if any(os.path.exists(p) and os.path.samefile(path, p) for p in inputs):
-            raise InvalidConfig(f"output path {path} is also an input")
+    check_not_inputs(targets, inputs)
     tmps = [f"{p}.{os.getpid()}.tmp" for p in targets]
     try:
         yield tmps
@@ -139,12 +144,20 @@ def _staged_rows(path, header: bytes, n_rows: int, rows, what: str, inputs):
             raise ShapeMismatch(f"{written} of {n_rows} {what} rows written")
 
 
+@contextlib.contextmanager
+def line_writer(path):
+    """Yield ``write(line)``, which writes a string and a newline after it
+    to ``path``, staged."""
+    with staged(path) as [tmp], open(tmp, "w") as fh:
+        yield lambda line: fh.write(line + "\n")
+
+
 def write_lines(path, lines) -> None:
     """Write each string of ``lines`` and a newline after it to ``path``,
     staged."""
-    with staged(path) as [tmp], open(tmp, "w") as fh:
+    with line_writer(path) as write:
         for line in lines:
-            fh.write(line + "\n")
+            write(line)
 
 
 # ---------------------------------------------------------------- AFV1
@@ -261,8 +274,23 @@ def write_atk1(path, frames: np.ndarray, layer_sizes) -> None:
         write(arr)
 
 
-def read_atk1(path) -> tuple[np.ndarray, tuple[int, ...]]:
-    """The (T, L) int64 index array and the L layer sizes."""
+class Atk1Frames(NamedTuple):
+    """An open ATK1: ``read(start, stop)`` returns frames [start, stop) as
+    a read-only (stop - start, L) uint32 array, the width the file stores.
+    A file that cannot seek, such as a pipe, is read in order."""
+
+    sizes: tuple[int, ...]
+    n_frames: int
+    seekable: bool
+    read: Callable[[int, int], np.ndarray]
+
+
+@contextlib.contextmanager
+def open_atk1(path):
+    """An ATK1 whose frames are read by range, as ``Atk1Frames``. A file
+    that can seek is checked against its header before any frame is read;
+    a pipe is read in order, and checked as it is read, up to the byte
+    after the last frame."""
     with open(path, "rb") as fh:
         magic, n_layers = struct.unpack("<4sI", _read_exact(fh, 8, "ATK1 header"))
         if magic != ATK1_MAGIC:
@@ -273,11 +301,42 @@ def read_atk1(path) -> tuple[np.ndarray, tuple[int, ...]]:
             f"<{n_layers}I", _read_exact(fh, 4 * n_layers, "ATK1 layer sizes")
         )
         (count,) = struct.unpack("<I", _read_exact(fh, 4, "ATK1 frame count"))
-        body = _read_exact(fh, 4 * n_layers * count, "ATK1 frames")
-        if fh.read(1):
-            raise MalformedWire("trailing bytes after ATK1 frames")
-    frames = np.frombuffer(body, dtype="<u4").reshape(count, n_layers).astype(np.int64)
-    return frames, sizes
+        row_bytes = 4 * n_layers
+        body_at = 12 + row_bytes  # magic, L, L sizes, T
+        seekable = fh.seekable()
+        if seekable:
+            extra = os.fstat(fh.fileno()).st_size - body_at - row_bytes * count
+            if extra < 0:
+                raise MalformedWire("truncated file while reading ATK1 frames")
+            if extra > 0:
+                raise MalformedWire("trailing bytes after ATK1 frames")
+        at = 0  # the frame the file position is at
+
+        def read(start: int, stop: int) -> np.ndarray:
+            nonlocal at
+            if not 0 <= start <= stop <= count:
+                raise ShapeMismatch(f"cannot read frames [{start}, {stop}) of {count}")
+            if start != at:
+                if not seekable:
+                    raise OSError(f"{path}: ATK1 frames of a pipe must be read in order")
+                fh.seek(body_at + row_bytes * start)
+            # the size check above leaves no oversize read to refuse
+            body = fh.read(row_bytes * (stop - start))
+            if len(body) != row_bytes * (stop - start):
+                raise MalformedWire("truncated file while reading ATK1 frames")
+            at = stop
+            if stop == count and not seekable and fh.read(1):
+                raise MalformedWire("trailing bytes after ATK1 frames")
+            # read-only, as a view of bytes
+            return np.frombuffer(body, dtype="<u4").reshape(-1, n_layers)
+
+        yield Atk1Frames(sizes, count, seekable, read)
+
+
+def read_atk1(path) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The (T, L) int64 index array and the L layer sizes."""
+    with open_atk1(path) as atk1:
+        return atk1.read(0, atk1.n_frames).astype(np.int64), atk1.sizes
 
 
 # ---------------------------------------------------------------- RVQ1
@@ -590,10 +649,10 @@ _MANIFEST_FIELDS = {
 _MANIFEST_REQUIRED = ("text", "atk1_path", "frame_range", "duration_s")
 
 
-def read_manifest(path) -> list[dict]:
-    """Pack-manifest lines {text, atk1_path, frame_range, duration_s, provenance};
-    a line with a field missing or of the wrong type is MalformedWire naming it."""
-    rows = []
+def read_manifest(path):
+    """Yield pack-manifest rows {text, atk1_path, frame_range, duration_s,
+    provenance} with their ``line_no``, one line at a time; a line with a
+    field missing or of the wrong type is MalformedWire naming it."""
     for line_no, obj in _read_jsonl(path, "manifest"):
         try:
             check_fields(obj, _MANIFEST_FIELDS, "manifest row", _MANIFEST_REQUIRED)
@@ -603,5 +662,4 @@ def read_manifest(path) -> list[dict]:
             raise MalformedWire(f"manifest line {line_no}: {exc}") from exc
         obj.setdefault("provenance", "synthetic")
         obj["line_no"] = line_no
-        rows.append(obj)
-    return rows
+        yield obj

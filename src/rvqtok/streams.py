@@ -112,7 +112,7 @@ class Segment:
         if self.kind is SegmentKind.TEXT:
             if not self.tokens or len(self.frames):
                 raise InvalidStream("text segment needs tokens and no frames")
-            if any(t < 0 for t in self.tokens):
+            if min(self.tokens) < 0:
                 raise InvalidStream("text token ids must be non-negative")
         elif self.kind is not SegmentKind.AUDIO or not len(self.frames) or self.tokens:
             raise InvalidStream("a non-text segment must be audio, with frames and no tokens")

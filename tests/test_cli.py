@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import errno
 import importlib
 import inspect
@@ -9,6 +10,7 @@ import shlex
 import struct
 import subprocess
 import sys
+import threading
 import time
 import wave
 from dataclasses import fields
@@ -22,6 +24,7 @@ from rvqtok import mel as mel_module
 from rvqtok import rvq
 from rvqtok import scorers
 from rvqtok.cli import main
+from rvqtok.datapipe import AlignedPair, build_intlv, build_itts
 from rvqtok.fileformats import (
     load_stream_record,
     read_afv1,
@@ -145,6 +148,22 @@ class TestMel:
         )
         assert code == 0
         assert lines[-1]["frames"] == 12
+
+    @pytest.mark.parametrize("suffix", [".WAV", ".Wav"])
+    def test_wav_suffix_in_any_case(self, capsys, tmp_path, suffix):
+        # 1 s of silence: read as raw float32, its RIFF bytes would give features too
+        quiet = AudioBuffer(samples=np.zeros(16000), sample_rate=16000)
+        lower, other = tmp_path / "quiet.wav", tmp_path / f"quiet{suffix}"
+        write_wav(lower, quiet)
+        write_wav(other, quiet)
+        outs = tmp_path / "lower.afv1", tmp_path / "other.afv1"
+        for wav, out in zip((lower, other), outs):
+            assert run(capsys, "mel", wav, out)[0] == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        out = tmp_path / "rate.afv1"
+        code, lines, err = run(capsys, "mel", other, out, "--raw-rate", 16000)
+        assert (code, lines, out.exists()) == (3, [], False)
+        assert "--raw-rate is for raw float32 input" in err
 
     def test_too_short_for_one_vector(self, capsys, tmp_path):
         # 400 samples give fewer mel frames than one stacked vector needs
@@ -695,6 +714,27 @@ def test_decode_memory_does_not_grow_with_length(tmp_path, long_features):
     assert long - short < 20, f"peak RSS {short:.1f} MB at 2 min, {long:.1f} MB at 8 min"
 
 
+@linux_only
+def test_pack_memory_does_not_grow_with_manifest(tmp_path):
+    # 5,000 pairs of 3-17 frames; the 4x manifest lists each four times
+    rng = np.random.Generator(np.random.PCG64(5))
+    ends = np.cumsum(rng.integers(3, 18, size=5000)).tolist()
+    atk1 = tmp_path / "tokens.atk1"
+    write_atk1(atk1, rng.integers(0, 256, size=(ends[-1], 8)), (256,) * 8)
+    lines = "".join(
+        json.dumps({"text": f"Utterance number {i}.", "atk1_path": str(atk1),
+                    "frame_range": [start, end], "duration_s": (end - start) / 12.5}) + "\n"
+        for i, (start, end) in enumerate(zip([0, *ends], ends))
+    )
+    peaks = []
+    for copies in (1, 4):
+        manifest = tmp_path / f"manifest{copies}.jsonl"
+        manifest.write_text(lines * copies)
+        peaks.append(cli_peak_rss_mb("pack", manifest, tmp_path / "records.jsonl"))
+    short, long = peaks
+    assert long - short < 20, f"peak RSS {short:.1f} MB at 1x, {long:.1f} MB at 4x"
+
+
 def _address_space_cap():
     """preexec_fn: cap the child's address space at 3 GiB (this process
     keeps its own limit)."""
@@ -943,6 +983,161 @@ class TestPack:
         assert refs == [
             {"path": str(atk1), "start": 2 * i, "end": 2 * i + 2} for i in (0, 2, 4, 6)
         ]
+
+
+def block_rows(a, b):
+    """Manifest rows over ATK1 files a (40 frames) and b (30 frames), keyed
+    by the way they read blocks of a few frames."""
+    def rows(*spans):
+        return [
+            {"text": f"row {i}.", "atk1_path": str(path), "frame_range": [start, end],
+             "duration_s": 0.1 * (end - start)}
+            for i, (path, start, end) in enumerate(spans)
+        ]
+
+    return {
+        "out-of-order": rows((a, 20, 23), (a, 2, 5), (a, 30, 38), (a, 0, 2), (a, 10, 14),
+                             (a, 21, 22), (a, 5, 10)),
+        "two-files": rows((a, 0, 3), (b, 0, 3), (a, 3, 6), (b, 3, 9), (a, 6, 8), (b, 9, 10)),
+        "block-edges": rows(*((a, i, i + 3) for i in range(0, 39, 3))),
+        "longer-than-held": rows((a, 0, 2), (a, 1, 17), (a, 17, 40), (b, 0, 30)),
+        "intlv-fold": rows((a, 0, 4), (b, 4, 6), (a, 6, 9), (b, 9, 12), (a, 12, 15)),
+    }
+
+
+@contextlib.contextmanager
+def atk1_pipe(folder, data: bytes):
+    """A FIFO, folder/tokens.pipe, that a thread writes data into."""
+    fifo = folder / "tokens.pipe"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+    writer.start()
+    yield fifo
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+
+
+@pytest.fixture
+def two_atk1(tmp_path):
+    a, b = tmp_path / "a.atk1", tmp_path / "b.atk1"
+    rng = np.random.Generator(np.random.PCG64(3))
+    for path, n in ((a, 40), (b, 30)):
+        write_atk1(path, rng.integers(0, (8, 4), size=(n, 2)), (8, 4))
+    return a, b
+
+
+class TestPackBlocks:
+    """With blocks of a few frames, and few of them held, pack's records
+    equal streams built from whole-file ATK1 slices, however the manifest
+    reads its files."""
+
+    @pytest.mark.parametrize("block, held", [(1, 1), (4, 4), (4, 12), (16, 64)])
+    @pytest.mark.parametrize("tag, group_size", [("ITTS", 2), ("INTLV", 2), ("INTLV", 3)])
+    @pytest.mark.parametrize("case", list(block_rows("a", "b")))
+    def test_records_equal_whole_file_streams(
+        self, capsys, tmp_path, monkeypatch, two_atk1, block, held, tag, group_size, case
+    ):
+        monkeypatch.setattr(cli, "_ATK1_BLOCK", block)
+        monkeypatch.setattr(cli, "_ATK1_HELD", held)
+        rows = block_rows(*two_atk1)[case]
+        manifest, out = tmp_path / "manifest.jsonl", tmp_path / "records.jsonl"
+        manifest.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        argv = ["pack", manifest, out, "--format-tag", tag, "--group-size", group_size]
+        assert run(capsys, *argv)[0] == 0
+
+        whole = {str(p): read_atk1(p)[0] for p in two_atk1}
+        pairs = [
+            AlignedPair(r["text"], whole[r["atk1_path"]][slice(*r["frame_range"])],
+                        r["duration_s"])
+            for r in rows
+        ]
+        groups = [pairs[i : i + group_size] for i in range(0, len(pairs), group_size)]
+        if tag == "INTLV" and len(groups) > 1 and len(groups[-1]) == 1:
+            last = groups.pop()
+            groups[-1] += last
+        build = build_itts if tag == "ITTS" else build_intlv
+        assert [stream for stream, _ in packed(out)] == [build(g) for g in groups]
+
+    @pytest.mark.parametrize("bad", [0, 9, 16, 21, 33])
+    def test_bad_frame_named_as_with_whole_files(
+        self, capsys, tmp_path, monkeypatch, two_atk1, bad
+    ):
+        monkeypatch.setattr(cli, "_ATK1_BLOCK", 4)
+        monkeypatch.setattr(cli, "_ATK1_HELD", 8)
+        a, _ = two_atk1
+        frames = read_atk1(a)[0].copy()
+        frames[bad] = (8, 4)  # an end-of-audio frame
+        write_atk1(a, frames, (8, 4))
+        rows = block_rows(*two_atk1)["out-of-order"]
+        lines = [
+            i for i, r in enumerate(rows, start=1)
+            if r["atk1_path"] == str(a) and r["frame_range"][0] <= bad < r["frame_range"][1]
+        ]
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        argv = ["pack", manifest, tmp_path / "records.jsonl"]
+        if not lines:  # a frame outside every range is no record's
+            assert run(capsys, *argv)[0] == 0
+            return
+        message = f"manifest line {lines[0]}: frame {bad} of {a} holds"
+        refused(capsys, argv, tmp_path, 4, message)
+
+    @pytest.mark.parametrize("held, reads", [(12, 3), (8, 9)])
+    def test_blocks_read_again_only_once_dropped(
+        self, capsys, tmp_path, monkeypatch, two_atk1, held, reads
+    ):
+        # rows over blocks 0, 1 and 2 of a, three times round: with three
+        # blocks held each is read once; with two held, every row reads one
+        monkeypatch.setattr(cli, "_ATK1_BLOCK", 4)
+        monkeypatch.setattr(cli, "_ATK1_HELD", held)
+        opened, open_atk1 = [], cli.ff.open_atk1
+        monkeypatch.setattr(cli.ff, "open_atk1", lambda path: opened.append(path) or open_atk1(path))
+        a, _ = two_atk1
+        rows = [
+            {"text": f"row {i}.", "atk1_path": str(a), "frame_range": [i % 3 * 4, i % 3 * 4 + 2],
+             "duration_s": 0.2}
+            for i in range(9)
+        ]
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        assert run(capsys, "pack", manifest, tmp_path / "records.jsonl")[0] == 0
+        assert len(opened) == 1 + reads  # the first open reads the header only
+
+    @pytest.mark.parametrize("case", ["out-of-order", "two-files", "longer-than-held"])
+    def test_atk1_from_a_pipe(self, capsys, tmp_path, monkeypatch, two_atk1, case):
+        # a pipe is read whole when first opened, so rows may go back to it
+        # or leave it and come back
+        monkeypatch.setattr(cli, "_ATK1_BLOCK", 4)
+        monkeypatch.setattr(cli, "_ATK1_HELD", 4)
+        a, b = two_atk1
+        outs = tmp_path / "out"
+        outs.mkdir()
+        records = []
+        with atk1_pipe(tmp_path, a.read_bytes()) as fifo:
+            for path in (fifo, a):
+                manifest, out = outs / "manifest.jsonl", outs / f"{path.stem}.jsonl"
+                rows = block_rows(path, b)[case]
+                manifest.write_text("".join(json.dumps(r) + "\n" for r in rows))
+                assert run(capsys, "pack", manifest, out)[0] == 0
+                records.append(out.read_text().replace(str(path), "a"))
+        assert records[0] == records[1]
+        stats = [(outs / f"{p}.jsonl.stats.json").read_bytes() for p in ("tokens", "a")]
+        assert stats[0] == stats[1]
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [(lambda d: d[:-1], "truncated"), (lambda d: d + b"\x00", "trailing bytes")],
+    )
+    def test_pipe_size_checked(self, capsys, tmp_path, monkeypatch, two_atk1, edit, message):
+        # the damage lies past the one block the manifest reads
+        monkeypatch.setattr(cli, "_ATK1_BLOCK", 4)
+        outs = tmp_path / "out"
+        outs.mkdir()
+        manifest = outs / "manifest.jsonl"
+        with atk1_pipe(tmp_path, edit(two_atk1[0].read_bytes())) as fifo:
+            rows = block_rows(fifo, two_atk1[1])["two-files"]
+            manifest.write_text("".join(json.dumps(r) + "\n" for r in rows[:2]))
+            refused(capsys, ["pack", manifest, outs / "records.jsonl"], outs, 4, message)
 
 
 # Every (command, output) pair the CLI writes.

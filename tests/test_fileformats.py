@@ -27,6 +27,7 @@ from rvqtok.fileformats import (
     check_fields,
     load_stream_record,
     open_afv1,
+    open_atk1,
     read_afv1,
     read_atk1,
     read_eval_records,
@@ -371,6 +372,67 @@ class TestAtk1:
                     write(np.array(block))
         assert path.read_bytes() == b"an older output"
         assert [p.name for p in tmp_path.iterdir()] == ["x.atk1"]
+
+
+class TestOpenAtk1:
+    FRAMES = np.array([(i % 8, i % 4) for i in range(10)])
+
+    def test_ranges_in_any_order(self, tmp_path):
+        path = tmp_path / "x.atk1"
+        write_atk1(path, self.FRAMES, (8, 4))
+        with open_atk1(path) as atk1:
+            assert (atk1.sizes, atk1.n_frames, atk1.seekable) == ((8, 4), 10, True)
+            for start, stop in [(6, 10), (0, 3), (3, 3), (2, 7), (0, 10)]:
+                part = atk1.read(start, stop)
+                assert part.dtype == np.uint32 and not part.flags.writeable
+                assert np.array_equal(part, self.FRAMES[start:stop])
+            for start, stop in [(-1, 2), (3, 2), (9, 11)]:
+                with pytest.raises(ShapeMismatch):
+                    atk1.read(start, stop)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [(lambda d: d[:-1], "truncated"), (lambda d: d + b"\x00", "trailing bytes")],
+    )
+    def test_size_checked_before_any_frame(self, tmp_path, edit, message):
+        path = tmp_path / "x.atk1"
+        write_atk1(path, self.FRAMES, (8, 4))
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(MalformedWire, match=message):
+            with open_atk1(path):
+                pytest.fail("frames offered from a file of the wrong size")
+
+    def test_read_atk1_through_a_pipe(self, tmp_path):
+        # the header-size check needs a file length; a pipe has none
+        write_atk1(tmp_path / "x.atk1", self.FRAMES, (8, 4))
+        data = (tmp_path / "x.atk1").read_bytes()
+        back, sizes = through_a_pipe(tmp_path, data, read_atk1)
+        assert np.array_equal(back, self.FRAMES) and sizes == (8, 4)
+        assert back.dtype == np.int64
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [(lambda d: d + b"\x00", "trailing bytes"), (lambda d: d[:-1], "truncated")],
+    )
+    def test_pipe_checked_as_read(self, tmp_path, edit, message):
+        write_atk1(tmp_path / "x.atk1", self.FRAMES, (8, 4))
+        data = edit((tmp_path / "x.atk1").read_bytes())
+        with pytest.raises(MalformedWire, match=message):
+            through_a_pipe(tmp_path, data, read_atk1)
+
+    def test_pipe_read_in_order_only(self, tmp_path):
+        write_atk1(tmp_path / "x.atk1", self.FRAMES, (8, 4))
+        data = (tmp_path / "x.atk1").read_bytes()
+
+        def read(fifo):
+            with open_atk1(fifo) as atk1:
+                assert not atk1.seekable
+                assert np.array_equal(atk1.read(0, 4), self.FRAMES[:4])
+                with pytest.raises(OSError, match="read in order"):
+                    atk1.read(0, 2)
+                assert np.array_equal(atk1.read(4, 10), self.FRAMES[4:])
+
+        through_a_pipe(tmp_path, data, read)
 
 
 def atk1_bytes(seed, tmp_dir):
@@ -953,38 +1015,40 @@ class TestManifest:
         path.write_text(
             json.dumps(self.row()) + "\n" + json.dumps(self.row(text="two.")) + "\n"
         )
-        rows = read_manifest(path)
+        rows = list(read_manifest(path))
         assert [r["line_no"] for r in rows] == [1, 2]
         assert rows[1]["text"] == "two."
 
     def test_provenance_defaults(self, tmp_path):
         path = tmp_path / "manifest.jsonl"
         path.write_text(json.dumps(self.row()) + "\n")
-        assert read_manifest(path)[0]["provenance"] == "synthetic"
+        assert list(read_manifest(path))[0]["provenance"] == "synthetic"
 
     def test_provenance_preserved(self, tmp_path):
         path = tmp_path / "manifest.jsonl"
         path.write_text(json.dumps(self.row(provenance="crawl")) + "\n")
-        assert read_manifest(path)[0]["provenance"] == "crawl"
+        assert list(read_manifest(path))[0]["provenance"] == "crawl"
 
     def test_missing_key_reports_line(self, tmp_path):
         path = tmp_path / "manifest.jsonl"
         row = self.row()
         del row["duration_s"]
         path.write_text(json.dumps(self.row()) + "\n" + json.dumps(row) + "\n")
+        rows = read_manifest(path)
+        assert next(rows)["line_no"] == 1  # a generator: the good line comes first
         with pytest.raises(MalformedWire, match="line 2"):
-            read_manifest(path)
+            next(rows)
 
     def test_bad_json_reports_line(self, tmp_path):
         path = tmp_path / "manifest.jsonl"
         path.write_text("{oops\n")
         with pytest.raises(MalformedWire, match="line 1"):
-            read_manifest(path)
+            list(read_manifest(path))
 
     def test_empty_manifest_is_empty_list(self, tmp_path):
         path = tmp_path / "manifest.jsonl"
         path.write_text("")
-        assert read_manifest(path) == []
+        assert list(read_manifest(path)) == []
 
 
 def eval_file(seed, tmp_dir) -> bytes:
@@ -1014,11 +1078,18 @@ def read_bytes_with(read, data, tmp_dir):
     return read(path)
 
 
+def read_manifest_rows(path) -> list[dict]:
+    # read_manifest is a generator, so its errors come as it is read
+    return list(read_manifest(path))
+
+
 JSONL_READERS = pytest.mark.parametrize(
-    "read, make", [(read_eval_records, eval_file), (read_manifest, manifest_file)]
+    "read, make",
+    [(read_eval_records, eval_file), (read_manifest_rows, manifest_file)],
+    ids=["read_eval_records-eval_file", "read_manifest-manifest_file"],
 )
 # an eval-record file with no records is EmptyInput; the manifest reader
-# returns an empty list instead
+# yields no rows instead
 JSONL_ERRORS = (MalformedWire, EmptyInput)
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
@@ -1119,7 +1190,7 @@ class TestJsonlFuzz:
         row["duration_s"] = duration
         lines[2] = json.dumps(row)
         with pytest.raises(MalformedWire, match="line 3: duration_s"):
-            read_bytes_with(read_manifest, "\n".join(lines).encode(), tmp_path)
+            read_bytes_with(read_manifest_rows, "\n".join(lines).encode(), tmp_path)
 
 
 # values the shared type rules refuse where an int is wanted: a bool, ints
@@ -1168,7 +1239,7 @@ DOCUMENTS = {
     ),
     "manifest line": (
         {"text": "a.", "atk1_path": "a.atk1", "frame_range": [0, 4], "duration_s": 0.3},
-        load_line_with(read_manifest),
+        load_line_with(read_manifest_rows),
         MalformedWire,
         [("frame_range", 0), ("frame_range", 1)],
         [("duration_s",)],

@@ -106,6 +106,28 @@ class TestSegment:
                 text_segment(tokens)
         assert text_segment([np.int32(4), 5]).tokens == (4, 5)
 
+    @given(
+        tokens=st.lists(
+            st.integers(-3, 2**70)
+            | st.integers(-3, 300).map(np.int64)
+            | st.integers(0, 255).map(np.uint8)
+            | st.booleans()
+            | st.sampled_from([2.0, "3", None]),
+            max_size=6,
+        )
+    )
+    def test_text_tokens_checked_as_per_token(self, tokens):
+        # the rule each token was checked by, one at a time
+        if all(isinstance(t, (int, np.integer)) for t in tokens) and tokens and all(
+            t >= 0 for t in tokens
+        ):
+            seg = text_segment(tokens)
+            assert seg.tokens == tuple(map(int, tokens))
+            assert {type(t) for t in seg.tokens} == {int}
+        else:
+            with pytest.raises(InvalidStream):
+                text_segment(tokens)
+
     def test_kind_must_be_a_segment_kind(self):
         # a stream's layout and its switch tokens both read the kind
         for kind in ("audio", None):
