@@ -71,7 +71,6 @@ from .streams import (
     text_segment,
 )
 from .datapipe import (
-    AlignedPair,
     CorpusStats,
     build_intlv,
     build_itts,

@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fileformats as ff
-from .datapipe import AlignedPair, build_intlv, build_itts, byte_tokenizer, corpus_stats
+from .datapipe import build_intlv, build_itts, corpus_stats
 from .errors import (
     EmptyInput,
     IndexOutOfRange,
@@ -280,8 +280,9 @@ def _past_end(frames, first: int, sizes) -> list[int]:
 
 
 def _pack_pairs(rows, outputs):
-    """Yield (pair, frames ref, manifest line) for each manifest row. Its
-    frames are slices of the ATK1 blocks that hold its range. Rows that go
+    """Yield ((text, frames), duration, frames ref, manifest line) for each
+    manifest row. Its frames are a read-only uint32 slice of the ATK1
+    blocks that hold its range, or their concatenation. Rows that go
     back, or move between ATK1 files, read again only the blocks that are
     no longer held. An ATK1 that cannot seek, such as a pipe, is read whole
     when first opened and held to the end. An ATK1 that is one of
@@ -332,16 +333,9 @@ def _pack_pairs(rows, outputs):
                     f"its layer sizes {sizes}"
                 )
             parts.append(frames[max(start - first, 0) : end - first])
-        try:
-            pair = AlignedPair(
-                text=row["text"],
-                frames=parts[0] if len(parts) == 1 else np.concatenate(parts),
-                duration_s=float(row["duration_s"]),
-                provenance=row["provenance"],
-            )
-        except InvalidConfig as exc:
-            raise MalformedWire(f"{where}: {exc}") from exc
-        yield pair, {"path": path, "start": start, "end": end}, row["line_no"]
+        frames = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        ref = {"path": path, "start": start, "end": end}
+        yield (row["text"], frames), float(row["duration_s"]), ref, row["line_no"]
 
 
 def _pack_groups(pairs, tag: str, group_size: int):
@@ -374,17 +368,17 @@ def cmd_pack(args) -> int:
         """Write each group's record as it is built; yield its stream and
         its duration."""
         for group in _pack_groups(pairs, args.format_tag, args.group_size):
-            group_pairs, refs, line_nos = zip(*group)
+            group_pairs, durations, refs, line_nos = zip(*group)
             # INTLV takes its audio from every other pair, starting with the first
             audio_refs = refs if args.format_tag == "ITTS" else refs[::2]
             try:
-                stream = build(list(group_pairs), tokenize=byte_tokenizer)
+                stream = build(list(group_pairs))
             except (InsufficientData, InvalidStream) as exc:
                 first, last = line_nos[0], line_nos[-1]
                 lines = f"line {first}" if first == last else f"lines {first}-{last}"
                 raise type(exc)(f"manifest {lines}: {exc}") from exc
             write(json.dumps(ff.stream_record(stream, audio_refs), sort_keys=True))
-            yield stream, sum(p.duration_s for p in group_pairs)
+            yield stream, sum(durations)
 
     with ff.staged(*outputs, inputs=[args.manifest]) as (records_tmp, stats_tmp):
         pairs = _pack_pairs(ff.read_manifest(args.manifest), outputs)

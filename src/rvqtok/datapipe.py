@@ -1,11 +1,12 @@
 """Desk-scale interleaved-data assembly.
 
-Aligned (text, audio-token) pairs become INTLV or ITTS records: INTLV
+Aligned pairs, each a (text, frames) tuple of a transcript and its
+(n, L) audio-token frames, become INTLV or ITTS records: INTLV
 alternates whole utterances across modalities, audio first, and ITTS
 emits each pair as text followed by its audio. Utterances are never
-split; upstream text normalization is out of scope. Each pair's
-provenance tag (crawl or synthetic) is checked but not written to the
-packed records.
+split; upstream text normalization is out of scope. A pair's duration
+and provenance are pack-manifest fields, checked by
+``fileformats.read_manifest``; neither is written to the records.
 """
 
 from __future__ import annotations
@@ -16,15 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InsufficientData, InvalidConfig, InvalidStream
-from .streams import (
-    InterleavedStream,
-    Segment,
-    audio_segment,
-    frame_array,
-    text_segment,
-)
-
-PROVENANCE_TAGS = ("crawl", "synthetic")
+from .streams import InterleavedStream, Segment, audio_segment, text_segment
 
 Tokenizer = Callable[[str], list[int]]
 
@@ -34,27 +27,8 @@ def byte_tokenizer(text: str) -> list[int]:
     return list(text.encode("utf-8"))
 
 
-@dataclass(frozen=True, eq=False)
-class AlignedPair:
-    """One utterance with its transcript, (n, L) token frames, and provenance."""
-
-    text: str
-    frames: np.ndarray
-    duration_s: float
-    provenance: str = "synthetic"
-
-    def __post_init__(self):
-        object.__setattr__(self, "frames", frame_array(self.frames))
-        if self.duration_s <= 0:
-            raise InvalidConfig(f"duration must be positive, got {self.duration_s}")
-        if self.provenance not in PROVENANCE_TAGS:
-            raise InvalidConfig(f"provenance must be one of {PROVENANCE_TAGS}")
-        if not self.text and not len(self.frames):
-            raise InvalidConfig("a pair needs text or frames")
-
-
 def build_intlv(
-    pairs: list[AlignedPair], *, tokenize: Tokenizer = byte_tokenizer
+    pairs: list[tuple[str, np.ndarray]], *, tokenize: Tokenizer = byte_tokenizer
 ) -> InterleavedStream:
     """Interleave consecutive pairs into an INTLV record, audio first.
 
@@ -65,32 +39,32 @@ def build_intlv(
     if len(pairs) < 2:
         raise InsufficientData(f"INTLV needs at least 2 pairs, got {len(pairs)}")
     segments: list[Segment] = []
-    for i, pair in enumerate(pairs):
+    for i, (text, frames) in enumerate(pairs):
         if i % 2:
-            ids = tokenize(pair.text)
+            ids = tokenize(text)
             if not ids:
                 raise InvalidStream(f"pair {i} supplies no text tokens")
             segments.append(text_segment(ids))
         else:
-            if not len(pair.frames):
+            if not len(frames):
                 raise InvalidStream(f"pair {i} supplies no frames")
-            segments.append(audio_segment(pair.frames))
+            segments.append(audio_segment(frames))
     return InterleavedStream(format_tag="INTLV", segments=tuple(segments))
 
 
 def build_itts(
-    pairs: list[AlignedPair], *, tokenize: Tokenizer = byte_tokenizer
+    pairs: list[tuple[str, np.ndarray]], *, tokenize: Tokenizer = byte_tokenizer
 ) -> InterleavedStream:
     """Emit each pair as text followed by its frames; format ITTS."""
     if not pairs:
         raise InsufficientData("ITTS needs at least 1 pair")
     segments: list[Segment] = []
-    for i, pair in enumerate(pairs):
-        ids = tokenize(pair.text)
-        if not ids or not len(pair.frames):
+    for i, (text, frames) in enumerate(pairs):
+        ids = tokenize(text)
+        if not ids or not len(frames):
             raise InvalidStream(f"pair {i} must carry both text and frames")
         segments.append(text_segment(ids))
-        segments.append(audio_segment(pair.frames))
+        segments.append(audio_segment(frames))
     return InterleavedStream(format_tag="ITTS", segments=tuple(segments))
 
 

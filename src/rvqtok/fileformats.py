@@ -70,11 +70,23 @@ _AFV1_HEADER = struct.Struct("<4sIId")
 _RVQ1_LAYER_HEADER = struct.Struct("<IIdd")
 
 
+# the most bytes _read_exact asks of a file that cannot seek in one read
+_PIPE_PIECE = 1 << 20
+
+
 def _read_exact(fh, n: int, what: str) -> bytes:
-    # an oversize header size is refused before anything is allocated
-    if fh.seekable() and n > os.fstat(fh.fileno()).st_size - fh.tell():
-        raise MalformedWire(f"truncated file while reading {what}")
-    data = fh.read(n)
+    # a header size past the data is refused before n bytes are allocated:
+    # a file that can seek is checked against its size, and a pipe is read
+    # in pieces until it ends
+    if fh.seekable():
+        short = n > os.fstat(fh.fileno()).st_size - fh.tell()
+        data = b"" if short else fh.read(n)
+    else:
+        pieces, left = [], n
+        while left and (piece := fh.read(min(left, _PIPE_PIECE))):
+            pieces.append(piece)
+            left -= len(piece)
+        data = b"".join(pieces)
     if len(data) != n:
         raise MalformedWire(f"truncated file while reading {what}")
     return data
@@ -320,10 +332,7 @@ def open_atk1(path):
                 if not seekable:
                     raise OSError(f"{path}: ATK1 frames of a pipe must be read in order")
                 fh.seek(body_at + row_bytes * start)
-            # the size check above leaves no oversize read to refuse
-            body = fh.read(row_bytes * (stop - start))
-            if len(body) != row_bytes * (stop - start):
-                raise MalformedWire("truncated file while reading ATK1 frames")
+            body = _read_exact(fh, row_bytes * (stop - start), "ATK1 frames")
             at = stop
             if stop == count and not seekable and fh.read(1):
                 raise MalformedWire("trailing bytes after ATK1 frames")
@@ -391,32 +400,37 @@ def read_rvq1(path) -> RvqStack:
 def open_wav(path):
     """A 16-bit LE mono WAV as a SampleSource of samples scaled into
     [-1, 1); n_samples is the header's frame count, and a read past the
-    end of the data actually present is MalformedWire."""
-    try:
-        wav = wave.open(str(path), "rb")
-    except (wave.Error, EOFError, RuntimeError) as exc:
-        # EOFError: the file ends inside a header; RuntimeError: a chunk
-        # size runs past the chunk that holds it
-        reason = str(exc) or type(exc).__name__
-        raise MalformedWire(f"not a readable PCM WAV file: {reason}") from exc
-    with wav:
-        if wav.getnchannels() != 1:
-            raise InvalidConfig("only mono WAV is supported")
-        if wav.getsampwidth() != 2:
-            raise InvalidConfig("only 16-bit WAV is supported")
-        truncated = f"WAV data ends before the {wav.getnframes()} frames its header declares"
-        # an oversize frame count is refused before anything is allocated
-        if 2 * wav.getnframes() > os.path.getsize(path):
-            raise MalformedWire(truncated)
-
-        def read(start: int, stop: int) -> np.ndarray:
-            wav.setpos(start)
-            raw = wav.readframes(stop - start)
-            if len(raw) != 2 * (stop - start):
+    end of the data actually present is MalformedWire. A file that cannot
+    seek, such as a pipe, is an OSError."""
+    with open(path, "rb") as fh:
+        if not fh.seekable():
+            raise OSError(f"{path}: WAV input must be a seekable file")
+        try:
+            wav = wave.open(fh, "rb")
+        except (wave.Error, EOFError, RuntimeError) as exc:
+            # EOFError: the file ends inside a header; RuntimeError: a chunk
+            # size runs past the chunk that holds it
+            reason = str(exc) or type(exc).__name__
+            raise MalformedWire(f"not a readable PCM WAV file: {reason}") from exc
+        with wav:
+            if wav.getnchannels() != 1:
+                raise InvalidConfig("only mono WAV is supported")
+            if wav.getsampwidth() != 2:
+                raise InvalidConfig("only 16-bit WAV is supported")
+            n = wav.getnframes()
+            truncated = f"WAV data ends before the {n} frames its header declares"
+            # an oversize frame count is refused before anything is allocated
+            if 2 * n > os.fstat(fh.fileno()).st_size:
                 raise MalformedWire(truncated)
-            return np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
 
-        yield SampleSource(wav.getnframes(), wav.getframerate(), read)
+            def read(start: int, stop: int) -> np.ndarray:
+                wav.setpos(start)
+                raw = wav.readframes(stop - start)
+                if len(raw) != 2 * (stop - start):
+                    raise MalformedWire(truncated)
+                return np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
+
+            yield SampleSource(n, wav.getframerate(), read)
 
 
 def read_wav(path) -> AudioBuffer:
@@ -647,19 +661,25 @@ _MANIFEST_FIELDS = {
     "provenance": "str",
 }
 _MANIFEST_REQUIRED = ("text", "atk1_path", "frame_range", "duration_s")
+_PROVENANCE_TAGS = ("crawl", "synthetic")
 
 
 def read_manifest(path):
     """Yield pack-manifest rows {text, atk1_path, frame_range, duration_s,
-    provenance} with their ``line_no``, one line at a time; a line with a
-    field missing or of the wrong type is MalformedWire naming it."""
+    provenance} with their ``line_no``, one line at a time. A line with a
+    field missing or of the wrong type, a duration that is not positive or
+    a provenance other than crawl or synthetic (the default) is
+    MalformedWire naming it."""
     for line_no, obj in _read_jsonl(path, "manifest"):
         try:
             check_fields(obj, _MANIFEST_FIELDS, "manifest row", _MANIFEST_REQUIRED)
             if len(obj["frame_range"]) != 2:
                 raise InvalidConfig("frame_range must be two integers")
+            if obj["duration_s"] <= 0:
+                raise InvalidConfig(f"duration must be positive, got {float(obj['duration_s'])}")
+            if obj.setdefault("provenance", "synthetic") not in _PROVENANCE_TAGS:
+                raise InvalidConfig(f"provenance must be one of {_PROVENANCE_TAGS}")
         except InvalidConfig as exc:
             raise MalformedWire(f"manifest line {line_no}: {exc}") from exc
-        obj.setdefault("provenance", "synthetic")
         obj["line_no"] = line_no
         yield obj

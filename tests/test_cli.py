@@ -24,7 +24,7 @@ from rvqtok import mel as mel_module
 from rvqtok import rvq
 from rvqtok import scorers
 from rvqtok.cli import main
-from rvqtok.datapipe import AlignedPair, build_intlv, build_itts
+from rvqtok.datapipe import build_intlv, build_itts
 from rvqtok.fileformats import (
     load_stream_record,
     read_afv1,
@@ -466,6 +466,9 @@ class TestEncodeDecode:
         assert code == 3
 
 
+HUGE = 2**32 - 1
+
+
 class TestHostileInput:
     """Bad input exits 4 through the CLI's error handling, not a traceback."""
 
@@ -497,6 +500,48 @@ class TestHostileInput:
         )
         assert code == 4
         assert "ATK1 frames" in err
+
+    @pytest.mark.parametrize(
+        "header, argv, what",
+        [
+            (struct.pack("<4sIIIdd", b"RVQ1", 1, HUGE, HUGE, 0.99, 0.0),
+             ["encode", "feats", "pipe", "x.atk1"], "RVQ1 codewords"),
+            (struct.pack("<4sIId", b"AFV1", HUGE, HUGE, 12.5),
+             ["train-rvq", "pipes.txt", "x.rvq1"], "AFV1 body"),
+            (struct.pack("<4sIIII", b"ATK1", 2, 8, 8, HUGE),
+             ["decode", "pipe", "books", "x.afv1"], "ATK1 frames"),
+            (struct.pack("<4sIIII", b"ATK1", 2, 8, 8, HUGE),
+             ["pack", "pipes.jsonl", "x.jsonl"], "ATK1 frames"),
+            (struct.pack("<4sI", b"ATK1", HUGE),
+             ["decode", "pipe", "books", "x.afv1"], "ATK1 layer sizes"),
+        ],
+        ids=["encode-rvq1", "train-rvq-afv1", "decode-atk1-frames", "pack-atk1-frames",
+             "decode-atk1-layers"],
+    )
+    def test_header_past_data_through_a_pipe(self, capsys, tmp_path, trained, header, argv,
+                                             what):
+        # a pipe has no size to check the header against: read in pieces,
+        # it ends before the sizes its header declares
+        feats, books, _ = trained
+        outs = tmp_path / "out"
+        outs.mkdir()
+        with atk1_pipe(tmp_path, header + bytes(64)) as fifo:
+            (outs / "pipes.txt").write_text(f"{fifo}\n")
+            row = {"text": "a", "atk1_path": str(fifo), "frame_range": [0, 2], "duration_s": 1.0}
+            (outs / "pipes.jsonl").write_text(json.dumps(row) + "\n")
+            paths = {"feats": feats, "books": books, "pipe": fifo}
+            argv = [argv[0], *(paths.get(a, outs / a) for a in argv[1:])]
+            refused(capsys, argv, outs, 4, f"error: truncated file while reading {what}")
+
+    def test_wav_through_a_pipe(self, capsys, tmp_path):
+        # refused as raw float32 from a pipe is: an I/O error, exit 2
+        wav = tmp_path / "in.wav"
+        write_wav(wav, make_sine_noise_audio(0.1, seed=0))
+        outs = tmp_path / "out"
+        outs.mkdir()
+        with atk1_pipe(tmp_path, wav.read_bytes(), "pipe.wav") as fifo:
+            argv = ["mel", fifo, outs / "x.afv1"]
+            refused(capsys, argv, outs, 2, f"{fifo}: WAV input must be a seekable file")
 
     def test_raw_f32_with_ragged_tail(self, capsys, tmp_path):
         raw = tmp_path / "odd.f32"
@@ -898,6 +943,35 @@ class TestPack:
         assert code == 4
         assert "line 2" in err
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("duration_s", 0.0, "duration must be positive, got 0.0"),
+            ("duration_s", -1.5, "duration must be positive, got -1.5"),
+            ("duration_s", 0, "duration must be positive, got 0.0"),
+            ("provenance", "scraped", "provenance must be one of ('crawl', 'synthetic')"),
+        ],
+        ids=["duration-zero", "duration-negative", "duration-int-zero", "provenance-scraped"],
+    )
+    def test_manifest_rule(self, capsys, tmp_path, packable, field, value, message):
+        manifest, rows = packable
+        rows[1][field] = value
+        manifest.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        err = refused(capsys, ["pack", manifest, tmp_path / "r.jsonl"], tmp_path, 4, "")
+        assert err == f"error: manifest line 2: {message}\n"
+
+    def test_manifest_rule_before_frame_checks(self, capsys, tmp_path, packable):
+        # within one line the manifest's own rules come first; across
+        # lines the first faulty line is reported
+        manifest, rows = packable
+        rows[1].update(frame_range=[5, 2], duration_s=0)
+        manifest.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        argv = ["pack", manifest, tmp_path / "r.jsonl"]
+        refused(capsys, argv, tmp_path, 4, "manifest line 2: duration must be positive, got 0.0")
+        rows[0]["frame_range"] = [5, 2]
+        manifest.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        refused(capsys, argv, tmp_path, 4, "manifest line 1: frame range [5, 2) outside ATK1")
+
     @pytest.mark.parametrize("size", [0, -1])
     def test_group_size_below_one(self, capsys, tmp_path, size):
         # refused before the manifest is read: a missing one would exit 2
@@ -1006,11 +1080,17 @@ def block_rows(a, b):
 
 
 @contextlib.contextmanager
-def atk1_pipe(folder, data: bytes):
-    """A FIFO, folder/tokens.pipe, that a thread writes data into."""
-    fifo = folder / "tokens.pipe"
+def atk1_pipe(folder, data: bytes, name="tokens.pipe"):
+    """A FIFO, folder/name, that a thread writes data into; its reader may
+    close it before it takes all of data."""
+    fifo = folder / name
     os.mkfifo(fifo)
-    writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+
+    def write():
+        with contextlib.suppress(BrokenPipeError):
+            fifo.write_bytes(data)
+
+    writer = threading.Thread(target=write, daemon=True)
     writer.start()
     yield fifo
     writer.join(timeout=10)
@@ -1046,11 +1126,7 @@ class TestPackBlocks:
         assert run(capsys, *argv)[0] == 0
 
         whole = {str(p): read_atk1(p)[0] for p in two_atk1}
-        pairs = [
-            AlignedPair(r["text"], whole[r["atk1_path"]][slice(*r["frame_range"])],
-                        r["duration_s"])
-            for r in rows
-        ]
+        pairs = [(r["text"], whole[r["atk1_path"]][slice(*r["frame_range"])]) for r in rows]
         groups = [pairs[i : i + group_size] for i in range(0, len(pairs), group_size)]
         if tag == "INTLV" and len(groups) > 1 and len(groups[-1]) == 1:
             last = groups.pop()

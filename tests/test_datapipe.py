@@ -1,7 +1,7 @@
+import numpy as np
 import pytest
 
 from rvqtok.datapipe import (
-    AlignedPair,
     CorpusStats,
     build_intlv,
     build_itts,
@@ -12,11 +12,8 @@ from rvqtok.errors import InsufficientData, InvalidConfig, InvalidStream
 from rvqtok.streams import SegmentKind, audio_segment, text_segment
 
 
-def pair(text="hi", n_frames=2, duration_s=1.0, provenance="synthetic"):
-    frames = [(i, i) for i in range(n_frames)]
-    return AlignedPair(
-        text=text, frames=frames, duration_s=duration_s, provenance=provenance
-    )
+def pair(text="hi", n_frames=2):
+    return text, np.array([(i, i) for i in range(n_frames)])
 
 
 class TestByteTokenizer:
@@ -30,21 +27,6 @@ class TestByteTokenizer:
         assert byte_tokenizer("") == []
 
 
-class TestAlignedPair:
-    def test_positive_duration(self):
-        with pytest.raises(InvalidConfig):
-            pair(duration_s=0.0)
-
-    def test_provenance_vocabulary(self):
-        pair(provenance="crawl")
-        with pytest.raises(InvalidConfig):
-            pair(provenance="scraped")
-
-    def test_needs_some_payload(self):
-        with pytest.raises(InvalidConfig):
-            AlignedPair(text="", frames=(), duration_s=1.0)
-
-
 class TestBuildIntlv:
     def test_default_starts_with_audio(self):
         pairs = [pair(text="a"), pair(text="b"), pair(text="c")]
@@ -53,7 +35,7 @@ class TestBuildIntlv:
         assert kinds == [SegmentKind.AUDIO, SegmentKind.TEXT, SegmentKind.AUDIO]
         assert s.format_tag == "INTLV"
         # pair 0 contributes frames, pair 1 its text
-        assert s.segments[0] == audio_segment(pairs[0].frames)
+        assert s.segments[0] == audio_segment(pairs[0][1])
         assert s.segments[1].tokens == tuple(byte_tokenizer("b"))
 
     def test_needs_two_pairs(self):
@@ -63,12 +45,12 @@ class TestBuildIntlv:
             build_intlv([])
 
     def test_missing_text_rejected(self):
-        pairs = [pair(text="a"), AlignedPair(text="", frames=[(0,)], duration_s=1.0)]
+        pairs = [pair(text="a"), ("", np.array([(0,)]))]
         with pytest.raises(InvalidStream):
             build_intlv(pairs)  # pair 1 is the text slot but has no text
 
     def test_missing_frames_rejected(self):
-        pairs = [AlignedPair(text="a", frames=(), duration_s=1.0), pair(text="b")]
+        pairs = [("a", np.empty((0, 1), dtype=np.int64)), pair(text="b")]
         with pytest.raises(InvalidStream):
             build_intlv(pairs)  # pair 0 is the audio slot but has no frames
 
@@ -87,8 +69,15 @@ class TestBuildItts:
         kinds = [seg.kind for seg in s.segments]
         assert kinds == [SegmentKind.TEXT, SegmentKind.AUDIO] * 2
         assert s.segments[0].tokens == tuple(byte_tokenizer("a"))
-        assert s.segments[1] == audio_segment(pairs[0].frames)
-        assert s.segments[3] == audio_segment(pairs[1].frames)
+        assert s.segments[1] == audio_segment(pairs[0][1])
+        assert s.segments[3] == audio_segment(pairs[1][1])
+
+    def test_frames_as_pack_reads_them(self):
+        # a read-only uint32 ATK1 slice; its segment holds an int64 copy
+        frames = np.arange(6, dtype="<u4").reshape(3, 2)
+        frames.setflags(write=False)
+        audio = build_itts([("a", frames)]).segments[1]
+        assert audio.frames.dtype == np.int64 and np.array_equal(audio.frames, frames)
 
     def test_single_pair(self):
         s = build_itts([pair()])
@@ -100,9 +89,9 @@ class TestBuildItts:
 
     def test_each_pair_needs_both_modalities(self):
         with pytest.raises(InvalidStream):
-            build_itts([AlignedPair(text="a", frames=(), duration_s=1.0)])
+            build_itts([("a", np.empty((0, 1), dtype=np.int64))])
         with pytest.raises(InvalidStream):
-            build_itts([AlignedPair(text="", frames=[(0,)], duration_s=1.0)])
+            build_itts([("", np.array([(0,)]))])
 
 
 def intlv_record(n_pairs=2, duration_s=60.0):

@@ -1,6 +1,8 @@
+import contextlib
 import errno
 import json
 import os
+import re
 import struct
 import threading
 
@@ -57,10 +59,16 @@ from rvqtok.synth import make_random_eval_records
 
 
 def through_a_pipe(tmp_path, data: bytes, read):
-    """read(fifo) while another thread writes data into the FIFO."""
+    """read(fifo) while another thread writes data into the FIFO; read may
+    close it before it takes all of data."""
     fifo = tmp_path / "pipe"
     os.mkfifo(fifo)
-    writer = threading.Thread(target=fifo.write_bytes, args=(data,))
+
+    def write():
+        with contextlib.suppress(BrokenPipeError):
+            fifo.write_bytes(data)
+
+    writer = threading.Thread(target=write)
     writer.start()
     try:
         return read(fifo)
@@ -435,6 +443,40 @@ class TestOpenAtk1:
         through_a_pipe(tmp_path, data, read)
 
 
+HUGE = 2**32 - 1
+
+
+class TestPipeSizes:
+    """A file that cannot seek has no size to check a header against: it is
+    read in pieces, so a size past its data is refused, not allocated."""
+
+    @pytest.mark.parametrize(
+        "data, read, what",
+        [
+            (struct.pack("<4sIIIdd", RVQ1_MAGIC, 1, HUGE, HUGE, 0.99, 0.0), read_rvq1,
+             "RVQ1 codewords"),
+            (struct.pack("<4sIId", AFV1_MAGIC, HUGE, HUGE, 12.5), read_afv1, "AFV1 body"),
+            (struct.pack("<4sI2II", ATK1_MAGIC, 2, 8, 4, HUGE), read_atk1, "ATK1 frames"),
+            (struct.pack("<4sI", ATK1_MAGIC, HUGE), read_atk1, "ATK1 layer sizes"),
+        ],
+        ids=["rvq1-codewords", "afv1-rows", "atk1-frames", "atk1-layers"],
+    )
+    def test_header_past_data(self, tmp_path, data, read, what):
+        with pytest.raises(MalformedWire, match=f"truncated file while reading {what}"):
+            through_a_pipe(tmp_path, data + bytes(64), read)
+
+    @pytest.mark.parametrize("piece", [1, 5, 1 << 20])
+    def test_pieces_join_to_the_file(self, tmp_path, monkeypatch, rng, piece):
+        monkeypatch.setattr(fileformats, "_PIPE_PIECE", piece)
+        write_afv1(tmp_path / "x.afv1", rng.standard_normal((7, 3)), 12.5)
+        write_atk1(tmp_path / "x.atk1", rng.integers(0, 8, size=(9, 2)), (8, 8))
+        for name, read in (("x.afv1", read_afv1), ("x.atk1", read_atk1)):
+            want = read(tmp_path / name)
+            got = through_a_pipe(tmp_path, (tmp_path / name).read_bytes(), read)
+            assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+            os.unlink(tmp_path / "pipe")
+
+
 def atk1_bytes(seed, tmp_dir):
     """A valid ATK1 file from a seed: 1-4 layers, 0-5 frames, any u32 index."""
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -754,6 +796,13 @@ class TestWav:
                 outcomes.add(type(exc).__name__)
         assert outcomes == {"read", "MalformedWire", "InvalidConfig"}
 
+    def test_pipe_refused(self, tmp_path):
+        # its size would come from a header the pipe cannot be checked against
+        write_wav(tmp_path / "x.wav", AudioBuffer(np.zeros(50), 16000))
+        message = re.escape(f"{tmp_path / 'pipe'}: WAV input must be a seekable file")
+        with pytest.raises(OSError, match=message):
+            through_a_pipe(tmp_path, (tmp_path / "x.wav").read_bytes(), read_wav)
+
     def test_raw_f32(self, tmp_path):
         samples = np.array([0.5, -0.25, 0.0], dtype="<f4")
         path = tmp_path / "x.f32"
@@ -1028,6 +1077,26 @@ class TestManifest:
         path = tmp_path / "manifest.jsonl"
         path.write_text(json.dumps(self.row(provenance="crawl")) + "\n")
         assert list(read_manifest(path))[0]["provenance"] == "crawl"
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("duration_s", 0.0, "duration must be positive, got 0.0"),
+            ("duration_s", -1.5, "duration must be positive, got -1.5"),
+            ("duration_s", 0, "duration must be positive, got 0.0"),
+            ("provenance", "scraped", "provenance must be one of ('crawl', 'synthetic')"),
+        ],
+        ids=["duration-zero", "duration-negative", "duration-int-zero", "provenance-scraped"],
+    )
+    def test_row_rule_reports_line(self, tmp_path, field, value, message):
+        path = tmp_path / "manifest.jsonl"
+        bad = self.row(**{field: value})
+        path.write_text(json.dumps(self.row()) + "\n" + json.dumps(bad) + "\n")
+        rows = read_manifest(path)
+        assert next(rows)["line_no"] == 1
+        with pytest.raises(MalformedWire) as info:
+            next(rows)
+        assert str(info.value) == f"manifest line 2: {message}"
 
     def test_missing_key_reports_line(self, tmp_path):
         path = tmp_path / "manifest.jsonl"
