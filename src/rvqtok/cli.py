@@ -24,6 +24,7 @@ import collections
 import contextlib
 import itertools
 import json
+import math
 import shlex
 import sys
 from dataclasses import fields
@@ -231,10 +232,10 @@ def cmd_train_rvq(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    with ff.open_afv1(args.features) as rows:
+    with ff.open_afv1(args.features) as (dim, _, rows):
         stack = ff.read_rvq1(args.codebooks)
-        if rows.dim != stack.dim:
-            raise ShapeMismatch(f"feature dim {rows.dim} != codebook dim {stack.dim}")
+        if dim != stack.dim:
+            raise ShapeMismatch(f"feature dim {dim} != codebook dim {stack.dim}")
         inputs = [args.features, args.codebooks]
         with ff.atk1_writer(args.output, rows.n_rows, stack.layer_sizes, inputs) as write:
             for indices in encode_rows(stack, rows.n_rows, rows.read):
@@ -295,16 +296,16 @@ def _pack_pairs(rows, outputs):
     for row in rows:
         path, where = row["atk1_path"], f"manifest line {row['line_no']}"
         if path not in n_frames:
-            with ff.open_atk1(path) as atk1:
+            with ff.open_atk1(path) as (atk1_sizes, atk1):
                 ff.check_not_inputs(outputs, [path])
-                sizes = sizes or atk1.sizes
-                if atk1.sizes != sizes:
+                sizes = sizes or atk1_sizes
+                if atk1_sizes != sizes:
                     raise MalformedWire(
-                        f"{where}: ATK1 {path} has layer sizes {atk1.sizes}, not {sizes}"
+                        f"{where}: ATK1 {path} has layer sizes {atk1_sizes}, not {sizes}"
                     )
-                n_frames[path] = atk1.n_frames
+                n_frames[path] = atk1.n_rows
                 if not atk1.seekable:
-                    whole = atk1.read(0, atk1.n_frames)
+                    whole = atk1.read(0, atk1.n_rows)
                     for first in range(0, len(whole), _ATK1_BLOCK):
                         frames = whole[first : first + _ATK1_BLOCK]
                         pinned[path, first // _ATK1_BLOCK] = frames, _past_end(frames, first, sizes)
@@ -319,8 +320,8 @@ def _pack_pairs(rows, outputs):
             if key in held:
                 held.move_to_end(key)
             elif key not in pinned:
-                with ff.open_atk1(path) as atk1:
-                    frames = atk1.read(first, min(first + _ATK1_BLOCK, atk1.n_frames))
+                with ff.open_atk1(path) as (_, atk1):
+                    frames = atk1.read(first, min(first + _ATK1_BLOCK, atk1.n_rows))
                 held[key] = frames, _past_end(frames, first, sizes)
                 held_frames += len(frames)
                 while held_frames > _ATK1_HELD and len(held) > 1:
@@ -371,14 +372,17 @@ def cmd_pack(args) -> int:
             group_pairs, durations, refs, line_nos = zip(*group)
             # INTLV takes its audio from every other pair, starting with the first
             audio_refs = refs if args.format_tag == "ITTS" else refs[::2]
+            first, last = line_nos[0], line_nos[-1]
+            lines = f"line {first}" if first == last else f"lines {first}-{last}"
             try:
                 stream = build(list(group_pairs))
             except (InsufficientData, InvalidStream) as exc:
-                first, last = line_nos[0], line_nos[-1]
-                lines = f"line {first}" if first == last else f"lines {first}-{last}"
                 raise type(exc)(f"manifest {lines}: {exc}") from exc
+            duration = sum(durations)
+            if not math.isfinite(duration):
+                raise MalformedWire(f"manifest {lines}: durations sum past the float64 range")
             write(json.dumps(ff.stream_record(stream, audio_refs), sort_keys=True))
-            yield stream, sum(durations)
+            yield stream, duration
 
     with ff.staged(*outputs, inputs=[args.manifest]) as (records_tmp, stats_tmp):
         pairs = _pack_pairs(ff.read_manifest(args.manifest), outputs)

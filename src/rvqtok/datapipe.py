@@ -11,15 +11,13 @@ and provenance are pack-manifest fields, checked by
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
-from .errors import InsufficientData, InvalidConfig, InvalidStream
+from .errors import InsufficientData, InvalidConfig, InvalidStream, MalformedWire
 from .streams import InterleavedStream, Segment, audio_segment, text_segment
-
-Tokenizer = Callable[[str], list[int]]
 
 
 def byte_tokenizer(text: str) -> list[int]:
@@ -27,9 +25,7 @@ def byte_tokenizer(text: str) -> list[int]:
     return list(text.encode("utf-8"))
 
 
-def build_intlv(
-    pairs: list[tuple[str, np.ndarray]], *, tokenize: Tokenizer = byte_tokenizer
-) -> InterleavedStream:
+def build_intlv(pairs: list[tuple[str, np.ndarray]]) -> InterleavedStream:
     """Interleave consecutive pairs into an INTLV record, audio first.
 
     Even pairs contribute their frames and odd pairs their text: pair 0
@@ -41,7 +37,7 @@ def build_intlv(
     segments: list[Segment] = []
     for i, (text, frames) in enumerate(pairs):
         if i % 2:
-            ids = tokenize(text)
+            ids = byte_tokenizer(text)
             if not ids:
                 raise InvalidStream(f"pair {i} supplies no text tokens")
             segments.append(text_segment(ids))
@@ -52,15 +48,13 @@ def build_intlv(
     return InterleavedStream(format_tag="INTLV", segments=tuple(segments))
 
 
-def build_itts(
-    pairs: list[tuple[str, np.ndarray]], *, tokenize: Tokenizer = byte_tokenizer
-) -> InterleavedStream:
+def build_itts(pairs: list[tuple[str, np.ndarray]]) -> InterleavedStream:
     """Emit each pair as text followed by its frames; format ITTS."""
     if not pairs:
         raise InsufficientData("ITTS needs at least 1 pair")
     segments: list[Segment] = []
     for i, (text, frames) in enumerate(pairs):
-        ids = tokenize(text)
+        ids = byte_tokenizer(text)
         if not ids or not len(frames):
             raise InvalidStream(f"pair {i} must carry both text and frames")
         segments.append(text_segment(ids))
@@ -90,16 +84,19 @@ class CorpusStats:
 
 
 def corpus_stats(records: list[tuple[InterleavedStream, float]]) -> CorpusStats:
-    """Single-pass totals over (stream, duration_s) records."""
+    """Single-pass totals over (stream, duration_s) records; audio hours
+    that sum past the float64 range are MalformedWire naming the record."""
     counts: dict[str, int] = {}
     hours = 0.0
     text_tokens = 0
     audio_frames = 0
-    for stream, duration_s in records:
+    for n, (stream, duration_s) in enumerate(records, start=1):
         if duration_s < 0:
             raise InvalidConfig("record duration must be >= 0")
         counts[stream.format_tag] = counts.get(stream.format_tag, 0) + 1
         hours += duration_s / 3600.0
+        if not math.isfinite(hours):
+            raise MalformedWire(f"record {n}: audio hours sum past the float64 range")
         text_tokens += stream.n_text_tokens()
         audio_frames += stream.n_audio_frames()
     return CorpusStats(

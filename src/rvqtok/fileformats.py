@@ -16,8 +16,9 @@ temporary file beside it, which replaces it only once the block that
 writes it succeeds, so a failed write leaves no output and an existing
 file untouched. A command stages all of its outputs in one block.
 ``afv1_writer`` and ``atk1_writer`` take the header's T up front and rows
-block by block. ``open_afv1`` reads AFV1 rows in order, a
-block at a time, from a file or a pipe. ``read_rvq1`` returns the
+block by block. ``open_afv1`` and ``open_atk1`` parse a header and
+hand out the body as ``Rows``, read by row range from a file, or in
+order from a pipe, a block at a time. ``read_rvq1`` returns the
 codewords as the read-only float32 array they are stored as.
 WAV and raw float32 audio open as a ``SampleSource`` whose samples are
 read by range, never all at once. JSON sidecars: interleaved records,
@@ -66,7 +67,6 @@ AFV1_MAGIC = b"AFV1"
 ATK1_MAGIC = b"ATK1"
 RVQ1_MAGIC = b"RVQ1"
 
-_AFV1_HEADER = struct.Struct("<4sIId")
 _RVQ1_LAYER_HEADER = struct.Struct("<IIdd")
 
 
@@ -90,6 +90,60 @@ def _read_exact(fh, n: int, what: str) -> bytes:
     if len(data) != n:
         raise MalformedWire(f"truncated file while reading {what}")
     return data
+
+
+def _header(fh, magic: bytes, fmt: str) -> list:
+    """The fields of the header ``"<4s" + fmt`` at the start of fh, after
+    its magic; another magic is MalformedWire."""
+    header = struct.Struct("<4s" + fmt)
+    got, *fields = header.unpack(_read_exact(fh, header.size, f"{magic.decode()} header"))
+    if got != magic:
+        raise MalformedWire(f"bad magic {got!r}, expected {magic.decode()}")
+    return fields
+
+
+class Rows(NamedTuple):
+    """The body of an open AFV1 or ATK1: ``read(start, stop)`` returns rows
+    [start, stop) as a read-only (stop - start, width) array in the dtype
+    the file stores. A file that cannot seek, such as a pipe, is read in
+    order."""
+
+    n_rows: int
+    seekable: bool
+    read: Callable[[int, int], np.ndarray]
+
+
+def _rows(fh, path, n_rows: int, dtype: str, width: int, what: str) -> Rows:
+    """The n_rows rows of width dtype items that follow the header read
+    from fh. A file that can seek is checked against its size before any
+    row is read; a pipe is checked as it is read, up to the byte after the
+    last row. Errors name the body as ``what``."""
+    row_bytes = np.dtype(dtype).itemsize * width
+    if seekable := fh.seekable():
+        body_at = fh.tell()  # a pipe cannot tell
+        extra = os.fstat(fh.fileno()).st_size - body_at - row_bytes * n_rows
+        if extra < 0:
+            raise MalformedWire(f"truncated file while reading {what}")
+        if extra > 0:
+            raise MalformedWire(f"trailing bytes after {what}")
+    at = 0  # the row the file position is at
+
+    def read(start: int, stop: int) -> np.ndarray:
+        nonlocal at
+        if not 0 <= start <= stop <= n_rows:
+            raise ShapeMismatch(f"cannot read rows [{start}, {stop}) of {n_rows}")
+        if start != at:
+            if not seekable:
+                raise OSError(f"{path}: {what} of a pipe must be read in order")
+            fh.seek(body_at + row_bytes * start)
+        body = _read_exact(fh, row_bytes * (stop - start), what)
+        at = stop
+        if stop == n_rows and not seekable and fh.read(1):
+            raise MalformedWire(f"trailing bytes after {what}")
+        # read-only, as a view of bytes
+        return np.frombuffer(body, dtype=dtype).reshape(stop - start, width)
+
+    return Rows(n_rows, seekable, read)
 
 
 def check_not_inputs(outputs, inputs) -> None:
@@ -189,7 +243,7 @@ def afv1_writer(path, n_rows: int, dim: int, frame_rate: float, inputs=()):
         raise ShapeMismatch(f"AFV1 stores rows and dim as u32, got {n_rows} x {dim}")
     if not 0 < frame_rate < math.inf:
         raise InvalidConfig(f"AFV1 frame rate must be finite and positive, got {frame_rate}")
-    header = _AFV1_HEADER.pack(AFV1_MAGIC, n_rows, dim, frame_rate)
+    header = struct.pack("<4sIId", AFV1_MAGIC, n_rows, dim, frame_rate)
     return _staged_rows(path, header, n_rows, rows, "AFV1", inputs)
 
 
@@ -201,56 +255,23 @@ def write_afv1(path, vectors: np.ndarray, frame_rate: float) -> None:
         write(arr)
 
 
-class Afv1Rows(NamedTuple):
-    """An open AFV1: ``read(n)`` returns its next n rows as an (n, dim)
-    float64 array, for n up to the rows not yet read."""
-
-    n_rows: int
-    dim: int
-    frame_rate: float
-    read: Callable[[int], np.ndarray]
-
-
 @contextlib.contextmanager
 def open_afv1(path):
-    """An AFV1 whose rows are read in order, as ``Afv1Rows``. A file that
-    can seek is checked against its header before any row is read; a pipe
-    is checked as it is read, up to the byte after the last row."""
+    """An AFV1 as (dim, frame_rate, rows): its ``Rows`` are read by range as
+    read-only float32 arrays."""
     with open(path, "rb") as fh:
-        magic, t, d, frame_rate = _AFV1_HEADER.unpack(
-            _read_exact(fh, _AFV1_HEADER.size, "AFV1 header")
-        )
-        if magic != AFV1_MAGIC:
-            raise MalformedWire(f"bad magic {magic!r}, expected AFV1")
+        t, d, frame_rate = _header(fh, AFV1_MAGIC, "IId")
         if not 0 < frame_rate < math.inf:
             raise MalformedWire(f"AFV1 frame rate {frame_rate} is not finite and positive")
-        if fh.seekable():
-            extra = os.fstat(fh.fileno()).st_size - fh.tell() - 4 * t * d
-            if extra < 0:
-                raise MalformedWire("truncated file while reading AFV1 body")
-            if extra > 0:
-                raise MalformedWire("trailing bytes after AFV1 body")
-        left = t
-
-        def read(n: int) -> np.ndarray:
-            nonlocal left
-            if not 0 <= n <= left:
-                raise ShapeMismatch(f"cannot read {n} rows, {left} of {t} left")
-            body = _read_exact(fh, 4 * n * d, "AFV1 body")
-            left -= n
-            if left == 0 and fh.read(1):
-                raise MalformedWire("trailing bytes after AFV1 body")
-            rows = np.frombuffer(body, dtype="<f4").reshape(n, d)
-            # a signalling NaN warns as it is cast; callers refuse NaN rows
-            with np.errstate(invalid="ignore"):
-                return rows.astype(np.float64)
-
-        yield Afv1Rows(t, d, frame_rate, read)
+        yield d, frame_rate, _rows(fh, path, t, "<f4", d, "AFV1 body")
 
 
 def read_afv1(path) -> tuple[np.ndarray, float]:
-    with open_afv1(path) as rows:
-        return rows.read(rows.n_rows), rows.frame_rate
+    """The (T, D) float64 rows and the frame rate."""
+    with open_afv1(path) as (_, frame_rate, rows):
+        # a signalling NaN warns as it is cast; callers refuse NaN rows
+        with np.errstate(invalid="ignore"):
+            return rows.read(0, rows.n_rows).astype(np.float64), frame_rate
 
 
 # ---------------------------------------------------------------- ATK1
@@ -286,66 +307,25 @@ def write_atk1(path, frames: np.ndarray, layer_sizes) -> None:
         write(arr)
 
 
-class Atk1Frames(NamedTuple):
-    """An open ATK1: ``read(start, stop)`` returns frames [start, stop) as
-    a read-only (stop - start, L) uint32 array, the width the file stores.
-    A file that cannot seek, such as a pipe, is read in order."""
-
-    sizes: tuple[int, ...]
-    n_frames: int
-    seekable: bool
-    read: Callable[[int, int], np.ndarray]
-
-
 @contextlib.contextmanager
 def open_atk1(path):
-    """An ATK1 whose frames are read by range, as ``Atk1Frames``. A file
-    that can seek is checked against its header before any frame is read;
-    a pipe is read in order, and checked as it is read, up to the byte
-    after the last frame."""
+    """An ATK1 as (sizes, frames): its L layer sizes, and its ``Rows`` read
+    by frame range as read-only (n, L) uint32 arrays."""
     with open(path, "rb") as fh:
-        magic, n_layers = struct.unpack("<4sI", _read_exact(fh, 8, "ATK1 header"))
-        if magic != ATK1_MAGIC:
-            raise MalformedWire(f"bad magic {magic!r}, expected ATK1")
+        (n_layers,) = _header(fh, ATK1_MAGIC, "I")
         if n_layers == 0:
             raise MalformedWire("ATK1 with zero layers")
         sizes = struct.unpack(
             f"<{n_layers}I", _read_exact(fh, 4 * n_layers, "ATK1 layer sizes")
         )
         (count,) = struct.unpack("<I", _read_exact(fh, 4, "ATK1 frame count"))
-        row_bytes = 4 * n_layers
-        body_at = 12 + row_bytes  # magic, L, L sizes, T
-        seekable = fh.seekable()
-        if seekable:
-            extra = os.fstat(fh.fileno()).st_size - body_at - row_bytes * count
-            if extra < 0:
-                raise MalformedWire("truncated file while reading ATK1 frames")
-            if extra > 0:
-                raise MalformedWire("trailing bytes after ATK1 frames")
-        at = 0  # the frame the file position is at
-
-        def read(start: int, stop: int) -> np.ndarray:
-            nonlocal at
-            if not 0 <= start <= stop <= count:
-                raise ShapeMismatch(f"cannot read frames [{start}, {stop}) of {count}")
-            if start != at:
-                if not seekable:
-                    raise OSError(f"{path}: ATK1 frames of a pipe must be read in order")
-                fh.seek(body_at + row_bytes * start)
-            body = _read_exact(fh, row_bytes * (stop - start), "ATK1 frames")
-            at = stop
-            if stop == count and not seekable and fh.read(1):
-                raise MalformedWire("trailing bytes after ATK1 frames")
-            # read-only, as a view of bytes
-            return np.frombuffer(body, dtype="<u4").reshape(-1, n_layers)
-
-        yield Atk1Frames(sizes, count, seekable, read)
+        yield sizes, _rows(fh, path, count, "<u4", n_layers, "ATK1 frames")
 
 
 def read_atk1(path) -> tuple[np.ndarray, tuple[int, ...]]:
     """The (T, L) int64 index array and the L layer sizes."""
-    with open_atk1(path) as atk1:
-        return atk1.read(0, atk1.n_frames).astype(np.int64), atk1.sizes
+    with open_atk1(path) as (sizes, frames):
+        return frames.read(0, frames.n_rows).astype(np.int64), sizes
 
 
 # ---------------------------------------------------------------- RVQ1
@@ -366,9 +346,7 @@ def write_rvq1(path, stack: RvqStack) -> None:
 def read_rvq1(path) -> RvqStack:
     layers = []
     with open(path, "rb") as fh:
-        magic, n_layers = struct.unpack("<4sI", _read_exact(fh, 8, "RVQ1 header"))
-        if magic != RVQ1_MAGIC:
-            raise MalformedWire(f"bad magic {magic!r}, expected RVQ1")
+        (n_layers,) = _header(fh, RVQ1_MAGIC, "I")
         if n_layers == 0:
             raise MalformedWire("RVQ1 with zero layers")
         for _ in range(n_layers):

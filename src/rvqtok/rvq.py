@@ -645,11 +645,11 @@ def init_rvq_stack(
 
 
 def encode_rows(stack: RvqStack, n_rows: int, read):
-    """Deterministic inference over n_rows feature rows that ``read(n)``
-    returns in order as (n, D) arrays, the ``Afv1Rows.read`` contract:
-    argmin cascade, no Gumbel, no dropout. Yields the (n, L) indices of
-    each block of _ROW_CHUNK rows; the last block may be shorter, and 0
-    rows give one empty block.
+    """Deterministic inference over n_rows feature rows that ``read(start,
+    stop)`` returns in order as (stop - start, D) float arrays, the
+    ``fileformats.Rows.read`` contract: argmin cascade, no Gumbel, no
+    dropout. Yields the (n, L) indices of each block of _ROW_CHUNK rows;
+    the last block may be shorter, and 0 rows give one empty block.
 
     Every layer is prepared once, however many blocks follow, and the
     blocks hold the row groups selection scores together, so the indices
@@ -658,7 +658,7 @@ def encode_rows(stack: RvqStack, n_rows: int, read):
     _check_books(stack)
     prepared = [_centred(book) for book in stack.layers]
     for start in range(0, max(n_rows, 1), _ROW_CHUNK):
-        residual, _ = _batch(stack, read(min(_ROW_CHUNK, n_rows - start)), None)
+        residual, _ = _batch(stack, read(start, min(start + _ROW_CHUNK, n_rows)), None)
         indices = np.empty((len(residual), stack.n_layers), dtype=np.int64)
         for layer, _, chosen in _cascade(stack, residual, prepared=prepared):
             indices[:, layer] = chosen

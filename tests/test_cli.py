@@ -943,6 +943,15 @@ class TestPack:
         assert code == 4
         assert "line 2" in err
 
+    def test_durations_past_float64(self, capsys, tmp_path, packable):
+        # each duration is finite, but a group of four sums to inf, which
+        # would be written as "audio_hours": Infinity, not JSON
+        manifest, rows = packable
+        rows = [dict(rows[0], duration_s=1e308) for _ in range(4)]
+        manifest.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        argv = ["pack", manifest, tmp_path / "r.jsonl"]
+        refused(capsys, argv, tmp_path, 4, "manifest lines 1-4: durations sum past")
+
     @pytest.mark.parametrize(
         "field, value, message",
         [

@@ -8,7 +8,7 @@ from rvqtok.datapipe import (
     byte_tokenizer,
     corpus_stats,
 )
-from rvqtok.errors import InsufficientData, InvalidConfig, InvalidStream
+from rvqtok.errors import InsufficientData, InvalidConfig, InvalidStream, MalformedWire
 from rvqtok.streams import SegmentKind, audio_segment, text_segment
 
 
@@ -53,12 +53,6 @@ class TestBuildIntlv:
         pairs = [("a", np.empty((0, 1), dtype=np.int64)), pair(text="b")]
         with pytest.raises(InvalidStream):
             build_intlv(pairs)  # pair 0 is the audio slot but has no frames
-
-    def test_custom_tokenizer(self):
-        s = build_intlv(
-            [pair(text="a"), pair(text="xyz")], tokenize=lambda t: [len(t)]
-        )
-        assert s.segments[1].tokens == (3,)
 
 
 class TestBuildItts:
@@ -117,6 +111,12 @@ class TestCorpusStats:
         s, _ = intlv_record()
         with pytest.raises(InvalidConfig):
             corpus_stats([(s, -1.0)])
+
+    def test_hours_past_float64_rejected(self):
+        # every duration is finite; their sum in hours is not
+        s, _ = intlv_record()
+        with pytest.raises(MalformedWire, match="record 6472: audio hours"):
+            corpus_stats([(s, 1e308)] * 7000)
 
     def test_to_dict_sorted(self):
         s1, _ = intlv_record()

@@ -252,14 +252,14 @@ class TestAfv1:
 class TestOpenAfv1:
     def test_rows_in_order(self, tmp_path, rng):
         path = tmp_path / "x.afv1"
-        x = rng.standard_normal((10, 3)).astype(np.float32).astype(np.float64)
+        x = rng.standard_normal((10, 3)).astype(np.float32)
         write_afv1(path, x, 25.0)
-        with open_afv1(path) as rows:
-            assert (rows.n_rows, rows.dim, rows.frame_rate) == (10, 3, 25.0)
-            parts = [rows.read(4), rows.read(0), rows.read(6)]
+        with open_afv1(path) as (dim, frame_rate, rows):
+            assert (rows.n_rows, dim, frame_rate) == (10, 3, 25.0)
+            parts = [rows.read(0, 4), rows.read(4, 4), rows.read(4, 10)]
             with pytest.raises(ShapeMismatch):
-                rows.read(1)
-        assert all(p.dtype == np.float64 for p in parts)
+                rows.read(10, 11)
+        assert all(p.dtype == np.float32 for p in parts)
         assert np.array_equal(np.concatenate(parts), x)
 
     @pytest.mark.parametrize("edit", [lambda d: d[:-1], lambda d: d + b"\x00"])
@@ -280,9 +280,9 @@ class TestOpenAfv1:
         data = edit((tmp_path / "x.afv1").read_bytes())
 
         def read(fifo):
-            with open_afv1(fifo) as rows:
-                rows.read(1)  # a pipe has no size to check up front
-                rows.read(2)
+            with open_afv1(fifo) as (*_, rows):
+                rows.read(0, 1)  # a pipe has no size to check up front
+                rows.read(1, 3)
 
         with pytest.raises(MalformedWire, match=message):
             through_a_pipe(tmp_path, data, read)
@@ -382,21 +382,30 @@ class TestAtk1:
         assert [p.name for p in tmp_path.iterdir()] == ["x.atk1"]
 
 
+# how each format with a row body writes rows, opens them, and what it
+# stores them as; the header fields its open yields before the rows
+ROW_FORMATS = {
+    "afv1": (lambda path, x: write_afv1(path, x, 25.0), open_afv1, np.float32, (2, 25.0)),
+    "atk1": (lambda path, x: write_atk1(path, x, (8, 4)), open_atk1, np.uint32, ((8, 4),)),
+}
+
+
 class TestOpenAtk1:
     FRAMES = np.array([(i % 8, i % 4) for i in range(10)])
 
-    def test_ranges_in_any_order(self, tmp_path):
-        path = tmp_path / "x.atk1"
-        write_atk1(path, self.FRAMES, (8, 4))
-        with open_atk1(path) as atk1:
-            assert (atk1.sizes, atk1.n_frames, atk1.seekable) == ((8, 4), 10, True)
+    @pytest.mark.parametrize("fmt", ROW_FORMATS)
+    def test_ranges_in_any_order(self, tmp_path, fmt):
+        write, open_rows, dtype, header = ROW_FORMATS[fmt]
+        write(tmp_path / "x", self.FRAMES)
+        with open_rows(tmp_path / "x") as (*fields, rows):
+            assert (tuple(fields), rows.n_rows, rows.seekable) == (header, 10, True)
             for start, stop in [(6, 10), (0, 3), (3, 3), (2, 7), (0, 10)]:
-                part = atk1.read(start, stop)
-                assert part.dtype == np.uint32 and not part.flags.writeable
+                part = rows.read(start, stop)
+                assert part.dtype == dtype and not part.flags.writeable
                 assert np.array_equal(part, self.FRAMES[start:stop])
             for start, stop in [(-1, 2), (3, 2), (9, 11)]:
                 with pytest.raises(ShapeMismatch):
-                    atk1.read(start, stop)
+                    rows.read(start, stop)
 
     @pytest.mark.parametrize(
         "edit, message",
@@ -428,17 +437,19 @@ class TestOpenAtk1:
         with pytest.raises(MalformedWire, match=message):
             through_a_pipe(tmp_path, data, read_atk1)
 
-    def test_pipe_read_in_order_only(self, tmp_path):
-        write_atk1(tmp_path / "x.atk1", self.FRAMES, (8, 4))
-        data = (tmp_path / "x.atk1").read_bytes()
+    @pytest.mark.parametrize("fmt", ROW_FORMATS)
+    def test_pipe_read_in_order_only(self, tmp_path, fmt):
+        write, open_rows, _, _ = ROW_FORMATS[fmt]
+        write(tmp_path / "x", self.FRAMES)
+        data = (tmp_path / "x").read_bytes()
 
         def read(fifo):
-            with open_atk1(fifo) as atk1:
-                assert not atk1.seekable
-                assert np.array_equal(atk1.read(0, 4), self.FRAMES[:4])
-                with pytest.raises(OSError, match="read in order"):
-                    atk1.read(0, 2)
-                assert np.array_equal(atk1.read(4, 10), self.FRAMES[4:])
+            with open_rows(fifo) as (*_, rows):
+                assert not rows.seekable
+                assert np.array_equal(rows.read(0, 4), self.FRAMES[:4])
+                with pytest.raises(OSError, match=f"{re.escape(str(fifo))}: .* read in order"):
+                    rows.read(0, 2)
+                assert np.array_equal(rows.read(4, 10), self.FRAMES[4:])
 
         through_a_pipe(tmp_path, data, read)
 

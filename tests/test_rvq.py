@@ -215,15 +215,12 @@ class TestBlockedSelection:
 
 
 def reader(x, asked):
-    """read(n) over the rows of x, in order, as Afv1Rows.read hands them
-    out; asked records each n."""
-    done = 0
+    """read(start, stop) over the rows of x, as Rows.read hands them out;
+    asked records each (start, stop)."""
 
-    def read(n):
-        nonlocal done
-        asked.append(n)
-        done += n
-        return x[done - n : done]
+    def read(start, stop):
+        asked.append((start, stop))
+        return x[start:stop]
 
     return read
 
@@ -235,12 +232,14 @@ class TestEncodeBlocks:
         monkeypatch.setattr(rvq, "_ROW_CHUNK", 4)
         stack = small_stack(seed=5, sizes=(16, 8, 8), dim=5)
         # no rows, below one chunk, one chunk, ragged: whole chunks but the last
-        for n, reads in ((0, [0]), (3, [3]), (4, [4]), (23, [4] * 5 + [3])):
+        for n, sizes in ((0, [0]), (3, [3]), (4, [4]), (23, [4] * 5 + [3])):
             x = rng.standard_normal((n, 5))
             before = x.copy()
             asked = []
             blocks = list(encode_rows(stack, n, reader(x, asked)))
-            assert asked == [len(b) for b in blocks] == reads
+            starts = np.cumsum([0] + sizes[:-1]).tolist()
+            assert asked == [(a, a + k) for a, k in zip(starts, sizes)]
+            assert [len(b) for b in blocks] == sizes
             got = np.concatenate(blocks)
             assert got.shape == (n, 3)
             assert np.array_equal(got, encode_frames(stack, x))
