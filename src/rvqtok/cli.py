@@ -4,11 +4,14 @@ Subcommands: mel, train-rvq, encode, decode, pack, eval, scorer-plugin.
 Every command takes --seed and --threads; mel and train-rvq also take
 --config, and eval --format. Each command takes only the options it
 reads, so an option it does not take is an argparse usage error (exit
-2). --threads is accepted for interface stability and ignored: nothing
-here starts threads, though the BLAS library behind NumPy may use its
-own unless OPENBLAS_NUM_THREADS (or its equivalent) is set. Artifacts
-are byte-identical at any --threads value; acceptance criterion 10
-checks this.
+2). --threads sets how many whole blocks mel and encode work on at once,
+never more than the usable CPUs; the other commands run in order and
+ignore it. It defaults to the usable CPUs // the BLAS threads, which
+are read from OPENBLAS_NUM_THREADS, then OMP_NUM_THREADS, and count as
+every usable CPU when neither is set: so with an unpinned BLAS, one
+block at a time. A block is never split, and artifacts are
+byte-identical at any --threads value; acceptance criterion 10 checks
+this.
 
 Exit codes: 0 success, 2 I/O, 3 shape or config, 4 data format,
 5 scorer-plugin protocol. Running out of memory exits 3 as well: the
@@ -51,6 +54,7 @@ from .mel import FeatureSequence, MelConfig, mel_blocks
 # traced run still resolves these names on this module.
 from .mel import compute_mel, stack_frames  # noqa: F401
 from .metrics import accuracy, perplexity_compare_all
+from .parallel import default_threads
 from .rvq import (
     DropoutConfig,
     GumbelConfig,
@@ -129,7 +133,7 @@ def cmd_mel(args) -> int:
     cfg = MelConfig(**doc)
 
     with _open_audio(args.input, args.raw_rate) as source:
-        n_frames, blocks = mel_blocks(source, cfg, args.stack)
+        n_frames, blocks = mel_blocks(source, cfg, args.stack, args.threads)
         n_vectors = n_frames // args.stack
         if n_vectors == 0:
             raise EmptyInput(f"{n_frames} mel frames, too few to stack {args.stack}")
@@ -238,7 +242,7 @@ def cmd_encode(args) -> int:
             raise ShapeMismatch(f"feature dim {dim} != codebook dim {stack.dim}")
         inputs = [args.features, args.codebooks]
         with ff.atk1_writer(args.output, rows.n_rows, stack.layer_sizes, inputs) as write:
-            for indices in encode_rows(stack, rows.n_rows, rows.read):
+            for indices in encode_rows(stack, rows.n_rows, rows.read, args.threads):
                 write(indices)
     _emit({"frames": rows.n_rows, "seed": args.seed})
     return 0
@@ -454,8 +458,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--threads",
         type=int,
-        default=1,
-        help="accepted and ignored; outputs are byte-identical at any value",
+        default=default_threads(),
+        help="blocks mel and encode work on at once (default: usable CPUs // BLAS "
+        "threads); outputs are byte-identical at any value",
     )
 
     parser = argparse.ArgumentParser(
@@ -527,26 +532,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+
+    def fail(message, code: int) -> int:
+        # every error line names its command, also when a pool worker raised it
+        print(f"error: {args.command}: {message}", file=sys.stderr)
+        return code
+
     if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return 3
+        return fail("--threads must be >= 1", 3)
     try:
         return args.fn(args)
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return fail(exc, 2)
     except (InvalidConfig, ShapeMismatch, IndexOutOfRange) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return fail(exc, 3)
     except MemoryError as exc:
-        print(f"error: {args.command}: out of memory: {exc}", file=sys.stderr)
-        return 3
+        return fail(f"out of memory: {exc}", 3)
     except (MalformedWire, InvalidStream, InsufficientData, EmptyInput, InvalidSample) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return fail(exc, 4)
     except ScorerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
+        return fail(exc, 5)
 
 
 if __name__ == "__main__":

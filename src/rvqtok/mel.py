@@ -19,6 +19,7 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from .errors import EmptyInput, InvalidConfig, InvalidSample, ShapeMismatch
+from .parallel import ordered_blocks
 
 
 @dataclass(frozen=True)
@@ -204,7 +205,7 @@ def _log_mel(signal: np.ndarray, n_frames: int, cfg: MelConfig, fb: np.ndarray) 
 
 
 def mel_blocks(
-    source: SampleSource, cfg: MelConfig = DEFAULT_MEL, stack_factor: int = 1
+    source: SampleSource, cfg: MelConfig = DEFAULT_MEL, stack_factor: int = 1, threads: int = 1
 ) -> tuple[int, Iterator[np.ndarray]]:
     """The mel frame count T of ``source`` and an iterator over its log-mel
     frames, in order, as (rows, n_mels) blocks that start at multiples of
@@ -218,6 +219,9 @@ def mel_blocks(
     signal repeats its sample). Every block has the same row count, and
     a signal of at most one block is one block, so each frame is
     bit-identical to the whole-signal computation. T = 0 gives no block.
+    The iterator reads and checks the samples in order in the calling
+    thread; up to ``threads`` blocks (no more than the usable CPUs) are
+    analysed at once, with the same frames at any ``threads``.
     """
     n = source.n_samples
     if n == 0:
@@ -237,24 +241,31 @@ def mel_blocks(
     # of no more frames than that is one block (of one row at T = 0, since
     # a range needs a step).
     block = max(_MEL_BLOCK // stack_factor * stack_factor, stack_factor, 2)
-    return n_frames, _blocks(source, cfg, n_frames, max(min(block, n_frames), 1))
+    return n_frames, _blocks(source, cfg, n_frames, max(min(block, n_frames), 1), threads)
 
 
-def _blocks(source: SampleSource, cfg: MelConfig, n_frames: int, block: int):
+def _blocks(source: SampleSource, cfg: MelConfig, n_frames: int, block: int, threads: int):
     n = source.n_samples
     pad = cfg.n_fft // 2 if cfg.center else 0
     # C-ordered: OpenBLAS rounds a product with the transposed view
     # differently when it has fewer than about 16 rows
     fb = np.ascontiguousarray(mel_filterbank(cfg).T)
     period = max(2 * n - 2, 1)  # np.pad's reflection repeats every 2n - 2 samples
-    for start in range(0, n_frames, block):
-        first = min(start, n_frames - block)  # the last block ends at frame T
-        j = np.arange(first * cfg.hop, (first + block - 1) * cfg.hop + cfg.n_fft) - pad
-        j = np.abs(j) % period  # reflect about the first sample
-        j = np.where(j < n, j, period - j)  # and about the last
-        lo = int(j.min())
-        samples = _finite(source.read(lo, int(j.max()) + 1))
-        yield _log_mel(samples[j - lo], block, cfg, fb)[start - first :]
+
+    def signals():
+        for start in range(0, n_frames, block):
+            first = min(start, n_frames - block)  # the last block ends at frame T
+            j = np.arange(first * cfg.hop, (first + block - 1) * cfg.hop + cfg.n_fft) - pad
+            j = np.abs(j) % period  # reflect about the first sample
+            j = np.where(j < n, j, period - j)  # and about the last
+            lo = int(j.min())
+            samples = _finite(source.read(lo, int(j.max()) + 1))
+            yield samples, j - lo, start - first
+
+    def log_mel(samples, idx, skip):
+        return _log_mel(samples[idx], block, cfg, fb)[skip:]
+
+    yield from ordered_blocks(log_mel, signals(), threads)
 
 
 def compute_mel(audio: AudioBuffer, cfg: MelConfig = DEFAULT_MEL) -> MelSpectrogram:

@@ -3,13 +3,16 @@
 A stack of codebooks quantizes a vector layer by layer: the first layer
 quantizes the input, each later layer quantizes the running residual,
 and the reconstruction is the sum of the selected codewords. Selection
-scores rows in blocks of 1024 with a float32 GEMM against codewords
-taken relative to the codebook mean; residuals and reconstruction stay
-float64. It may differ from exact float64 selection only on near-ties.
-Inference runs block by block: ``encode_rows`` prepares every layer
-once and asks a reader for 1024 rows at a time, so a caller can
-stream features through in bounded memory; ``encode_frames`` is the
-same cascade over one in-memory matrix. A ``Codebook`` keeps float32
+scores rows in blocks of 512 with a float32 GEMM against codewords
+taken relative to the codebook mean (16 MB of scores per block at
+K = 8192); residuals and reconstruction stay float64. It may differ
+from exact float64 selection only on near-ties, and features whose
+scores pass the float32 range raise InvalidSample. Inference runs block
+by block: ``encode_rows`` prepares every layer once and asks a reader
+for 512 rows at a time, so a caller can stream features through in
+bounded memory, and it may run several blocks' cascades at once, each
+on a worker of its own; ``encode_frames`` is the same cascade over one
+in-memory matrix. A ``Codebook`` keeps float32
 codewords (as read from RVQ1) in float32 and holds anything else as
 float64; ``copy`` is always float64, so training works in float64.
 Codewords are learned without gradients, by an exponential-moving-average
@@ -62,6 +65,7 @@ import numpy as np
 from .errors import EmptyInput, IndexOutOfRange, InvalidConfig, InvalidSample, ShapeMismatch
 from .mel import FeatureSequence
 from .metrics import codebook_utilization
+from .parallel import ordered_blocks
 from .seeding import derive_seed, make_rng
 
 # Codebook sizes decrease with depth under the default profile.
@@ -69,7 +73,7 @@ DEFAULT_LAYER_SIZES = (8192, 4096, 2048, 1024, 1024, 1024, 1024, 1024)
 
 INACTIVE = -1  # sentinel index for layers deactivated by dropout
 
-_ROW_CHUNK = 1024  # rows per selection block; bounds scores to _ROW_CHUNK x K
+_ROW_CHUNK = 512  # rows per selection block; bounds scores to _ROW_CHUNK x K
 
 EMA_MODES = ("paper_literal", "standard_ema")
 
@@ -319,7 +323,8 @@ def _assign_layer(
     _ROW_CHUNK at a time in float32 as ||c - m||^2 - 2 (x - m).(c - m):
     that is ||x - c||^2 less the per-row constant ||x - m||^2, so argmin
     and Gumbel selection are unchanged, and centring keeps float32
-    accurate when x and c sit far from the origin.
+    accurate when x and c sit far from the origin. A score past the
+    float32 range raises InvalidSample rather than pick wrongly.
     """
     center, codes, norms = prepared
     whole = isinstance(rows, slice)
@@ -328,9 +333,20 @@ def _assign_layer(
     for start in range(0, n, _ROW_CHUNK):
         part = slice(start, start + _ROW_CHUNK)
         block = part if whole else rows[part]
-        scores = ((residual[block] - center) * -2.0).astype(np.float32) @ codes.T
-        scores += norms
-        chosen[part] = _select_indices(scores, gumbel, rng)
+        try:
+            # errstate is per thread, so it is set here, where the pool runs
+            with np.errstate(over="raise", invalid="raise"):
+                scores = ((residual[block] - center) * -2.0).astype(np.float32) @ codes.T
+                scores += norms
+            picks = _select_indices(scores, gumbel, rng)
+            # an overflow in a BLAS thread of its own escapes errstate; a
+            # score past the range is then inf or NaN, and so is a pick it
+            # changed
+            if not np.isfinite(scores[np.arange(len(picks)), picks]).all():
+                raise FloatingPointError("a selected score is not finite")
+        except FloatingPointError as exc:
+            raise InvalidSample(f"features are too large for float32 selection: {exc}") from exc
+        chosen[part] = picks
         residual[block] -= book.vectors[chosen[part]]
     return chosen
 
@@ -644,7 +660,7 @@ def init_rvq_stack(
     return RvqStack(layers)
 
 
-def encode_rows(stack: RvqStack, n_rows: int, read):
+def encode_rows(stack: RvqStack, n_rows: int, read, threads: int = 1):
     """Deterministic inference over n_rows feature rows that ``read(start,
     stop)`` returns in order as (stop - start, D) float arrays, the
     ``fileformats.Rows.read`` contract: argmin cascade, no Gumbel, no
@@ -653,16 +669,27 @@ def encode_rows(stack: RvqStack, n_rows: int, read):
 
     Every layer is prepared once, however many blocks follow, and the
     blocks hold the row groups selection scores together, so the indices
-    equal those of ``encode_frames`` over the whole matrix.
+    equal those of ``encode_frames`` over the whole matrix. This thread
+    reads and checks the blocks in order; up to ``threads`` of them (no
+    more than the usable CPUs) run their cascades at once, each holding
+    its own _ROW_CHUNK x K scores, and the indices are the same at any
+    ``threads``.
     """
     _check_books(stack)
     prepared = [_centred(book) for book in stack.layers]
-    for start in range(0, max(n_rows, 1), _ROW_CHUNK):
-        residual, _ = _batch(stack, read(start, min(start + _ROW_CHUNK, n_rows)), None)
+
+    def residuals():
+        for start in range(0, max(n_rows, 1), _ROW_CHUNK):
+            residual, _ = _batch(stack, read(start, min(start + _ROW_CHUNK, n_rows)), None)
+            yield (residual,)
+
+    def cascade(residual):
         indices = np.empty((len(residual), stack.n_layers), dtype=np.int64)
         for layer, _, chosen in _cascade(stack, residual, prepared=prepared):
             indices[:, layer] = chosen
-        yield indices
+        return indices
+
+    yield from ordered_blocks(cascade, residuals(), threads)
 
 
 def encode_frames(stack: RvqStack, vectors: np.ndarray) -> np.ndarray:

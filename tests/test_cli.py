@@ -3,6 +3,7 @@ import contextlib
 import errno
 import importlib
 import inspect
+import io
 import json
 import os
 import re
@@ -18,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rvqtok import cli
 from rvqtok import mel as mel_module
@@ -531,7 +533,7 @@ class TestHostileInput:
             (outs / "pipes.jsonl").write_text(json.dumps(row) + "\n")
             paths = {"feats": feats, "books": books, "pipe": fifo}
             argv = [argv[0], *(paths.get(a, outs / a) for a in argv[1:])]
-            refused(capsys, argv, outs, 4, f"error: truncated file while reading {what}")
+            refused(capsys, argv, outs, 4, f"error: {argv[0]}: truncated file while reading {what}")
 
     def test_wav_through_a_pipe(self, capsys, tmp_path):
         # refused as raw float32 from a pipe is: an I/O error, exit 2
@@ -680,6 +682,64 @@ class TestStreamedEncodeDecode:
         code, lines, _ = run(capsys, "decode", tokens, books, out, "--unstack", 2)
         assert (code, lines[-1]["frames"]) == (0, 0)
         assert read_afv1(out)[0].shape == (0, 3)
+
+
+def float64_cascade(books, x):
+    """The argmin cascade in float64 by brute force: (T, L) indices."""
+    residual, picks = x.astype(np.float64), []
+    for book in books:
+        book = book.astype(np.float64)
+        pick = np.argmin(((residual[:, None, :] - book[None]) ** 2).sum(axis=2), axis=1)
+        residual = residual - book[pick]
+        picks.append(pick)
+    return np.stack(picks, axis=1)
+
+
+class TestFloat32Range:
+    """Selection scores in float32; features too large for that range exit
+    4 rather than give wrong tokens, in a pool worker too."""
+
+    @given(
+        exponent=st.integers(0, 38),
+        mantissa=st.floats(1.0, 3.0),
+        seed=st.integers(0, 10_000),
+        threads=st.sampled_from([1, 2]),
+    )
+    @settings(max_examples=80)
+    def test_exit_4_or_the_float64_argmin(
+        self, tmp_path_factory, exponent, mantissa, seed, threads
+    ):
+        scale = mantissa * 10.0**exponent
+        # float32 features and codewords must be finite to be stored at all
+        scale = min(scale, 3e38)
+        tmp = tmp_path_factory.mktemp("range")
+        rng = np.random.Generator(np.random.PCG64(seed))
+        # the 16 vertices of a 4-cube: the true codeword is 0.2 * scale
+        # away at layer 0 and the next one at least 1.8 * scale
+        cube = np.array([[(i >> b & 1) * 2.0 - 1.0 for b in range(4)] for i in range(16)])
+        books = [scale * cube, 0.1 * scale * cube]
+        picks = rng.integers(0, 16, size=(50, 2))
+        x = scale * (cube[picks[:, 0]] + 0.1 * cube[picks[:, 1]])
+        write_rvq1(tmp / "books.rvq1", RvqStack([Codebook(b) for b in books]))
+        write_afv1(tmp / "feats.afv1", x, 12.5)
+        out = tmp / "tokens.atk1"
+        argv = ["encode", tmp / "feats.afv1", tmp / "books.rvq1", out, "--threads", threads]
+        err = io.StringIO()
+        with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(
+            io.StringIO()
+        ), contextlib.redirect_stderr(err):
+            mp.setattr(rvq, "_ROW_CHUNK", 8)  # 7 blocks, so a pool has work
+            code = main([str(a) for a in argv])
+        if code == 4:
+            assert err.getvalue().startswith(
+                "error: encode: features are too large for float32 selection"
+            )
+            assert not out.exists()
+        else:
+            assert (code, err.getvalue()) == (0, "")
+            stored = [b.vectors for b in read_rvq1(tmp / "books.rvq1").layers]
+            want = float64_cascade(stored, read_afv1(tmp / "feats.afv1")[0])
+            assert np.array_equal(read_atk1(out)[0], want)
 
 
 # Runs argv as a child and prints that child's peak RSS in kB. Started
@@ -967,7 +1027,7 @@ class TestPack:
         rows[1][field] = value
         manifest.write_text("".join(json.dumps(r) + "\n" for r in rows))
         err = refused(capsys, ["pack", manifest, tmp_path / "r.jsonl"], tmp_path, 4, "")
-        assert err == f"error: manifest line 2: {message}\n"
+        assert err == f"error: pack: manifest line 2: {message}\n"
 
     def test_manifest_rule_before_frame_checks(self, capsys, tmp_path, packable):
         # within one line the manifest's own rules come first; across
@@ -1342,7 +1402,7 @@ class TestOutputs:
         argv, outputs = commands["encode"]
         out = outputs["atk1"].parent / "nodir" / "x.atk1"
         err = refused(capsys, argv[:-1] + [out], out.parent.parent, 2, "")
-        assert err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+        assert err == f"error: encode: [Errno 2] No such file or directory: '{out}'\n"
 
 
 class TestEval:
@@ -1475,7 +1535,7 @@ class TestEval:
         argv = ["eval", path, "--plugin", plugin, "--format", "jsonl"]
         code, lines, err = run(capsys, *argv)
         assert code == 5
-        assert err == "error: plugin error: boom\n"
+        assert err == "error: eval: plugin error: boom\n"
         assert [l["record"] for l in lines] == list(range(100))
 
     def test_plugin_that_never_answers(self, capsys, tmp_path, monkeypatch):
@@ -1511,7 +1571,7 @@ class TestEval:
             env=checkout_env(),
         )
         if boom:
-            assert (proc.returncode, proc.stderr) == (5, "error: plugin error: boom\n")
+            assert (proc.returncode, proc.stderr) == (5, "error: eval: plugin error: boom\n")
         else:
             assert (proc.returncode, proc.stderr) == (0, "")
 

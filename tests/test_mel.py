@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rvqtok import mel as mel_module
+from rvqtok import parallel
 from rvqtok.errors import EmptyInput, InvalidConfig, InvalidSample, ShapeMismatch
 from rvqtok.mel import (
     DEFAULT_MEL,
@@ -241,6 +242,51 @@ class TestBlocked:
         x[-5] = np.nan
         _, blocks = mel_blocks(in_memory(x), DEFAULT_MEL, 8)
         assert next(blocks).shape == (8, 80)
+        with pytest.raises(InvalidSample):
+            list(blocks)
+
+    def test_non_finite_late_block_threaded(self, monkeypatch):
+        # blocks in flight on two workers when the read of the last fails:
+        # each earlier block still comes out, in order, before the error
+        monkeypatch.setattr(mel_module, "_MEL_BLOCK", 8)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+        x = np.random.Generator(np.random.PCG64(4)).uniform(-1.0, 1.0, 16000)
+        want = list(mel_blocks(in_memory(x), DEFAULT_MEL, 8)[1])
+        x[-5] = np.nan
+        _, blocks = mel_blocks(in_memory(x), DEFAULT_MEL, 8, threads=2)
+        assert len(want) == 13  # 100 frames in blocks of 8; only the last reads x[-5]
+        for block in want[:-1]:
+            assert np.array_equal(next(blocks), block)
+        with pytest.raises(InvalidSample):
+            next(blocks)
+
+    def test_threads_read_ahead_at_most_the_workers(self, monkeypatch):
+        monkeypatch.setattr(mel_module, "_MEL_BLOCK", 8)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 3)
+        x = np.random.Generator(np.random.PCG64(5)).uniform(-1.0, 1.0, 16000)
+        got, ahead = [], []
+
+        def read(a, b):
+            ahead.append(len(ahead) + 1 - len(got))
+            return x[a:b]
+
+        n_frames, blocks = mel_blocks(SampleSource(len(x), 16000, read), DEFAULT_MEL, 8, 9)
+        for block in blocks:
+            got.append(block)
+        assert len(ahead) == len(got) == 13  # 100 frames in blocks of 8
+        assert max(ahead) == 3
+        assert np.array_equal(np.concatenate(got), whole_buffer_mel(x, DEFAULT_MEL))
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_overflowing_frames_raise_threaded(self, monkeypatch):
+        # the kernel's own check raises in a pool worker
+        monkeypatch.setattr(mel_module, "_MEL_BLOCK", 8)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+        x = np.zeros(16000)
+        x[-4000:] = 1e200
+        _, blocks = mel_blocks(in_memory(x), DEFAULT_MEL, 8, threads=2)
+        assert np.array_equal(next(blocks), np.full((8, 80), np.log(DEFAULT_MEL.log_floor)))
         with pytest.raises(InvalidSample):
             list(blocks)
 

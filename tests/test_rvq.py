@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import warnings
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats as scipy_stats
 
-from rvqtok import rvq
+from rvqtok import parallel, rvq
 from rvqtok.errors import (
     EmptyInput,
     IndexOutOfRange,
@@ -266,6 +267,49 @@ class TestEncodeBlocks:
             next(blocks)
         with pytest.raises(ShapeMismatch):
             next(encode_rows(small_stack(dim=3), 2, reader(np.zeros((2, 4)), [])))
+
+    def test_bad_late_block_threaded(self, monkeypatch, rng):
+        # blocks in flight on two workers when the read of the last fails:
+        # each earlier block still comes out, in order, before the error
+        monkeypatch.setattr(rvq, "_ROW_CHUNK", 4)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+        x = rng.standard_normal((14, 3))
+        x[13, 1] = np.nan
+        stack = small_stack()
+        blocks = encode_rows(stack, 14, reader(x, []), threads=2)
+        for start in (0, 4, 8):
+            assert np.array_equal(next(blocks), encode_frames(stack, x[start : start + 4]))
+        with pytest.raises(InvalidSample):
+            next(blocks)
+        with pytest.raises(ShapeMismatch):
+            next(encode_rows(small_stack(dim=3), 2, reader(np.zeros((2, 4)), []), threads=2))
+
+    def test_threads_read_ahead_at_most_the_workers(self, monkeypatch, rng):
+        monkeypatch.setattr(rvq, "_ROW_CHUNK", 2)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 3)
+        started = []
+
+        class Spy(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Spy)
+        stack = small_stack(seed=2, sizes=(16, 8), dim=5)
+        x = rng.standard_normal((19, 5))
+        asked, got, ahead = [], [], []
+
+        def read(start, stop):
+            asked.append((start, stop))
+            ahead.append(len(asked) - len(got))
+            return x[start:stop]
+
+        for block in encode_rows(stack, 19, read, threads=9):
+            got.append(block)
+        assert started == [3]
+        assert max(ahead) == 3
+        assert asked == [(a, min(a + 2, 19)) for a in range(0, 19, 2)]
+        assert np.array_equal(np.concatenate(got), encode_frames(stack, x))
 
     def test_zero_rows(self):
         assert encode_frames(small_stack(), np.zeros((0, 3))).shape == (0, 3)
@@ -973,11 +1017,14 @@ class TestTrainRvq:
 
     def test_overflowing_codewords_raise(self, rng):
         # paper_literal adds the full mean to the decayed codeword, which
-        # overflows at this scale; no non-finite book may come out
+        # would overflow at this scale; selection refuses it first, so no
+        # non-finite book may come out, whatever errstate the caller set
         x = rng.choice([-1e308, 1e308], size=(20, 3))
         stack = RvqStack([Codebook(x[:4].copy(), ema_decay=0.99)])
         sched = TrainingSchedule(replace_start=1.0, replace_end=1.0, total_steps=1)
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InvalidConfig, match="finite"):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            InvalidSample, match="too large for float32 selection"
+        ):
             train_rvq(stack, [seq(x)], sched, mode="paper_literal")
 
     def test_input_stack_unmodified(self, rng):
