@@ -365,6 +365,8 @@ def cmd_pack(args) -> int:
         raise InvalidConfig(
             f"group size must be >= {least} for {args.format_tag}, got {args.group_size}"
         )
+    if args.group_size > sys.maxsize - 2:  # islice's bound, less INTLV's two pairs ahead
+        raise InvalidConfig(f"group size must be <= {sys.maxsize - 2}, got {args.group_size}")
     build = build_itts if args.format_tag == "ITTS" else build_intlv
     stats_path = args.stats or args.output + ".stats.json"
     outputs = (args.output, stats_path)

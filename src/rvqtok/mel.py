@@ -3,12 +3,13 @@
 PCM audio is turned into log-mel frames, which are then stacked in
 groups to reach the tokenizer frame rate (100 fps mel stacked by 8
 gives 12.5 vectors per second). One kernel, ``mel_blocks``, computes
-the frames a bounded block at a time from any ``SampleSource``, so a
-file of any length is analysed in bounded memory, and an in-memory
-buffer gives bit-identical frames. The loss functions operate on mel
-matrices: per-reconstruction mean-L1 plus mean-L2, summed over
-reconstructions and, for the multi-scale variant, over analysis
-configurations with different hop/window sizes.
+the frames a bounded block at a time from any ``SampleSource``: it
+reads each block's samples once, reflect-pads them past either end
+with ``np.pad`` and frames them by strides, so a file of any length is
+analysed in bounded memory and an in-memory buffer gives bit-identical
+frames. The loss functions operate on mel matrices: per-reconstruction
+mean-L1 plus mean-L2, summed over reconstructions and, for the
+multi-scale variant, over several hop/window analysis scales.
 """
 
 from __future__ import annotations
@@ -191,12 +192,12 @@ def _finite(samples: np.ndarray) -> np.ndarray:
     return samples
 
 
-def _log_mel(signal: np.ndarray, n_frames: int, cfg: MelConfig, fb: np.ndarray) -> np.ndarray:
-    """Log-mel of the n_frames frames at hop spacing from signal[0]."""
-    idx = np.arange(cfg.n_fft)[None, :] + cfg.hop * np.arange(n_frames)[:, None]
+def _log_mel(signal: np.ndarray, cfg: MelConfig, fb: np.ndarray) -> np.ndarray:
+    """Log-mel of every frame at hop spacing from signal[0]."""
+    frames = np.lib.stride_tricks.sliding_window_view(signal, cfg.n_fft)[:: cfg.hop]
     # Periodic Hann window.
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(cfg.n_fft) / cfg.n_fft)
-    spectrum = np.fft.rfft(signal[idx] * window, axis=1)
+    spectrum = np.fft.rfft(frames * window, axis=1)
     power = spectrum.real**2 + spectrum.imag**2
     log_mel = np.log(np.maximum(power @ fb, cfg.log_floor))
     if not np.isfinite(log_mel).all():
@@ -213,11 +214,11 @@ def mel_blocks(
 
     Entries are log(max(mel_energy, log_floor)). The input is checked
     before this returns; samples and frames are checked for finiteness
-    block by block as the iterator reads them. The signal is read in
-    ranges that overlap by n_fft - hop samples, and a frame past either
-    end reflects about it as often as ``np.pad`` does (a one-sample
-    signal repeats its sample). Every block has the same row count, and
-    a signal of at most one block is one block, so each frame is
+    block by block as the iterator reads them. Each block's range is read
+    once and ``np.pad`` reflects it past either end, as on the whole
+    signal: a block past one end reads more samples than it pads, and one
+    past both reads them all. Every block has the same row count, and a
+    signal of at most one block is one block, so each frame is
     bit-identical to the whole-signal computation. T = 0 gives no block.
     The iterator reads and checks the samples in order in the calling
     thread; up to ``threads`` blocks (no more than the usable CPUs) are
@@ -245,25 +246,21 @@ def mel_blocks(
 
 
 def _blocks(source: SampleSource, cfg: MelConfig, n_frames: int, block: int, threads: int):
-    n = source.n_samples
     pad = cfg.n_fft // 2 if cfg.center else 0
     # C-ordered: OpenBLAS rounds a product with the transposed view
     # differently when it has fewer than about 16 rows
     fb = np.ascontiguousarray(mel_filterbank(cfg).T)
-    period = max(2 * n - 2, 1)  # np.pad's reflection repeats every 2n - 2 samples
 
     def signals():
         for start in range(0, n_frames, block):
             first = min(start, n_frames - block)  # the last block ends at frame T
-            j = np.arange(first * cfg.hop, (first + block - 1) * cfg.hop + cfg.n_fft) - pad
-            j = np.abs(j) % period  # reflect about the first sample
-            j = np.where(j < n, j, period - j)  # and about the last
-            lo = int(j.min())
-            samples = _finite(source.read(lo, int(j.max()) + 1))
-            yield samples, j - lo, start - first
+            a = first * cfg.hop - pad  # the block's samples [a, b) of the padded signal
+            b = a + (block - 1) * cfg.hop + cfg.n_fft
+            lo, hi = max(a, 0), min(b, source.n_samples)
+            yield np.pad(_finite(source.read(lo, hi)), (lo - a, b - hi), "reflect"), start - first
 
-    def log_mel(samples, idx, skip):
-        return _log_mel(samples[idx], block, cfg, fb)[skip:]
+    def log_mel(signal, skip):
+        return _log_mel(signal, cfg, fb)[skip:]
 
     yield from ordered_blocks(log_mel, signals(), threads)
 

@@ -73,8 +73,8 @@ class BigramScorer:
     context_totals: dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.vocab_size < 1:
-            raise InvalidConfig("vocab size must be >= 1")
+        if not 1 <= self.vocab_size < 2**63:
+            raise InvalidConfig("vocab size must be in [1, 2**63): token ids are int64")
 
     def fit(self, corpus) -> "BigramScorer":
         for seq in corpus:

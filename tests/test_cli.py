@@ -1906,6 +1906,36 @@ class TestHostileDocuments:
         err = self.refused(capsys, argv, [], 3)
         assert "--bigram-corpus and --vocab-size" in err
 
+    @pytest.mark.parametrize(
+        "tag, size", [("ITTS", 2**63), ("INTLV", 2**63 - 2)], ids=["itts", "intlv"]
+    )
+    def test_group_size_past_islice(self, capsys, tmp_path, packable, tag, size):
+        # islice takes at most sys.maxsize, and INTLV asks it for two pairs more
+        manifest, _ = packable
+        out = tmp_path / "r.jsonl"
+        argv = ["pack", manifest, out, "--format-tag", tag, "--group-size", size]
+        err = self.refused(capsys, argv, [out, f"{out}.stats.json"], 3)
+        assert err.startswith(f"error: pack: group size must be <= {sys.maxsize - 2}, got ")
+        # the largest size taken packs every pair into one record
+        code, lines, _ = run(capsys, *argv[:-1], sys.maxsize - 2)
+        assert (code, lines[-1]["records"]) == (0, 1)
+
+    @pytest.mark.parametrize("command", ["eval", "scorer-plugin"])
+    def test_vocab_size_past_int64(self, capsys, tmp_path, monkeypatch, command):
+        # add-one smoothing over such a vocabulary underflows every probability to 0
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("[1, 2]\n")
+        bigram = ["--bigram-corpus", corpus, "--vocab-size", 10**400]
+        if command == "eval":
+            path = tmp_path / "eval.jsonl"
+            write_eval_records(path, make_oracle_eval_records(2, seed=0))
+            argv = ["eval", path, "--scorer", "bigram", *bigram]
+        else:
+            monkeypatch.setattr(sys, "stdin", io.StringIO('{"prefix": [1], "candidate": [2]}\n'))
+            argv = ["scorer-plugin", "--name", "bigram", *bigram]
+        err = self.refused(capsys, argv, [], 3)
+        assert err.startswith(f"error: {command}: vocab size must be in [1, 2**63)")
+
     def test_plugin_command_unclosed_quote(self, capsys, tmp_path):
         path = tmp_path / "eval.jsonl"
         write_eval_records(path, make_oracle_eval_records(2, seed=0))

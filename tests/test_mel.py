@@ -198,7 +198,13 @@ BLOCK_LENGTHS = st.sampled_from(
 # in blocks of a few rows, which the kernel never makes (a block holds
 # about 512 frames or the whole signal), so its smaller block is 64.
 LONG_WINDOW = MelConfig(n_fft=2048, hop=1, n_mels=40)
-CASES = st.tuples(st.just(DEFAULT_MEL), BLOCK_LENGTHS, st.just(1)) | st.tuples(
+SHORT_WINDOWS = (
+    DEFAULT_MEL,
+    MelConfig(n_fft=401, hop=100),  # odd window: a frame spans pad samples each side of its centre
+    MelConfig(n_fft=8, hop=8, n_mels=2),  # hop == n_fft: frames do not overlap
+    MelConfig(n_fft=7, hop=3, n_mels=2),  # a tiny window
+)
+CASES = st.tuples(st.sampled_from(SHORT_WINDOWS), BLOCK_LENGTHS, st.just(1)) | st.tuples(
     st.just(LONG_WINDOW), st.integers(600, 1100), st.just(64)
 )
 
@@ -267,6 +273,9 @@ class TestBlocked:
         got, ahead = [], []
 
         def read(a, b):
+            # inside the signal, and no more than one block's frames span
+            assert 0 <= a < b <= len(x)
+            assert b - a <= (8 - 1) * DEFAULT_MEL.hop + DEFAULT_MEL.n_fft
             ahead.append(len(ahead) + 1 - len(got))
             return x[a:b]
 
