@@ -3,13 +3,12 @@
 PCM audio is turned into log-mel frames, which are then stacked in
 groups to reach the tokenizer frame rate (100 fps mel stacked by 8
 gives 12.5 vectors per second). One kernel, ``mel_blocks``, computes
-the frames a bounded block at a time from any ``SampleSource``: it
-reads each block's samples once, reflect-pads them past either end
-with ``np.pad`` and frames them by strides, so a file of any length is
-analysed in bounded memory and an in-memory buffer gives bit-identical
-frames. The loss functions operate on mel matrices: per-reconstruction
-mean-L1 plus mean-L2, summed over reconstructions and, for the
-multi-scale variant, over several hop/window analysis scales.
+the frames a bounded block at a time from any ``SampleSource``: each
+block's samples are read once, ``np.pad`` reflects them past either
+end and frames are strided views, so a file of any length is analysed
+in bounded memory and an in-memory buffer gives bit-identical frames.
+The losses sum per-reconstruction mean-L1 plus mean-L2 over
+reconstructions and, for the multi-scale variant, over hop/window scales.
 """
 
 from __future__ import annotations
@@ -215,14 +214,13 @@ def mel_blocks(
     Entries are log(max(mel_energy, log_floor)). The input is checked
     before this returns; samples and frames are checked for finiteness
     block by block as the iterator reads them. Each block's range is read
-    once and ``np.pad`` reflects it past either end, as on the whole
-    signal: a block past one end reads more samples than it pads, and one
-    past both reads them all. Every block has the same row count, and a
-    signal of at most one block is one block, so each frame is
-    bit-identical to the whole-signal computation. T = 0 gives no block.
-    The iterator reads and checks the samples in order in the calling
-    thread; up to ``threads`` blocks (no more than the usable CPUs) are
-    analysed at once, with the same frames at any ``threads``.
+    once, with every sample its pad past either end reflects, and
+    ``np.pad`` pads it as on the whole signal. Every block has the same
+    row count, and a signal of at most one block is one block, so each
+    frame is bit-identical to the whole-signal computation. T = 0 gives
+    no block. The iterator reads and checks the samples in order in the
+    calling thread; up to ``threads`` blocks (no more than the usable
+    CPUs) are analysed at once, with the same frames at any ``threads``.
     """
     n = source.n_samples
     if n == 0:
@@ -256,8 +254,10 @@ def _blocks(source: SampleSource, cfg: MelConfig, n_frames: int, block: int, thr
             first = min(start, n_frames - block)  # the last block ends at frame T
             a = first * cfg.hop - pad  # the block's samples [a, b) of the padded signal
             b = a + (block - 1) * cfg.hop + cfg.n_fft
-            lo, hi = max(a, 0), min(b, source.n_samples)
-            yield np.pad(_finite(source.read(lo, hi)), (lo - a, b - hi), "reflect"), start - first
+            # a one-row block may end before the sample its left pad reflects
+            lo, hi = max(a, 0), min(max(b, 1 - a), source.n_samples)
+            signal = np.pad(_finite(source.read(lo, hi)), (lo - a, max(b - hi, 0)), "reflect")
+            yield signal[: b - a], start - first
 
     def log_mel(signal, skip):
         return _log_mel(signal, cfg, fb)[skip:]

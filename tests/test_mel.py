@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rvqtok import mel as mel_module
 from rvqtok import parallel
@@ -213,6 +213,8 @@ class TestBlocked:
     @given(case=CASES, center=st.booleans(), s=st.sampled_from([1, 3, 8]),
            seed=st.integers(0, 2**16))
     @settings(max_examples=80)
+    # one row whose left pad reflects about a sample past the row's own span
+    @example(case=(SHORT_WINDOWS[2], 6, 1), center=True, s=1, seed=0)
     def test_blocked_equals_whole_buffer(self, case, center, s, seed):
         cfg, n, small = case
         cfg = replace(cfg, center=center)
@@ -249,6 +251,15 @@ class TestBlocked:
         _, blocks = mel_blocks(in_memory(x), DEFAULT_MEL, 8)
         assert next(blocks).shape == (8, 80)
         with pytest.raises(InvalidSample):
+            list(blocks)
+
+    def test_non_finite_sample_only_reflected(self):
+        # one frame of samples [-4, 4) reflects x[4] into its left pad:
+        # that sample is read and checked though no frame spans it
+        x = np.zeros(6)
+        x[4] = np.nan
+        _, blocks = mel_blocks(in_memory(x), MelConfig(n_fft=8, hop=8, n_mels=2))
+        with pytest.raises(InvalidSample, match="audio contains non-finite samples"):
             list(blocks)
 
     def test_non_finite_late_block_threaded(self, monkeypatch):
