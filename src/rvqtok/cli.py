@@ -5,11 +5,13 @@ Every command takes --seed and --threads; mel and train-rvq also take
 --config, and eval --format. Each command takes only the options it
 reads, so an option it does not take is an argparse usage error (exit
 2). --threads sets how many whole blocks mel and encode work on at once,
-never more than the usable CPUs; the other commands run in order and
-ignore it. It defaults to the usable CPUs // the BLAS threads, which
-are read from OPENBLAS_NUM_THREADS, then OMP_NUM_THREADS, and count as
-every usable CPU when neither is set: so with an unpinned BLAS, one
-block at a time. A block is never split, and artifacts are
+never more than the usable CPUs; at 2 or more, train-rvq runs each
+layer's codebook update on a second thread while the cascade moves on
+to the next layer. The other commands run in order and ignore it. It
+defaults to the usable CPUs // the BLAS threads, which are read from
+OPENBLAS_NUM_THREADS, then OMP_NUM_THREADS, and count as every usable
+CPU when neither is set: so with an unpinned BLAS, one block at a time
+and no update thread. A block is never split, and artifacts are
 byte-identical at any --threads value; acceptance criterion 10 checks
 this.
 
@@ -68,7 +70,7 @@ from .rvq import (
 # Not called here since `encode` streams through encode_rows; perfbench's
 # traced run still resolves this name on this module.
 from .rvq import encode_frames  # noqa: F401
-from .scorers import SubprocessScorer, builtin_scorer, run_plugin_loop
+from .scorers import SubprocessScorer, builtin_scorer, check_vocab_size, run_plugin_loop
 from .streams import SpecialTokens
 
 # Not called since pack stores no mask; perfbench's traced run resolves it here.
@@ -216,8 +218,12 @@ def cmd_train_rvq(args) -> int:
 
     features = np.concatenate([seq.vectors for seq in corpus], axis=0)
     stack = init_rvq_stack(layer_sizes, features, seed=args.seed, **init_kwargs)
+    # training holds each layer's prepared state and in-flight batches; freeing
+    # the concatenated corpus first keeps its peak under that of init
+    del features
     stack, report = train_rvq(
-        stack, corpus, schedule, gumbel, dropout, args.epochs, seed=args.seed, **train_kwargs
+        stack, corpus, schedule, gumbel, dropout, args.epochs,
+        seed=args.seed, threads=args.threads, **train_kwargs,
     )
     report_path = args.report or args.output + ".report.jsonl"
     inputs = [args.manifest, *afv1_paths]
@@ -414,6 +420,7 @@ def _builtin_scorer(name: str, args):
     corpus, vocab_size = None, args.vocab_size or 0
     # without a vocab size, builtin_scorer refuses the bigram config (exit 3)
     if name == "bigram" and args.bigram_corpus and vocab_size >= 1:
+        check_vocab_size(vocab_size)  # before a corpus is read only to be refused
         corpus = ff.read_token_lists(args.bigram_corpus, vocab_size)
     return builtin_scorer(name, seed=args.seed, corpus=corpus, vocab_size=vocab_size)
 
@@ -461,8 +468,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=default_threads(),
-        help="blocks mel and encode work on at once (default: usable CPUs // BLAS "
-        "threads); outputs are byte-identical at any value",
+        help="blocks mel and encode work on at once; at 2 or more, train-rvq overlaps "
+        "layer updates with the cascade (default: usable CPUs // BLAS threads); "
+        "outputs are byte-identical at any value",
     )
 
     parser = argparse.ArgumentParser(

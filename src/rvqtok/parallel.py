@@ -7,6 +7,11 @@ the usable CPUs) at once on a thread pool and yields their results in
 input order. A block is never split, so every matrix product has the
 same shape at any thread count and the results are bit-identical to a
 serial run.
+
+``train_rvq`` runs each layer's codebook update on ``one_worker`` while
+its own thread goes on with the cascade; the update touches only a book
+the cascade does not read again in that step, so the bytes are those of
+a serial run as well.
 """
 
 from __future__ import annotations
@@ -42,6 +47,18 @@ def default_threads() -> int:
             blas = min(value, cpus)
             break
     return cpus // blas
+
+
+def one_worker(threads: int):
+    """A pool of one worker thread when min(threads, usable CPUs) >= 2,
+    so that the worker and the calling thread each have a CPU; else None,
+    and the caller runs the work itself."""
+    if min(threads, usable_cpus()) < 2:
+        return None
+    # imported here, so that a command that never starts a pool does not pay for it
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(1)
 
 
 def ordered_blocks(kernel, jobs, threads: int = 1):

@@ -19,10 +19,12 @@ Codewords are learned without gradients, by an exponential-moving-average
 update over the vectors assigned to each entry, optionally followed by
 an L2-norm contraction of the whole book. ``train_rvq`` updates each
 layer as soon as the cascade yields it, from that layer's input rows:
-the cascade never reads the book again in the step. A step sums the
-vectors of the assigned entries only and makes no K x D temporary: the
-decay, and the contraction when beta > 0, scale the book in place, and
-selection writes the centred codewords straight into float32.
+the cascade never reads the book again in the step, so with threads > 1
+the update runs on a worker thread while the cascade goes on. A step
+sums the vectors of the assigned entries only and makes no K x D
+temporary: the decay, and the contraction when beta > 0, scale the book
+in place, and selection writes the centred codewords straight into
+float32.
 ``train_rvq`` copies the stack once and updates that private copy in
 place, step by step; ``ema_update`` and ``restart_dead_entries`` apply
 the same steps to a copy and return a new book, leaving their input
@@ -57,6 +59,8 @@ convention). Nothing here builds an autodiff graph.
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import json
 from dataclasses import asdict, dataclass, fields
 
@@ -65,7 +69,7 @@ import numpy as np
 from .errors import EmptyInput, IndexOutOfRange, InvalidConfig, InvalidSample, ShapeMismatch
 from .mel import FeatureSequence
 from .metrics import codebook_utilization
-from .parallel import ordered_blocks
+from .parallel import one_worker, ordered_blocks
 from .seeding import derive_seed, make_rng
 
 # Codebook sizes decrease with depth under the default profile.
@@ -385,9 +389,10 @@ def _cascade(
     rows included: rows is slice(None) when all T rows are active in the
     layer (active is a (T, L) mask; None keeps every row), else the
     index array of the active ones, and chosen holds their indices.
-    prepared lists each layer's ``_centred`` state; without it a layer is
-    prepared when the cascade reaches it, so a caller may update a book
-    as soon as its layer is yielded: the cascade never reads it again.
+    prepared yields each layer's ``_centred`` state and is read one
+    layer at a time, when the cascade reaches that layer; without it a
+    layer is prepared then. Either way the cascade never reads a book
+    again once its layer is yielded, so a caller may update it then.
     The Gumbel RNG defaults to a fresh generator seeded from its config.
     """
     if gumbel.enabled and rng is None:
@@ -490,14 +495,17 @@ def _check_dead_threshold(dead_threshold: int) -> None:
 def _ema_step(book: Codebook, chosen: np.ndarray, vectors: np.ndarray, mode: str) -> None:
     """One EMA step, in place, from row-aligned entry indices and assigned vectors.
 
-    Only the assigned entries are summed: np.add.at adds each entry's
-    vectors in row order onto +0.0 in an (assigned entries, D) array, so
-    the result does not depend on thread count and no K x D temporary is
-    made. The caller has checked mode.
+    Only the assigned entries are summed: each row is added, in row
+    order, onto its entry's row of an (assigned entries, D) array of
+    +0.0, so the result does not depend on thread count and no K x D
+    temporary is made. These are the adds np.add.at makes, with the same
+    bytes, but one row at a time is about 5x faster at T = 100 rows. The
+    caller has checked mode.
     """
     entries, inverse = np.unique(chosen, return_inverse=True)
     sums = np.zeros((entries.size, book.dim))
-    np.add.at(sums, inverse, vectors)
+    for j, row in zip(inverse, vectors):
+        sums[j] += row
     means = sums / np.bincount(inverse)[:, None]
 
     alpha, beta = book.ema_decay, book.norm_beta
@@ -757,6 +765,7 @@ def train_rvq(
     dead_threshold: int = 256,
     restart: bool = True,
     seed: int = 0,
+    threads: int = 1,
 ) -> tuple[RvqStack, TrainingReport]:
     """Train the stack over the corpus; returns (new stack, report).
 
@@ -768,6 +777,19 @@ def train_rvq(
     gates whole steps at instance granularity: a sequence not routed
     through VQ this step is still quantized for reporting, but
     contributes no codebook update.
+
+    Each layer's ``_centred`` state is held across steps and rebuilt by
+    the layer's update, so an unrouted step prepares nothing. With
+    min(threads, usable CPUs) >= 2 the updates (EMA, restart, the new
+    state) run in order on one worker thread while this thread goes on
+    to the next layer's selection; the next step's cascade waits for
+    layer l's update only when it reaches layer l. The bytes are those of
+    a serial run at any ``threads``: an update writes only its own book,
+    which the cascade does not read again in the step, and reads only
+    its layer's input copy and picks; the Gumbel and dropout draws stay
+    on this thread, and each restart seeds its own generator. An error
+    from an update comes out with its own class, and when this returns
+    or raises, no update is still running.
 
     Deterministic given (seed, corpus order, configs); the input stack
     is not modified: training updates one private copy in place.
@@ -789,28 +811,56 @@ def train_rvq(
     work = stack.copy()
     gumbel_rng = make_rng(seed, "gumbel") if gumbel.enabled else None
     dropout_rng = make_rng(seed, "dropout") if dropout is not None else None
+    held = [_centred(book) for book in work.layers]
+    pending = collections.deque()  # (layer, future) of updates not waited on, oldest first
 
-    records = []
-    for step in range(epochs * len(corpus)):
-        x = corpus[step % len(corpus)].vectors
-        gate_seed = derive_seed(seed, f"gate:{step}")
-        routed = vq_replacement_gate(schedule, min(step, schedule.total_steps), gate_seed, 1)[0]
-        residual, active = _batch(work, x, dropout, dropout_rng)
-        layer_input, utilization = x, []  # x is the first layer's input
-        for layer, rows, chosen in _cascade(work, residual, active, gumbel, gumbel_rng):
-            book = work.layers[layer]
-            utilization.append(codebook_utilization(chosen[:, None], 0, book.size))
-            if routed:
-                # an idle layer (no rows) still decays and ages
-                batch = layer_input[rows]
-                _ema_step(book, chosen, batch, mode)
-                if restart and len(batch):
-                    restart_seed = derive_seed(seed, f"restart:{step}:{layer}")
-                    _restart_dead(book, batch, dead_threshold, restart_seed)
-                layer_input = residual.copy()
-        quantized = x - residual
-        fmae = float(np.mean(np.abs(x - quantized)))
-        records.append(StepRecord(step, mean_commitment_loss(x, quantized), fmae, utilization))
+    def update(layer, step, chosen, batch):
+        book = work.layers[layer]
+        _ema_step(book, chosen, batch, mode)
+        if restart and len(batch):
+            restart_seed = derive_seed(seed, f"restart:{step}:{layer}")
+            _restart_dead(book, batch, dead_threshold, restart_seed)
+        return _centred(book)
+
+    def prepared():
+        # a layer's last update, if not yet waited on, is the oldest one
+        # pending when the cascade reaches that layer
+        for layer in range(work.n_layers):
+            if pending and pending[0][0] == layer:
+                held[layer] = pending[0][1].result()
+                pending.popleft()
+            yield held[layer]
+
+    records, sizes = [], work.layer_sizes
+    with one_worker(threads) or contextlib.nullcontext() as pool:
+        try:
+            for step in range(epochs * len(corpus)):
+                x = corpus[step % len(corpus)].vectors
+                gate_seed = derive_seed(seed, f"gate:{step}")
+                gate_step = min(step, schedule.total_steps)
+                routed = vq_replacement_gate(schedule, gate_step, gate_seed, 1)[0]
+                residual, active = _batch(work, x, dropout, dropout_rng)
+                layer_input, utilization = x, []  # x is the first layer's input
+                cascade = _cascade(work, residual, active, gumbel, gumbel_rng, prepared())
+                for layer, rows, chosen in cascade:
+                    utilization.append(codebook_utilization(chosen[:, None], 0, sizes[layer]))
+                    if routed:
+                        # an idle layer (no rows) still decays and ages
+                        job = (layer, step, chosen, layer_input[rows])
+                        if pool is None:
+                            held[layer] = update(*job)
+                        else:
+                            pending.append((layer, pool.submit(update, *job)))
+                        layer_input = residual.copy()
+                quantized = x - residual
+                fmae = float(np.mean(np.abs(x - quantized)))
+                loss = mean_commitment_loss(x, quantized)
+                records.append(StepRecord(step, loss, fmae, utilization))
+        finally:
+            # the last step's updates; or, after an error here, the updates
+            # a serial run would have met first, so the first to fail wins
+            for _, future in pending:
+                future.result()
 
     # the steps skip Codebook validation, so an overflow is caught here
     for book in work.layers:

@@ -64,6 +64,11 @@ class RandomScorer:
         return u * len(candidate), len(candidate)
 
 
+def check_vocab_size(vocab_size: int) -> None:
+    if not 1 <= vocab_size < 2**63:
+        raise InvalidConfig("vocab size must be in [1, 2**63): token ids are int64")
+
+
 @dataclass
 class BigramScorer:
     """Add-one smoothed bigram model over integer token ids."""
@@ -73,8 +78,7 @@ class BigramScorer:
     context_totals: dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not 1 <= self.vocab_size < 2**63:
-            raise InvalidConfig("vocab size must be in [1, 2**63): token ids are int64")
+        check_vocab_size(self.vocab_size)
 
     def fit(self, corpus) -> "BigramScorer":
         for seq in corpus:

@@ -1936,6 +1936,22 @@ class TestHostileDocuments:
         err = self.refused(capsys, argv, [], 3)
         assert err.startswith(f"error: {command}: vocab size must be in [1, 2**63)")
 
+    @pytest.mark.parametrize("command", ["eval", "scorer-plugin"])
+    def test_vocab_size_checked_before_the_corpus_is_read(
+        self, capsys, tmp_path, monkeypatch, command
+    ):
+        # a corpus that is not there would exit 2 if it were opened first
+        bigram = ["--bigram-corpus", tmp_path / "ghost.jsonl", "--vocab-size", 2**63]
+        if command == "eval":
+            path = tmp_path / "eval.jsonl"
+            write_eval_records(path, make_oracle_eval_records(2, seed=0))
+            argv = ["eval", path, "--scorer", "bigram", *bigram]
+        else:
+            monkeypatch.setattr(sys, "stdin", io.StringIO('{"prefix": [1], "candidate": [2]}\n'))
+            argv = ["scorer-plugin", "--name", "bigram", *bigram]
+        err = self.refused(capsys, argv, [], 3)
+        assert err.startswith(f"error: {command}: vocab size must be in [1, 2**63)")
+
     def test_plugin_command_unclosed_quote(self, capsys, tmp_path):
         path = tmp_path / "eval.jsonl"
         write_eval_records(path, make_oracle_eval_records(2, seed=0))

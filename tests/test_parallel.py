@@ -2,16 +2,18 @@
 
 mel and encode read and check their blocks in order in the calling
 thread and run each block's kernel on up to min(--threads, usable CPUs)
-workers. These tests pin the default thread rule, the pool size, the
-ordering and error rules of ``parallel.ordered_blocks``, and artifacts
-that are byte-identical at any --threads value and any BLAS thread
-count. tests/test_mel.py and tests/test_rvq.py bound the blocks read
-ahead of those yielded.
+workers; at two or more, train-rvq runs its layer updates on one worker
+while the cascade goes on. These tests pin the default thread rule, the
+pool sizes, the ordering and error rules of ``parallel.ordered_blocks``
+and of the update worker, and artifacts that are byte-identical at any
+--threads value and any BLAS thread count. tests/test_mel.py and
+tests/test_rvq.py bound the blocks read ahead of those yielded.
 """
 
 import concurrent.futures
 import contextlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -22,8 +24,19 @@ import pytest
 
 from rvqtok import cli, parallel, rvq
 from rvqtok import mel as mel_module
+from rvqtok.errors import InvalidConfig, InvalidSample
 from rvqtok.fileformats import read_afv1, read_rvq1, write_afv1, write_rvq1, write_wav
-from rvqtok.rvq import Codebook, RvqStack, encode_frames, encode_rows
+from rvqtok.mel import FeatureSequence
+from rvqtok.rvq import (
+    Codebook,
+    RvqStack,
+    TrainingSchedule,
+    encode_frames,
+    encode_rows,
+    train_rvq,
+    vq_replacement_gate,
+)
+from rvqtok.seeding import derive_seed
 from rvqtok.synth import make_sine_noise_audio
 
 REPO = Path(__file__).resolve().parents[1]
@@ -188,6 +201,154 @@ class TestCli:
         assert code == 4
         assert err.startswith("error: encode: features are too large for float32 selection")
         assert err.count("\n") == 1
+
+
+# a ramp from no step routed to every step routed, so some steps leave the
+# books as they are; dead_threshold 2 makes restarts common
+RAMP = {"replace_start": 0.0, "replace_end": 1.0, "total_steps": 12}
+LENGTHS = (30, 1, 25, 12)  # the one-vector sequence leaves dropped layers idle
+TRAIN_CONFIGS = {
+    "gumbel-independent": {
+        "gumbel": {"enabled": True, "temperature": 0.5},
+        "dropout": {"keep_prob_per_layer": 0.5, "mode": "independent"},
+    },
+    "argmin-suffix": {
+        "dropout": {"keep_prob_per_layer": 0.5, "mode": "suffix"},
+        "mode": "paper_literal",
+        "norm_beta": 0.05,
+    },
+}
+
+
+def feature_corpus(seed=4):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return [rng.standard_normal((n, 6)) for n in LENGTHS]
+
+
+class TestTrainRvq:
+    """train-rvq with each layer's update on a worker thread."""
+
+    @pytest.fixture
+    def manifest(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 3)
+        paths = []
+        for i, x in enumerate(feature_corpus()):
+            paths.append(tmp_path / f"s{i}.afv1")
+            write_afv1(paths[-1], x, 12.5)
+        manifest = tmp_path / "corpus.txt"
+        manifest.write_text("".join(f"{p}\n" for p in paths))
+        return manifest
+
+    def train(self, tmp_path, manifest, doc, threads):
+        out = tmp_path / f"t{threads}"
+        out.mkdir()
+        config = out / "train.json"
+        config.write_text(json.dumps({"layer_sizes": [16, 8, 4], "dead_threshold": 2, **doc}))
+        argv = ["train-rvq", manifest, out / "books.rvq1", "--config", config, "--epochs", 3]
+        code, err = quiet_main(*argv, "--threads", threads)
+        return code, err, out
+
+    @pytest.mark.parametrize("name", TRAIN_CONFIGS)
+    def test_byte_identical_at_any_threads(self, tmp_path, manifest, pools, name):
+        doc = {"schedule": RAMP, **TRAIN_CONFIGS[name]}
+        runs = []
+        for threads in (1, 2, 9):
+            code, err, out = self.train(tmp_path, manifest, doc, threads)
+            assert (code, err) == (0, "")
+            books = out / "books.rvq1"
+            runs.append([books.read_bytes(), Path(f"{books}.report.jsonl").read_bytes()])
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+        # one worker per run, and none at --threads 1
+        assert pools == [1, 1]
+        # some layer past the first saw no row at some step
+        report = [json.loads(line) for line in runs[0][1].decode().splitlines()]
+        assert any(0.0 in rec["utilization"][1:] for rec in report)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_error_in_an_update_names_the_command(self, tmp_path, manifest, monkeypatch, threads):
+        restart_dead = rvq._restart_dead
+
+        def restart_or_fail(book, batch, dead_threshold, rng_seed):
+            if rng_seed == derive_seed(0, "restart:3:0"):
+                raise InvalidSample("restart failed at step 3")
+            return restart_dead(book, batch, dead_threshold, rng_seed)
+
+        monkeypatch.setattr(rvq, "_restart_dead", restart_or_fail)
+        doc = {"schedule": {"replace_start": 1.0, "replace_end": 1.0}}
+        code, err, out = self.train(tmp_path, manifest, doc, threads)
+        assert code == 4
+        assert err == "error: train-rvq: restart failed at step 3\n"
+        assert not (out / "books.rvq1").exists()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_first_error_in_serial_order_wins(self, monkeypatch, threads):
+        # step 1's last update fails, and so does step 2's first selection;
+        # a serial run meets the update first
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 3)
+        updates, selections = [], []
+        ema_step, assign_layer = rvq._ema_step, rvq._assign_layer
+
+        def ema_or_fail(*args):
+            updates.append(None)
+            if len(updates) == 6:
+                raise InvalidConfig("update failed")
+            return ema_step(*args)
+
+        def assign_or_fail(*args):
+            selections.append(None)
+            if len(selections) == 7:
+                raise InvalidSample("selection failed")
+            return assign_layer(*args)
+
+        monkeypatch.setattr(rvq, "_ema_step", ema_or_fail)
+        monkeypatch.setattr(rvq, "_assign_layer", assign_or_fail)
+        rng = np.random.Generator(np.random.PCG64(5))
+        stack = RvqStack([Codebook(rng.standard_normal((k, 6))) for k in (16, 8, 4)])
+        corpus = [FeatureSequence(x, 12.5, 1) for x in feature_corpus()]
+        with pytest.raises(InvalidConfig, match="update failed"):
+            train_rvq(stack, corpus, TrainingSchedule(1.0, 1.0), threads=threads)
+
+    def test_byte_identical_under_frequent_thread_switches(self, monkeypatch):
+        # a wait the cascade skipped would let it read a book mid-update
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 3)
+        rng = np.random.Generator(np.random.PCG64(6))
+        stack = RvqStack([Codebook(rng.standard_normal((k, 6))) for k in (16, 8, 4)])
+        corpus = [FeatureSequence(x, 12.5, 1) for x in feature_corpus(seed=7)]
+        schedule = TrainingSchedule(**RAMP)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = [
+                train_rvq(stack, corpus, schedule, epochs=6, dead_threshold=2, threads=threads)
+                for threads in (1, 2)
+            ]
+        finally:
+            sys.setswitchinterval(interval)
+        (serial, serial_report), (pooled, pooled_report) = runs
+        assert pooled_report == serial_report
+        for a, b in zip(serial.layers, pooled.layers):
+            assert a.vectors.tobytes() == b.vectors.tobytes()
+            assert np.array_equal(a.usage_counts, b.usage_counts)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_books_prepared_at_start_and_after_each_update(self, monkeypatch, threads):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 3)
+        prepared = []
+        centred = rvq._centred
+        monkeypatch.setattr(rvq, "_centred", lambda book: prepared.append(book) or centred(book))
+        rng = np.random.Generator(np.random.PCG64(5))
+        stack = RvqStack([Codebook(rng.standard_normal((k, 6))) for k in (16, 8, 4)])
+        corpus = [FeatureSequence(x, 12.5, 1) for x in feature_corpus()]
+        schedule = TrainingSchedule(**RAMP)
+        routed = [
+            vq_replacement_gate(schedule, step, derive_seed(0, f"gate:{step}"), 1)[0]
+            for step in range(12)
+        ]
+        assert 0 < sum(routed) < 12
+        out, _ = train_rvq(stack, corpus, schedule, epochs=3, threads=threads)
+        # L at the start, then L per routed step and none on the others
+        assert len(prepared) == 3 + 3 * sum(routed)
+        assert all(book is out.layers[i % 3] for i, book in enumerate(prepared))
 
 
 # mel, train-rvq and encode in a child, at the default --threads; prints
