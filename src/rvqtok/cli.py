@@ -70,7 +70,7 @@ from .rvq import (
 # Not called here since `encode` streams through encode_rows; perfbench's
 # traced run still resolves this name on this module.
 from .rvq import encode_frames  # noqa: F401
-from .scorers import SubprocessScorer, builtin_scorer, check_vocab_size, run_plugin_loop
+from .scorers import BigramScorer, RandomScorer, SubprocessScorer, perfect_scorer, run_plugin_loop
 from .streams import SpecialTokens
 
 # Not called since pack stores no mask; perfbench's traced run resolves it here.
@@ -407,22 +407,19 @@ def cmd_pack(args) -> int:
     return 0
 
 
-def _check_bigram_options(name: str | None, args) -> None:
-    """Refuse --bigram-corpus and --vocab-size unless the built-in scorer
-    named (None for a plugin) is bigram, the only one that reads them."""
-    if name != "bigram" and (args.bigram_corpus, args.vocab_size) != (None, None):
-        raise InvalidConfig("--bigram-corpus and --vocab-size are for the bigram scorer only")
-
-
-def _builtin_scorer(name: str, args):
-    """The named built-in scorer; bigram is fit on --bigram-corpus (JSONL),
-    whose ids must lie in [0, --vocab-size)."""
-    corpus, vocab_size = None, args.vocab_size or 0
-    # without a vocab size, builtin_scorer refuses the bigram config (exit 3)
-    if name == "bigram" and args.bigram_corpus and vocab_size >= 1:
-        check_vocab_size(vocab_size)  # before a corpus is read only to be refused
-        corpus = ff.read_token_lists(args.bigram_corpus, vocab_size)
-    return builtin_scorer(name, seed=args.seed, corpus=corpus, vocab_size=vocab_size)
+def _builtin_scorer(name: str | None, args):
+    """The built-in scorer named, or None for a plugin (name None), which
+    only refuses the bigram options. Only bigram takes --bigram-corpus and
+    --vocab-size, and it needs both: its vocab size is checked, then it is
+    fit on the corpus (JSONL), whose ids must lie in [0, --vocab-size)."""
+    if name != "bigram":
+        if (args.bigram_corpus, args.vocab_size) != (None, None):
+            raise InvalidConfig("--bigram-corpus and --vocab-size are for the bigram scorer only")
+        return {"perfect": perfect_scorer, "random": RandomScorer(seed=args.seed)}.get(name)
+    if args.bigram_corpus is None or args.vocab_size is None:
+        raise InvalidConfig("bigram scorer needs a corpus and vocab size")
+    scorer = BigramScorer(vocab_size=args.vocab_size)
+    return scorer.fit(ff.read_token_lists(args.bigram_corpus, args.vocab_size))
 
 
 def _plugin_argv(command: str) -> list[str]:
@@ -433,13 +430,13 @@ def _plugin_argv(command: str) -> list[str]:
 
 
 def cmd_eval(args) -> int:
-    _check_bigram_options(None if args.plugin is not None else args.scorer, args)
+    # a built-in scorer, its bigram corpus read, is ready before the records
+    scorer = _builtin_scorer(args.scorer if args.plugin is None else None, args)
     # a plugin starts first, so its interpreter loads while the records do
-    scorer = SubprocessScorer(_plugin_argv(args.plugin)) if args.plugin is not None else None
+    if args.plugin is not None:
+        scorer = SubprocessScorer(_plugin_argv(args.plugin))
     try:
         records = ff.read_eval_records(args.records)
-        if scorer is None:
-            scorer = _builtin_scorer(args.scorer, args)
         if args.format == "jsonl":
             correct = 0
             for i, ok in enumerate(perplexity_compare_all(records, scorer)):
@@ -456,7 +453,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_scorer_plugin(args) -> int:
-    _check_bigram_options(args.name, args)
     return run_plugin_loop(_builtin_scorer(args.name, args))
 
 
@@ -478,8 +474,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, help: str) -> argparse.ArgumentParser:
-        return sub.add_parser(name, parents=[common], help=help, allow_abbrev=False)
+    def command(name: str, help: str, *parents) -> argparse.ArgumentParser:
+        return sub.add_parser(name, parents=[common, *parents], help=help, allow_abbrev=False)
+
+    # the built-in scorers of eval and scorer-plugin, and the bigram one's options
+    scorers = ("perfect", "random", "bigram")
+    bigram = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    bigram.add_argument("--bigram-corpus", default=None, help="JSONL of token-id lists")
+    bigram.add_argument("--vocab-size", type=int, default=None)
 
     p = command("mel", "extract stacked mel features")
     p.add_argument("input", help="WAV or raw float32 path")
@@ -521,20 +523,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stats", default=None, help="stats JSON path")
     p.set_defaults(fn=cmd_pack)
 
-    p = command("eval", "perplexity-comparison accuracy")
+    p = command("eval", "perplexity-comparison accuracy", bigram)
     p.add_argument("records", help="eval records JSONL path")
     p.add_argument("--format", choices=("json", "jsonl"), default="json")
     scorer = p.add_mutually_exclusive_group()
-    scorer.add_argument("--scorer", choices=("perfect", "random", "bigram"), default="perfect")
+    scorer.add_argument("--scorer", choices=scorers, default="perfect")
     scorer.add_argument("--plugin", default=None, help="external scorer command line")
-    p.add_argument("--bigram-corpus", default=None, help="JSONL of token-id lists")
-    p.add_argument("--vocab-size", type=int, default=None)
     p.set_defaults(fn=cmd_eval)
 
-    p = command("scorer-plugin", "serve a built-in scorer over stdio")
-    p.add_argument("--name", choices=("perfect", "random", "bigram"), default="perfect")
-    p.add_argument("--bigram-corpus", default=None)
-    p.add_argument("--vocab-size", type=int, default=None)
+    p = command("scorer-plugin", "serve a built-in scorer over stdio", bigram)
+    p.add_argument("--name", choices=scorers, default="perfect")
     p.set_defaults(fn=cmd_scorer_plugin)
 
     return parser

@@ -24,8 +24,8 @@ WAV and raw float32 audio open as a ``SampleSource`` whose samples are
 read by range, never all at once. JSON sidecars: interleaved records,
 eval records, and manifests as JSON-lines; stats as a single object.
 ``check_fields`` checks the fields of every JSON document (configs,
-manifest lines, eval and stream records) against one table of type
-names, which token lists share.
+manifest lines, eval and stream records, and both ends of the scorer
+plugin wire) against one table of type names, which token lists share.
 """
 
 from __future__ import annotations
@@ -239,8 +239,8 @@ def afv1_writer(path, n_rows: int, dim: int, frame_rate: float, inputs=()):
             raise ShapeMismatch(f"rows of shape {arr.shape} do not fit {n_rows} x {dim}")
         return arr
 
-    if not (0 <= n_rows < 2**32 and 0 <= dim < 2**32):
-        raise ShapeMismatch(f"AFV1 stores rows and dim as u32, got {n_rows} x {dim}")
+    if not (0 <= n_rows < 2**32 and 0 < dim < 2**32):
+        raise ShapeMismatch(f"AFV1 stores rows and a dim of 1 or more as u32, got {n_rows} x {dim}")
     if not 0 < frame_rate < math.inf:
         raise InvalidConfig(f"AFV1 frame rate must be finite and positive, got {frame_rate}")
     header = struct.pack("<4sIId", AFV1_MAGIC, n_rows, dim, frame_rate)
@@ -261,6 +261,8 @@ def open_afv1(path):
     read-only float32 arrays."""
     with open(path, "rb") as fh:
         t, d, frame_rate = _header(fh, AFV1_MAGIC, "IId")
+        if d == 0:
+            raise MalformedWire("AFV1 with zero-width rows")
         if not 0 < frame_rate < math.inf:
             raise MalformedWire(f"AFV1 frame rate {frame_rate} is not finite and positive")
         yield d, frame_rate, _rows(fh, path, t, "<f4", d, "AFV1 body")
@@ -353,6 +355,8 @@ def read_rvq1(path) -> RvqStack:
             k, d, alpha, beta = _RVQ1_LAYER_HEADER.unpack(
                 _read_exact(fh, _RVQ1_LAYER_HEADER.size, "RVQ1 layer header")
             )
+            if d == 0:
+                raise MalformedWire("RVQ1 layer with zero-width codewords")
             vec = np.frombuffer(
                 _read_exact(fh, 4 * k * d, "RVQ1 codewords"), dtype="<f4"
             ).reshape(k, d)

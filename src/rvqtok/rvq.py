@@ -105,8 +105,8 @@ class Codebook:
     def __post_init__(self):
         if not (isinstance(self.vectors, np.ndarray) and self.vectors.dtype == np.float32):
             self.vectors = np.asarray(self.vectors, dtype=np.float64)
-        if self.vectors.ndim != 2:
-            raise ShapeMismatch(f"codebook must be K x D, got {self.vectors.shape}")
+        if self.vectors.ndim != 2 or self.vectors.shape[1] == 0:
+            raise ShapeMismatch(f"codebook must be K x D with D >= 1, got {self.vectors.shape}")
         _require_finite(self.vectors)
         if not 0.0 <= self.ema_decay <= 1.0:
             raise InvalidConfig(f"ema_decay must be in [0, 1], got {self.ema_decay}")
@@ -349,7 +349,9 @@ def _assign_layer(
             if not np.isfinite(scores[np.arange(len(picks)), picks]).all():
                 raise FloatingPointError("a selected score is not finite")
         except FloatingPointError as exc:
-            raise InvalidSample(f"features are too large for float32 selection: {exc}") from exc
+            raise InvalidSample(
+                f"features or codewords are too large for float32 selection: {exc}"
+            ) from exc
         chosen[part] = picks
         residual[block] -= book.vectors[chosen[part]]
     return chosen
@@ -645,8 +647,8 @@ def init_rvq_stack(
     picked depends only on the row count, the layer sizes and the seed.
     """
     x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise EmptyInput("initialization needs a non-empty T x D batch")
+    if x.ndim != 2 or x.size == 0:
+        raise EmptyInput("initialization needs a T x D batch with T, D >= 1")
     if not np.isfinite(x).all():
         raise InvalidSample("initialization features hold NaN or inf")
 

@@ -10,12 +10,15 @@ bigram model fit on a toy corpus.
 External scorers run as child processes speaking line-delimited JSON:
 request {"prefix": [...], "candidate": [...]}, response {"nll": <float>,
 "tokens": <int>} (or {"error": <str>}), one of each per line, answers in
-request order. The client pipelines: it writes requests ahead while at
-most _WINDOW_BYTES of them are unanswered, so a plugin must keep reading
-stdin while it answers. A plugin may batch its answers, but must flush
-them before it blocks on a read. A plugin that sends no answer within
-RESPONSE_DEADLINE_S of the client starting to wait for one is killed,
-and the client raises ScorerError (exit 5 from the CLI).
+request order. ``fileformats.check_fields`` types both ends: ids are
+integers that fit int64, nll a finite number and tokens an integer; a
+request that breaks them gets an error answer, and an answer that does
+is a ScorerError. The client pipelines: it writes requests ahead while
+at most _WINDOW_BYTES of them are unanswered, so a plugin must keep
+reading stdin while it answers. A plugin may batch its answers, but
+must flush them before it blocks on a read. A plugin that sends no
+answer within RESPONSE_DEADLINE_S of the client starting to wait for
+one is killed, and the client raises ScorerError (exit 5 from the CLI).
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ import time
 from dataclasses import dataclass, field
 
 from .errors import InvalidConfig, ScorerError
+from .fileformats import check_fields
 
 BOS = -1  # bigram context for the first token
 
@@ -64,11 +68,6 @@ class RandomScorer:
         return u * len(candidate), len(candidate)
 
 
-def check_vocab_size(vocab_size: int) -> None:
-    if not 1 <= vocab_size < 2**63:
-        raise InvalidConfig("vocab size must be in [1, 2**63): token ids are int64")
-
-
 @dataclass
 class BigramScorer:
     """Add-one smoothed bigram model over integer token ids."""
@@ -78,7 +77,8 @@ class BigramScorer:
     context_totals: dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        check_vocab_size(self.vocab_size)
+        if not 1 <= self.vocab_size < 2**63:
+            raise InvalidConfig("vocab size must be in [1, 2**63): token ids are int64")
 
     def fit(self, corpus) -> "BigramScorer":
         for seq in corpus:
@@ -108,40 +108,22 @@ class BigramScorer:
         return nll, len(candidate)
 
 
-def builtin_scorer(name: str, seed: int = 0, corpus=None, vocab_size: int = 0):
-    """Construct a built-in scorer by name; bigram needs a fit corpus."""
-    if name == "perfect":
-        return perfect_scorer
-    if name == "random":
-        return RandomScorer(seed=seed)
-    if name == "bigram":
-        if corpus is None or vocab_size < 1:
-            raise InvalidConfig("bigram scorer needs a corpus and vocab size")
-        return BigramScorer(vocab_size=vocab_size).fit(corpus)
-    raise InvalidConfig(f"unknown scorer {name!r}")
-
-
 _READ_SIZE = 65536  # bytes asked of one read from a pipe
-
-
-def _request_chunks(stdin):
-    """Request bytes as they arrive: what one read of a binary stdin
-    returns, or one line at a time from a text stream without a binary
-    buffer (such as io.StringIO)."""
-    buffer = getattr(stdin, "buffer", None)
-    if buffer is not None:
-        return iter(lambda: buffer.read1(_READ_SIZE), b"")
-    return (line.encode() for line in iter(stdin.readline, ""))
+# the field types of the plugin wire, as fileformats.check_fields names them
+_REQUEST_FIELDS = {"prefix": "list of int", "candidate": "list of int"}
+_ANSWER_FIELDS = {"nll": "float", "tokens": "int"}
 
 
 def run_plugin_loop(scorer, stdin=None, stdout=None) -> int:
     """Serve a scorer over the line-delimited JSON protocol until EOF.
 
     Each request line {"prefix", "candidate"} gets one response line
-    {"nll", "tokens"}. Every complete request that one read brings in
-    is answered, then those answers go out in one write and one flush,
-    before the next read. Malformed requests produce an error response
-    and a nonzero return.
+    {"nll", "tokens"}. Requests are read as bytes from stdin's binary
+    ``buffer`` (sys.stdin by default). Every complete request that one
+    read brings in is answered, then those answers go out in one write
+    and one flush, before the next read. A request that is not JSON or
+    whose fields are missing or not lists of ids, and a scorer error,
+    produce an error response and a nonzero return.
     """
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
@@ -155,10 +137,8 @@ def run_plugin_loop(scorer, stdin=None, stdout=None) -> int:
             if not line:
                 continue
             try:
-                req = json.loads(line)
-                prefix = tuple(int(t) for t in req["prefix"])
-                candidate = tuple(int(t) for t in req["candidate"])
-                nll, tokens = scorer(prefix, candidate)
+                req = check_fields(json.loads(line), _REQUEST_FIELDS, "request", _REQUEST_FIELDS)
+                nll, tokens = scorer(tuple(req["prefix"]), tuple(req["candidate"]))
                 resp = {"nll": float(nll), "tokens": int(tokens)}
             except Exception as exc:
                 resp = {"error": str(exc)}
@@ -169,7 +149,7 @@ def run_plugin_loop(scorer, stdin=None, stdout=None) -> int:
             stdout.flush()
 
     partial = b""  # the start of a request line still arriving
-    for chunk in _request_chunks(stdin):
+    for chunk in iter(lambda: stdin.buffer.read1(_READ_SIZE), b""):
         lines = (partial + chunk).split(b"\n")
         partial = lines.pop()
         answer(lines)
@@ -194,15 +174,14 @@ def _request_line(prefix, candidate) -> bytes:
 def _parse_answer(line: bytes) -> tuple[float, int]:
     try:
         resp = json.loads(line)
+        if type(resp) is dict and "error" in resp:
+            raise ScorerError(f"plugin error: {resp['error']}")
+        check_fields(resp, _ANSWER_FIELDS, "plugin answer", _ANSWER_FIELDS)
     except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise ScorerError(f"plugin sent invalid JSON: {line!r}") from exc
-    if not isinstance(resp, dict):
-        raise ScorerError(f"plugin response is not an object: {resp!r}")
-    if "error" in resp:
-        raise ScorerError(f"plugin error: {resp['error']}")
-    if "nll" not in resp or "tokens" not in resp:
-        raise ScorerError(f"plugin response missing fields: {resp!r}")
-    return float(resp["nll"]), int(resp["tokens"])
+    except InvalidConfig as exc:  # a field missing or of another type
+        raise ScorerError(str(exc)) from exc
+    return float(resp["nll"]), resp["tokens"]
 
 
 class SubprocessScorer:

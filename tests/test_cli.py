@@ -600,6 +600,31 @@ class TestHostileInput:
         assert code == 3
         assert "only" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["train-rvq", "corpus.txt", "out/b.rvq1"], "AFV1 with zero-width rows"),
+            (["encode", "f.afv1", "b.rvq1", "out/t.atk1"], "AFV1 with zero-width rows"),
+            (["encode", "good.afv1", "b.rvq1", "out/t.atk1"], "RVQ1 layer with zero-width"),
+            (["decode", "t.atk1", "b.rvq1", "out/f.afv1", "--unstack", 1],
+             "RVQ1 layer with zero-width"),
+        ],
+        ids=["train-rvq", "encode", "encode-rvq1", "decode"],
+    )
+    def test_zero_width_rows(self, capsys, tmp_path, monkeypatch, argv, message):
+        # a (10, 0) AFV1 and an RVQ1 of four zero-width codewords, which
+        # no writer makes; D = 0 is refused before any NaN MAE or reshape
+        monkeypatch.chdir(tmp_path)
+        Path("out").mkdir()
+        Path("f.afv1").write_bytes(struct.pack("<4sIId", b"AFV1", 10, 0, 12.5))
+        write_afv1("good.afv1", np.zeros((10, 6)), 12.5)
+        layer = struct.pack("<IIdd", 4, 0, 0.99, 0.0) + bytes(8 * 4)
+        Path("b.rvq1").write_bytes(struct.pack("<4sI", b"RVQ1", 1) + layer)
+        write_atk1("t.atk1", np.zeros((10, 1), dtype=np.int64), (4,))
+        Path("corpus.txt").write_text("f.afv1\n")
+        err = refused(capsys, argv, tmp_path / "out", 4, f"error: {argv[0]}: {message}")
+        assert err.count("\n") == 1 and "NaN" not in err
+
     def test_oversize_rvq1_codebook(self, capsys, tmp_path, trained):
         feats, _, _ = trained
         books = tmp_path / "huge.rvq1"
@@ -732,7 +757,7 @@ class TestFloat32Range:
             code = main([str(a) for a in argv])
         if code == 4:
             assert err.getvalue().startswith(
-                "error: encode: features are too large for float32 selection"
+                "error: encode: features or codewords are too large for float32 selection"
             )
             assert not out.exists()
         else:
@@ -740,6 +765,16 @@ class TestFloat32Range:
             stored = [b.vectors for b in read_rvq1(tmp / "books.rvq1").layers]
             want = float64_cascade(stored, read_afv1(tmp / "feats.afv1")[0])
             assert np.array_equal(read_atk1(out)[0], want)
+
+    def test_codewords_too_large_are_named(self, capsys, tmp_path):
+        # N(0, 1) features against codewords near 1e20: the codewords' own
+        # squared norms pass the float32 range
+        rng = np.random.default_rng(0)
+        books, feats = tmp_path / "books.rvq1", tmp_path / "feats.afv1"
+        write_rvq1(books, RvqStack([Codebook(rng.standard_normal((16, 64)) * 1e20)]))
+        write_afv1(feats, rng.standard_normal((50, 64)), 12.5)
+        message = "error: encode: features or codewords are too large for float32 selection"
+        refused(capsys, ["encode", feats, books, tmp_path / "t.atk1"], tmp_path, 4, message)
 
 
 # Runs argv as a child and prints that child's peak RSS in kB. Started
@@ -1451,6 +1486,16 @@ class TestEval:
         code, _, _ = run(capsys, "eval", path, "--scorer", "bigram")
         assert code == 3
 
+    def test_bigram_corpus_read_before_the_records(self, capsys, tmp_path):
+        path = tmp_path / "eval.jsonl"
+        path.write_text("{bad\n")
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("[1, 2]\n{bad\n")
+        argv = ["eval", path, "--scorer", "bigram", "--bigram-corpus", corpus, "--vocab-size", 16]
+        code, lines, err = run(capsys, *argv)
+        assert (code, lines) == (4, [])
+        assert err.startswith("error: eval: token list line 2: ")
+
     def test_external_plugin(self, capsys, tmp_path, monkeypatch):
         path = self.write_records(tmp_path, make_oracle_eval_records(5, seed=5))
         # the plugin process inherits this environment
@@ -1462,17 +1507,30 @@ class TestEval:
 
     def test_protocol_violation_exit_code(self, capsys, tmp_path):
         path = self.write_records(tmp_path, make_oracle_eval_records(2, seed=6))
+        answers = [
+            "not json",
+            "[2.5, 1]",
+            # each answer field as a value of another type; a fraction is an nll
+            *(
+                json.dumps({"nll": 2.5, "tokens": 1, field: wrong})
+                for field in ("nll", "tokens")
+                for wrong in ("1", 1.5, True, None, [])
+                if (field, wrong) != ("nll", 1.5)
+            ),
+            json.dumps({"nll": 2.5, "tokens": 2**63}),
+        ]
         prog = tmp_path / "bad_plugin.py"
-        prog.write_text(
-            "import sys\n"
-            "for line in sys.stdin:\n"
-            "    print('not json', flush=True)\n"
-        )
-        code, _, err = run(
-            capsys, "eval", path, "--plugin", f"{sys.executable} {prog}"
-        )
-        assert code == 5
-        assert "error" in err
+        for answer in answers:
+            prog.write_text(
+                "import sys\n"
+                "for line in sys.stdin:\n"
+                f"    print({answer!r}, flush=True)\n"
+            )
+            code, lines, err = run(
+                capsys, "eval", path, "--plugin", f"{sys.executable} {prog}"
+            )
+            assert (code, lines) == (5, []), answer
+            assert err.startswith("error: eval: ") and err.count("\n") == 1, (answer, err)
 
     def test_plugin_that_will_not_exit(self, capsys, tmp_path, monkeypatch):
         path = self.write_records(tmp_path, make_oracle_eval_records(3, seed=7))

@@ -201,6 +201,16 @@ class TestAfv1:
         with pytest.raises(ShapeMismatch):
             write_afv1(tmp_path / "x.afv1", np.zeros(5), 1.0)
 
+    def test_zero_width_rows(self, tmp_path):
+        # neither written nor read: no D = 0 row reaches a codebook or an MAE
+        with pytest.raises(ShapeMismatch):
+            write_afv1(tmp_path / "x.afv1", np.zeros((10, 0)), 12.5)
+        assert list(tmp_path.iterdir()) == []
+        path = tmp_path / "hand.afv1"
+        path.write_bytes(struct.pack("<4sIId", AFV1_MAGIC, 10, 0, 12.5))
+        with pytest.raises(MalformedWire, match="zero-width rows"):
+            read_afv1(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.afv1"
         path.write_bytes(struct.pack("<4sIId", b"NOPE", 0, 0, 1.0))
@@ -609,6 +619,14 @@ class TestRvq1:
         path = tmp_path / "x.rvq1"
         path.write_bytes(struct.pack("<4sI", RVQ1_MAGIC, 0))
         with pytest.raises(MalformedWire):
+            read_rvq1(path)
+
+    def test_zero_width_codewords(self, tmp_path):
+        # four codewords of no bytes each, then their usage counters
+        path = tmp_path / "x.rvq1"
+        layer = struct.pack("<IIdd", 4, 0, 0.99, 0.0) + bytes(8 * 4)
+        path.write_bytes(struct.pack("<4sI", RVQ1_MAGIC, 1) + layer)
+        with pytest.raises(MalformedWire, match="zero-width codewords"):
             read_rvq1(path)
 
     def test_truncated_codewords(self, tmp_path, rng):

@@ -199,7 +199,9 @@ class TestCli:
         write_afv1(feats, x, 12.5)
         code, err = quiet_main("encode", feats, books, tmp_path / "x.atk1", "--threads", 2)
         assert code == 4
-        assert err.startswith("error: encode: features are too large for float32 selection")
+        assert err.startswith(
+            "error: encode: features or codewords are too large for float32 selection"
+        )
         assert err.count("\n") == 1
 
 
@@ -418,4 +420,4 @@ except InvalidSample as exc:
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("features are too large for float32 selection")
+    assert proc.stdout.startswith("features or codewords are too large for float32 selection")

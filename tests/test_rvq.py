@@ -58,6 +58,10 @@ class TestCodebook:
         with pytest.raises(ShapeMismatch):
             Codebook(np.zeros(5))
 
+    def test_zero_width_codewords(self):
+        with pytest.raises(ShapeMismatch):
+            Codebook(np.zeros((4, 0)))
+
     def test_finite_check(self):
         with pytest.raises(InvalidConfig):
             Codebook(np.array([[np.inf, 0.0]]))
@@ -817,6 +821,10 @@ class TestInit:
     def test_empty_features(self):
         with pytest.raises(EmptyInput):
             init_rvq_stack((4,), np.zeros((0, 3)))
+
+    def test_zero_width_features(self):
+        with pytest.raises(EmptyInput):
+            init_rvq_stack((4,), np.zeros((10, 0)))
 
     def test_bad_method(self, rng):
         # init only samples rows, so it takes no method at all

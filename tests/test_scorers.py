@@ -16,7 +16,6 @@ from rvqtok.scorers import (
     BigramScorer,
     RandomScorer,
     SubprocessScorer,
-    builtin_scorer,
     perfect_scorer,
     run_plugin_loop,
 )
@@ -103,25 +102,10 @@ class TestBigramScorer:
             BigramScorer(vocab_size=2)((), ())
 
 
-class TestBuiltinScorer:
-    def test_by_name(self):
-        assert builtin_scorer("perfect") is perfect_scorer
-        assert isinstance(builtin_scorer("random", seed=1), RandomScorer)
-        s = builtin_scorer("bigram", corpus=[[0, 1]], vocab_size=2)
-        assert isinstance(s, BigramScorer)
-
-    def test_bigram_needs_corpus(self):
-        with pytest.raises(InvalidConfig):
-            builtin_scorer("bigram")
-
-    def test_unknown_name(self):
-        with pytest.raises(InvalidConfig):
-            builtin_scorer("transformer")
-
-
 def run_loop(lines, scorer=perfect_scorer):
     out = io.StringIO()
-    status = run_plugin_loop(scorer, stdin=io.StringIO(lines), stdout=out)
+    stdin = io.TextIOWrapper(io.BytesIO(lines.encode()))
+    status = run_plugin_loop(scorer, stdin=stdin, stdout=out)
     return status, [json.loads(l) for l in out.getvalue().splitlines()]
 
 
@@ -143,9 +127,25 @@ class TestPluginLoop:
         assert resps == []
 
     def test_malformed_request_yields_error_and_status(self):
-        status, resps = run_loop("not json\n")
+        bad = [
+            "not json",
+            "[1, 2]",
+            # each request field as a value that is not a list of ids, and
+            # as a list holding one; an empty prefix is a valid request
+            *(
+                json.dumps({"prefix": [1], "candidate": [2], field: value})
+                for field in ("prefix", "candidate")
+                for wrong in ("1", 1.5, True, None, [])
+                for value in ([wrong], *([] if wrong == [] else [wrong]))
+            ),
+            json.dumps({"prefix": [1], "candidate": [2**63]}),
+        ]
+        # each bad request gets an error answer; a good one after them is served
+        good = json.dumps({"prefix": [], "candidate": [3]})
+        status, resps = run_loop("".join(line + "\n" for line in [*bad, good]))
         assert status == 1
-        assert "error" in resps[0]
+        assert [list(r) for r in resps[:-1]] == [["error"]] * len(bad)
+        assert resps[-1] == {"nll": 3.0, "tokens": 1}
 
     def test_missing_field(self):
         status, resps = run_loop(json.dumps({"prefix": []}) + "\n")
