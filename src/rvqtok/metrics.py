@@ -18,7 +18,7 @@ from typing import Iterator, Protocol, Sequence
 
 import numpy as np
 
-from .errors import EmptyInput, InvalidConfig, ScorerError
+from .errors import EmptyInput, InvalidConfig, RvqtokError, ScorerError
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ def _per_token(answers: Iterator[tuple[float, int]]) -> float:
     """Per-token NLL from the scorer's next answer, with contract checks."""
     try:
         nll, tokens = next(answers)
-    except ScorerError:
+    except RvqtokError:  # a toolkit error keeps its type, and so its exit code
         raise
     except StopIteration:
         raise ScorerError("scorer gave fewer answers than candidates") from None

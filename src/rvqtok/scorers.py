@@ -5,7 +5,8 @@ built-ins cover the test matrix: a content oracle whose NLL is the sum
 of candidate ids (fixtures arrange for the positive candidate to have
 the smallest mean id), a seeded hash scorer whose per-token NLL is an
 iid uniform draw per (prefix, candidate), and an add-one-smoothed
-bigram model fit on a toy corpus.
+bigram model fit on a toy corpus, which refuses ids outside its vocab
+with MalformedWire (exit 4 from the CLI).
 
 External scorers run as child processes speaking line-delimited JSON:
 request {"prefix": [...], "candidate": [...]}, response {"nll": <float>,
@@ -13,12 +14,14 @@ request {"prefix": [...], "candidate": [...]}, response {"nll": <float>,
 request order. ``fileformats.check_fields`` types both ends: ids are
 integers that fit int64, nll a finite number and tokens an integer; a
 request that breaks them gets an error answer, and an answer that does
-is a ScorerError. The client pipelines: it writes requests ahead while
-at most _WINDOW_BYTES of them are unanswered, so a plugin must keep
-reading stdin while it answers. A plugin may batch its answers, but
-must flush them before it blocks on a read. A plugin that sends no
-answer within RESPONSE_DEADLINE_S of the client starting to wait for
-one is killed, and the client raises ScorerError (exit 5 from the CLI).
+is a ScorerError. The client pipelines: it writes requests ahead as far
+as the pipe has room, without blocking, so a plugin must keep reading
+stdin while it answers. A plugin may batch its answers, but must flush
+them before it blocks on a read. A plugin that sends no answer within
+RESPONSE_DEADLINE_S of the client starting to wait for one, also one
+that stops reading its requests, is killed, and the client raises
+ScorerError (exit 5 from the CLI); an answer line longer than
+_READ_SIZE bytes is a ScorerError too.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from .errors import InvalidConfig, ScorerError
+from .errors import InvalidConfig, MalformedWire, ScorerError
 from .fileformats import check_fields
 
 BOS = -1  # bigram context for the first token
@@ -98,13 +101,19 @@ class BigramScorer:
         return -math.log(num / den)
 
     def __call__(self, prefix, candidate) -> tuple[float, int]:
+        """MalformedWire for an id outside [0, vocab_size), in the last
+        prefix id or the candidate, as the corpus reader refuses one."""
         if len(candidate) == 0:
             raise ScorerError("empty candidate")
-        prev = int(prefix[-1]) if len(prefix) else BOS
+        context, ids = [int(t) for t in prefix[-1:]], [int(t) for t in candidate]
+        bad = [t for t in context + ids if not 0 <= t < self.vocab_size]
+        if bad:
+            raise MalformedWire(f"token {bad[0]} outside vocab [0, {self.vocab_size})")
+        prev = context[0] if context else BOS
         nll = 0.0
-        for tok in candidate:
-            nll += self._nll_of(prev, int(tok))
-            prev = int(tok)
+        for tok in ids:
+            nll += self._nll_of(prev, tok)
+            prev = tok
         return nll, len(candidate)
 
 
@@ -158,12 +167,9 @@ def run_plugin_loop(scorer, stdin=None, stdout=None) -> int:
 
 
 RESPONSE_DEADLINE_S = 60.0  # longest wait for one plugin answer
-# Unanswered request bytes the client lets through. Under the 64 KiB pipe
-# buffer, so a write of requests never blocks while the plugin is blocked
-# writing answers nobody reads yet. The client tops the window up once a
-# quarter of it is free, so a plugin that finishes a batch of answers
-# finds the next requests already waiting.
-_WINDOW_BYTES = 32 * 1024
+# Request bytes gathered for one write. A batch, not a window: a write
+# sends what the pipe has room for, and the rest waits for the next one.
+_WRITE_BYTES = 64 * 1024
 
 
 def _request_line(prefix, candidate) -> bytes:
@@ -197,11 +203,13 @@ class SubprocessScorer:
         self._proc = subprocess.Popen(
             argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0
         )
+        os.set_blocking(self._proc.stdin.fileno(), False)
         self._selector = selectors.DefaultSelector()
         self._selector.register(self._proc.stdout, selectors.EVENT_READ)
+        self._unsent = bytearray()  # request bytes the pipe has not taken yet
         self._lines = collections.deque()  # answer lines read, not yet used
         self._partial = b""  # the start of an answer line still arriving
-        self._owed = 0  # requests written whose answers are not yet read
+        self._owed = 0  # requests whose newline went out, answers not yet read
 
     def __call__(self, prefix, candidate) -> tuple[float, int]:
         (answer,) = self.score_all([(prefix, candidate)])
@@ -210,80 +218,72 @@ class SubprocessScorer:
     def score_all(self, pairs):
         """Yield (nll, tokens) for each (prefix, candidate) pair, in order.
 
-        Requests go out in batches while at most _WINDOW_BYTES of them
-        are unanswered; a request larger than that goes alone. A failed
-        write is raised only when the first answer it cost is needed,
-        so answers that arrived before it are still used. One stream at
-        a time: answers an abandoned stream still owes are dropped
-        before the next one starts.
+        While it waits for an answer, the client writes requests as far
+        as the pipe has room. A failed write is raised only once the
+        answers to the requests sent before it are used. One stream at a
+        time: the answers an abandoned stream is still owed, its unsent
+        requests' included, are dropped before the next one's.
         """
-        for _ in range(self._owed):
-            self._read_line()
         todo = iter(pairs)
-        sizes = collections.deque()  # bytes of each request awaiting its answer
-        unanswered = 0
+        drop = self._owed + self._unsent.count(b"\n")
         failure = None  # a ScorerError owed once the answers before it are used
-        ahead = None  # the next request line, held back by the window
         while True:
-            if failure is None and unanswered <= _WINDOW_BYTES * 3 // 4:
-                batch = []
-                room = _WINDOW_BYTES - unanswered
-                while True:
-                    if ahead is None:
-                        pair = next(todo, None)
-                        if pair is None:
+            deadline = time.monotonic() + RESPONSE_DEADLINE_S
+            while not self._lines:
+                if failure is None and len(self._unsent) < _WRITE_BYTES:
+                    for pair in todo:
+                        self._unsent += _request_line(*pair)
+                        if len(self._unsent) >= _WRITE_BYTES:
                             break
-                        ahead = _request_line(*pair)
-                    if (batch or sizes) and len(ahead) > room:
-                        break
-                    batch.append(ahead)
-                    room -= len(ahead)
-                    ahead = None
-                if batch:
-                    failure = self._send(batch)
-                    if failure is None:
-                        sizes.extend(map(len, batch))
-                        unanswered += sum(map(len, batch))
-            if not sizes:
-                if failure is not None:
-                    raise failure
-                return
-            line = self._read_line()
-            unanswered -= sizes.popleft()
-            yield _parse_answer(line)
+                if not (self._owed or self._unsent):
+                    if failure is not None:
+                        raise failure
+                    return
+                failure = self._wait(deadline) or failure
+            self._owed -= 1
+            line = self._lines.popleft()
+            if drop:
+                drop -= 1
+            else:
+                yield _parse_answer(line)
 
-    def _send(self, lines: list[bytes]) -> ScorerError | None:
-        """Write request lines; a failure is returned, not raised."""
-        if self._proc.poll() is not None:
-            return ScorerError("plugin process has exited")
-        data = memoryview(b"".join(lines))
-        try:
-            while data:
-                data = data[os.write(self._proc.stdin.fileno(), data) :]
-        except OSError as exc:  # BrokenPipeError once the plugin is gone
-            return ScorerError(f"plugin pipe failure: {exc}")
-        self._owed += len(lines)
-        return None
-
-    def _read_line(self) -> bytes:
-        """The next answer line; killing the plugin and raising ScorerError
-        if none arrives within RESPONSE_DEADLINE_S."""
-        deadline = time.monotonic() + RESPONSE_DEADLINE_S
-        while not self._lines:
-            if not self._selector.select(max(deadline - time.monotonic(), 0.0)):
-                self._proc.kill()
-                self._proc.wait()
-                raise ScorerError(
-                    f"plugin sent no answer within {RESPONSE_DEADLINE_S:g} s; killed"
-                )
+    def _wait(self, deadline: float) -> ScorerError | None:
+        """One wait for the pipes: write what the plugin's stdin takes of
+        the unsent requests and read the answers that arrived. A failed
+        write is returned, not raised. Past the deadline the plugin is
+        killed and ScorerError raised; an answer line over _READ_SIZE
+        bytes is a ScorerError too."""
+        stdin, failure = self._proc.stdin, None
+        watched = stdin in self._selector.get_map()
+        if self._unsent and not watched:
+            self._selector.register(stdin, selectors.EVENT_WRITE)
+        elif watched and not self._unsent:
+            self._selector.unregister(stdin)
+        left = deadline - time.monotonic()
+        if left < 0:
+            self._proc.kill()
+            self._proc.wait()
+            raise ScorerError(f"plugin sent no answer within {RESPONSE_DEADLINE_S:g} s; killed")
+        for key, _ in self._selector.select(left):
+            if key.fileobj is stdin:
+                try:
+                    sent = os.write(stdin.fileno(), self._unsent)
+                except BlockingIOError:
+                    sent = 0
+                except OSError as exc:  # BrokenPipeError once the plugin is gone
+                    sent, failure = 0, ScorerError(f"plugin pipe failure: {exc}")
+                    self._unsent.clear()
+                self._owed += self._unsent.count(b"\n", 0, sent)
+                del self._unsent[:sent]
+                continue
             data = os.read(self._proc.stdout.fileno(), _READ_SIZE)
             if not data:
                 raise ScorerError("plugin closed its stdout mid-protocol")
-            lines = (self._partial + data).split(b"\n")
-            self._partial = lines.pop()
+            *lines, self._partial = (self._partial + data).split(b"\n")
+            if len(self._partial) > _READ_SIZE:
+                raise ScorerError(f"plugin answer line longer than {_READ_SIZE} bytes")
             self._lines.extend(lines)
-        self._owed -= 1
-        return self._lines.popleft()
+        return failure
 
     def close(self) -> None:
         """Close the plugin's stdin and reap it, killing it if it will not

@@ -1607,6 +1607,34 @@ class TestEval:
         assert "no answer within 0.2 s" in err
         assert time.monotonic() - t0 < 10  # includes the plugin's start-up
 
+    def test_plugin_that_never_reads_a_long_record(self, capsys, tmp_path, monkeypatch):
+        # a 20,000-id prefix makes each request larger than the pipe buffer
+        monkeypatch.setattr(scorers, "RESPONSE_DEADLINE_S", 0.2)
+        path = tmp_path / "eval.jsonl"
+        record = {"prefix": list(range(20_000)), "candidates": [[1], [2]], "positive": 0}
+        path.write_text(json.dumps(record) + "\n")
+        prog = tmp_path / "deaf.py"
+        prog.write_text("import time\ntime.sleep(10)\n")
+        t0 = time.monotonic()
+        code, lines, err = run(capsys, "eval", path, "--plugin", f"{sys.executable} {prog}")
+        assert (code, lines) == (5, [])
+        assert err.startswith("error: eval: ") and err.count("\n") == 1
+        assert "no answer within 0.2 s" in err
+        assert time.monotonic() - t0 < 5
+
+    @pytest.mark.parametrize(
+        "prefix, candidates", [([1], [[99], [2]]), ([1], [[2], [3, 4]]), ([-1], [[1], [2]])]
+    )
+    def test_bigram_refuses_ids_outside_vocab(self, capsys, tmp_path, prefix, candidates):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("[0, 1, 2]\n[1, 2, 3]\n")
+        path = tmp_path / "eval.jsonl"
+        path.write_text(json.dumps({"prefix": prefix, "candidates": candidates, "positive": 0}) + "\n")
+        argv = ["eval", path, "--scorer", "bigram", "--bigram-corpus", corpus, "--vocab-size", 4]
+        code, lines, err = run(capsys, *argv)
+        assert (code, lines) == (4, [])
+        assert err.startswith("error: eval: token ") and "outside vocab [0, 4)" in err
+
     @pytest.mark.parametrize("boom", [False, True])
     def test_plugin_under_dev_mode(self, tmp_path, boom):
         # pytest's ResourceWarning filter does not reach child processes:
@@ -1698,6 +1726,31 @@ class TestScorerPluginCommand:
                 want.append({"nll": float(i % 9 + 3), "tokens": 2})
         assert len(answers) == 999
         assert ["error" if "error" in a else a for a in answers] == want
+
+    def test_bigram_answers_ids_outside_vocab_with_errors(self, tmp_path):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("[0, 1, 2]\n[1, 2, 3]\n")
+        reqs = [
+            {"prefix": [1], "candidate": [99]},
+            {"prefix": [-5], "candidate": [1]},
+            {"prefix": [1], "candidate": [2]},
+            {"prefix": [2, -1], "candidate": [3]},
+        ]
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "rvqtok.cli", "scorer-plugin", "--name", "bigram",
+                "--bigram-corpus", str(corpus), "--vocab-size", "4",
+            ],
+            input="".join(json.dumps(r) + "\n" for r in reqs),
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=checkout_env(),
+        )
+        assert proc.returncode == 1
+        answers = [json.loads(line) for line in proc.stdout.splitlines()]
+        assert ["error" in a for a in answers] == [True, True, False, True]
+        assert "outside vocab [0, 4)" in answers[0]["error"]
 
     def test_installed_entry_point(self, tmp_path):
         # the console script wires to the same main

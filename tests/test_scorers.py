@@ -9,7 +9,7 @@ import time
 import pytest
 
 from rvqtok import scorers
-from rvqtok.errors import InvalidConfig, ScorerError
+from rvqtok.errors import InvalidConfig, MalformedWire, ScorerError
 from rvqtok.metrics import accuracy
 from rvqtok.scorers import (
     BOS,
@@ -100,6 +100,19 @@ class TestBigramScorer:
     def test_empty_candidate(self):
         with pytest.raises(ScorerError):
             BigramScorer(vocab_size=2)((), ())
+
+    @pytest.mark.parametrize(
+        "prefix, candidate",
+        [((1,), (99,)), ((1,), (2, 4)), ((-5,), (1,)), ((2, -1), (1,)), ((0, 4), (1,))],
+    )
+    def test_refuses_ids_outside_vocab(self, prefix, candidate):
+        s = BigramScorer(vocab_size=4).fit([[0, 1, 2], [1, 2, 3]])
+        with pytest.raises(MalformedWire, match=r"outside vocab \[0, 4\)"):
+            s(prefix, candidate)
+
+    def test_only_the_last_prefix_id_is_context(self):
+        s = BigramScorer(vocab_size=4).fit([[0, 1, 2]])
+        assert s((99, 1), (2,)) == s((1,), (2,))
 
 
 def run_loop(lines, scorer=perfect_scorer):
@@ -366,8 +379,8 @@ class TestPipelinedScorer:
         assert s._proc.returncode is not None
 
     def test_write_failure_costs_only_later_answers(self, monkeypatch):
-        # two 37-byte requests per window; the second write fails
-        monkeypatch.setattr(scorers, "_WINDOW_BYTES", 2 * 37)
+        # two 37-byte requests per write; the second write fails
+        monkeypatch.setattr(scorers, "_WRITE_BYTES", 2 * 37)
         real_write, writes = os.write, []
 
         def write(fd, data):
@@ -386,10 +399,37 @@ class TestPipelinedScorer:
         assert got == want(2)
 
     def test_request_larger_than_the_window_goes_alone(self, monkeypatch):
-        monkeypatch.setattr(scorers, "_WINDOW_BYTES", 64)
+        monkeypatch.setattr(scorers, "_WRITE_BYTES", 64)
         big = [((), tuple(range(1, 40))), ((5,), (1,)), ((), tuple(range(1, 40)))]
         with SubprocessScorer(plugin(PLUGIN_PERFECT)) as s:
             assert list(s.score_all(big)) == [perfect_scorer(p, c) for p, c in big]
+
+    def test_plugin_that_reads_seven_bytes_at_a_time(self):
+        # the pipe takes a part of most writes
+        body = "ERR = 0\n" + ANSWER + (
+            "n, rest = 0, b''\n"
+            "while data := os.read(0, 7):\n"
+            "    *lines, rest = (rest + data).split(b'\\n')\n"
+            "    for line in lines:\n"
+            "        n += 1\n"
+            "        os.write(1, answer(n, line).encode())\n"
+        )
+        with SubprocessScorer(plugin(body)) as s:
+            assert list(s.score_all(pairs(3000))) == want(3000)
+
+    def test_a_full_pipe_is_not_a_pipe_failure(self, monkeypatch):
+        real_write, writes = os.write, []
+
+        def write(fd, data):
+            writes.append(len(data))
+            if len(writes) == 1:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            return real_write(fd, data)
+
+        monkeypatch.setattr(scorers.os, "write", write)
+        with SubprocessScorer(plugin(PLUGIN_PERFECT)) as s:
+            assert list(s.score_all(pairs(10))) == want(10)
+        assert len(writes) >= 2
 
     def test_abandoned_stream_answers_are_dropped(self):
         with SubprocessScorer(plugin(PLUGIN_PERFECT)) as s:
@@ -397,6 +437,16 @@ class TestPipelinedScorer:
             assert next(stream) == want(1)[0]
             stream.close()
             assert s((), (9,)) == (9.0, 1)
+
+    def test_abandoned_stream_with_requests_unsent(self):
+        # about 185 KB of requests: most are still unsent, one may be half
+        # written, when the stream is dropped
+        with SubprocessScorer(plugin(PLUGIN_PERFECT)) as s:
+            stream = s.score_all(pairs(5000))
+            assert next(stream) == want(1)[0]
+            stream.close()
+            assert s((), (9,)) == (9.0, 1)
+            assert list(s.score_all(pairs(3))) == want(3)
 
 
 class TestResponseDeadline:
@@ -430,3 +480,30 @@ class TestResponseDeadline:
         assert s._proc.returncode is not None
         s.close()
         assert time.monotonic() - t0 < 5
+
+    def test_plugin_that_never_reads_a_request_larger_than_the_pipe(self):
+        # about 120 KB of request: a blocking write would wait for the plugin
+        s = SubprocessScorer(plugin("time.sleep(10)\n"))
+        t0 = time.monotonic()
+        with pytest.raises(ScorerError, match="no answer within 0.2 s"):
+            s((), tuple(range(20_000)))
+        assert time.monotonic() - t0 < 3
+        assert s._proc.returncode is not None
+        s.close()
+
+    def test_answer_line_without_end(self, monkeypatch):
+        # bytes without a newline, for as long as the client reads them
+        body = (
+            "end = time.monotonic() + 10\n"
+            "while time.monotonic() < end:\n"
+            "    os.write(1, b'7' * 65536)\n"
+        )
+        s = SubprocessScorer(plugin(body))
+        # the line bound ends this wait, not the deadline
+        monkeypatch.setattr(scorers, "RESPONSE_DEADLINE_S", 60.0)
+        t0 = time.monotonic()
+        with pytest.raises(ScorerError, match="answer line longer than 65536 bytes"):
+            s((), (1,))
+        assert time.monotonic() - t0 < 2
+        s.close()
+        assert s._proc.returncode is not None
