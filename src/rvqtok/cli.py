@@ -2,12 +2,13 @@
 
 Subcommands: mel, train-rvq, encode, decode, pack, eval, scorer-plugin.
 Every command takes --seed and --threads; mel and train-rvq also take
---config, and eval --format. Each command takes only the options it
-reads, so an option it does not take is an argparse usage error (exit
-2). --threads sets how many whole blocks mel and encode work on at once,
-never more than the usable CPUs; at 2 or more, train-rvq runs each
-layer's codebook update on a second thread while the cascade moves on
-to the next layer. The other commands run in order and ignore it. It
+--config, and eval --format. Beyond these two, each command takes only
+the options it reads, so an option it does not take is an argparse
+usage error (exit 2). --threads sets how many whole blocks mel and
+encode work on at once, never more than the usable CPUs; at 2 or more,
+train-rvq runs each layer's codebook update on a second thread while
+the cascade moves on to the next layer. decode, pack, eval and
+scorer-plugin take --threads but run in order and ignore it. It
 defaults to the usable CPUs // the BLAS threads, which are read from
 OPENBLAS_NUM_THREADS, then OMP_NUM_THREADS, and count as every usable
 CPU when neither is set: so with an unpinned BLAS, one block at a time
@@ -24,7 +25,6 @@ allocate (a huge n_fft or layer size).
 from __future__ import annotations
 
 import argparse
-import bisect
 import collections
 import contextlib
 import itertools
@@ -131,6 +131,8 @@ def _open_audio(path: str, raw_rate: int | None):
 
 
 def cmd_mel(args) -> int:
+    if args.stack < 1:
+        raise InvalidConfig(f"stack_factor must be >= 1, got {args.stack}")
     doc = _load_json(args.config, _field_types(MelConfig), "mel config") if args.config else {}
     cfg = MelConfig(**doc)
 
@@ -203,6 +205,8 @@ def _train_configs(doc: dict):
 
 
 def cmd_train_rvq(args) -> int:
+    if args.epochs < 0:
+        raise InvalidConfig("epochs must be >= 0")
     doc = _load_json(args.config, _TRAIN_KEYS, "train-rvq config") if args.config else {}
     layer_sizes = doc.get("layer_sizes", [64, 64])
     schedule, gumbel, dropout = _train_configs(doc)
@@ -254,20 +258,34 @@ def cmd_encode(args) -> int:
     return 0
 
 
+def _past_sizes(frames, sizes):
+    """A mask of the frames that hold an index at or past its layer size,
+    such as an end-of-audio frame; None when no frame does."""
+    mask = (frames >= sizes).any(axis=1)
+    return mask if mask.any() else None
+
+
 def cmd_decode(args) -> int:
+    if args.unstack < 1:
+        raise InvalidConfig(f"unstack factor must be >= 1, got {args.unstack}")
     frames, sizes = ff.read_atk1(args.tokens)
     stack = ff.read_rvq1(args.codebooks)
     if sizes != stack.layer_sizes:
         raise ShapeMismatch(
             f"token layer sizes {sizes} != codebook sizes {stack.layer_sizes}"
         )
-    eoa = (frames == sizes).all(axis=1)
-    n_eoa = int(eoa.sum())
-    if n_eoa:
-        print(f"skipped {n_eoa} end-of-audio frames", file=sys.stderr)
+    past = _past_sizes(frames, sizes)
+    if past is not None:
+        # only a whole end-of-audio frame, every index at its layer size, is skipped
+        eoa = (frames == sizes).all(axis=1)
+        bad = past & ~eoa
+        if bad.any():
+            raise MalformedWire(
+                f"frame {bad.argmax()} of {args.tokens} holds an index past its "
+                f"layer sizes {sizes}"
+            )
+        print(f"skipped {int(eoa.sum())} end-of-audio frames", file=sys.stderr)
         frames = frames[~eoa]
-    if args.unstack < 1:
-        raise InvalidConfig(f"unstack factor must be >= 1, got {args.unstack}")
     if stack.dim % args.unstack:
         raise ShapeMismatch(
             f"dim {stack.dim} not divisible by unstack factor {args.unstack}"
@@ -282,30 +300,21 @@ def cmd_decode(args) -> int:
     return 0
 
 
-def _past_end(frames, first: int, sizes) -> list[int]:
-    """The numbers of the frames no record may hold: an index past its
-    layer size, such as an end-of-audio frame. frames[0] is frame first."""
-    past = frames >= sizes
-    # the whole-array any is the cheap test; most blocks hold no such frame
-    return (np.flatnonzero(past.any(axis=1)) + first).tolist() if past.any() else []
-
-
 def _pack_pairs(rows, outputs):
     """Yield ((text, frames), duration, frames ref, manifest line) for each
     manifest row. Its frames are a read-only uint32 slice of the ATK1
-    blocks that hold its range, or their concatenation. Rows that go
-    back, or move between ATK1 files, read again only the blocks that are
-    no longer held. An ATK1 that cannot seek, such as a pipe, is read whole
-    when first opened and held to the end. An ATK1 that is one of
-    ``outputs`` is refused when first opened."""
+    blocks that hold its range, or their concatenation; a block is checked
+    once, when read. Rows that go back, or move between ATK1 files, read
+    again only the blocks no longer held. An ATK1 that cannot seek, such
+    as a pipe, is one block, read when first opened and held to the end.
+    An ATK1 that is one of ``outputs`` is refused when first opened."""
     sizes = None
-    n_frames = {}  # the frame count of each ATK1 opened
-    held = collections.OrderedDict()  # (path, block) -> (frames, past_end), oldest first
+    opened = {}  # path -> (frame count, its one block if it cannot seek)
+    held = collections.OrderedDict()  # (path, first frame) -> (frames, mask), oldest first
     held_frames = 0
-    pinned = {}  # the blocks of each ATK1 that cannot seek
     for row in rows:
         path, where = row["atk1_path"], f"manifest line {row['line_no']}"
-        if path not in n_frames:
+        if path not in opened:
             with ff.open_atk1(path) as (atk1_sizes, atk1):
                 ff.check_not_inputs(outputs, [path])
                 sizes = sizes or atk1_sizes
@@ -313,37 +322,37 @@ def _pack_pairs(rows, outputs):
                     raise MalformedWire(
                         f"{where}: ATK1 {path} has layer sizes {atk1_sizes}, not {sizes}"
                     )
-                n_frames[path] = atk1.n_rows
+                whole = None
                 if not atk1.seekable:
-                    whole = atk1.read(0, atk1.n_rows)
-                    for first in range(0, len(whole), _ATK1_BLOCK):
-                        frames = whole[first : first + _ATK1_BLOCK]
-                        pinned[path, first // _ATK1_BLOCK] = frames, _past_end(frames, first, sizes)
+                    frames = atk1.read(0, atk1.n_rows)
+                    whole = frames, _past_sizes(frames, sizes)
+                opened[path] = atk1.n_rows, whole
+        n_frames, whole = opened[path]
         start, end = row["frame_range"]
-        if not 0 <= start < end <= n_frames[path]:
+        if not 0 <= start < end <= n_frames:
             raise MalformedWire(
-                f"{where}: frame range [{start}, {end}) outside ATK1 of {n_frames[path]}"
+                f"{where}: frame range [{start}, {end}) outside ATK1 of {n_frames}"
             )
         parts = []
-        for block in range(start // _ATK1_BLOCK, (end - 1) // _ATK1_BLOCK + 1):
-            key, first = (path, block), block * _ATK1_BLOCK
-            if key in held:
-                held.move_to_end(key)
-            elif key not in pinned:
+        for first in [0] if whole else range(start - start % _ATK1_BLOCK, end, _ATK1_BLOCK):
+            block = whole or held.pop((path, first), None)
+            if block is None:
                 with ff.open_atk1(path) as (_, atk1):
-                    frames = atk1.read(first, min(first + _ATK1_BLOCK, atk1.n_rows))
-                held[key] = frames, _past_end(frames, first, sizes)
+                    frames = atk1.read(first, min(first + _ATK1_BLOCK, n_frames))
+                block = frames, _past_sizes(frames, sizes)
                 held_frames += len(frames)
+            if not whole:
+                held[path, first] = block
                 while held_frames > _ATK1_HELD and len(held) > 1:
                     held_frames -= len(held.popitem(last=False)[1][0])
-            frames, past_end = held.get(key) or pinned[key]
-            i = bisect.bisect_left(past_end, start)
-            if i < len(past_end) and past_end[i] < end:
+            frames, mask = block
+            lo, hi = max(start - first, 0), end - first
+            if mask is not None and mask[lo:hi].any():
                 raise MalformedWire(
-                    f"{where}: frame {past_end[i]} of {path} holds an index past "
-                    f"its layer sizes {sizes}"
+                    f"{where}: frame {first + lo + mask[lo:hi].argmax()} of {path} holds "
+                    f"an index past its layer sizes {sizes}"
                 )
-            parts.append(frames[max(start - first, 0) : end - first])
+            parts.append(frames[lo:hi])
         frames = parts[0] if len(parts) == 1 else np.concatenate(parts)
         ref = {"path": path, "start": start, "end": end}
         yield (row["text"], frames), float(row["duration_s"]), ref, row["line_no"]

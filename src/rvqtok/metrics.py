@@ -18,7 +18,7 @@ from typing import Iterator, Protocol, Sequence
 
 import numpy as np
 
-from .errors import EmptyInput, InvalidConfig, RvqtokError, ScorerError
+from .errors import EmptyInput, InvalidConfig, MalformedWire, RvqtokError, ScorerError
 
 
 @dataclass(frozen=True)
@@ -104,13 +104,17 @@ def perplexity_compare_all(
     records: Sequence[EvalRecord], scorer: Scorer
 ) -> Iterator[bool]:
     """perplexity_compare for each record, in order, from one stream of
-    scorer answers covering every candidate of every record."""
+    scorer answers covering every candidate of every record. A
+    MalformedWire raised while record i is scored names it."""
     answers = _answers(scorer, ((r.prefix, c) for r in records for c in r.candidates))
-    for record in records:
-        per_token = [_per_token(answers) for _ in record.candidates]
+    for i, record in enumerate(records):
+        try:
+            per_token = [_per_token(answers) for _ in record.candidates]
+        except MalformedWire as exc:
+            raise MalformedWire(f"record {i}: {exc}") from exc
         pos = per_token[record.positive_index]
         yield all(
-            pos < nll for i, nll in enumerate(per_token) if i != record.positive_index
+            pos < nll for j, nll in enumerate(per_token) if j != record.positive_index
         )
 
 

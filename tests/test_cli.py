@@ -441,10 +441,8 @@ class TestEncodeDecode:
         _, books, _ = trained
         tokens = tmp_path / "x.atk1"
         write_atk1(tokens, [(9, 0)], (8, 8))  # 9 > EOA value 8
-        code, _, _ = run(
-            capsys, "decode", tokens, books, tmp_path / "r.afv1", "--unstack", 1
-        )
-        assert code == 3
+        argv = ["decode", tokens, books, tmp_path / "r.afv1", "--unstack", 1]
+        refused(capsys, argv, tmp_path, 4, f"frame 0 of {tokens} holds an index past its layer")
 
     def test_decode_keeps_partial_eoa_row(self, capsys, tmp_path, trained):
         # index K in one layer only is not end-of-audio: decode keeps the
@@ -452,11 +450,26 @@ class TestEncodeDecode:
         _, books, _ = trained
         tokens = tmp_path / "x.atk1"
         write_atk1(tokens, [(0, 1), (8, 3)], (8, 8))
-        code, _, err = run(
-            capsys, "decode", tokens, books, tmp_path / "r.afv1", "--unstack", 1
-        )
-        assert code == 3
+        argv = ["decode", tokens, books, tmp_path / "r.afv1", "--unstack", 1]
+        err = refused(capsys, argv, tmp_path, 4, f"frame 1 of {tokens} holds an index past its")
         assert "skipped" not in err
+
+    @pytest.mark.parametrize("first", [(1, 1), (8, 4)], ids=["good", "end-of-audio"])
+    def test_decode_names_frame_past_layer_size(self, capsys, tmp_path, trained, first):
+        # frames are numbered in the file, a skipped end-of-audio frame counted
+        cfg, books = tmp_path / "cfg84.json", tmp_path / "books84.rvq1"
+        cfg.write_text(json.dumps({"layer_sizes": [8, 4]}))
+        assert run(capsys, "train-rvq", tmp_path / "corpus.txt", books, "--config", cfg)[0] == 0
+        tokens, out = tmp_path / "partial.atk1", tmp_path / "r.afv1"
+        write_atk1(tokens, [first, (8, 1), (2, 3)], (8, 4))
+        argv = ["decode", tokens, books, out, "--unstack", 1]
+        message = f"error: decode: frame 1 of {tokens} holds an index past its layer sizes (8, 4)"
+        assert refused(capsys, argv, tmp_path, 4, message) == message + "\n"
+        write_atk1(tokens, [first, (8, 4), (2, 3)], (8, 4))
+        n_eoa = 1 + (first == (8, 4))
+        code, lines, err = run(capsys, *argv)
+        assert (code, lines[-1]["frames"]) == (0, 3 - n_eoa)
+        assert f"skipped {n_eoa} end-of-audio frames" in err
 
     def test_decode_layer_size_mismatch(self, capsys, tmp_path, trained):
         _, books, _ = trained
@@ -693,7 +706,8 @@ class TestStreamedEncodeDecode:
         write_atk1(tokens, frames, (8, 8))
         out = tmp_path / "r.afv1"
         argv = ["decode", tokens, books, out, "--unstack", 1]
-        refused_twice(capsys, argv, out, 3, "layer 1 has indices outside")
+        message = f"frame 37 of {tokens} holds an index past its layer sizes (8, 8)"
+        refused_twice(capsys, argv, out, 4, message)
 
     def test_zero_rows(self, capsys, tmp_path, trained):
         _, books, _ = trained
@@ -1238,29 +1252,40 @@ class TestPackBlocks:
         build = build_itts if tag == "ITTS" else build_intlv
         assert [stream for stream, _ in packed(out)] == [build(g) for g in groups]
 
-    @pytest.mark.parametrize("bad", [0, 9, 16, 21, 33])
+    @pytest.mark.parametrize(
+        "bad, pipe",
+        [
+            pytest.param(bad, pipe, id=f"pipe-{bad}" if pipe else str(bad))
+            for pipe in (False, True) for bad in (0, 9, 16, 21, 33)
+        ],
+    )
     def test_bad_frame_named_as_with_whole_files(
-        self, capsys, tmp_path, monkeypatch, two_atk1, bad
+        self, capsys, tmp_path, monkeypatch, two_atk1, bad, pipe
     ):
+        # a pipe's frames are one block, checked when it is read
         monkeypatch.setattr(cli, "_ATK1_BLOCK", 4)
         monkeypatch.setattr(cli, "_ATK1_HELD", 8)
         a, _ = two_atk1
         frames = read_atk1(a)[0].copy()
         frames[bad] = (8, 4)  # an end-of-audio frame
         write_atk1(a, frames, (8, 4))
-        rows = block_rows(*two_atk1)["out-of-order"]
-        lines = [
-            i for i, r in enumerate(rows, start=1)
-            if r["atk1_path"] == str(a) and r["frame_range"][0] <= bad < r["frame_range"][1]
-        ]
-        manifest = tmp_path / "manifest.jsonl"
-        manifest.write_text("".join(json.dumps(r) + "\n" for r in rows))
-        argv = ["pack", manifest, tmp_path / "records.jsonl"]
-        if not lines:  # a frame outside every range is no record's
-            assert run(capsys, *argv)[0] == 0
-            return
-        message = f"manifest line {lines[0]}: frame {bad} of {a} holds"
-        refused(capsys, argv, tmp_path, 4, message)
+        outs = tmp_path / "out"
+        outs.mkdir()
+        source = atk1_pipe(tmp_path, a.read_bytes()) if pipe else contextlib.nullcontext(a)
+        with source as path:
+            rows = block_rows(path, two_atk1[1])["out-of-order"]
+            lines = [
+                i for i, r in enumerate(rows, start=1)
+                if r["frame_range"][0] <= bad < r["frame_range"][1]
+            ]
+            manifest = outs / "manifest.jsonl"
+            manifest.write_text("".join(json.dumps(r) + "\n" for r in rows))
+            argv = ["pack", manifest, outs / "records.jsonl"]
+            if not lines:  # a frame outside every range is no record's
+                assert run(capsys, *argv)[0] == 0
+                return
+            message = f"manifest line {lines[0]}: frame {bad} of {path} holds"
+            refused(capsys, argv, outs, 4, message)
 
     @pytest.mark.parametrize("held, reads", [(12, 3), (8, 9)])
     def test_blocks_read_again_only_once_dropped(
@@ -1633,7 +1658,7 @@ class TestEval:
         argv = ["eval", path, "--scorer", "bigram", "--bigram-corpus", corpus, "--vocab-size", 4]
         code, lines, err = run(capsys, *argv)
         assert (code, lines) == (4, [])
-        assert err.startswith("error: eval: token ") and "outside vocab [0, 4)" in err
+        assert err.startswith("error: eval: record 0: token ") and "outside vocab [0, 4)" in err
 
     @pytest.mark.parametrize("boom", [False, True])
     def test_plugin_under_dev_mode(self, tmp_path, boom):
@@ -2016,6 +2041,23 @@ class TestHostileDocuments:
         monkeypatch.setattr(cli, "SubprocessScorer", None)
         err = self.refused(capsys, argv, [], 3)
         assert "--bigram-corpus and --vocab-size" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["decode", "ghost.atk1", "ghost.rvq1", "r.afv1", "--unstack", 0],
+             "unstack factor must be >= 1, got 0"),
+            (["mel", "ghost.wav", "o.afv1", "--stack", 0], "stack_factor must be >= 1, got 0"),
+            (["train-rvq", "ghost.txt", "o.rvq1", "--epochs", -1], "epochs must be >= 0"),
+        ],
+        ids=["decode-unstack", "mel-stack", "train-rvq-epochs"],
+    )
+    def test_option_value_checked_before_any_file(self, capsys, tmp_path, monkeypatch, argv,
+                                                  message):
+        # inputs that are not there would exit 2 if one were opened first
+        monkeypatch.chdir(tmp_path)
+        err = self.refused(capsys, argv, argv[1:-2], 3)
+        assert err == f"error: {argv[0]}: {message}\n"
 
     @pytest.mark.parametrize(
         "tag, size", [("ITTS", 2**63), ("INTLV", 2**63 - 2)], ids=["itts", "intlv"]
