@@ -50,7 +50,7 @@ from .errors import (
     ScorerError,
     ShapeMismatch,
 )
-from .mel import FeatureSequence, MelConfig, mel_blocks
+from .mel import FeatureSequence, MelConfig, check_stack_factor, mel_blocks
 
 # Not called here since `mel` streams through mel_blocks; perfbench's
 # traced run still resolves these names on this module.
@@ -61,6 +61,7 @@ from .rvq import (
     DropoutConfig,
     GumbelConfig,
     TrainingSchedule,
+    check_epochs,
     decode_frames,
     encode_rows,
     init_rvq_stack,
@@ -131,8 +132,7 @@ def _open_audio(path: str, raw_rate: int | None):
 
 
 def cmd_mel(args) -> int:
-    if args.stack < 1:
-        raise InvalidConfig(f"stack_factor must be >= 1, got {args.stack}")
+    check_stack_factor(args.stack)
     doc = _load_json(args.config, _field_types(MelConfig), "mel config") if args.config else {}
     cfg = MelConfig(**doc)
 
@@ -205,8 +205,7 @@ def _train_configs(doc: dict):
 
 
 def cmd_train_rvq(args) -> int:
-    if args.epochs < 0:
-        raise InvalidConfig("epochs must be >= 0")
+    check_epochs(args.epochs)
     doc = _load_json(args.config, _TRAIN_KEYS, "train-rvq config") if args.config else {}
     layer_sizes = doc.get("layer_sizes", [64, 64])
     schedule, gumbel, dropout = _train_configs(doc)

@@ -204,6 +204,11 @@ def _log_mel(signal: np.ndarray, cfg: MelConfig, fb: np.ndarray) -> np.ndarray:
     return log_mel
 
 
+def check_stack_factor(stack_factor: int) -> None:
+    if stack_factor < 1:
+        raise InvalidConfig(f"stack_factor must be >= 1, got {stack_factor}")
+
+
 def mel_blocks(
     source: SampleSource, cfg: MelConfig = DEFAULT_MEL, stack_factor: int = 1, threads: int = 1
 ) -> tuple[int, Iterator[np.ndarray]]:
@@ -229,8 +234,7 @@ def mel_blocks(
         raise InvalidConfig(
             f"audio is {source.sample_rate} Hz but cfg expects {cfg.sample_rate} Hz"
         )
-    if stack_factor < 1:
-        raise InvalidConfig(f"stack_factor must be >= 1, got {stack_factor}")
+    check_stack_factor(stack_factor)
     if cfg.center:
         n_frames = -(-n // cfg.hop)  # ceil
     else:
@@ -287,8 +291,7 @@ def stack_frames(mel: MelSpectrogram, stack_factor: int) -> FeatureSequence:
     Vector t is frames [t*s, t*s + s) laid out frame-major; a trailing
     partial group is dropped rather than zero-padded.
     """
-    if stack_factor < 1:
-        raise InvalidConfig(f"stack_factor must be >= 1, got {stack_factor}")
+    check_stack_factor(stack_factor)
     s = stack_factor
     n_out = mel.n_frames // s
     vectors = mel.frames[: n_out * s].reshape(n_out, s * mel.n_mels)

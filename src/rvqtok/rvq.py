@@ -487,6 +487,11 @@ def _check_mode(mode: str) -> None:
         raise InvalidConfig(f"unknown EMA mode {mode!r}")
 
 
+def check_epochs(epochs: int) -> None:
+    if epochs < 0:
+        raise InvalidConfig("epochs must be >= 0")
+
+
 def _check_dead_threshold(dead_threshold: int) -> None:
     # at 0 every entry counts as dead on every step, so training would
     # overwrite the whole book from the batch each time
@@ -796,8 +801,7 @@ def train_rvq(
     Deterministic given (seed, corpus order, configs); the input stack
     is not modified: training updates one private copy in place.
     """
-    if epochs < 0:
-        raise InvalidConfig("epochs must be >= 0")
+    check_epochs(epochs)
     _check_mode(mode)
     _check_dead_threshold(dead_threshold)
     if len(corpus) == 0:
