@@ -61,7 +61,12 @@ from .rvq import (
     DropoutConfig,
     GumbelConfig,
     TrainingSchedule,
+    check_dead_threshold,
+    check_ema_decay,
     check_epochs,
+    check_layer_sizes,
+    check_mode,
+    check_norm_beta,
     decode_frames,
     encode_rows,
     init_rvq_stack,
@@ -152,8 +157,9 @@ def cmd_mel(args) -> int:
     return 0
 
 
-def _read_afv1_manifest(path) -> tuple[list[str], list[FeatureSequence]]:
-    """The AFV1 paths a manifest lists, and their features; a line that is
+def _read_afv1_manifest(path) -> tuple[list[str], np.ndarray, list[FeatureSequence]]:
+    """The AFV1 paths a manifest lists, their rows as one float64 matrix,
+    and each file's FeatureSequence, a view of that matrix; a line that is
     not UTF-8 or holds a NUL is MalformedWire naming it."""
     raw = Path(path).read_bytes()
     try:
@@ -168,13 +174,20 @@ def _read_afv1_manifest(path) -> tuple[list[str], list[FeatureSequence]]:
         line = line.strip()
         if line and not line.startswith("#"):
             paths.append(line)
-    corpus = []
-    for afv1 in paths:
-        vectors, frame_rate = ff.read_afv1(afv1)
-        corpus.append(
-            FeatureSequence(vectors=vectors, frame_rate=frame_rate, stack_factor=1)
-        )
-    return paths, corpus
+    if not paths:
+        raise EmptyInput("manifest lists no feature files")
+    files = [ff.read_afv1(afv1) for afv1 in paths]
+    for afv1, (vectors, _) in zip(paths, files):
+        if not len(vectors):
+            raise EmptyInput(f"{afv1} holds no feature rows")
+    dims = {vectors.shape[1] for vectors, _ in files}
+    if len(dims) != 1:
+        raise ShapeMismatch(f"corpus dimensions disagree: {sorted(dims)}")
+    features = np.concatenate([vectors for vectors, _ in files])
+    features.flags.writeable = False  # each sequence is a view of it
+    views = np.split(features, np.cumsum([len(vectors) for vectors, _ in files])[:-1])
+    corpus = [FeatureSequence(view, frame_rate, 1) for view, (_, frame_rate) in zip(views, files)]
+    return paths, features, corpus
 
 
 # train-rvq --config keys; init_rvq_stack and train_rvq hold the defaults
@@ -189,6 +202,14 @@ _TRAIN_KEYS = {
     "mode": "str",
     "dead_threshold": "int",
     "restart": "bool",
+}
+# the library's check of each flat key's range, run before any file is read
+_TRAIN_CHECKS = {
+    "layer_sizes": check_layer_sizes,
+    "ema_decay": check_ema_decay,
+    "norm_beta": check_norm_beta,
+    "mode": check_mode,
+    "dead_threshold": check_dead_threshold,
 }
 
 
@@ -207,23 +228,16 @@ def _train_configs(doc: dict):
 def cmd_train_rvq(args) -> int:
     check_epochs(args.epochs)
     doc = _load_json(args.config, _TRAIN_KEYS, "train-rvq config") if args.config else {}
+    for key, check in _TRAIN_CHECKS.items():
+        if key in doc:
+            check(doc[key])
     layer_sizes = doc.get("layer_sizes", [64, 64])
     schedule, gumbel, dropout = _train_configs(doc)
     init_kwargs = {k: doc[k] for k in ("ema_decay", "norm_beta") if k in doc}
     train_kwargs = {k: doc[k] for k in ("mode", "dead_threshold", "restart") if k in doc}
 
-    afv1_paths, corpus = _read_afv1_manifest(args.manifest)
-    if not corpus:
-        raise EmptyInput("manifest lists no feature files")
-    dims = {seq.dim for seq in corpus}
-    if len(dims) != 1:
-        raise ShapeMismatch(f"corpus dimensions disagree: {sorted(dims)}")
-
-    features = np.concatenate([seq.vectors for seq in corpus], axis=0)
+    afv1_paths, features, corpus = _read_afv1_manifest(args.manifest)
     stack = init_rvq_stack(layer_sizes, features, seed=args.seed, **init_kwargs)
-    # training holds each layer's prepared state and in-flight batches; freeing
-    # the concatenated corpus first keeps its peak under that of init
-    del features
     stack, report = train_rvq(
         stack, corpus, schedule, gumbel, dropout, args.epochs,
         seed=args.seed, threads=args.threads, **train_kwargs,
@@ -267,6 +281,8 @@ def _past_sizes(frames, sizes):
 def cmd_decode(args) -> int:
     if args.unstack < 1:
         raise InvalidConfig(f"unstack factor must be >= 1, got {args.unstack}")
+    rate = args.frame_rate * args.unstack
+    ff.check_frame_rate(rate)
     frames, sizes = ff.read_atk1(args.tokens)
     stack = ff.read_rvq1(args.codebooks)
     if sizes != stack.layer_sizes:
@@ -291,7 +307,6 @@ def cmd_decode(args) -> int:
         )
     dim = stack.dim // args.unstack
     n_rows = len(frames) * args.unstack
-    rate = args.frame_rate * args.unstack
     with ff.afv1_writer(args.output, n_rows, dim, rate, [args.tokens, args.codebooks]) as write:
         for start in range(0, len(frames), _DECODE_ROWS):
             write(decode_frames(stack, frames[start : start + _DECODE_ROWS]).reshape(-1, dim))

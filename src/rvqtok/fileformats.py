@@ -228,6 +228,12 @@ def write_lines(path, lines) -> None:
 
 # ---------------------------------------------------------------- AFV1
 
+def check_frame_rate(frame_rate: float) -> None:
+    """The frame rate an AFV1 is written with: finite and positive."""
+    if not 0 < frame_rate < math.inf:
+        raise InvalidConfig(f"AFV1 frame rate must be finite and positive, got {frame_rate}")
+
+
 def afv1_writer(path, n_rows: int, dim: int, frame_rate: float, inputs=()):
     """Context manager yielding ``write(rows)``, which appends (k, dim)
     rows to an AFV1 of n_rows rows; ``path`` appears only once exactly
@@ -241,8 +247,7 @@ def afv1_writer(path, n_rows: int, dim: int, frame_rate: float, inputs=()):
 
     if not (0 <= n_rows < 2**32 and 0 < dim < 2**32):
         raise ShapeMismatch(f"AFV1 stores rows and a dim of 1 or more as u32, got {n_rows} x {dim}")
-    if not 0 < frame_rate < math.inf:
-        raise InvalidConfig(f"AFV1 frame rate must be finite and positive, got {frame_rate}")
+    check_frame_rate(frame_rate)
     header = struct.pack("<4sIId", AFV1_MAGIC, n_rows, dim, frame_rate)
     return _staged_rows(path, header, n_rows, rows, "AFV1", inputs)
 
@@ -351,7 +356,7 @@ def read_rvq1(path) -> RvqStack:
         (n_layers,) = _header(fh, RVQ1_MAGIC, "I")
         if n_layers == 0:
             raise MalformedWire("RVQ1 with zero layers")
-        for _ in range(n_layers):
+        for layer in range(n_layers):
             k, d, alpha, beta = _RVQ1_LAYER_HEADER.unpack(
                 _read_exact(fh, _RVQ1_LAYER_HEADER.size, "RVQ1 layer header")
             )
@@ -363,14 +368,17 @@ def read_rvq1(path) -> RvqStack:
             usage = np.frombuffer(
                 _read_exact(fh, 8 * k, "RVQ1 usage counters"), dtype="<u8"
             )
-            layers.append(
-                Codebook(
+            try:
+                book = Codebook(
                     vectors=vec,  # read-only float32, as stored
                     ema_decay=alpha,
                     norm_beta=beta,
                     usage_counts=usage.astype(np.int64),
                 )
-            )
+                RvqStack([*layers[:1], book])  # its width is the first layer's
+            except (InvalidConfig, ShapeMismatch) as exc:
+                raise MalformedWire(f"RVQ1 layer {layer}: {exc}") from exc
+            layers.append(book)
         if fh.read(1):
             raise MalformedWire("trailing bytes after RVQ1 layers")
     return RvqStack(layers)

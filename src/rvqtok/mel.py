@@ -135,8 +135,7 @@ class FeatureSequence:
         object.__setattr__(self, "vectors", vectors)
         if vectors.ndim != 2:
             raise ShapeMismatch(f"vectors must be 2-D, got shape {vectors.shape}")
-        if self.stack_factor < 1:
-            raise InvalidConfig("stack_factor must be >= 1")
+        check_stack_factor(self.stack_factor)
 
     @property
     def n_vectors(self) -> int:

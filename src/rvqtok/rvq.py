@@ -87,6 +87,32 @@ def _require_finite(vectors: np.ndarray) -> None:
         raise InvalidConfig("codewords must be finite")
 
 
+def check_ema_decay(ema_decay: float) -> None:
+    if not 0.0 <= ema_decay <= 1.0:
+        raise InvalidConfig(f"ema_decay must be in [0, 1], got {ema_decay}")
+
+
+def check_norm_beta(norm_beta: float) -> None:
+    if not 0.0 <= norm_beta < 1.0:
+        raise InvalidConfig(f"norm_beta must be in [0, 1), got {norm_beta}")
+
+
+def _require_layers(n_layers: int) -> None:
+    if n_layers < 1:
+        raise InvalidConfig("stack needs at least one layer")
+
+
+def check_layer_sizes(layer_sizes) -> None:
+    """The layer sizes init_rvq_stack takes: at least one, each in [1,
+    2**32), the u32 RVQ1 stores."""
+    _require_layers(len(layer_sizes))
+    for layer, k in enumerate(layer_sizes):
+        if k <= 0:
+            raise InvalidConfig(f"layer {layer} size must be positive, got {k}")
+        if k >= 2**32:
+            raise InvalidConfig(f"layer {layer} size {k} does not fit the u32 RVQ1 stores")
+
+
 @dataclass(eq=False)
 class Codebook:
     """One quantizer layer: K codewords plus EMA bookkeeping.
@@ -108,10 +134,8 @@ class Codebook:
         if self.vectors.ndim != 2 or self.vectors.shape[1] == 0:
             raise ShapeMismatch(f"codebook must be K x D with D >= 1, got {self.vectors.shape}")
         _require_finite(self.vectors)
-        if not 0.0 <= self.ema_decay <= 1.0:
-            raise InvalidConfig(f"ema_decay must be in [0, 1], got {self.ema_decay}")
-        if not 0.0 <= self.norm_beta < 1.0:
-            raise InvalidConfig(f"norm_beta must be in [0, 1), got {self.norm_beta}")
+        check_ema_decay(self.ema_decay)
+        check_norm_beta(self.norm_beta)
         if self.usage_counts is None:
             self.usage_counts = np.zeros(self.size, dtype=np.int64)
         else:
@@ -144,8 +168,7 @@ class RvqStack:
     layers: list[Codebook]
 
     def __post_init__(self):
-        if not self.layers:
-            raise InvalidConfig("stack needs at least one layer")
+        _require_layers(len(self.layers))
         dims = {book.dim for book in self.layers}
         if len(dims) != 1:
             raise ShapeMismatch(f"layers disagree on dimension: {sorted(dims)}")
@@ -482,7 +505,7 @@ def mean_commitment_loss(vectors: np.ndarray, quantized: np.ndarray) -> float:
     return float(np.mean(np.sum(diff * diff, axis=1)))
 
 
-def _check_mode(mode: str) -> None:
+def check_mode(mode: str) -> None:
     if mode not in EMA_MODES:
         raise InvalidConfig(f"unknown EMA mode {mode!r}")
 
@@ -492,7 +515,7 @@ def check_epochs(epochs: int) -> None:
         raise InvalidConfig("epochs must be >= 0")
 
 
-def _check_dead_threshold(dead_threshold: int) -> None:
+def check_dead_threshold(dead_threshold: int) -> None:
     # at 0 every entry counts as dead on every step, so training would
     # overwrite the whole book from the batch each time
     if dead_threshold < 1:
@@ -551,7 +574,7 @@ def ema_update(book: Codebook, assignments, mode: str = "paper_literal") -> Code
             rows.append(v)
         chosen.extend([j] * len(vecs))
     vectors = np.array(rows, dtype=np.float64).reshape(len(rows), book.dim)
-    _check_mode(mode)
+    check_mode(mode)
     new = book.copy()
     _ema_step(new, np.asarray(chosen, dtype=np.int64), vectors, mode)
     _require_finite(new.vectors)
@@ -591,7 +614,7 @@ def restart_dead_entries(
     Live entries are untouched. Returns (new book, replaced indices);
     with nothing dead, the new book is the input itself.
     """
-    _check_dead_threshold(dead_threshold)
+    check_dead_threshold(dead_threshold)
     if not (book.usage_counts >= dead_threshold).any():
         return book, []
     new = book.copy()
@@ -656,15 +679,12 @@ def init_rvq_stack(
         raise EmptyInput("initialization needs a T x D batch with T, D >= 1")
     if not np.isfinite(x).all():
         raise InvalidSample("initialization features hold NaN or inf")
+    check_layer_sizes(layer_sizes)
 
     rng = make_rng(seed, "init")
     residual = x.copy()
     layers = []
-    for layer, k in enumerate(layer_sizes):
-        if k <= 0:
-            raise InvalidConfig(f"layer {layer} size must be positive, got {k}")
-        if k >= 2**32:
-            raise InvalidConfig(f"layer {layer} size {k} does not fit the u32 RVQ1 stores")
+    for k in layer_sizes:
         picks = rng.choice(residual.shape[0], size=k, replace=residual.shape[0] < k)
         vectors = residual[picks]
         # fancy indexing copied the picks, so the in-place cascade step
@@ -802,8 +822,8 @@ def train_rvq(
     is not modified: training updates one private copy in place.
     """
     check_epochs(epochs)
-    _check_mode(mode)
-    _check_dead_threshold(dead_threshold)
+    check_mode(mode)
+    check_dead_threshold(dead_threshold)
     if len(corpus) == 0:
         raise EmptyInput("training corpus is empty")
     for seq in corpus:

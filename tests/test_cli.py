@@ -317,18 +317,53 @@ class TestTrainRvq:
         code, _, _ = run(capsys, "train-rvq", manifest, tmp_path / "o.rvq1")
         assert code == 4
 
-    def test_empty_feature_file(self, capsys, tmp_path, feature_corpus):
+    def test_empty_feature_file(self, capsys, tmp_path, monkeypatch, feature_corpus):
+        # named, and refused before initialization reads the rest of the corpus
         manifest, paths = feature_corpus
         empty = tmp_path / "empty.afv1"
         write_afv1(empty, np.zeros((0, 6)), 12.5)
         manifest.write_text(f"{paths[0]}\n{empty}\n")
         report = tmp_path / "report.jsonl"
-        code, lines, _ = run(
+        monkeypatch.setattr(cli, "init_rvq_stack", None)
+        code, lines, err = run(
             capsys, "train-rvq", manifest, tmp_path / "o.rvq1", "--report", report
         )
-        assert code == 4
-        assert lines == []
-        assert not report.exists() or "NaN" not in report.read_text()
+        assert (code, lines) == (4, [])
+        assert err == f"error: train-rvq: {empty} holds no feature rows\n"
+        assert not report.exists()
+
+    def test_sequences_are_views_of_the_matrix_init_reads(
+        self, capsys, tmp_path, monkeypatch, rng
+    ):
+        # the corpus is held once: each training sequence is its file's rows
+        # within the one float64 matrix that initialization reads
+        files = [rng.standard_normal((t, 6)).astype(np.float32) for t in (37, 5, 120, 1, 64)]
+        manifest = tmp_path / "corpus.txt"
+        with manifest.open("w") as fh:
+            for i, rows in enumerate(files):
+                write_afv1(tmp_path / f"f{i}.afv1", rows, 12.5)
+                fh.write(f"{tmp_path / f'f{i}.afv1'}\n")
+        seen = {}
+
+        def init(layer_sizes, features, **kwargs):
+            seen["features"] = features
+            return rvq.init_rvq_stack(layer_sizes, features, **kwargs)
+
+        def train(stack, corpus, *args, **kwargs):
+            seen["corpus"] = corpus
+            return rvq.train_rvq(stack, corpus, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "init_rvq_stack", init)
+        monkeypatch.setattr(cli, "train_rvq", train)
+        code, _, _ = run(capsys, "train-rvq", manifest, tmp_path / "o.rvq1", "--epochs", 1)
+        assert code == 0
+        features, corpus = seen["features"], seen["corpus"]
+        assert features.dtype == np.float64 and not features.flags.writeable
+        assert np.array_equal(features, np.concatenate(files))
+        assert len(corpus) == len(files)
+        for seq, rows in zip(corpus, files):
+            assert np.shares_memory(seq.vectors, features)
+            assert np.array_equal(seq.vectors, rows)
 
     def test_missing_feature_file(self, capsys, tmp_path):
         manifest = tmp_path / "corpus.txt"
@@ -637,6 +672,20 @@ class TestHostileInput:
         Path("corpus.txt").write_text("f.afv1\n")
         err = refused(capsys, argv, tmp_path / "out", 4, f"error: {argv[0]}: {message}")
         assert err.count("\n") == 1 and "NaN" not in err
+
+    @pytest.mark.parametrize("command", ["encode", "decode"])
+    def test_rvq1_value_that_cannot_be_a_codebook(self, capsys, tmp_path, trained, command):
+        # layer 1's ema_decay as NaN: bad data in the file, not a bad config
+        feats, books, _ = trained
+        data = bytearray(books.read_bytes())
+        struct.pack_into("<d", data, 8 + (24 + 8 * 6 * 4 + 8 * 8) + 8, float("nan"))
+        books.write_bytes(bytes(data))
+        write_atk1(tmp_path / "t.atk1", np.zeros((4, 2), dtype=np.int64), (8, 8))
+        (tmp_path / "out").mkdir()
+        tokens_or_features = feats if command == "encode" else tmp_path / "t.atk1"
+        argv = [command, tokens_or_features, books, tmp_path / "out" / "x"]
+        message = f"error: {command}: RVQ1 layer 1: ema_decay must be in [0, 1], got nan\n"
+        assert refused(capsys, argv, tmp_path / "out", 4, message) == message
 
     def test_oversize_rvq1_codebook(self, capsys, tmp_path, trained):
         feats, _, _ = trained
@@ -2049,15 +2098,53 @@ class TestHostileDocuments:
              "unstack factor must be >= 1, got 0"),
             (["mel", "ghost.wav", "o.afv1", "--stack", 0], "stack_factor must be >= 1, got 0"),
             (["train-rvq", "ghost.txt", "o.rvq1", "--epochs", -1], "epochs must be >= 0"),
+            *(
+                (["decode", "ghost.atk1", "ghost.rvq1", "r.afv1", *rate],
+                 f"AFV1 frame rate must be finite and positive, got {got}")
+                # the rate the AFV1 would get: --frame-rate x --unstack (8 by default)
+                for rate, got in [
+                    (["--frame-rate", "nan"], "nan"),
+                    (["--frame-rate", 0], "0.0"),
+                    (["--frame-rate", -5], "-40.0"),
+                    (["--frame-rate", 1e308, "--unstack", 8], "inf"),
+                ]
+            ),
         ],
-        ids=["decode-unstack", "mel-stack", "train-rvq-epochs"],
+        ids=["decode-unstack", "mel-stack", "train-rvq-epochs", "decode-rate-nan",
+             "decode-rate-0", "decode-rate-negative", "decode-rate-x-unstack-past-float64"],
     )
     def test_option_value_checked_before_any_file(self, capsys, tmp_path, monkeypatch, argv,
                                                   message):
         # inputs that are not there would exit 2 if one were opened first
         monkeypatch.chdir(tmp_path)
-        err = self.refused(capsys, argv, argv[1:-2], 3)
+        err = self.refused(capsys, argv, [], 3)
         assert err == f"error: {argv[0]}: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"mode": "bogus"}, "unknown EMA mode 'bogus'"),
+            ({"dead_threshold": 0}, "dead_threshold must be >= 1, got 0"),
+            ({"ema_decay": 2}, "ema_decay must be in [0, 1], got 2"),
+            ({"norm_beta": 1}, "norm_beta must be in [0, 1), got 1"),
+            ({"layer_sizes": []}, "stack needs at least one layer"),
+            ({"layer_sizes": [1024, 0]}, "layer 1 size must be positive, got 0"),
+            ({"layer_sizes": [1024, 2**32]},
+             "layer 1 size 4294967296 does not fit the u32 RVQ1 stores"),
+        ],
+        ids=["mode", "dead-threshold", "ema-decay", "norm-beta", "no-layers", "layer-size-0",
+             "layer-size-past-u32"],
+    )
+    def test_train_config_value_checked_before_any_file(self, capsys, tmp_path, monkeypatch,
+                                                        config, message):
+        # the library's own range checks, run before the manifest is opened
+        monkeypatch.chdir(tmp_path)
+        Path("cfg.json").write_text(json.dumps(config))
+        argv = ["train-rvq", "ghost.txt", "o.rvq1", "--config", "cfg.json"]
+        err = self.refused(capsys, argv, [], 3)
+        assert err == f"error: train-rvq: {message}\n"
+        assert os.listdir() == ["cfg.json"]
 
     @pytest.mark.parametrize(
         "tag, size", [("ITTS", 2**63), ("INTLV", 2**63 - 2)], ids=["itts", "intlv"]

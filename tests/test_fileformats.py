@@ -48,7 +48,7 @@ from rvqtok.fileformats import (
 )
 from rvqtok.mel import AudioBuffer
 from rvqtok.metrics import EvalRecord
-from rvqtok.rvq import Codebook, RvqStack
+from rvqtok.rvq import Codebook, RvqStack, init_rvq_stack
 from rvqtok.streams import (
     InterleavedStream,
     audio_segment,
@@ -668,10 +668,24 @@ def read_rvq1_bytes(data, tmp_dir):
     return read_rvq1(path)
 
 
+def hostile_rvq1(tmp_dir, layer, at, fmt, value):
+    """An RVQ1 of init_rvq_stack([8, 4], ...) on 3-d rows, with ``value``
+    packed as ``fmt`` at offset ``at`` of layer ``layer``: past its 24-byte
+    header (K, D, ema_decay, norm_beta) come its codewords, then its usage
+    counters."""
+    stack = init_rvq_stack([8, 4], np.arange(60.0).reshape(20, 3), seed=0)
+    path = tmp_dir / "valid.rvq1"
+    write_rvq1(path, stack)
+    data = bytearray(path.read_bytes())
+    struct.pack_into(fmt, data, 8 + layer * (24 + 8 * 3 * 4 + 8 * 8) + at, value)
+    return bytes(data)
+
+
 class TestRvq1Fuzz:
     """Hostile RVQ1 bytes raise toolkit errors and nothing else: a short
-    file is MalformedWire, and a header or value that cannot be a
-    codebook is one of the RvqtokError subclasses."""
+    file, or a layer value that cannot be a codebook, is MalformedWire,
+    and a flipped bit or header word is one of the RvqtokError
+    subclasses."""
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=40)
@@ -696,6 +710,36 @@ class TestRvq1Fuzz:
             read_rvq1_bytes(bytes(flipped), tmp_dir)
         except RvqtokError:
             pass
+
+    @pytest.mark.parametrize(
+        "layer, at, fmt, value, message",
+        [
+            (0, 8, "<d", float("nan"), "ema_decay must be in [0, 1], got nan"),
+            (0, 8, "<d", 2.0, "ema_decay must be in [0, 1], got 2.0"),
+            (1, 8, "<d", -0.5, "ema_decay must be in [0, 1], got -0.5"),
+            (0, 16, "<d", 1.0, "norm_beta must be in [0, 1), got 1.0"),
+            (0, 24, "<f", float("nan"), "codewords must be finite"),
+            (1, 24 + 4 * 3 * 4 - 4, "<f", float("inf"), "codewords must be finite"),
+            (0, 24 + 8 * 3 * 4, "<Q", 2**64 - 1, "usage_counts must be K non-negative"),
+            (1, 24 + 4 * 3 * 4 + 8 * 3, "<Q", 2**63, "usage_counts must be K non-negative"),
+        ],
+        ids=["decay-nan", "decay-2", "decay-negative-layer-1", "beta-1", "codeword-nan",
+             "codeword-inf-layer-1", "usage-max", "usage-2**63-layer-1"],
+    )
+    def test_values_that_cannot_be_a_codebook(self, tmp_path, layer, at, fmt, value, message):
+        data = hostile_rvq1(tmp_path, layer, at, fmt, value)
+        with pytest.raises(MalformedWire) as exc:
+            read_rvq1_bytes(data, tmp_path)
+        assert str(exc.value).startswith(f"RVQ1 layer {layer}: {message}")
+
+    def test_layers_of_different_widths(self, tmp_path):
+        def layer(k, d):
+            return struct.pack("<IIdd", k, d, 0.99, 0.0) + bytes(4 * k * d + 8 * k)
+
+        data = struct.pack("<4sI", RVQ1_MAGIC, 3) + layer(2, 3) + layer(2, 3) + layer(1, 5)
+        with pytest.raises(MalformedWire) as exc:
+            read_rvq1_bytes(data, tmp_path)
+        assert str(exc.value) == "RVQ1 layer 2: layers disagree on dimension: [3, 5]"
 
     @given(seed=st.integers(0, 10_000), data=st.data())
     @settings(max_examples=150)
