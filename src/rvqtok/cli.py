@@ -85,14 +85,10 @@ from .streams import build_loss_mask  # noqa: F401
 # Unused by pack (records hold no switch ids); perfbench serializes with it.
 DEFAULT_SPECIAL = SpecialTokens(switch_ta=256, switch_at=257)
 
-# Frames per decode block; decode_frames treats each frame alone, so the
-# size bounds memory and changes no byte.
-_DECODE_ROWS = 1024
-
-# pack reads ATK1 frames in blocks of _ATK1_BLOCK, each from a multiple
-# of it, and holds the blocks it used last, up to _ATK1_HELD frames over
-# every ATK1 (5.8 audio-hours at 12.5 Hz; 8 MB at 8 layers). Both bound
-# memory and change no byte.
+# decode and pack read ATK1 frames in blocks of _ATK1_BLOCK; pack reads
+# each from a multiple of it, and holds the blocks it used last, up to
+# _ATK1_HELD frames over every ATK1 (5.8 audio-hours at 12.5 Hz; 8 MB at
+# 8 layers). Both bound memory and change no byte.
 _ATK1_BLOCK = 1024
 _ATK1_HELD = 1 << 18
 
@@ -148,7 +144,7 @@ def cmd_mel(args) -> int:
             raise EmptyInput(f"{n_frames} mel frames, too few to stack {args.stack}")
         dim = args.stack * cfg.n_mels
         frame_rate = cfg.frame_rate / args.stack
-        with ff.afv1_writer(args.output, n_vectors, dim, frame_rate, [args.input]) as write:
+        with ff.afv1_writer(args.output, dim, frame_rate, [args.input]) as write:
             for block in blocks:
                 # blocks start on stack groups; only the last can end inside one
                 whole = len(block) // args.stack * args.stack
@@ -264,7 +260,7 @@ def cmd_encode(args) -> int:
         if dim != stack.dim:
             raise ShapeMismatch(f"feature dim {dim} != codebook dim {stack.dim}")
         inputs = [args.features, args.codebooks]
-        with ff.atk1_writer(args.output, rows.n_rows, stack.layer_sizes, inputs) as write:
+        with ff.atk1_writer(args.output, stack.layer_sizes, inputs) as write:
             for indices in encode_rows(stack, rows.n_rows, rows.read, args.threads):
                 write(indices)
     _emit({"frames": rows.n_rows, "seed": args.seed})
@@ -282,35 +278,38 @@ def cmd_decode(args) -> int:
     if args.unstack < 1:
         raise InvalidConfig(f"unstack factor must be >= 1, got {args.unstack}")
     rate = args.frame_rate * args.unstack
-    ff.check_frame_rate(rate)
-    frames, sizes = ff.read_atk1(args.tokens)
-    stack = ff.read_rvq1(args.codebooks)
-    if sizes != stack.layer_sizes:
-        raise ShapeMismatch(
-            f"token layer sizes {sizes} != codebook sizes {stack.layer_sizes}"
-        )
-    past = _past_sizes(frames, sizes)
-    if past is not None:
-        # only a whole end-of-audio frame, every index at its layer size, is skipped
-        eoa = (frames == sizes).all(axis=1)
-        bad = past & ~eoa
-        if bad.any():
-            raise MalformedWire(
-                f"frame {bad.argmax()} of {args.tokens} holds an index past its "
-                f"layer sizes {sizes}"
-            )
-        print(f"skipped {int(eoa.sum())} end-of-audio frames", file=sys.stderr)
-        frames = frames[~eoa]
-    if stack.dim % args.unstack:
-        raise ShapeMismatch(
-            f"dim {stack.dim} not divisible by unstack factor {args.unstack}"
-        )
-    dim = stack.dim // args.unstack
-    n_rows = len(frames) * args.unstack
-    with ff.afv1_writer(args.output, n_rows, dim, rate, [args.tokens, args.codebooks]) as write:
-        for start in range(0, len(frames), _DECODE_ROWS):
-            write(decode_frames(stack, frames[start : start + _DECODE_ROWS]).reshape(-1, dim))
-    _emit({"frames": n_rows, "seed": args.seed})
+    try:
+        ff.check_frame_rate(rate)
+    except InvalidConfig as exc:
+        raise InvalidConfig(
+            f"--frame-rate {args.frame_rate} x --unstack {args.unstack}: {exc}"
+        ) from exc
+    with ff.open_atk1(args.tokens) as (sizes, frames):
+        stack = ff.read_rvq1(args.codebooks)
+        if sizes != stack.layer_sizes:
+            raise ShapeMismatch(f"token layer sizes {sizes} != codebook sizes {stack.layer_sizes}")
+        if stack.dim % args.unstack:
+            raise ShapeMismatch(f"dim {stack.dim} not divisible by unstack factor {args.unstack}")
+        dim = stack.dim // args.unstack
+        n_eoa = 0
+        with ff.afv1_writer(args.output, dim, rate, [args.tokens, args.codebooks]) as write:
+            for start in range(0, frames.n_rows, _ATK1_BLOCK):
+                block = frames.read(start, min(start + _ATK1_BLOCK, frames.n_rows))
+                if (past := _past_sizes(block, sizes)) is not None:
+                    # only a whole end-of-audio frame, every index at its layer size, is skipped
+                    eoa = (block == sizes).all(axis=1)
+                    bad = past & ~eoa
+                    if bad.any():
+                        raise MalformedWire(
+                            f"frame {start + bad.argmax()} of {args.tokens} holds an index "
+                            f"past its layer sizes {sizes}"
+                        )
+                    n_eoa += int(eoa.sum())
+                    block = block[~eoa]
+                write(decode_frames(stack, block).reshape(-1, dim))
+    if n_eoa:
+        print(f"skipped {n_eoa} end-of-audio frames", file=sys.stderr)
+    _emit({"frames": (frames.n_rows - n_eoa) * args.unstack, "seed": args.seed})
     return 0
 
 

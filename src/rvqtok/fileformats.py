@@ -15,11 +15,12 @@ the same bytes. Every file is written through ``staged``: into a
 temporary file beside it, which replaces it only once the block that
 writes it succeeds, so a failed write leaves no output and an existing
 file untouched. A command stages all of its outputs in one block.
-``afv1_writer`` and ``atk1_writer`` take the header's T up front and rows
-block by block. ``open_afv1`` and ``open_atk1`` parse a header and
-hand out the body as ``Rows``, read by row range from a file, or in
-order from a pipe, a block at a time. ``read_rvq1`` returns the
-codewords as the read-only float32 array they are stored as.
+``afv1_writer`` and ``atk1_writer`` take rows block by block, count
+them, and write the header's T once the block ends. ``open_afv1`` and
+``open_atk1`` parse a header and hand out the body as ``Rows``, read by
+row range from a file, or in order from a pipe, a block at a time.
+``read_rvq1`` returns the codewords as the read-only float32 array they
+are stored as.
 WAV and raw float32 audio open as a ``SampleSource`` whose samples are
 read by range, never all at once. JSON sidecars: interleaved records,
 eval records, and manifests as JSON-lines; stats as a single object.
@@ -189,25 +190,26 @@ def staged(*paths, inputs=()):
 
 
 @contextlib.contextmanager
-def _staged_rows(path, header: bytes, n_rows: int, rows, what: str, inputs):
+def _staged_rows(path, header, rows, what: str, inputs):
     """Yield ``write(block)``: rows(block) checks a block and returns it as
-    a 2-D array in file byte order, whose bytes follow the header in the
-    staged ``path``; a row count other than n_rows is ShapeMismatch."""
+    a 2-D array in file byte order, whose bytes follow header(0) in the
+    staged ``path``; header(n), the header for n rows, is written over it
+    once the block ends. n rows of 2**32 or more are ShapeMismatch."""
     written = 0
 
     def write(block) -> None:
         nonlocal written
         arr = rows(block)
-        if written + len(arr) > n_rows:
-            raise ShapeMismatch(f"{written + len(arr)} {what} rows, more than {n_rows}")
+        if written + len(arr) >= 2**32:
+            raise ShapeMismatch(f"{written + len(arr)} {what} rows do not fit the u32 T")
         fh.write(arr.tobytes())
         written += len(arr)
 
     with staged(path, inputs=inputs) as [tmp], open(tmp, "wb") as fh:
-        fh.write(header)
+        fh.write(header(0))
         yield write
-        if written != n_rows:
-            raise ShapeMismatch(f"{written} of {n_rows} {what} rows written")
+        fh.seek(0)
+        fh.write(header(written))
 
 
 @contextlib.contextmanager
@@ -234,29 +236,30 @@ def check_frame_rate(frame_rate: float) -> None:
         raise InvalidConfig(f"AFV1 frame rate must be finite and positive, got {frame_rate}")
 
 
-def afv1_writer(path, n_rows: int, dim: int, frame_rate: float, inputs=()):
+def afv1_writer(path, dim: int, frame_rate: float, inputs=()):
     """Context manager yielding ``write(rows)``, which appends (k, dim)
-    rows to an AFV1 of n_rows rows; ``path`` appears only once exactly
-    n_rows are written, and must not be one of ``inputs``."""
+    rows to an AFV1; ``path`` appears only once the block ends, and must
+    not be one of ``inputs``."""
 
     def rows(block) -> np.ndarray:
         arr = np.ascontiguousarray(block, dtype="<f4")
         if arr.ndim != 2 or arr.shape[1] != dim:
-            raise ShapeMismatch(f"rows of shape {arr.shape} do not fit {n_rows} x {dim}")
+            raise ShapeMismatch(f"rows of shape {arr.shape} do not fit T x {dim}")
         return arr
 
-    if not (0 <= n_rows < 2**32 and 0 < dim < 2**32):
-        raise ShapeMismatch(f"AFV1 stores rows and a dim of 1 or more as u32, got {n_rows} x {dim}")
+    if not 0 < dim < 2**32:
+        raise ShapeMismatch(f"AFV1 stores a dim of 1 or more as u32, got {dim}")
     check_frame_rate(frame_rate)
-    header = struct.pack("<4sIId", AFV1_MAGIC, n_rows, dim, frame_rate)
-    return _staged_rows(path, header, n_rows, rows, "AFV1", inputs)
+    return _staged_rows(
+        path, lambda n: struct.pack("<4sIId", AFV1_MAGIC, n, dim, frame_rate), rows, "AFV1", inputs
+    )
 
 
 def write_afv1(path, vectors: np.ndarray, frame_rate: float) -> None:
     arr = np.ascontiguousarray(vectors, dtype="<f4")
     if arr.ndim != 2:
         raise ShapeMismatch(f"feature matrix must be T x D, got {arr.shape}")
-    with afv1_writer(path, arr.shape[0], arr.shape[1], frame_rate) as write:
+    with afv1_writer(path, arr.shape[1], frame_rate) as write:
         write(arr)
 
 
@@ -283,11 +286,10 @@ def read_afv1(path) -> tuple[np.ndarray, float]:
 
 # ---------------------------------------------------------------- ATK1
 
-def atk1_writer(path, n_frames: int, layer_sizes, inputs=()):
+def atk1_writer(path, layer_sizes, inputs=()):
     """Context manager yielding ``write(frames)``, which appends (k, L)
-    indices to an ATK1 of n_frames frames; ``path`` appears only once
-    exactly n_frames are written, and must not be one of ``inputs``.
-    ShapeMismatch unless a block is k x L,
+    indices to an ATK1; ``path`` appears only once the block ends, and
+    must not be one of ``inputs``. ShapeMismatch unless a block is k x L,
     IndexOutOfRange for an index that is negative or does not fit u32
     (>= 2**32)."""
     sizes = tuple(int(k) for k in layer_sizes)
@@ -302,16 +304,15 @@ def atk1_writer(path, n_frames: int, layer_sizes, inputs=()):
             raise IndexOutOfRange("ATK1 indices must be integers in [0, 2**32)")
         return arr.astype("<u4")
 
-    header = struct.pack(f"<4sI{len(sizes)}II", ATK1_MAGIC, len(sizes), *sizes, n_frames)
-    return _staged_rows(path, header, n_frames, rows, "ATK1", inputs)
+    head = struct.pack(f"<4sI{len(sizes)}I", ATK1_MAGIC, len(sizes), *sizes)
+    return _staged_rows(path, lambda n: head + struct.pack("<I", n), rows, "ATK1", inputs)
 
 
 def write_atk1(path, frames: np.ndarray, layer_sizes) -> None:
     """Write (T, L) indices; InvalidConfig without layer sizes, and the
     checks of ``atk1_writer``."""
-    arr = np.asarray(frames)
-    with atk1_writer(path, arr.shape[0] if arr.ndim == 2 else 0, layer_sizes) as write:
-        write(arr)
+    with atk1_writer(path, layer_sizes) as write:
+        write(frames)
 
 
 @contextlib.contextmanager
@@ -362,6 +363,8 @@ def read_rvq1(path) -> RvqStack:
             )
             if d == 0:
                 raise MalformedWire("RVQ1 layer with zero-width codewords")
+            if k == 0:
+                raise MalformedWire(f"RVQ1 layer {layer}: no codewords")
             vec = np.frombuffer(
                 _read_exact(fh, 4 * k * d, "RVQ1 codewords"), dtype="<f4"
             ).reshape(k, d)

@@ -519,6 +519,17 @@ class TestEncodeDecode:
 HUGE = 2**32 - 1
 
 
+def nan_decay_in_layer_1(data: bytes) -> bytes:
+    """The ``trained`` fixture's RVQ1 with layer 1's ema_decay as NaN."""
+    data = bytearray(data)
+    struct.pack_into("<d", data, 8 + (24 + 8 * 6 * 4 + 8 * 8) + 8, float("nan"))
+    return bytes(data)
+
+
+# an RVQ1 whose one layer holds K = 0 codewords of D = 6, which no writer makes
+ONE_LAYER_OF_NO_CODEWORDS = struct.pack("<4sI", b"RVQ1", 1) + struct.pack("<IIdd", 0, 6, 0.99, 0.0)
+
+
 class TestHostileInput:
     """Bad input exits 4 through the CLI's error handling, not a traceback."""
 
@@ -559,7 +570,7 @@ class TestHostileInput:
             (struct.pack("<4sIId", b"AFV1", HUGE, HUGE, 12.5),
              ["train-rvq", "pipes.txt", "x.rvq1"], "AFV1 body"),
             (struct.pack("<4sIIII", b"ATK1", 2, 8, 8, HUGE),
-             ["decode", "pipe", "books", "x.afv1"], "ATK1 frames"),
+             ["decode", "pipe", "books", "x.afv1", "--unstack", "1"], "ATK1 frames"),
             (struct.pack("<4sIIII", b"ATK1", 2, 8, 8, HUGE),
              ["pack", "pipes.jsonl", "x.jsonl"], "ATK1 frames"),
             (struct.pack("<4sI", b"ATK1", HUGE),
@@ -579,8 +590,9 @@ class TestHostileInput:
             (outs / "pipes.txt").write_text(f"{fifo}\n")
             row = {"text": "a", "atk1_path": str(fifo), "frame_range": [0, 2], "duration_s": 1.0}
             (outs / "pipes.jsonl").write_text(json.dumps(row) + "\n")
+            # names with a dot are files in outs; options and their values pass as they are
             paths = {"feats": feats, "books": books, "pipe": fifo}
-            argv = [argv[0], *(paths.get(a, outs / a) for a in argv[1:])]
+            argv = [argv[0], *(outs / a if "." in a else paths.get(a, a) for a in argv[1:])]
             refused(capsys, argv, outs, 4, f"error: {argv[0]}: truncated file while reading {what}")
 
     def test_wav_through_a_pipe(self, capsys, tmp_path):
@@ -673,18 +685,25 @@ class TestHostileInput:
         err = refused(capsys, argv, tmp_path / "out", 4, f"error: {argv[0]}: {message}")
         assert err.count("\n") == 1 and "NaN" not in err
 
-    @pytest.mark.parametrize("command", ["encode", "decode"])
-    def test_rvq1_value_that_cannot_be_a_codebook(self, capsys, tmp_path, trained, command):
-        # layer 1's ema_decay as NaN: bad data in the file, not a bad config
+    @pytest.mark.parametrize(
+        "command, edit, message",
+        [
+            ("encode", nan_decay_in_layer_1, "RVQ1 layer 1: ema_decay must be in [0, 1], got nan"),
+            ("decode", nan_decay_in_layer_1, "RVQ1 layer 1: ema_decay must be in [0, 1], got nan"),
+            ("encode", lambda _: ONE_LAYER_OF_NO_CODEWORDS, "RVQ1 layer 0: no codewords"),
+        ],
+        ids=["encode", "decode", "encode-k-0"],
+    )
+    def test_rvq1_value_that_cannot_be_a_codebook(self, capsys, tmp_path, trained, command,
+                                                  edit, message):
+        # bad data in the file, not a bad config
         feats, books, _ = trained
-        data = bytearray(books.read_bytes())
-        struct.pack_into("<d", data, 8 + (24 + 8 * 6 * 4 + 8 * 8) + 8, float("nan"))
-        books.write_bytes(bytes(data))
+        books.write_bytes(edit(books.read_bytes()))
         write_atk1(tmp_path / "t.atk1", np.zeros((4, 2), dtype=np.int64), (8, 8))
         (tmp_path / "out").mkdir()
         tokens_or_features = feats if command == "encode" else tmp_path / "t.atk1"
         argv = [command, tokens_or_features, books, tmp_path / "out" / "x"]
-        message = f"error: {command}: RVQ1 layer 1: ema_decay must be in [0, 1], got nan\n"
+        message = f"error: {command}: {message}\n"
         assert refused(capsys, argv, tmp_path / "out", 4, message) == message
 
     def test_oversize_rvq1_codebook(self, capsys, tmp_path, trained):
@@ -700,13 +719,13 @@ class TestHostileInput:
 
 class TestStreamedEncodeDecode:
     """encode streams rows in rvq._ROW_CHUNK blocks and decode in
-    cli._DECODE_ROWS blocks; at 7 rows a block, the 40 fixture vectors
+    cli._ATK1_BLOCK blocks; at 7 rows a block, the 40 fixture vectors
     span 6 blocks."""
 
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):
         monkeypatch.setattr(rvq, "_ROW_CHUNK", 7)
-        monkeypatch.setattr(cli, "_DECODE_ROWS", 7)
+        monkeypatch.setattr(cli, "_ATK1_BLOCK", 7)
 
     def test_encode_equals_encode_frames(self, capsys, tmp_path, trained):
         feats, books, _ = trained
@@ -729,6 +748,47 @@ class TestStreamedEncodeDecode:
         assert (code, lines[-1]["frames"]) == (0, 28 * unstack)
         want = decode_frames(read_rvq1(books), np.delete(frames, [3, 17], axis=0))
         assert np.array_equal(read_afv1(out)[0], want.reshape(-1, 6 // unstack).astype(np.float32))
+
+    @pytest.mark.parametrize("pipe", [False, True], ids=["file", "pipe"])
+    def test_decode_skips_eoa_across_blocks(self, capsys, tmp_path, monkeypatch, trained, rng,
+                                            pipe):
+        # blocks of 4: end-of-audio frames in the first block, all of the
+        # third, and the last, which is short
+        monkeypatch.setattr(cli, "_ATK1_BLOCK", 4)
+        _, books, _ = trained
+        frames = rng.integers(0, 8, size=(18, 2))
+        eoa = [1, 8, 9, 10, 11, 17]
+        frames[eoa] = eoa_frame((8, 8))
+        tokens, want, out = tmp_path / "x.atk1", tmp_path / "want.afv1", tmp_path / "r.afv1"
+        write_atk1(tokens, frames, (8, 8))
+        write_afv1(want, decode_frames(read_rvq1(books), np.delete(frames, eoa, axis=0)), 12.5)
+        source = (
+            atk1_pipe(tmp_path, tokens.read_bytes()) if pipe else contextlib.nullcontext(tokens)
+        )
+        with source as path:
+            code, lines, err = run(capsys, "decode", path, books, out, "--unstack", 1)
+        assert (code, lines[-1]["frames"], err) == (0, 12, "skipped 6 end-of-audio frames\n")
+        assert out.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("pipe", [False, True], ids=["file", "pipe"])
+    def test_decode_names_bad_frame_in_third_block(self, capsys, tmp_path, monkeypatch, trained,
+                                                   pipe):
+        # frames are numbered in the file, skipped end-of-audio frames counted
+        monkeypatch.setattr(cli, "_ATK1_BLOCK", 4)
+        _, books, _ = trained
+        frames = np.zeros((18, 2), dtype=np.int64)
+        frames[[1, 4]] = eoa_frame((8, 8))
+        frames[10] = (8, 3)
+        tokens, outs = tmp_path / "x.atk1", tmp_path / "out"
+        write_atk1(tokens, frames, (8, 8))
+        outs.mkdir()
+        source = (
+            atk1_pipe(tmp_path, tokens.read_bytes()) if pipe else contextlib.nullcontext(tokens)
+        )
+        with source as path:
+            argv = ["decode", path, books, outs / "r.afv1", "--unstack", 1]
+            message = f"error: decode: frame 10 of {path} holds an index past its layer sizes"
+            assert refused(capsys, argv, outs, 4, message) == message + " (8, 8)\n"
 
     def test_nan_in_last_block(self, capsys, tmp_path, trained):
         feats, books, _ = trained
@@ -882,39 +942,35 @@ def test_mel_memory_does_not_grow_with_clip_length(tmp_path):
     assert long - short < 20, f"peak RSS {short:.1f} MB at 2 min, {long:.1f} MB at 8 min"
 
 
-@pytest.fixture(scope="module")
-def long_features(tmp_path_factory):
-    """Codebooks and 640-d features for 2 and 8 min at 12.5 Hz, with their
-    tokens: {minutes: (AFV1, ATK1)} and the RVQ1 path."""
-    tmp = tmp_path_factory.mktemp("long")
+@linux_only
+def test_encode_memory_does_not_grow_with_length(tmp_path):
+    # codebooks and 640-d features for 2 and 8 min at 12.5 Hz
     rng = np.random.Generator(np.random.PCG64(8))
-    books = tmp / "books.rvq1"
+    books = tmp_path / "books.rvq1"
     write_rvq1(books, RvqStack([Codebook(rng.standard_normal((256, 640))) for _ in range(2)]))
-    paths = {}
+    peaks = []
     for minutes in (2, 8):
-        feats, tokens = tmp / f"{minutes}min.afv1", tmp / f"{minutes}min.atk1"
+        feats = tmp_path / f"{minutes}min.afv1"
         write_afv1(feats, rng.standard_normal((minutes * 750, 640)), 12.5)
-        write_atk1(tokens, rng.integers(0, 256, size=(minutes * 750, 2)), (256, 256))
-        paths[minutes] = feats, tokens
-    return paths, books
-
-
-@linux_only
-def test_encode_memory_does_not_grow_with_length(tmp_path, long_features):
-    paths, books = long_features
-    short, long = (
-        cli_peak_rss_mb("encode", paths[m][0], books, tmp_path / "x.atk1") for m in (2, 8)
-    )
+        peaks.append(cli_peak_rss_mb("encode", feats, books, tmp_path / "x.atk1"))
+    short, long = peaks
     assert long - short < 20, f"peak RSS {short:.1f} MB at 2 min, {long:.1f} MB at 8 min"
 
 
 @linux_only
-def test_decode_memory_does_not_grow_with_length(tmp_path, long_features):
-    paths, books = long_features
-    short, long = (
-        cli_peak_rss_mb("decode", paths[m][1], books, tmp_path / "x.afv1") for m in (2, 8)
-    )
-    assert long - short < 20, f"peak RSS {short:.1f} MB at 2 min, {long:.1f} MB at 8 min"
+def test_decode_memory_does_not_grow_with_length(tmp_path):
+    # two layers of four 2-d codewords, so the tokens outweigh the books:
+    # 2M frames are 16 MB as stored and 32 MB as int64
+    rng = np.random.Generator(np.random.PCG64(8))
+    books = tmp_path / "books.rvq1"
+    write_rvq1(books, RvqStack([Codebook(rng.standard_normal((4, 2))) for _ in range(2)]))
+    peaks = []
+    for n in (200_000, 2_000_000):
+        tokens = tmp_path / f"{n}.atk1"
+        write_atk1(tokens, rng.integers(0, 4, size=(n, 2)), (4, 4))
+        peaks.append(cli_peak_rss_mb("decode", tokens, books, tmp_path / "x.afv1", "--unstack", 1))
+    short, long = peaks
+    assert long - short < 20, f"peak RSS {short:.1f} MB at 0.2M frames, {long:.1f} MB at 2M"
 
 
 @linux_only
@@ -2099,14 +2155,15 @@ class TestHostileDocuments:
             (["mel", "ghost.wav", "o.afv1", "--stack", 0], "stack_factor must be >= 1, got 0"),
             (["train-rvq", "ghost.txt", "o.rvq1", "--epochs", -1], "epochs must be >= 0"),
             *(
-                (["decode", "ghost.atk1", "ghost.rvq1", "r.afv1", *rate],
+                (["decode", "ghost.atk1", "ghost.rvq1", "r.afv1", "--frame-rate", rate, *unstack],
+                 f"--frame-rate {typed} x --unstack 8: "
                  f"AFV1 frame rate must be finite and positive, got {got}")
                 # the rate the AFV1 would get: --frame-rate x --unstack (8 by default)
-                for rate, got in [
-                    (["--frame-rate", "nan"], "nan"),
-                    (["--frame-rate", 0], "0.0"),
-                    (["--frame-rate", -5], "-40.0"),
-                    (["--frame-rate", 1e308, "--unstack", 8], "inf"),
+                for rate, unstack, typed, got in [
+                    ("nan", [], "nan", "nan"),
+                    (0, [], "0.0", "0.0"),
+                    (-5, [], "-5.0", "-40.0"),
+                    (1e308, ["--unstack", 8], "1e+308", "inf"),
                 ]
             ),
         ],
