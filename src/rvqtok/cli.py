@@ -25,9 +25,8 @@ allocate (a huge n_fft or layer size).
 from __future__ import annotations
 
 import argparse
-import collections
 import contextlib
-import itertools
+import functools
 import json
 import math
 import shlex
@@ -86,9 +85,10 @@ from .streams import build_loss_mask  # noqa: F401
 DEFAULT_SPECIAL = SpecialTokens(switch_ta=256, switch_at=257)
 
 # decode and pack read ATK1 frames in blocks of _ATK1_BLOCK; pack reads
-# each from a multiple of it, and holds the blocks it used last, up to
-# _ATK1_HELD frames over every ATK1 (5.8 audio-hours at 12.5 Hz; 8 MB at
-# 8 layers). Both bound memory and change no byte.
+# each from a multiple of it, and holds the _ATK1_HELD // _ATK1_BLOCK
+# (256) blocks and, apart, the 256 ATK1 headers it used last: 2^18 frames
+# of full blocks (5.8 audio-hours at 12.5 Hz; 8 MB at 8 layers). Both
+# bound memory and change no byte.
 _ATK1_BLOCK = 1024
 _ATK1_HELD = 1 << 18
 
@@ -318,29 +318,37 @@ def _pack_pairs(rows, outputs):
     manifest row. Its frames are a read-only uint32 slice of the ATK1
     blocks that hold its range, or their concatenation; a block is checked
     once, when read. Rows that go back, or move between ATK1 files, read
-    again only the blocks no longer held. An ATK1 that cannot seek, such
-    as a pipe, is one block, read when first opened and held to the end.
-    An ATK1 that is one of ``outputs`` is refused when first opened."""
+    again only the headers and blocks no longer held. An ATK1 that cannot
+    seek, such as a pipe, is one block, read when first opened and held to
+    the end. An ATK1 that is one of ``outputs`` is refused when opened."""
+    pipes = {}  # path -> header of an ATK1 that cannot seek
+    n_held = max(_ATK1_HELD // _ATK1_BLOCK, 1)  # entries in each cache
+
+    @functools.lru_cache(n_held)
+    def header(path):
+        """(layer sizes, frame count, its one block if it cannot seek)"""
+        with ff.open_atk1(path) as (sizes, atk1):
+            ff.check_not_inputs(outputs, [path])
+            if atk1.seekable:
+                return sizes, atk1.n_rows, None
+            frames = atk1.read(0, atk1.n_rows)
+            pipes[path] = sizes, atk1.n_rows, (frames, _past_sizes(frames, sizes))
+            return pipes[path]
+
+    @functools.lru_cache(n_held)
+    def block(path, first):
+        """The frames from first, and their _past_sizes mask."""
+        with ff.open_atk1(path) as (sizes, atk1):
+            frames = atk1.read(first, min(first + _ATK1_BLOCK, atk1.n_rows))
+        return frames, _past_sizes(frames, sizes)
+
     sizes = None
-    opened = {}  # path -> (frame count, its one block if it cannot seek)
-    held = collections.OrderedDict()  # (path, first frame) -> (frames, mask), oldest first
-    held_frames = 0
     for row in rows:
         path, where = row["atk1_path"], f"manifest line {row['line_no']}"
-        if path not in opened:
-            with ff.open_atk1(path) as (atk1_sizes, atk1):
-                ff.check_not_inputs(outputs, [path])
-                sizes = sizes or atk1_sizes
-                if atk1_sizes != sizes:
-                    raise MalformedWire(
-                        f"{where}: ATK1 {path} has layer sizes {atk1_sizes}, not {sizes}"
-                    )
-                whole = None
-                if not atk1.seekable:
-                    frames = atk1.read(0, atk1.n_rows)
-                    whole = frames, _past_sizes(frames, sizes)
-                opened[path] = atk1.n_rows, whole
-        n_frames, whole = opened[path]
+        atk1_sizes, n_frames, whole = pipes.get(path) or header(path)
+        sizes = sizes or atk1_sizes
+        if atk1_sizes != sizes:
+            raise MalformedWire(f"{where}: ATK1 {path} has layer sizes {atk1_sizes}, not {sizes}")
         start, end = row["frame_range"]
         if not 0 <= start < end <= n_frames:
             raise MalformedWire(
@@ -348,17 +356,7 @@ def _pack_pairs(rows, outputs):
             )
         parts = []
         for first in [0] if whole else range(start - start % _ATK1_BLOCK, end, _ATK1_BLOCK):
-            block = whole or held.pop((path, first), None)
-            if block is None:
-                with ff.open_atk1(path) as (_, atk1):
-                    frames = atk1.read(first, min(first + _ATK1_BLOCK, n_frames))
-                block = frames, _past_sizes(frames, sizes)
-                held_frames += len(frames)
-            if not whole:
-                held[path, first] = block
-                while held_frames > _ATK1_HELD and len(held) > 1:
-                    held_frames -= len(held.popitem(last=False)[1][0])
-            frames, mask = block
+            frames, mask = whole or block(path, first)
             lo, hi = max(start - first, 0), end - first
             if mask is not None and mask[lo:hi].any():
                 raise MalformedWire(
@@ -376,14 +374,14 @@ def _pack_groups(pairs, tag: str, group_size: int):
     pairs, so a last pair on its own folds into the group before it: INTLV
     reads two pairs past a group before it yields the group."""
     ahead = 2 if tag == "INTLV" else 0
-    pairs = iter(pairs)
-    held = list(itertools.islice(pairs, group_size + ahead))
-    while held:
-        if len(held) == group_size + 1:
-            yield held
-            return
-        yield held[:group_size]
-        held = held[group_size:] + list(itertools.islice(pairs, group_size))
+    held = []
+    for pair in pairs:
+        held.append(pair)
+        if len(held) == group_size + ahead:
+            yield held[:group_size]
+            held = held[group_size:]
+    if held:
+        yield held
 
 
 def cmd_pack(args) -> int:
@@ -393,8 +391,6 @@ def cmd_pack(args) -> int:
         raise InvalidConfig(
             f"group size must be >= {least} for {args.format_tag}, got {args.group_size}"
         )
-    if args.group_size > sys.maxsize - 2:  # islice's bound, less INTLV's two pairs ahead
-        raise InvalidConfig(f"group size must be <= {sys.maxsize - 2}, got {args.group_size}")
     build = build_itts if args.format_tag == "ITTS" else build_intlv
     stats_path = args.stats or args.output + ".stats.json"
     outputs = (args.output, stats_path)

@@ -289,12 +289,15 @@ def read_afv1(path) -> tuple[np.ndarray, float]:
 def atk1_writer(path, layer_sizes, inputs=()):
     """Context manager yielding ``write(frames)``, which appends (k, L)
     indices to an ATK1; ``path`` appears only once the block ends, and
-    must not be one of ``inputs``. ShapeMismatch unless a block is k x L,
-    IndexOutOfRange for an index that is negative or does not fit u32
-    (>= 2**32)."""
+    must not be one of ``inputs``. InvalidConfig for a layer size outside
+    [0, 2**32), ShapeMismatch unless a block is k x L, IndexOutOfRange for
+    an index that is negative or does not fit u32 (>= 2**32)."""
     sizes = tuple(int(k) for k in layer_sizes)
     if not sizes:
         raise InvalidConfig("layer sizes must be non-empty")
+    for layer, k in enumerate(sizes):
+        if not 0 <= k < 2**32:
+            raise InvalidConfig(f"ATK1 layer {layer} size {k} is outside the u32 range [0, 2**32)")
 
     def rows(frames) -> np.ndarray:
         arr = np.asarray(frames)

@@ -994,6 +994,27 @@ def test_pack_memory_does_not_grow_with_manifest(tmp_path):
     assert long - short < 20, f"peak RSS {short:.1f} MB at 1x, {long:.1f} MB at 4x"
 
 
+@linux_only
+def test_pack_memory_does_not_grow_with_atk1_files(tmp_path):
+    # one 12-frame ATK1 per row, 8 layers; each file's bytes written directly
+    head = struct.pack("<4sI8II", b"ATK1", 8, *(256,) * 8, 12)
+    body = np.arange(96, dtype="<u4").tobytes()
+    peaks = []
+    for n in (1000, 9000):
+        folder = tmp_path / str(n)
+        folder.mkdir()
+        manifest = folder / "manifest.jsonl"
+        with manifest.open("w") as fh:
+            for i in range(n):
+                atk1 = folder / f"{i}.atk1"
+                atk1.write_bytes(head + body)
+                fh.write(json.dumps({"text": f"Clip {i}.", "atk1_path": str(atk1),
+                                     "frame_range": [0, 12], "duration_s": 0.96}) + "\n")
+        peaks.append(cli_peak_rss_mb("pack", manifest, folder / "records.jsonl"))
+    few, many = peaks
+    assert many - few < 3, f"peak RSS {few:.1f} MB at 1,000 files, {many:.1f} MB at 9,000"
+
+
 def _address_space_cap():
     """preexec_fn: cap the child's address space at 3 GiB (this process
     keeps its own limit)."""
@@ -1302,6 +1323,31 @@ def block_rows(a, b):
     }
 
 
+def reference_groups(pairs, tag, group_size):
+    """pairs cut group_size at a time; for INTLV, a last pair on its own
+    joins the group before it."""
+    groups = [pairs[i : i + group_size] for i in range(0, len(pairs), group_size)]
+    if tag == "INTLV" and len(groups) > 1 and len(groups[-1]) == 1:
+        last = groups.pop()
+        groups[-1] += last
+    return groups
+
+
+@pytest.mark.parametrize("tag", ["ITTS", "INTLV"])
+def test_pack_groups_match_reference(tag):
+    # each group is yielded once the pairs it waits for are read: its own
+    # and, for INTLV, the two after it (or the end of the pairs)
+    ahead = 2 if tag == "INTLV" else 0
+    for n in range(13):
+        for group_size in range(1, 8):
+            read = []
+            pairs = (read.append(i) or i for i in range(n))
+            got = [(list(group), len(read)) for group in cli._pack_groups(pairs, tag, group_size)]
+            groups = reference_groups(list(range(n)), tag, group_size)
+            waits = [min(group[0] + group_size + ahead, n) for group in groups]
+            assert got == list(zip(groups, waits)), (n, group_size)
+
+
 @contextlib.contextmanager
 def atk1_pipe(folder, data: bytes, name="tokens.pipe"):
     """A FIFO, folder/name, that a thread writes data into; its reader may
@@ -1350,11 +1396,8 @@ class TestPackBlocks:
 
         whole = {str(p): read_atk1(p)[0] for p in two_atk1}
         pairs = [(r["text"], whole[r["atk1_path"]][slice(*r["frame_range"])]) for r in rows]
-        groups = [pairs[i : i + group_size] for i in range(0, len(pairs), group_size)]
-        if tag == "INTLV" and len(groups) > 1 and len(groups[-1]) == 1:
-            last = groups.pop()
-            groups[-1] += last
         build = build_itts if tag == "ITTS" else build_intlv
+        groups = reference_groups(pairs, tag, group_size)
         assert [stream for stream, _ in packed(out)] == [build(g) for g in groups]
 
     @pytest.mark.parametrize(
@@ -1433,6 +1476,44 @@ class TestPackBlocks:
         assert records[0] == records[1]
         stats = [(outs / f"{p}.jsonl.stats.json").read_bytes() for p in ("tokens", "a")]
         assert stats[0] == stats[1]
+
+    def test_headers_read_again_only_once_dropped(self, capsys, tmp_path, monkeypatch):
+        # two headers held; rows cycle over three one-block files and a pipe
+        monkeypatch.setattr(cli, "_ATK1_BLOCK", 4)
+        monkeypatch.setattr(cli, "_ATK1_HELD", 8)
+        opened, open_atk1 = [], cli.ff.open_atk1
+        monkeypatch.setattr(cli.ff, "open_atk1", lambda path: opened.append(path) or open_atk1(path))
+        files = [tmp_path / f"{name}.atk1" for name in "abc"]
+        for path in files:
+            write_atk1(path, np.zeros((3, 2), dtype=np.int64), (8, 4))
+        with atk1_pipe(tmp_path, files[0].read_bytes()) as fifo:
+            paths = [*files, fifo] * 3
+            rows = [
+                {"text": f"row {i}.", "atk1_path": str(path), "frame_range": [0, 2],
+                 "duration_s": 0.2}
+                for i, path in enumerate(paths)
+            ]
+            manifest = tmp_path / "manifest.jsonl"
+            manifest.write_text("".join(json.dumps(r) + "\n" for r in rows))
+            assert run(capsys, "pack", manifest, tmp_path / "records.jsonl")[0] == 0
+        # each visit to a file finds its header and block dropped: a header
+        # read and a block read; the pipe is opened once and held
+        assert opened.count(str(fifo)) == 1
+        assert [opened.count(str(path)) for path in files] == [6, 6, 6]
+
+    def test_pipe_read_before_its_layer_sizes_are_compared(self, capsys, tmp_path, two_atk1):
+        # a pipe is read whole when opened, so its truncation is found
+        # before its layer sizes (16, 4) are compared with the first (8, 4)
+        a, b = two_atk1
+        frames = read_atk1(a)[0]
+        write_atk1(a, frames, (16, 4))
+        outs = tmp_path / "out"
+        outs.mkdir()
+        manifest = outs / "manifest.jsonl"
+        with atk1_pipe(tmp_path, a.read_bytes()[:-1]) as fifo:
+            rows = block_rows(b, fifo)["two-files"]
+            manifest.write_text("".join(json.dumps(r) + "\n" for r in rows))
+            refused(capsys, ["pack", manifest, outs / "records.jsonl"], outs, 4, "truncated")
 
     @pytest.mark.parametrize(
         "edit, message",
@@ -2203,18 +2284,12 @@ class TestHostileDocuments:
         assert err == f"error: train-rvq: {message}\n"
         assert os.listdir() == ["cfg.json"]
 
-    @pytest.mark.parametrize(
-        "tag, size", [("ITTS", 2**63), ("INTLV", 2**63 - 2)], ids=["itts", "intlv"]
-    )
-    def test_group_size_past_islice(self, capsys, tmp_path, packable, tag, size):
-        # islice takes at most sys.maxsize, and INTLV asks it for two pairs more
-        manifest, _ = packable
-        out = tmp_path / "r.jsonl"
-        argv = ["pack", manifest, out, "--format-tag", tag, "--group-size", size]
-        err = self.refused(capsys, argv, [out, f"{out}.stats.json"], 3)
-        assert err.startswith(f"error: pack: group size must be <= {sys.maxsize - 2}, got ")
-        # the largest size taken packs every pair into one record
-        code, lines, _ = run(capsys, *argv[:-1], sys.maxsize - 2)
+    @pytest.mark.parametrize("size", [2**63, 2**64], ids=["2**63", "2**64"])
+    @pytest.mark.parametrize("tag", ["ITTS", "INTLV"])
+    def test_group_size_has_no_upper_limit(self, capsys, tmp_path, packable, tag, size):
+        # a group past every pair packs them all into one record
+        argv = ["pack", packable[0], tmp_path / "r.jsonl", "--format-tag", tag]
+        code, lines, _ = run(capsys, *argv, "--group-size", size)
         assert (code, lines[-1]["records"]) == (0, 1)
 
     @pytest.mark.parametrize("command", ["eval", "scorer-plugin"])

@@ -332,6 +332,13 @@ class TestAtk1:
         write_atk1(path, np.array([[0, 2**32 - 1]], dtype=np.uint64), (8, 4))
         assert read_atk1(path)[0].tolist() == [[0, 2**32 - 1]]
 
+    @pytest.mark.parametrize("bad", [2**32, -1])
+    def test_rejects_layer_sizes_outside_u32(self, tmp_path, bad):
+        # refused, naming the layer, before anything is staged
+        with pytest.raises(InvalidConfig, match=f"ATK1 layer 1 size {bad} is outside"):
+            write_atk1(tmp_path / "x.atk1", [[0, 0]], (8, bad))
+        assert list(tmp_path.iterdir()) == []
+
     def test_needs_layer_sizes(self, tmp_path):
         with pytest.raises(InvalidConfig):
             write_atk1(tmp_path / "x.atk1", [], ())
