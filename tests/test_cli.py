@@ -1270,6 +1270,39 @@ class TestPack:
         argv = ["pack", manifest, tmp_path / "r.jsonl", "--group-size", size]
         refused(capsys, argv, tmp_path, 4, where + "pair ")
 
+    @pytest.mark.parametrize(
+        "tag, size, n_rows, empty, message",
+        [
+            ("ITTS", 1, 3, 0, "manifest line 1: pair 0 must carry both text and frames"),
+            ("ITTS", 2, 3, 1, "manifest lines 1-2: pair 1 must carry both text and frames"),
+            ("INTLV", 3, 3, 1, "manifest lines 1-3: pair 1 supplies no text tokens"),
+            ("INTLV", 2, 1, None, "manifest line 1: INTLV needs at least 2 pairs, got 1"),
+        ],
+        ids=["itts-pair-0", "itts-pair-1", "intlv-odd-pair", "intlv-one-row"],
+    )
+    def test_record_layout_refusal(
+        self, capsys, tmp_path, packable, tag, size, n_rows, empty, message
+    ):
+        manifest, rows = packable
+        rows = rows[:n_rows]
+        if empty is not None:
+            rows[empty]["text"] = ""
+        manifest.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        argv = ["pack", manifest, tmp_path / "r.jsonl", "--format-tag", tag, "--group-size", size]
+        err = refused(capsys, argv, tmp_path, 4, "")
+        assert err == f"error: pack: {message}\n"
+
+    def test_intlv_even_pair_text_unused(self, capsys, tmp_path, packable):
+        # INTLV takes only audio from pairs 0 and 2, so their text may be empty
+        manifest, rows = packable
+        rows[0]["text"] = rows[2]["text"] = ""
+        manifest.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        out = tmp_path / "r.jsonl"
+        code, lines, _ = run(capsys, "pack", manifest, out, "--format-tag", "INTLV")
+        assert (code, lines[-1]["records"], lines[-1]["text_tokens"]) == (0, 1, len("two."))
+        rec, = (json.loads(line) for line in out.read_text().splitlines())
+        assert [s["kind"] for s in rec["segments"]] == ["audio", "text", "audio"]
+
     def test_byte_identical_runs(self, capsys, tmp_path, packable):
         manifest, _ = packable
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
