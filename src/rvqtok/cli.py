@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fileformats as ff
-from .datapipe import build_intlv, build_itts, corpus_stats
+from .datapipe import CorpusStats, record_layout
 from .errors import (
     EmptyInput,
     IndexOutOfRange,
@@ -51,8 +51,10 @@ from .errors import (
 )
 from .mel import FeatureSequence, MelConfig, check_stack_factor, mel_blocks
 
-# Not called here since `mel` streams through mel_blocks; perfbench's
-# traced run still resolves these names on this module.
+# Not called here since `mel` streams through mel_blocks, and pack writes
+# records from datapipe.record_layout; perfbench's traced run still
+# resolves these names on this module.
+from .datapipe import build_intlv, build_itts, corpus_stats  # noqa: F401
 from .mel import compute_mel, stack_frames  # noqa: F401
 from .metrics import accuracy, perplexity_compare_all
 from .parallel import default_threads
@@ -85,10 +87,10 @@ from .streams import build_loss_mask  # noqa: F401
 DEFAULT_SPECIAL = SpecialTokens(switch_ta=256, switch_at=257)
 
 # decode and pack read ATK1 frames in blocks of _ATK1_BLOCK; pack reads
-# each from a multiple of it, and holds the _ATK1_HELD // _ATK1_BLOCK
-# (256) blocks and, apart, the 256 ATK1 headers it used last: 2^18 frames
-# of full blocks (5.8 audio-hours at 12.5 Hz; 8 MB at 8 layers). Both
-# bound memory and change no byte.
+# each from a multiple of it, and holds the masks of the _ATK1_HELD //
+# _ATK1_BLOCK (256) blocks and, apart, of the 256 ATK1 headers it used
+# last: 2^18 frames of full blocks (5.8 audio-hours at 12.5 Hz), one bool
+# each, about 256 KB. Both bound memory and change no byte.
 _ATK1_BLOCK = 1024
 _ATK1_HELD = 1 << 18
 
@@ -314,33 +316,34 @@ def cmd_decode(args) -> int:
 
 
 def _pack_pairs(rows, outputs):
-    """Yield ((text, frames), duration, frames ref, manifest line) for each
-    manifest row. Its frames are a read-only uint32 slice of the ATK1
-    blocks that hold its range, or their concatenation; a block is checked
-    once, when read. Rows that go back, or move between ATK1 files, read
-    again only the headers and blocks no longer held. An ATK1 that cannot
-    seek, such as a pipe, is one block, read when first opened and held to
-    the end. An ATK1 that is one of ``outputs`` is refused when opened."""
+    """Yield (text, duration, frames ref, manifest line) for each manifest
+    row once its frames are checked; datapipe.record_layout, not this,
+    says which pair gives text and which audio. A block is checked once,
+    when read, and only its mask of bad frames is held. Rows that go back,
+    or move between ATK1 files, read again only the headers and blocks no
+    longer held. An ATK1 of one block, or one that cannot seek such as a
+    pipe, is read whole with its header; a pipe's mask is held to the end.
+    An ATK1 that is one of ``outputs`` is refused when opened."""
     pipes = {}  # path -> header of an ATK1 that cannot seek
     n_held = max(_ATK1_HELD // _ATK1_BLOCK, 1)  # entries in each cache
 
     @functools.lru_cache(n_held)
     def header(path):
-        """(layer sizes, frame count, its one block if it cannot seek)"""
+        """(layer sizes, frame count, (its mask,) if read whole)"""
         with ff.open_atk1(path) as (sizes, atk1):
             ff.check_not_inputs(outputs, [path])
-            if atk1.seekable:
+            if atk1.seekable and atk1.n_rows > _ATK1_BLOCK:
                 return sizes, atk1.n_rows, None
-            frames = atk1.read(0, atk1.n_rows)
-            pipes[path] = sizes, atk1.n_rows, (frames, _past_sizes(frames, sizes))
-            return pipes[path]
+            whole = sizes, atk1.n_rows, (_past_sizes(atk1.read(0, atk1.n_rows), sizes),)
+        if not atk1.seekable:
+            pipes[path] = whole
+        return whole
 
     @functools.lru_cache(n_held)
     def block(path, first):
-        """The frames from first, and their _past_sizes mask."""
+        """The _past_sizes mask of the frames from first."""
         with ff.open_atk1(path) as (sizes, atk1):
-            frames = atk1.read(first, min(first + _ATK1_BLOCK, atk1.n_rows))
-        return frames, _past_sizes(frames, sizes)
+            return _past_sizes(atk1.read(first, min(first + _ATK1_BLOCK, atk1.n_rows)), sizes)
 
     sizes = None
     for row in rows:
@@ -354,19 +357,16 @@ def _pack_pairs(rows, outputs):
             raise MalformedWire(
                 f"{where}: frame range [{start}, {end}) outside ATK1 of {n_frames}"
             )
-        parts = []
         for first in [0] if whole else range(start - start % _ATK1_BLOCK, end, _ATK1_BLOCK):
-            frames, mask = whole or block(path, first)
+            mask = whole[0] if whole else block(path, first)
             lo, hi = max(start - first, 0), end - first
             if mask is not None and mask[lo:hi].any():
                 raise MalformedWire(
                     f"{where}: frame {first + lo + mask[lo:hi].argmax()} of {path} holds "
                     f"an index past its layer sizes {sizes}"
                 )
-            parts.append(frames[lo:hi])
-        frames = parts[0] if len(parts) == 1 else np.concatenate(parts)
         ref = {"path": path, "start": start, "end": end}
-        yield (row["text"], frames), float(row["duration_s"]), ref, row["line_no"]
+        yield row["text"], float(row["duration_s"]), ref, row["line_no"]
 
 
 def _pack_groups(pairs, tag: str, group_size: int):
@@ -385,40 +385,43 @@ def _pack_groups(pairs, tag: str, group_size: int):
 
 
 def cmd_pack(args) -> int:
+    tag = args.format_tag
     # an INTLV record needs two pairs, so a group of one could never pack
-    least = 2 if args.format_tag == "INTLV" else 1
+    least = 2 if tag == "INTLV" else 1
     if args.group_size < least:
-        raise InvalidConfig(
-            f"group size must be >= {least} for {args.format_tag}, got {args.group_size}"
-        )
-    build = build_itts if args.format_tag == "ITTS" else build_intlv
+        raise InvalidConfig(f"group size must be >= {least} for {tag}, got {args.group_size}")
     stats_path = args.stats or args.output + ".stats.json"
     outputs = (args.output, stats_path)
+    stats = CorpusStats()
 
-    def packed(pairs, write):
-        """Write each group's record as it is built; yield its stream and
-        its duration."""
-        for group in _pack_groups(pairs, args.format_tag, args.group_size):
-            group_pairs, durations, refs, line_nos = zip(*group)
-            # INTLV takes its audio from every other pair, starting with the first
-            audio_refs = refs if args.format_tag == "ITTS" else refs[::2]
+    def write_records(pairs, write):
+        """Write each group's record, laid out by record_layout, and count it."""
+        for group in _pack_groups(pairs, tag, args.group_size):
+            texts, durations, refs, line_nos = zip(*group)
             first, last = line_nos[0], line_nos[-1]
             lines = f"line {first}" if first == last else f"lines {first}-{last}"
+            segments, n_tokens, n_frames = [], 0, 0
             try:
-                stream = build(list(group_pairs))
+                for i, ids in record_layout(tag, texts):
+                    if ids is None:
+                        segments.append({"kind": "audio", "frames_ref": refs[i]})
+                        n_frames += refs[i]["end"] - refs[i]["start"]
+                    else:
+                        segments.append({"kind": "text", "tokens": ids})
+                        n_tokens += len(ids)
             except (InsufficientData, InvalidStream) as exc:
                 raise type(exc)(f"manifest {lines}: {exc}") from exc
             duration = sum(durations)
             if not math.isfinite(duration):
                 raise MalformedWire(f"manifest {lines}: durations sum past the float64 range")
-            write(json.dumps(ff.stream_record(stream, audio_refs), sort_keys=True))
-            yield stream, duration
+            write(json.dumps({"format": tag, "segments": segments}, sort_keys=True))
+            stats.add(tag, duration, n_tokens, n_frames)
 
     with ff.staged(*outputs, inputs=[args.manifest]) as (records_tmp, stats_tmp):
         pairs = _pack_pairs(ff.read_manifest(args.manifest), outputs)
         # closing the pairs ends the manifest rows they read, which closes it
         with contextlib.closing(pairs), ff.line_writer(records_tmp) as write:
-            stats = corpus_stats(packed(pairs, write))
+            write_records(pairs, write)
         ff.write_lines(stats_tmp, [json.dumps(stats.to_dict(), sort_keys=True)])
     n_records = sum(stats.records_per_format.values())
     _emit({"records": n_records, "seed": args.seed, **stats.to_dict()})

@@ -1,23 +1,25 @@
 """Desk-scale interleaved-data assembly.
 
-Aligned pairs, each a (text, frames) tuple of a transcript and its
-(n, L) audio-token frames, become INTLV or ITTS records: INTLV
-alternates whole utterances across modalities, audio first, and ITTS
-emits each pair as text followed by its audio. Utterances are never
-split; upstream text normalization is out of scope. A pair's duration
-and provenance are pack-manifest fields, checked by
+Aligned pairs of a transcript and its audio become INTLV or ITTS records:
+INTLV alternates whole utterances across modalities, audio first, and
+ITTS emits each pair as text followed by its audio. Utterances are never
+split; upstream text normalization is out of scope. ``record_layout``
+alone lays a record out and ``CorpusStats.add`` alone counts it: pack
+writes its records from these. The builders and ``corpus_stats`` make
+the same records as streams, the reference pack is checked against. A
+pair's duration and provenance are pack-manifest fields, checked by
 ``fileformats.read_manifest``; neither is written to the records.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import InsufficientData, InvalidConfig, InvalidStream, MalformedWire
-from .streams import InterleavedStream, Segment, audio_segment, text_segment
+from .streams import InterleavedStream, audio_segment, text_segment
 
 
 def byte_tokenizer(text: str) -> list[int]:
@@ -25,41 +27,45 @@ def byte_tokenizer(text: str) -> list[int]:
     return list(text.encode("utf-8"))
 
 
-def build_intlv(pairs: list[tuple[str, np.ndarray]]) -> InterleavedStream:
-    """Interleave consecutive pairs into an INTLV record, audio first.
-
-    Even pairs contribute their frames and odd pairs their text: pair 0
-    gives audio, pair 1 text, and so on. The layout is fixed, so the
-    audio of a record always comes from pairs 0, 2, 4, ...
-    """
-    if len(pairs) < 2:
-        raise InsufficientData(f"INTLV needs at least 2 pairs, got {len(pairs)}")
-    segments: list[Segment] = []
-    for i, (text, frames) in enumerate(pairs):
-        if i % 2:
+def record_layout(tag: str, texts):
+    """Yield the segments of an INTLV or ITTS record over pairs with these
+    texts: (i, text ids) for pair i's text, (i, None) for its audio. INTLV
+    takes audio from pairs 0, 2, 4, ... and text from the rest; ITTS text,
+    then audio, from each. Too few pairs is InsufficientData; a pair with
+    no text where text is taken, InvalidStream when its segment is due."""
+    if tag == "INTLV" and len(texts) < 2:
+        raise InsufficientData(f"INTLV needs at least 2 pairs, got {len(texts)}")
+    if not texts:
+        raise InsufficientData("ITTS needs at least 1 pair")
+    for i, text in enumerate(texts):
+        if tag == "ITTS" or i % 2:
             ids = byte_tokenizer(text)
+            if not ids and tag == "ITTS":
+                raise InvalidStream(f"pair {i} must carry both text and frames")
             if not ids:
                 raise InvalidStream(f"pair {i} supplies no text tokens")
-            segments.append(text_segment(ids))
-        else:
-            if not len(frames):
-                raise InvalidStream(f"pair {i} supplies no frames")
-            segments.append(audio_segment(frames))
-    return InterleavedStream(format_tag="INTLV", segments=tuple(segments))
+            yield i, ids
+        if tag == "ITTS" or not i % 2:
+            yield i, None
+
+
+def _build(tag: str, pairs: list[tuple[str, np.ndarray]], no_frames: str) -> InterleavedStream:
+    segments = []
+    for i, ids in record_layout(tag, [text for text, _ in pairs]):
+        if ids is None and not len(pairs[i][1]):
+            raise InvalidStream(f"pair {i} {no_frames}")
+        segments.append(text_segment(ids) if ids else audio_segment(pairs[i][1]))
+    return InterleavedStream(format_tag=tag, segments=tuple(segments))
+
+
+def build_intlv(pairs: list[tuple[str, np.ndarray]]) -> InterleavedStream:
+    """Interleave consecutive pairs into an INTLV record, audio first."""
+    return _build("INTLV", pairs, "supplies no frames")
 
 
 def build_itts(pairs: list[tuple[str, np.ndarray]]) -> InterleavedStream:
     """Emit each pair as text followed by its frames; format ITTS."""
-    if not pairs:
-        raise InsufficientData("ITTS needs at least 1 pair")
-    segments: list[Segment] = []
-    for i, (text, frames) in enumerate(pairs):
-        ids = byte_tokenizer(text)
-        if not ids or not len(frames):
-            raise InvalidStream(f"pair {i} must carry both text and frames")
-        segments.append(text_segment(ids))
-        segments.append(audio_segment(frames))
-    return InterleavedStream(format_tag="ITTS", segments=tuple(segments))
+    return _build("ITTS", pairs, "must carry both text and frames")
 
 
 @dataclass
@@ -71,37 +77,27 @@ class CorpusStats:
     text_tokens: int = 0
     audio_frames: int = 0
 
+    def add(self, tag: str, duration_s: float, text_tokens: int, audio_frames: int) -> None:
+        """Count one record; audio hours that sum past the float64 range
+        are MalformedWire naming the record."""
+        if duration_s < 0:
+            raise InvalidConfig("record duration must be >= 0")
+        self.records_per_format[tag] = self.records_per_format.get(tag, 0) + 1
+        self.audio_hours += duration_s / 3600.0
+        if not math.isfinite(self.audio_hours):
+            n = sum(self.records_per_format.values())
+            raise MalformedWire(f"record {n}: audio hours sum past the float64 range")
+        self.text_tokens += text_tokens
+        self.audio_frames += audio_frames
+
     def to_dict(self) -> dict:
-        return {
-            "records_per_format": {
-                tag: self.records_per_format[tag]
-                for tag in sorted(self.records_per_format)
-            },
-            "audio_hours": self.audio_hours,
-            "text_tokens": self.text_tokens,
-            "audio_frames": self.audio_frames,
-        }
+        counts = dict(sorted(self.records_per_format.items()))  # in tag order
+        return {**asdict(self), "records_per_format": counts}
 
 
 def corpus_stats(records: list[tuple[InterleavedStream, float]]) -> CorpusStats:
-    """Single-pass totals over (stream, duration_s) records; audio hours
-    that sum past the float64 range are MalformedWire naming the record."""
-    counts: dict[str, int] = {}
-    hours = 0.0
-    text_tokens = 0
-    audio_frames = 0
-    for n, (stream, duration_s) in enumerate(records, start=1):
-        if duration_s < 0:
-            raise InvalidConfig("record duration must be >= 0")
-        counts[stream.format_tag] = counts.get(stream.format_tag, 0) + 1
-        hours += duration_s / 3600.0
-        if not math.isfinite(hours):
-            raise MalformedWire(f"record {n}: audio hours sum past the float64 range")
-        text_tokens += stream.n_text_tokens()
-        audio_frames += stream.n_audio_frames()
-    return CorpusStats(
-        records_per_format=counts,
-        audio_hours=hours,
-        text_tokens=text_tokens,
-        audio_frames=audio_frames,
-    )
+    """Single-pass totals over (stream, duration_s) records."""
+    stats = CorpusStats()
+    for stream, duration_s in records:
+        stats.add(stream.format_tag, duration_s, stream.n_text_tokens(), stream.n_audio_frames())
+    return stats

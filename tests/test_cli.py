@@ -26,7 +26,7 @@ from rvqtok import mel as mel_module
 from rvqtok import rvq
 from rvqtok import scorers
 from rvqtok.cli import main
-from rvqtok.datapipe import build_intlv, build_itts
+from rvqtok.datapipe import build_intlv, build_itts, corpus_stats
 from rvqtok.fileformats import (
     load_stream_record,
     read_afv1,
@@ -1338,11 +1338,12 @@ class TestPack:
 
 def block_rows(a, b):
     """Manifest rows over ATK1 files a (40 frames) and b (30 frames), keyed
-    by the way they read blocks of a few frames."""
+    by the way they read blocks of a few frames. Row 3's text is not ASCII,
+    so its text tokens, UTF-8 bytes, outnumber its characters."""
     def rows(*spans):
         return [
-            {"text": f"row {i}.", "atk1_path": str(path), "frame_range": [start, end],
-             "duration_s": 0.1 * (end - start)}
+            {"text": "row 3 — é." if i == 3 else f"row {i}.", "atk1_path": str(path),
+             "frame_range": [start, end], "duration_s": 0.1 * (end - start)}
             for i, (path, start, end) in enumerate(spans)
         ]
 
@@ -1410,8 +1411,9 @@ def two_atk1(tmp_path):
 
 class TestPackBlocks:
     """With blocks of a few frames, and few of them held, pack's records
-    equal streams built from whole-file ATK1 slices, however the manifest
-    reads its files."""
+    equal streams built from whole-file ATK1 slices, and its stats
+    corpus_stats over those streams, however the manifest reads its
+    files."""
 
     @pytest.mark.parametrize("block, held", [(1, 1), (4, 4), (4, 12), (16, 64)])
     @pytest.mark.parametrize("tag, group_size", [("ITTS", 2), ("INTLV", 2), ("INTLV", 3)])
@@ -1430,8 +1432,13 @@ class TestPackBlocks:
         whole = {str(p): read_atk1(p)[0] for p in two_atk1}
         pairs = [(r["text"], whole[r["atk1_path"]][slice(*r["frame_range"])]) for r in rows]
         build = build_itts if tag == "ITTS" else build_intlv
-        groups = reference_groups(pairs, tag, group_size)
-        assert [stream for stream, _ in packed(out)] == [build(g) for g in groups]
+        streams = [build(g) for g in reference_groups(pairs, tag, group_size)]
+        assert [stream for stream, _ in packed(out)] == streams
+        durations = [
+            sum(r["duration_s"] for r in group) for group in reference_groups(rows, tag, group_size)
+        ]
+        stats = json.loads(Path(f"{out}.stats.json").read_text())
+        assert stats == corpus_stats(list(zip(streams, durations))).to_dict()
 
     @pytest.mark.parametrize(
         "bad, pipe",
@@ -1529,10 +1536,11 @@ class TestPackBlocks:
             manifest = tmp_path / "manifest.jsonl"
             manifest.write_text("".join(json.dumps(r) + "\n" for r in rows))
             assert run(capsys, "pack", manifest, tmp_path / "records.jsonl")[0] == 0
-        # each visit to a file finds its header and block dropped: a header
-        # read and a block read; the pipe is opened once and held
+        # each visit to a file finds its header dropped; a one-block file is
+        # read whole with its header, in one open; the pipe is opened once
+        # and held
         assert opened.count(str(fifo)) == 1
-        assert [opened.count(str(path)) for path in files] == [6, 6, 6]
+        assert [opened.count(str(path)) for path in files] == [3, 3, 3]
 
     def test_pipe_read_before_its_layer_sizes_are_compared(self, capsys, tmp_path, two_atk1):
         # a pipe is read whole when opened, so its truncation is found
