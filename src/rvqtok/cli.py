@@ -78,7 +78,7 @@ from .rvq import (
 # traced run still resolves this name on this module.
 from .rvq import encode_frames  # noqa: F401
 from .scorers import BigramScorer, RandomScorer, SubprocessScorer, perfect_scorer, run_plugin_loop
-from .streams import SpecialTokens
+from .streams import SpecialTokens, frame_faults
 
 # Not called since pack stores no mask; perfbench's traced run resolves it here.
 from .streams import build_loss_mask  # noqa: F401
@@ -88,9 +88,9 @@ DEFAULT_SPECIAL = SpecialTokens(switch_ta=256, switch_at=257)
 
 # decode and pack read ATK1 frames in blocks of _ATK1_BLOCK; pack reads
 # each from a multiple of it, and holds the masks of the _ATK1_HELD //
-# _ATK1_BLOCK (256) blocks and, apart, of the 256 ATK1 headers it used
-# last: 2^18 frames of full blocks (5.8 audio-hours at 12.5 Hz), one bool
-# each, about 256 KB. Both bound memory and change no byte.
+# _ATK1_BLOCK (256) blocks it used last: 2^18 frames of full blocks
+# (5.8 audio-hours at 12.5 Hz), one bool each, about 256 KB. Both bound
+# memory and change no byte.
 _ATK1_BLOCK = 1024
 _ATK1_HELD = 1 << 18
 
@@ -297,17 +297,15 @@ def cmd_decode(args) -> int:
         with ff.afv1_writer(args.output, dim, rate, [args.tokens, args.codebooks]) as write:
             for start in range(0, frames.n_rows, _ATK1_BLOCK):
                 block = frames.read(start, min(start + _ATK1_BLOCK, frames.n_rows))
-                if (past := _past_sizes(block, sizes)) is not None:
-                    # only a whole end-of-audio frame, every index at its layer size, is skipped
-                    eoa = (block == sizes).all(axis=1)
-                    bad = past & ~eoa
-                    if bad.any():
-                        raise MalformedWire(
-                            f"frame {start + bad.argmax()} of {args.tokens} holds an index "
-                            f"past its layer sizes {sizes}"
-                        )
-                    n_eoa += int(eoa.sum())
-                    block = block[~eoa]
+                eoa, bad = frame_faults(block, sizes)
+                if bad.any():
+                    raise MalformedWire(
+                        f"frame {start + bad.argmax()} of {args.tokens} holds an index "
+                        f"past its layer sizes {sizes}"
+                    )
+                # only an end-of-audio frame is skipped
+                n_eoa += int(eoa.sum())
+                block = block[~eoa]
                 write(decode_frames(stack, block).reshape(-1, dim))
     if n_eoa:
         print(f"skipped {n_eoa} end-of-audio frames", file=sys.stderr)
@@ -318,53 +316,51 @@ def cmd_decode(args) -> int:
 def _pack_pairs(rows, outputs):
     """Yield (text, duration, frames ref, manifest line) for each manifest
     row once its frames are checked; datapipe.record_layout, not this,
-    says which pair gives text and which audio. A block is checked once,
-    when read, and only its mask of bad frames is held. Rows that go back,
-    or move between ATK1 files, read again only the headers and blocks no
-    longer held. An ATK1 of one block, or one that cannot seek such as a
-    pipe, is read whole with its header; a pipe's mask is held to the end.
-    An ATK1 that is one of ``outputs`` is refused when opened."""
-    pipes = {}  # path -> header of an ATK1 that cannot seek
-    n_held = max(_ATK1_HELD // _ATK1_BLOCK, 1)  # entries in each cache
+    says which pair gives text and which audio. A block is read with its
+    ATK1's header in one open, checked once, and only its mask of bad
+    frames is held. Rows that go back, or move between ATK1 files, read
+    again only the blocks no longer held. An ATK1 that cannot seek, such
+    as a pipe, is read whole as one block, held to the end. An ATK1 that
+    is one of ``outputs`` is refused when opened."""
+    pipes = {}  # path -> the one block of an ATK1 that cannot seek
 
-    @functools.lru_cache(n_held)
-    def header(path):
-        """(layer sizes, frame count, (its mask,) if read whole)"""
+    @functools.lru_cache(max(_ATK1_HELD // _ATK1_BLOCK, 1))
+    def block(path, first):
+        """(layer sizes, frame count, first, stop, _past_sizes mask) of the
+        block [first, stop) that starts at first, or at the frame count if
+        first is past it; a pipe's one block is all its frames."""
         with ff.open_atk1(path) as (sizes, atk1):
             ff.check_not_inputs(outputs, [path])
-            if atk1.seekable and atk1.n_rows > _ATK1_BLOCK:
-                return sizes, atk1.n_rows, None
-            whole = sizes, atk1.n_rows, (_past_sizes(atk1.read(0, atk1.n_rows), sizes),)
+            n = atk1.n_rows
+            first, stop = (min(first, n), min(first + _ATK1_BLOCK, n)) if atk1.seekable else (0, n)
+            got = sizes, n, first, stop, _past_sizes(atk1.read(first, stop), sizes)
         if not atk1.seekable:
-            pipes[path] = whole
-        return whole
-
-    @functools.lru_cache(n_held)
-    def block(path, first):
-        """The _past_sizes mask of the frames from first."""
-        with ff.open_atk1(path) as (sizes, atk1):
-            return _past_sizes(atk1.read(first, min(first + _ATK1_BLOCK, atk1.n_rows)), sizes)
+            pipes[path] = got
+        return got
 
     sizes = None
     for row in rows:
         path, where = row["atk1_path"], f"manifest line {row['line_no']}"
-        atk1_sizes, n_frames, whole = pipes.get(path) or header(path)
+        start, end = row["frame_range"]
+        at = max(start, 0) // _ATK1_BLOCK * _ATK1_BLOCK
+        atk1_sizes, n_frames, first, stop, mask = pipes.get(path) or block(path, at)
         sizes = sizes or atk1_sizes
         if atk1_sizes != sizes:
             raise MalformedWire(f"{where}: ATK1 {path} has layer sizes {atk1_sizes}, not {sizes}")
-        start, end = row["frame_range"]
         if not 0 <= start < end <= n_frames:
             raise MalformedWire(
                 f"{where}: frame range [{start}, {end}) outside ATK1 of {n_frames}"
             )
-        for first in [0] if whole else range(start - start % _ATK1_BLOCK, end, _ATK1_BLOCK):
-            mask = whole[0] if whole else block(path, first)
+        while True:
             lo, hi = max(start - first, 0), end - first
             if mask is not None and mask[lo:hi].any():
                 raise MalformedWire(
                     f"{where}: frame {first + lo + mask[lo:hi].argmax()} of {path} holds "
                     f"an index past its layer sizes {sizes}"
                 )
+            if stop >= end:
+                break
+            *_, first, stop, mask = block(path, stop)
         ref = {"path": path, "start": start, "end": end}
         yield row["text"], float(row["duration_s"]), ref, row["line_no"]
 

@@ -502,7 +502,6 @@ _JSON_TESTS = {
         math.isfinite(v) if type(v) is float else type(v) is int and abs(v) <= sys.float_info.max
     ),
     "list of int": _is_int64_list,
-    "list of bool": lambda v: type(v) is list and {bool}.issuperset(map(type, v)),
     "list of list of int": lambda v: type(v) is list and all(map(_is_int64_list, v)),
     "list of object": lambda v: type(v) is list and {dict}.issuperset(map(type, v)),
     "object": lambda v: type(v) is dict,
@@ -581,8 +580,7 @@ def stream_record(stream: InterleavedStream, audio_refs: list[dict]) -> dict:
     return {"format": stream.format_tag, "segments": segments}
 
 
-# "mask" is optional: records written before masks were derived carry one
-_RECORD_FIELDS = {"format": "str", "segments": "list of object", "mask": "list of bool"}
+_RECORD_FIELDS = {"format": "str", "segments": "list of object"}
 _SEGMENT_FIELDS = {"kind": "str", "tokens": "list of int", "frames_ref": "object"}
 _FRAMES_REF_FIELDS = {"path": "path", "start": "int", "end": "int"}
 
@@ -607,10 +605,10 @@ def load_stream_record(obj: dict, frames_by_path) -> tuple[InterleavedStream, Lo
 
     A record that is not a dict stream_record writes (a field missing
     or of the wrong type, a frames_ref path not in frames_by_path, a
-    frame range outside its ATK1) raises MalformedWire, as does a stored
-    mask other than the derived one; a record without a mask loads. A
-    stream its format does not allow raises InvalidStream, an unknown
-    format InvalidConfig.
+    frame range outside its ATK1) raises MalformedWire; a key it does not
+    name, such as the "mask" older records stored, is ignored. A stream
+    its format does not allow raises InvalidStream, an unknown format
+    InvalidConfig.
     """
     try:
         check_fields(obj, _RECORD_FIELDS, "stream record", ("format", "segments"))
@@ -618,10 +616,7 @@ def load_stream_record(obj: dict, frames_by_path) -> tuple[InterleavedStream, Lo
     except (KeyError, InvalidConfig) as exc:
         raise MalformedWire(f"stream record: {exc!r}") from exc
     stream = InterleavedStream(format_tag=obj["format"], segments=segments)
-    mask = build_loss_mask(stream)
-    if "mask" in obj and tuple(obj["mask"]) != mask.flags:
-        raise MalformedWire("stream record mask is not its format's loss mask")
-    return stream, mask
+    return stream, build_loss_mask(stream)
 
 
 def write_eval_records(path, records: list[EvalRecord]) -> None:

@@ -69,25 +69,26 @@ def frame_array(frames) -> np.ndarray:
     return arr
 
 
-def validate_frames(frames, layer_sizes) -> np.ndarray:
-    """Check an (n, L) block column by column; return its end-of-audio rows.
+def frame_faults(frames, layer_sizes) -> tuple[np.ndarray, np.ndarray]:
+    """The ATK1 frame rule, as two row masks of an (n, L) block: its
+    end-of-audio frames, which hold K_l in every layer l, and the other
+    frames that hold an index outside [0, K_l) in some layer."""
+    sizes = np.asarray(layer_sizes, dtype=np.int64)
+    eoa = (frames == sizes).all(axis=1)
+    return eoa, ((frames < 0) | (frames >= sizes)).any(axis=1) & ~eoa
 
-    Layer l takes indices in [0, K_l]; K_l is the end-of-audio value,
-    which a frame uses in every layer or in none.
-    """
+
+def validate_frames(frames, layer_sizes) -> np.ndarray:
+    """Check an (n, L) block by ``frame_faults``: layer l takes indices in
+    [0, K_l], and K_l, the end-of-audio value, in every layer or in none.
+    Return its end-of-audio rows."""
     arr = np.asarray(frames)
-    sizes = np.array(eoa_frame(layer_sizes), dtype=np.int64)
-    if arr.ndim != 2 or arr.shape[1] != sizes.size:
-        raise InvalidStream(f"frames must be n x {sizes.size}, got {arr.shape}")
-    at_eoa = arr == sizes
-    eoa = at_eoa.all(axis=1)
-    for bad, what in (
-        ((arr < 0).any(axis=1), "negative index"),
-        ((arr > sizes).any(axis=1), "index past the end-of-audio value"),
-        (at_eoa.any(axis=1) & ~eoa, "end-of-audio value in some layers but not all"),
-    ):
-        if bad.any():
-            raise InvalidStream(f"{what} in frame {arr[bad.argmax()].tolist()}")
+    sizes = eoa_frame(layer_sizes)
+    if arr.ndim != 2 or arr.shape[1] != len(sizes):
+        raise InvalidStream(f"frames must be n x {len(sizes)}, got {arr.shape}")
+    eoa, bad = frame_faults(arr, sizes)
+    if bad.any():
+        raise InvalidStream(f"index outside [0, K_l) in frame {arr[bad.argmax()].tolist()}")
     return eoa
 
 
@@ -227,12 +228,13 @@ def serialize(
     """
     eoa = eoa_frame(layer_sizes)
     switch = {kind: sid for sid, kind in _switch_kinds(special).items()}
+    ids = special.ids
     wire: list = []
     for pos, seg in enumerate(stream.segments):
         if pos > 0 or edge_switches:
             wire.append(switch[seg.kind])
         if seg.kind is SegmentKind.TEXT:
-            clash = [t for t in seg.tokens if t in special.ids]
+            clash = [t for t in seg.tokens if t in ids]
             if clash:
                 raise InvalidStream(f"text payload contains switch token id {clash[0]}")
             wire.extend(seg.tokens)

@@ -1475,12 +1475,33 @@ class TestPackBlocks:
             message = f"manifest line {lines[0]}: frame {bad} of {path} holds"
             refused(capsys, argv, outs, 4, message)
 
+    @pytest.mark.parametrize("pipe", [False, True], ids=["file", "pipe"])
+    @pytest.mark.parametrize("start, end", [(-3, 2), (38, 41), (40, 41), (99, 100), (5, 5)])
+    def test_range_outside_file_refused_by_the_range_check(
+        self, capsys, tmp_path, monkeypatch, two_atk1, pipe, start, end
+    ):
+        # the block a row reads first starts inside the file, so a range
+        # below 0 or past the end reaches the range check
+        monkeypatch.setattr(cli, "_ATK1_BLOCK", 4)
+        a, _ = two_atk1
+        outs = tmp_path / "out"
+        outs.mkdir()
+        source = atk1_pipe(tmp_path, a.read_bytes()) if pipe else contextlib.nullcontext(a)
+        with source as path:
+            row = {"text": "row.", "atk1_path": str(path), "frame_range": [start, end],
+                   "duration_s": 0.2}
+            manifest = outs / "manifest.jsonl"
+            manifest.write_text(json.dumps(row) + "\n")
+            message = f"manifest line 1: frame range [{start}, {end}) outside ATK1 of 40"
+            refused(capsys, ["pack", manifest, outs / "records.jsonl"], outs, 4, message)
+
     @pytest.mark.parametrize("held, reads", [(12, 3), (8, 9)])
     def test_blocks_read_again_only_once_dropped(
         self, capsys, tmp_path, monkeypatch, two_atk1, held, reads
     ):
         # rows over blocks 0, 1 and 2 of a, three times round: with three
-        # blocks held each is read once; with two held, every row reads one
+        # blocks held each is read once; with two held, every row reads one.
+        # Each open reads a block with the header; none reads the header only
         monkeypatch.setattr(cli, "_ATK1_BLOCK", 4)
         monkeypatch.setattr(cli, "_ATK1_HELD", held)
         opened, open_atk1 = [], cli.ff.open_atk1
@@ -1494,7 +1515,7 @@ class TestPackBlocks:
         manifest = tmp_path / "manifest.jsonl"
         manifest.write_text("".join(json.dumps(r) + "\n" for r in rows))
         assert run(capsys, "pack", manifest, tmp_path / "records.jsonl")[0] == 0
-        assert len(opened) == 1 + reads  # the first open reads the header only
+        assert len(opened) == reads
 
     @pytest.mark.parametrize("case", ["out-of-order", "two-files", "longer-than-held"])
     def test_atk1_from_a_pipe(self, capsys, tmp_path, monkeypatch, two_atk1, case):
@@ -1518,7 +1539,7 @@ class TestPackBlocks:
         assert stats[0] == stats[1]
 
     def test_headers_read_again_only_once_dropped(self, capsys, tmp_path, monkeypatch):
-        # two headers held; rows cycle over three one-block files and a pipe
+        # two blocks held; rows cycle over three one-block files and a pipe
         monkeypatch.setattr(cli, "_ATK1_BLOCK", 4)
         monkeypatch.setattr(cli, "_ATK1_HELD", 8)
         opened, open_atk1 = [], cli.ff.open_atk1
@@ -1536,7 +1557,7 @@ class TestPackBlocks:
             manifest = tmp_path / "manifest.jsonl"
             manifest.write_text("".join(json.dumps(r) + "\n" for r in rows))
             assert run(capsys, "pack", manifest, tmp_path / "records.jsonl")[0] == 0
-        # each visit to a file finds its header dropped; a one-block file is
+        # each visit to a file finds its block dropped; a one-block file is
         # read whole with its header, in one open; the pipe is opened once
         # and held
         assert opened.count(str(fifo)) == 1

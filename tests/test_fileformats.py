@@ -990,15 +990,12 @@ HOSTILE_VALUES += [{"kind": "text"}, {"kind": "audio"}]
 class TestStreamRecordFuzz:
     """Hostile stream records raise toolkit errors and nothing else: each
     key dropped, each value swapped for another JSON type, each list cut
-    short, in a record with and without a stored mask. A valid record
-    loads as written."""
+    short. A valid record loads as written."""
 
     def records(self):
-        """The valid record as written, and as written with its mask, as
-        records from before masks were derived carry it."""
+        """The valid record as written."""
         obj, frames_by_path = valid_record()
-        flags = list(load_stream_record(obj, frames_by_path)[1].flags)
-        return [obj, {**obj, "mask": flags}], frames_by_path
+        return [obj], frames_by_path
 
     def load(self, obj, frames_by_path):
         try:
@@ -1015,14 +1012,15 @@ class TestStreamRecordFuzz:
         assert "mask" not in obj
         assert mask == build_loss_mask(stream)
 
-    def test_stored_mask_is_checked(self):
-        # a stored mask loads if it is the derived one; one flipped flag is refused
-        (obj, masked), frames_by_path = self.records()
-        loaded = load_stream_record(obj, frames_by_path)
-        assert load_stream_record(masked, frames_by_path) == loaded
-        flipped = edited(masked, ("mask", 3), not masked["mask"][3])
-        with pytest.raises(MalformedWire, match="not its format's loss mask"):
-            load_stream_record(flipped, frames_by_path)
+    def test_stale_stored_mask_is_ignored(self):
+        # records from before masks were derived stored one; any "mask",
+        # stale or not a list, is an unknown key and the mask is derived
+        obj, frames_by_path = valid_record()
+        stream, mask = load_stream_record(obj, frames_by_path)
+        for stale in ([True], [False] * len(mask), "abc"):
+            assert load_stream_record({**obj, "mask": stale}, frames_by_path) == (
+                stream, build_loss_mask(stream)
+            )
 
     def test_every_key_or_item_dropped(self):
         objs, frames_by_path = self.records()
@@ -1053,35 +1051,16 @@ class TestStreamRecordFuzz:
             load_stream_record(value, valid_record()[1])
 
     def test_named_faults_are_malformed(self):
-        (_, obj), frames_by_path = self.records()
+        obj, frames_by_path = valid_record()
         for bad in [
             {},
             {**obj, "segments": 3},
             [obj],
             edited(obj, ("segments", 1, "frames_ref", "start"), "x"),
             edited(obj, ("segments", 1, "frames_ref", "path"), "c.atk1"),
-            {**obj, "mask": "abc"},
-            {**obj, "mask": [1] * len(obj["mask"])},
-            {**obj, "mask": obj["mask"][:-1]},
-            {**obj, "mask": obj["mask"] + [True]},
-            edited(obj, ("mask", 3), not obj["mask"][3]),
         ]:
             with pytest.raises(MalformedWire):
                 load_stream_record(bad, frames_by_path)
-
-    def test_mask_length_is_the_wire_length(self):
-        # two frames and their end-of-audio frame: three wire positions
-        ref = {"path": "a.atk1", "start": 0, "end": 2}
-        record = {
-            "format": "PURE_AUDIO",
-            "segments": [{"kind": "audio", "frames_ref": ref}],
-            "mask": [True],
-        }
-        frames_by_path = {"a.atk1": np.zeros((2, 2), dtype=np.int64)}
-        with pytest.raises(MalformedWire):
-            load_stream_record(record, frames_by_path)
-        stream, mask = load_stream_record({**record, "mask": [True] * 3}, frames_by_path)
-        assert mask.flags == (True, True, True)
 
 
 class TestEvalRecordsFile:

@@ -14,6 +14,7 @@ from rvqtok.streams import (
     build_loss_mask,
     deserialize,
     eoa_frame,
+    frame_faults,
     serialize,
     text_segment,
     validate_frames,
@@ -41,6 +42,17 @@ class TestEoa:
         eoa = validate_frames([frame(7, 3, 3), EOA, frame(0, 0, 0)], SIZES)
         assert eoa.tolist() == [False, True, False]
         assert validate_frames(np.zeros((0, 3), dtype=np.uint32), SIZES).size == 0
+
+    def test_frame_faults(self):
+        # plain frames, a whole end-of-audio frame, a partial one, an index
+        # past K_l and a negative index
+        frames = [frame(7, 3, 3), EOA, frame(8, 0, 0), frame(0, 5, 0), frame(0, -1, 0)]
+        eoa, bad = frame_faults(np.array(frames), SIZES)
+        assert eoa.tolist() == [False, True, False, False, False]
+        assert bad.tolist() == [False, False, True, True, True]
+        # ATK1 blocks are uint32, as decode reads them
+        eoa, bad = frame_faults(np.array(frames[:4], dtype=np.uint32), SIZES)
+        assert (eoa.tolist(), bad.tolist()) == ([False, True, False, False], [False, False, True, True])
 
     def test_validate_rejects_overflow(self):
         with pytest.raises(InvalidStream):
