@@ -257,23 +257,14 @@ def cmd_train_rvq(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    with ff.open_afv1(args.features) as (dim, _, rows):
+    with ff.open_afv1(args.features) as (_, _, rows):
         stack = ff.read_rvq1(args.codebooks)
-        if dim != stack.dim:
-            raise ShapeMismatch(f"feature dim {dim} != codebook dim {stack.dim}")
         inputs = [args.features, args.codebooks]
         with ff.atk1_writer(args.output, stack.layer_sizes, inputs) as write:
             for indices in encode_rows(stack, rows.n_rows, rows.read, args.threads):
                 write(indices)
     _emit({"frames": rows.n_rows, "seed": args.seed})
     return 0
-
-
-def _past_sizes(frames, sizes):
-    """A mask of the frames that hold an index at or past its layer size,
-    such as an end-of-audio frame; None when no frame does."""
-    mask = (frames >= sizes).any(axis=1)
-    return mask if mask.any() else None
 
 
 def cmd_decode(args) -> int:
@@ -326,14 +317,16 @@ def _pack_pairs(rows, outputs):
 
     @functools.lru_cache(max(_ATK1_HELD // _ATK1_BLOCK, 1))
     def block(path, first):
-        """(layer sizes, frame count, first, stop, _past_sizes mask) of the
-        block [first, stop) that starts at first, or at the frame count if
-        first is past it; a pipe's one block is all its frames."""
+        """(layer sizes, frame count, first, stop, mask) of the block
+        [first, stop) that starts at first, or at the frame count if first
+        is past it; a pipe's one block is all its frames. The mask joins
+        frame_faults' two, and is None for a clean block."""
         with ff.open_atk1(path) as (sizes, atk1):
             ff.check_not_inputs(outputs, [path])
             n = atk1.n_rows
             first, stop = (min(first, n), min(first + _ATK1_BLOCK, n)) if atk1.seekable else (0, n)
-            got = sizes, n, first, stop, _past_sizes(atk1.read(first, stop), sizes)
+            mask = np.logical_or(*frame_faults(atk1.read(first, stop), sizes))
+            got = sizes, n, first, stop, mask if mask.any() else None
         if not atk1.seekable:
             pipes[path] = got
         return got

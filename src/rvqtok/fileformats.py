@@ -155,6 +155,9 @@ def check_not_inputs(outputs, inputs) -> None:
             raise InvalidConfig(f"output path {path} is also an input")
 
 
+_LIVE_TMPS: set[str] = set()  # the temporaries of running staged blocks
+
+
 @contextlib.contextmanager
 def staged(*paths, inputs=()):
     """Yield a temporary path ``<path>.<pid>.tmp`` beside each target path.
@@ -164,14 +167,20 @@ def staged(*paths, inputs=()):
     that is the same file as one of ``inputs`` (the paths the command
     reads), are InvalidConfig before the block runs; a target that is a
     directory is IsADirectoryError before any rename. An OSError on a
-    temporary names its target instead."""
+    temporary names its target instead. Paths that are all temporaries of
+    running blocks are yielded unchanged, for those blocks to commit, so
+    each output gets exactly one temporary."""
     targets = [os.fspath(p) for p in paths]
+    if _LIVE_TMPS.issuperset(targets):
+        yield targets
+        return
     real = [os.path.realpath(p) for p in targets]
     for i, path in enumerate(real):
         if path in real[:i]:
             raise InvalidConfig(f"output path {targets[i]} is given twice")
     check_not_inputs(targets, inputs)
     tmps = [f"{p}.{os.getpid()}.tmp" for p in targets]
+    _LIVE_TMPS.update(tmps)
     try:
         yield tmps
         for path in targets:
@@ -187,6 +196,8 @@ def staged(*paths, inputs=()):
             path = targets[tmps.index(exc.filename)]
             raise OSError(exc.errno, exc.strerror, path) from exc
         raise
+    finally:
+        _LIVE_TMPS.difference_update(tmps)
 
 
 @contextlib.contextmanager
@@ -366,8 +377,6 @@ def read_rvq1(path) -> RvqStack:
             )
             if d == 0:
                 raise MalformedWire("RVQ1 layer with zero-width codewords")
-            if k == 0:
-                raise MalformedWire(f"RVQ1 layer {layer}: no codewords")
             vec = np.frombuffer(
                 _read_exact(fh, 4 * k * d, "RVQ1 codewords"), dtype="<f4"
             ).reshape(k, d)

@@ -36,8 +36,7 @@ class AudioBuffer:
             raise InvalidConfig(f"sample_rate must be positive, got {self.sample_rate}")
         if samples.ndim != 1:
             raise InvalidSample(f"expected mono 1-D audio, got shape {samples.shape}")
-        if samples.size and not np.isfinite(samples).all():
-            raise InvalidSample("audio contains non-finite samples")
+        _finite(samples)
 
     @property
     def duration_s(self) -> float:

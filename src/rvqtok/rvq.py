@@ -115,7 +115,7 @@ def check_layer_sizes(layer_sizes) -> None:
 
 @dataclass(eq=False)
 class Codebook:
-    """One quantizer layer: K codewords plus EMA bookkeeping.
+    """One quantizer layer: K >= 1 codewords plus EMA bookkeeping.
 
     usage_counts[j] is the number of update steps since entry j was
     last assigned. vectors stays float32 when given as a float32 array
@@ -133,6 +133,8 @@ class Codebook:
             self.vectors = np.asarray(self.vectors, dtype=np.float64)
         if self.vectors.ndim != 2 or self.vectors.shape[1] == 0:
             raise ShapeMismatch(f"codebook must be K x D with D >= 1, got {self.vectors.shape}")
+        if self.size == 0:
+            raise InvalidConfig("no codewords")
         _require_finite(self.vectors)
         check_ema_decay(self.ema_decay)
         check_norm_beta(self.norm_beta)
@@ -380,15 +382,9 @@ def _assign_layer(
     return chosen
 
 
-def _check_books(stack: RvqStack) -> None:
-    for book in stack.layers:
-        if book.size == 0:
-            raise InvalidConfig("cannot quantize with an empty codebook")
-
-
 def _check_rows(stack: RvqStack, x: np.ndarray) -> None:
     if x.shape[1] != stack.dim:
-        raise ShapeMismatch(f"input dim {x.shape[1]} != stack dim {stack.dim}")
+        raise ShapeMismatch(f"feature dim {x.shape[1]} != codebook dim {stack.dim}")
     if not np.isfinite(x).all():
         raise InvalidSample("input vectors hold NaN or inf")
 
@@ -396,7 +392,6 @@ def _check_rows(stack: RvqStack, x: np.ndarray) -> None:
 def _batch(stack: RvqStack, x: np.ndarray, dropout: DropoutConfig | None, rng=None):
     """A checked (T, D) batch as (float64 residual copy, (T, L) active mask)."""
     _check_rows(stack, x)
-    _check_books(stack)
     return x.astype(np.float64), _active_mask(len(x), stack.n_layers, dropout, rng)
 
 
@@ -710,7 +705,6 @@ def encode_rows(stack: RvqStack, n_rows: int, read, threads: int = 1):
     its own _ROW_CHUNK x K scores, and the indices are the same at any
     ``threads``.
     """
-    _check_books(stack)
     prepared = [_centred(book) for book in stack.layers]
 
     def residuals():

@@ -596,7 +596,8 @@ class TestHostileInput:
             refused(capsys, argv, outs, 4, f"error: {argv[0]}: truncated file while reading {what}")
 
     def test_wav_through_a_pipe(self, capsys, tmp_path):
-        # refused as raw float32 from a pipe is: an I/O error, exit 2
+        # WAV or raw float32, audio is read by range, so a pipe is refused:
+        # an I/O error, exit 2
         wav = tmp_path / "in.wav"
         write_wav(wav, make_sine_noise_audio(0.1, seed=0))
         outs = tmp_path / "out"
@@ -604,6 +605,9 @@ class TestHostileInput:
         with atk1_pipe(tmp_path, wav.read_bytes(), "pipe.wav") as fifo:
             argv = ["mel", fifo, outs / "x.afv1"]
             refused(capsys, argv, outs, 2, f"{fifo}: WAV input must be a seekable file")
+        with atk1_pipe(tmp_path, bytes(400), "pipe.f32") as fifo:
+            argv = ["mel", fifo, outs / "x.afv1", "--raw-rate", 16000]
+            refused(capsys, argv, outs, 2, f"{fifo}: raw float32 input must be a seekable file")
 
     def test_raw_f32_with_ragged_tail(self, capsys, tmp_path):
         raw = tmp_path / "odd.f32"
@@ -1680,6 +1684,19 @@ class TestOutputs:
         monkeypatch.setattr(os, "replace", replace_once_failing)
         refused(capsys, argv, outputs[output].parent, 2, "injected failure")
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("command, output", COMMAND_OUTPUTS)
+    def test_longest_output_name(self, capsys, commands, command, output):
+        # an output gets one temporary, <name>.<pid>.tmp, so the longest
+        # name that leaves room for that suffix is written
+        argv, outputs = commands[command]
+        target = outputs[output]
+        room = os.pathconf(target.parent, "PC_NAME_MAX") - len(f".{os.getpid()}.tmp")
+        longest = target.with_name("o" * (room - len(target.suffix)) + target.suffix)
+        argv = [longest if a == target else a for a in argv]
+        assert run(capsys, *argv)[0] == 0
+        names = {p.name for p in outputs.values()} - {target.name} | {longest.name}
+        assert set(snapshot(target.parent)) == names
 
     @pytest.mark.parametrize("command", ["train-rvq", "pack"])
     def test_one_path_for_two_outputs(self, capsys, commands, command):

@@ -167,6 +167,24 @@ class TestStaged:
             fh.write("output")
         assert (tmp_path / "other").read_text() == "output"
 
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_a_running_blocks_temporary_is_staged_once(self, tmp_path, fails):
+        # a writer handed a temporary writes it in place, and the block
+        # that made it commits it, or removes it on a failure
+        out = tmp_path / "out"
+        with contextlib.suppress(OSError):
+            with staged(out) as [tmp]:
+                with staged(tmp) as [inner], open(inner, "w") as fh:
+                    assert inner == tmp
+                    fh.write("output")
+                assert os.listdir(tmp_path) == [os.path.basename(tmp)]
+                if fails:
+                    raise OSError("injected failure")
+        assert os.listdir(tmp_path) == ([] if fails else ["out"])
+        # once its block has ended, a temporary is a path like any other
+        with staged(tmp) as [again], open(again, "w"):
+            assert again == f"{tmp}.{os.getpid()}.tmp"
+
     @pytest.mark.parametrize("writer", WRITERS)
     def test_failed_writer_leaves_old_file(self, tmp_path, monkeypatch, writer):
         path = tmp_path / "out"
@@ -200,6 +218,11 @@ class TestAfv1:
     def test_rejects_non_matrix(self, tmp_path):
         with pytest.raises(ShapeMismatch):
             write_afv1(tmp_path / "x.afv1", np.zeros(5), 1.0)
+
+    def test_writer_refuses_rows_of_another_width(self, tmp_path):
+        with pytest.raises(ShapeMismatch, match=r"do not fit T x 3"):
+            write_through(afv1_writer(tmp_path / "x.afv1", 3, 12.5), np.ones((2, 4)))
+        assert list(tmp_path.iterdir()) == []
 
     def test_zero_width_rows(self, tmp_path):
         # neither written nor read: no D = 0 row reaches a codebook or an MAE
@@ -635,6 +658,16 @@ class TestRvq1:
         path.write_bytes(path.read_bytes()[:-9])
         with pytest.raises(MalformedWire):
             read_rvq1(path)
+
+    def test_trailing_bytes(self, tmp_path, rng):
+        path = tmp_path / "x.rvq1"
+        write_rvq1(path, self.make_stack(rng))
+        data = path.read_bytes() + b"\x00"
+        path.write_bytes(data)
+        with pytest.raises(MalformedWire, match="trailing bytes after RVQ1 layers"):
+            read_rvq1(path)
+        with pytest.raises(MalformedWire, match="trailing bytes after RVQ1 layers"):
+            through_a_pipe(tmp_path, data, read_rvq1)
 
 
 def rvq1_bytes(seed, tmp_dir):

@@ -1,7 +1,7 @@
 """Every import in a package module is used: a name a module imports
 but never reads is dead code that a deletion left behind. A line marked
-``# noqa: F401`` keeps an import on purpose, such as a name perfbench's
-traced run wraps; every name it wraps must resolve. ``__init__.py``
+``# noqa: F401`` keeps an import only for a name perfbench's traced run
+wraps on that module, and every name it wraps must resolve. ``__init__.py``
 re-exports and is not checked. Only ``fileformats`` writes files, so
 that one module decides how every output is committed."""
 
@@ -36,7 +36,10 @@ def test_no_unused_imports(path):
     assert unused == []
 
 
-def test_trace_targets_resolve(monkeypatch):
+@pytest.fixture
+def trace_targets(monkeypatch):
+    """perfbench's TRACE_TARGETS: (module, name, ...) for each name its
+    traced run wraps."""
     # the benchmark's file is only read: no bytecode is written beside it
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location(
@@ -44,12 +47,31 @@ def test_trace_targets_resolve(monkeypatch):
     )
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
+    assert workloads.TRACE_TARGETS
+    return workloads.TRACE_TARGETS
+
+
+def test_trace_targets_resolve(trace_targets):
     missing = [
-        f"{owner.__name__}.{name}"
-        for owner, name, *_ in workloads.TRACE_TARGETS
-        if not hasattr(owner, name)
+        f"{owner.__name__}.{name}" for owner, name, *_ in trace_targets if not hasattr(owner, name)
     ]
-    assert workloads.TRACE_TARGETS and missing == []
+    assert missing == []
+
+
+def test_kept_imports_are_trace_targets(trace_targets):
+    # the converse: a ``# noqa: F401`` import names something the traced
+    # run wraps on that module, so it cannot outlive the benchmark's use
+    wrapped = {f"{owner.__name__}.{name}" for owner, name, *_ in trace_targets}
+    kept = [
+        f"rvqtok.{path.stem}.{alias.asname or alias.name}"
+        for path in MODULES
+        for lines in [path.read_text().splitlines()]
+        for node in ast.walk(ast.parse("\n".join(lines)))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+        if "# noqa: F401" in lines[alias.lineno - 1]
+    ]
+    assert kept and [name for name in kept if name not in wrapped] == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -155,6 +155,16 @@ class TestPerplexityCompare:
         with pytest.raises(ScorerError):
             perplexity_compare(self.record, lambda p, c: (math.inf, 1))
 
+    def test_score_all_that_stops_early(self):
+        class TwoAnswers:
+            """An ordered-stream scorer that answers only two pairs."""
+
+            def score_all(self, pairs):
+                yield from ((1.0, len(c)) for _, c in list(pairs)[:2])
+
+        with pytest.raises(ScorerError, match="fewer answers than candidates"):
+            perplexity_compare(self.record, TwoAnswers())
+
 
 class TestAccuracy:
     def test_perfect_scorer_on_oracle_records(self):
