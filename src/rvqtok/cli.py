@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fileformats as ff
-from .datapipe import CorpusStats, record_layout
+from .datapipe import MIN_PAIRS, CorpusStats, record_layout
 from .errors import (
     EmptyInput,
     IndexOutOfRange,
@@ -49,13 +49,7 @@ from .errors import (
     ScorerError,
     ShapeMismatch,
 )
-from .mel import FeatureSequence, MelConfig, check_stack_factor, mel_blocks
-
-# Not called here since `mel` streams through mel_blocks, and pack writes
-# records from datapipe.record_layout; perfbench's traced run still
-# resolves these names on this module.
-from .datapipe import build_intlv, build_itts, corpus_stats  # noqa: F401
-from .mel import compute_mel, stack_frames  # noqa: F401
+from .mel import MelConfig, check_stack_factor, mel_blocks
 from .metrics import accuracy, perplexity_compare_all
 from .parallel import default_threads
 from .rvq import (
@@ -73,14 +67,16 @@ from .rvq import (
     init_rvq_stack,
     train_rvq,
 )
-
-# Not called here since `encode` streams through encode_rows; perfbench's
-# traced run still resolves this name on this module.
-from .rvq import encode_frames  # noqa: F401
 from .scorers import BigramScorer, RandomScorer, SubprocessScorer, perfect_scorer, run_plugin_loop
 from .streams import SpecialTokens, frame_faults
 
-# Not called since pack stores no mask; perfbench's traced run resolves it here.
+# Not called here: `mel` streams through mel_blocks, `encode` through
+# encode_rows, and pack writes records from datapipe.record_layout and
+# stores no mask. perfbench's traced run still resolves these names on
+# this module.
+from .datapipe import build_intlv, build_itts, corpus_stats  # noqa: F401
+from .mel import compute_mel, stack_frames  # noqa: F401
+from .rvq import encode_frames  # noqa: F401
 from .streams import build_loss_mask  # noqa: F401
 
 # Unused by pack (records hold no switch ids); perfbench serializes with it.
@@ -95,9 +91,10 @@ _ATK1_BLOCK = 1024
 _ATK1_HELD = 1 << 18
 
 
-def _emit(obj: dict) -> None:
-    # json and jsonl coincide for single-document summaries
-    sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
+def _emit(summary: dict, args) -> None:
+    # json and jsonl coincide for single-document summaries; every summary
+    # names the --seed its command ran at
+    sys.stdout.write(json.dumps({**summary, "seed": args.seed}, sort_keys=True) + "\n")
 
 
 def _config(doc, types: dict[str, str], what: str) -> dict:
@@ -151,41 +148,8 @@ def cmd_mel(args) -> int:
                 # blocks start on stack groups; only the last can end inside one
                 whole = len(block) // args.stack * args.stack
                 write(block[:whole].reshape(-1, dim))
-    _emit({"frames": n_vectors, "frame_rate": frame_rate, "seed": args.seed})
+    _emit({"frames": n_vectors, "frame_rate": frame_rate}, args)
     return 0
-
-
-def _read_afv1_manifest(path) -> tuple[list[str], np.ndarray, list[FeatureSequence]]:
-    """The AFV1 paths a manifest lists, their rows as one float64 matrix,
-    and each file's FeatureSequence, a view of that matrix; a line that is
-    not UTF-8 or holds a NUL is MalformedWire naming it."""
-    raw = Path(path).read_bytes()
-    try:
-        text = raw.decode()
-    except UnicodeDecodeError as exc:
-        line_no = raw.count(b"\n", 0, exc.start) + 1
-        raise MalformedWire(f"train-rvq manifest line {line_no}: not UTF-8") from exc
-    paths = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if "\0" in line:
-            raise MalformedWire(f"train-rvq manifest line {line_no}: NUL in path")
-        line = line.strip()
-        if line and not line.startswith("#"):
-            paths.append(line)
-    if not paths:
-        raise EmptyInput("manifest lists no feature files")
-    files = [ff.read_afv1(afv1) for afv1 in paths]
-    for afv1, (vectors, _) in zip(paths, files):
-        if not len(vectors):
-            raise EmptyInput(f"{afv1} holds no feature rows")
-    dims = {vectors.shape[1] for vectors, _ in files}
-    if len(dims) != 1:
-        raise ShapeMismatch(f"corpus dimensions disagree: {sorted(dims)}")
-    features = np.concatenate([vectors for vectors, _ in files])
-    features.flags.writeable = False  # each sequence is a view of it
-    views = np.split(features, np.cumsum([len(vectors) for vectors, _ in files])[:-1])
-    corpus = [FeatureSequence(view, frame_rate, 1) for view, (_, frame_rate) in zip(views, files)]
-    return paths, features, corpus
 
 
 # train-rvq --config keys; init_rvq_stack and train_rvq hold the defaults
@@ -234,7 +198,7 @@ def cmd_train_rvq(args) -> int:
     init_kwargs = {k: doc[k] for k in ("ema_decay", "norm_beta") if k in doc}
     train_kwargs = {k: doc[k] for k in ("mode", "dead_threshold", "restart") if k in doc}
 
-    afv1_paths, features, corpus = _read_afv1_manifest(args.manifest)
+    afv1_paths, features, corpus = ff.read_afv1_manifest(args.manifest)
     stack = init_rvq_stack(layer_sizes, features, seed=args.seed, **init_kwargs)
     stack, report = train_rvq(
         stack, corpus, schedule, gumbel, dropout, args.epochs,
@@ -245,14 +209,8 @@ def cmd_train_rvq(args) -> int:
     with ff.staged(args.output, report_path, inputs=inputs) as (books_tmp, report_tmp):
         ff.write_rvq1(books_tmp, stack)
         ff.write_lines(report_tmp, (rec.to_json() for rec in report.steps))
-    _emit(
-        {
-            "layers": stack.n_layers,
-            "steps": len(report.steps),
-            "final_feature_mae": report.steps[-1].feature_mae if report.steps else None,
-            "seed": args.seed,
-        },
-    )
+    mae = report.steps[-1].feature_mae if report.steps else None
+    _emit({"layers": stack.n_layers, "steps": len(report.steps), "final_feature_mae": mae}, args)
     return 0
 
 
@@ -263,7 +221,7 @@ def cmd_encode(args) -> int:
         with ff.atk1_writer(args.output, stack.layer_sizes, inputs) as write:
             for indices in encode_rows(stack, rows.n_rows, rows.read, args.threads):
                 write(indices)
-    _emit({"frames": rows.n_rows, "seed": args.seed})
+    _emit({"frames": rows.n_rows}, args)
     return 0
 
 
@@ -300,7 +258,8 @@ def cmd_decode(args) -> int:
                 write(decode_frames(stack, block).reshape(-1, dim))
     if n_eoa:
         print(f"skipped {n_eoa} end-of-audio frames", file=sys.stderr)
-    _emit({"frames": (frames.n_rows - n_eoa) * args.unstack, "seed": args.seed})
+    written = (frames.n_rows - n_eoa) * args.unstack
+    _emit({"frames": written}, args)
     return 0
 
 
@@ -359,10 +318,12 @@ def _pack_pairs(rows, outputs):
 
 
 def _pack_groups(pairs, tag: str, group_size: int):
-    """Yield the pairs group_size at a time. An INTLV record needs two
-    pairs, so a last pair on its own folds into the group before it: INTLV
-    reads two pairs past a group before it yields the group."""
-    ahead = 2 if tag == "INTLV" else 0
+    """Yield the pairs group_size at a time. A last group of fewer than
+    MIN_PAIRS[tag] pairs folds into the group before it, so a group waits
+    for that many pairs after it, or the end of the pairs; at a minimum of
+    1 no group can be short, and none waits."""
+    least = MIN_PAIRS[tag]
+    ahead = least if least > 1 else 0
     held = []
     for pair in pairs:
         held.append(pair)
@@ -375,8 +336,8 @@ def _pack_groups(pairs, tag: str, group_size: int):
 
 def cmd_pack(args) -> int:
     tag = args.format_tag
-    # an INTLV record needs two pairs, so a group of one could never pack
-    least = 2 if tag == "INTLV" else 1
+    # a group of fewer pairs than a record holds could never pack
+    least = MIN_PAIRS[tag]
     if args.group_size < least:
         raise InvalidConfig(f"group size must be >= {least} for {tag}, got {args.group_size}")
     stats_path = args.stats or args.output + ".stats.json"
@@ -393,17 +354,17 @@ def cmd_pack(args) -> int:
             try:
                 for i, ids in record_layout(tag, texts):
                     if ids is None:
-                        segments.append({"kind": "audio", "frames_ref": refs[i]})
+                        segments.append(refs[i])
                         n_frames += refs[i]["end"] - refs[i]["start"]
                     else:
-                        segments.append({"kind": "text", "tokens": ids})
+                        segments.append(ids)
                         n_tokens += len(ids)
             except (InsufficientData, InvalidStream) as exc:
                 raise type(exc)(f"manifest {lines}: {exc}") from exc
             duration = sum(durations)
             if not math.isfinite(duration):
                 raise MalformedWire(f"manifest {lines}: durations sum past the float64 range")
-            write(json.dumps({"format": tag, "segments": segments}, sort_keys=True))
+            write(json.dumps(ff.record_doc(tag, segments), sort_keys=True))
             stats.add(tag, duration, n_tokens, n_frames)
 
     with ff.staged(*outputs, inputs=[args.manifest]) as (records_tmp, stats_tmp):
@@ -412,8 +373,8 @@ def cmd_pack(args) -> int:
         with contextlib.closing(pairs), ff.line_writer(records_tmp) as write:
             write_records(pairs, write)
         ff.write_lines(stats_tmp, [json.dumps(stats.to_dict(), sort_keys=True)])
-    n_records = sum(stats.records_per_format.values())
-    _emit({"records": n_records, "seed": args.seed, **stats.to_dict()})
+    summary = {"records": sum(stats.records_per_format.values()), **stats.to_dict()}
+    _emit(summary, args)
     return 0
 
 
@@ -458,7 +419,7 @@ def cmd_eval(args) -> int:
     finally:
         if isinstance(scorer, SubprocessScorer):
             scorer.close()
-    _emit({"accuracy": acc, "n": len(records), "seed": args.seed})
+    _emit({"accuracy": acc, "n": len(records)}, args)
     return 0
 
 

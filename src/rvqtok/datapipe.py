@@ -3,9 +3,11 @@
 Aligned pairs of a transcript and its audio become INTLV or ITTS records:
 INTLV alternates whole utterances across modalities, audio first, and
 ITTS emits each pair as text followed by its audio. Utterances are never
-split; upstream text normalization is out of scope. ``record_layout``
-alone lays a record out and ``CorpusStats.add`` alone counts it: pack
-writes its records from these. The builders and ``corpus_stats`` make
+split; upstream text normalization is out of scope. ``MIN_PAIRS``
+alone says how few pairs a record may hold, ``record_layout`` alone lays
+a record out and ``CorpusStats.add`` alone counts it: pack groups its
+pairs by the first and writes its records from the other two, through
+``fileformats.record_doc``. The builders and ``corpus_stats`` make
 the same records as streams, the reference pack is checked against. A
 pair's duration and provenance are pack-manifest fields, checked by
 ``fileformats.read_manifest``; neither is written to the records.
@@ -27,16 +29,20 @@ def byte_tokenizer(text: str) -> list[int]:
     return list(text.encode("utf-8"))
 
 
+MIN_PAIRS = {"INTLV": 2, "ITTS": 1}  # INTLV takes audio from one pair, text from the next
+
+
 def record_layout(tag: str, texts):
     """Yield the segments of an INTLV or ITTS record over pairs with these
     texts: (i, text ids) for pair i's text, (i, None) for its audio. INTLV
     takes audio from pairs 0, 2, 4, ... and text from the rest; ITTS text,
-    then audio, from each. Too few pairs is InsufficientData; a pair with
-    no text where text is taken, InvalidStream when its segment is due."""
-    if tag == "INTLV" and len(texts) < 2:
-        raise InsufficientData(f"INTLV needs at least 2 pairs, got {len(texts)}")
-    if not texts:
-        raise InsufficientData("ITTS needs at least 1 pair")
+    then audio, from each. Fewer than MIN_PAIRS[tag] pairs is
+    InsufficientData; a pair with no text where text is taken,
+    InvalidStream when its segment is due."""
+    least = MIN_PAIRS[tag]
+    if len(texts) < least:
+        pairs = "pairs" if least > 1 else "pair"
+        raise InsufficientData(f"{tag} needs at least {least} {pairs}, got {len(texts)}")
     for i, text in enumerate(texts):
         if tag == "ITTS" or i % 2:
             ids = byte_tokenizer(text)

@@ -23,7 +23,10 @@ row range from a file, or in order from a pipe, a block at a time.
 are stored as.
 WAV and raw float32 audio open as a ``SampleSource`` whose samples are
 read by range, never all at once. JSON sidecars: interleaved records,
-eval records, and manifests as JSON-lines; stats as a single object.
+each laid out by ``record_doc`` alone, eval records, and pack manifests
+as JSON-lines; stats as a single object. ``read_afv1_manifest`` alone
+reads a train-rvq manifest, one path a line, its lines split at b"\\n"
+only, as JSON-lines are.
 ``check_fields`` checks the fields of every JSON document (configs,
 manifest lines, eval and stream records, and both ends of the scorer
 plugin wire) against one table of type names, which token lists share.
@@ -51,7 +54,7 @@ from .errors import (
     MalformedWire,
     ShapeMismatch,
 )
-from .mel import AudioBuffer, SampleSource
+from .mel import AudioBuffer, FeatureSequence, SampleSource
 from .rvq import Codebook, RvqStack
 from .streams import (
     InterleavedStream,
@@ -293,6 +296,38 @@ def read_afv1(path) -> tuple[np.ndarray, float]:
         # a signalling NaN warns as it is cast; callers refuse NaN rows
         with np.errstate(invalid="ignore"):
             return rows.read(0, rows.n_rows).astype(np.float64), frame_rate
+
+
+def read_afv1_manifest(path) -> tuple[list[str], np.ndarray, list[FeatureSequence]]:
+    """The AFV1 paths a train-rvq manifest lists, their rows as one float64
+    matrix, and each file's FeatureSequence, a view of it. A line lists a
+    path stripped of the whitespace around it, or none if blank or led by
+    #; one that is not UTF-8 or holds a NUL is MalformedWire naming it."""
+    paths = []
+    with open(path, "rb") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            try:
+                text = line.decode().strip()
+            except UnicodeDecodeError as exc:
+                raise MalformedWire(f"train-rvq manifest line {line_no}: not UTF-8") from exc
+            if "\0" in text:
+                raise MalformedWire(f"train-rvq manifest line {line_no}: NUL in path")
+            if text and not text.startswith("#"):
+                paths.append(text)
+    if not paths:
+        raise EmptyInput("manifest lists no feature files")
+    files = [read_afv1(afv1) for afv1 in paths]
+    for afv1, (vectors, _) in zip(paths, files):
+        if not len(vectors):
+            raise EmptyInput(f"{afv1} holds no feature rows")
+    dims = {vectors.shape[1] for vectors, _ in files}
+    if len(dims) != 1:
+        raise ShapeMismatch(f"corpus dimensions disagree: {sorted(dims)}")
+    features = np.concatenate([vectors for vectors, _ in files])
+    features.flags.writeable = False  # each sequence is a view of it
+    views = np.split(features, np.cumsum([len(vectors) for vectors, _ in files])[:-1])
+    corpus = [FeatureSequence(view, frame_rate, 1) for view, (_, frame_rate) in zip(views, files)]
+    return paths, features, corpus
 
 
 # ---------------------------------------------------------------- ATK1
@@ -561,13 +596,23 @@ def read_token_lists(path, vocab_size: int) -> list[list[int]]:
     return lists
 
 
+def record_doc(tag: str, segments) -> dict:
+    """One interleaved record as the dict a records line holds: each of
+    segments, in stream order, is a text segment's token ids (a list) or
+    an audio segment's frames ref {path, start, end} into an ATK1 (a
+    dict). The loss mask is not stored: it follows from the format tag."""
+    return {"format": tag, "segments": [
+        {"kind": "audio", "frames_ref": s} if type(s) is dict else {"kind": "text", "tokens": s}
+        for s in segments
+    ]}
+
+
 def stream_record(stream: InterleavedStream, audio_refs: list[dict]) -> dict:
-    """One interleaved record as a JSON-able dict.
+    """One interleaved record as ``record_doc`` lays it out.
 
     Audio segments are stored by reference: audio_refs carries one
     {path, start, end} per audio segment, in stream order, indexing the
-    named ATK1 file's frame array. The loss mask is not stored: it
-    follows from the format tag, so readers derive it.
+    named ATK1 file's frame array.
     """
     n_audio = sum(1 for s in stream.segments if s.kind is SegmentKind.AUDIO)
     if n_audio != len(audio_refs):
@@ -578,15 +623,14 @@ def stream_record(stream: InterleavedStream, audio_refs: list[dict]) -> dict:
     segments = []
     for seg in stream.segments:
         if seg.kind is SegmentKind.TEXT:
-            segments.append({"kind": "text", "tokens": list(seg.tokens)})
+            segments.append(list(seg.tokens))
         else:
             ref = next(refs)
             start, end = int(ref["start"]), int(ref["end"])
             if end - start != len(seg):
                 raise ShapeMismatch(f"frame ref {ref} does not cover {len(seg)} frames")
-            frames_ref = {"path": str(ref["path"]), "start": start, "end": end}
-            segments.append({"kind": "audio", "frames_ref": frames_ref})
-    return {"format": stream.format_tag, "segments": segments}
+            segments.append({"path": str(ref["path"]), "start": start, "end": end})
+    return record_doc(stream.format_tag, segments)
 
 
 _RECORD_FIELDS = {"format": "str", "segments": "list of object"}

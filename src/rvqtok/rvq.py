@@ -797,7 +797,8 @@ def train_rvq(
     layer no row reaches still decays and ages. The replacement schedule
     gates whole steps at instance granularity: a sequence not routed
     through VQ this step is still quantized for reporting, but
-    contributes no codebook update.
+    contributes no codebook update. Each sequence's width and values are
+    checked once, by ``_check_rows``, before the first step.
 
     Each layer's ``_centred`` state is held across steps and rebuilt by
     the layer's update, so an unrouted step prepares nothing. With
@@ -821,8 +822,7 @@ def train_rvq(
     if len(corpus) == 0:
         raise EmptyInput("training corpus is empty")
     for seq in corpus:
-        if seq.dim != stack.dim:
-            raise ShapeMismatch(f"corpus dim {seq.dim} != stack dim {stack.dim}")
+        _check_rows(stack, seq.vectors)
         if seq.n_vectors == 0:
             raise EmptyInput("training corpus holds a sequence with no vectors")
     if epochs == 0:
@@ -859,7 +859,8 @@ def train_rvq(
                 gate_seed = derive_seed(seed, f"gate:{step}")
                 gate_step = min(step, schedule.total_steps)
                 routed = vq_replacement_gate(schedule, gate_step, gate_seed, 1)[0]
-                residual, active = _batch(work, x, dropout, dropout_rng)
+                residual = x.astype(np.float64)
+                active = _active_mask(len(x), work.n_layers, dropout, dropout_rng)
                 layer_input, utilization = x, []  # x is the first layer's input
                 cascade = _cascade(work, residual, active, gumbel, gumbel_rng, prepared())
                 for layer, rows, chosen in cascade:

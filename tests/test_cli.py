@@ -260,6 +260,21 @@ class TestTrainRvq:
         )
         assert len(report_lines) == 4
 
+    @pytest.mark.parametrize("separator", ["\u2028", "\x85", "\x0c"], ids=["u2028", "nel", "ff"])
+    def test_manifest_path_may_hold_a_line_separator(self, capsys, tmp_path, rng, separator):
+        # a manifest line ends at "\n" only: str.splitlines would cut this
+        # path in two and look for a file named "clip"
+        path = tmp_path / f"clip{separator}one.afv1"
+        write_afv1(path, rng.standard_normal((40, 6)), 12.5)
+        manifest = tmp_path / "corpus.txt"
+        manifest.write_bytes(f"{path}\r\n".encode())
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(TRAIN_CFG))
+        out = tmp_path / "books.rvq1"
+        code, lines, err = run(capsys, "train-rvq", manifest, out, "--config", cfg)
+        assert (code, err) == (0, "")
+        assert lines[-1]["steps"] == 1
+
     def test_epochs_zero_writes_initialized_stack(
         self, capsys, tmp_path, feature_corpus
     ):
@@ -1296,6 +1311,32 @@ class TestPack:
         err = refused(capsys, argv, tmp_path, 4, "")
         assert err == f"error: pack: {message}\n"
 
+    @pytest.mark.parametrize(
+        "tag, message",
+        [
+            ("ITTS", "manifest lines 1-2: pair 1 must carry both text and frames"),
+            ("INTLV", "manifest line 3: frame 6 of "),
+        ],
+        ids=["ITTS", "INTLV"],
+    )
+    def test_group_fault_against_next_groups_frames(self, capsys, tmp_path, tag, message):
+        # group 0's pair 1 has no text and group 1 opens on a bad frame. An
+        # ITTS group is built as soon as it is full, so its fault comes
+        # first; an INTLV group waits for the two lines after it, whose
+        # frames are checked as they are read
+        atk1 = tmp_path / "clips.atk1"
+        write_atk1(atk1, np.array([(i % 8, i % 4) for i in range(6)] + [(8, 0), (1, 1)]), (8, 4))
+        spans = [("one.", [0, 3]), ("", [3, 6]), ("three.", [6, 7]), ("four.", [7, 8])]
+        rows = [
+            {"text": text, "atk1_path": str(atk1), "frame_range": span, "duration_s": 1.0}
+            for text, span in spans
+        ]
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        argv = ["pack", manifest, tmp_path / "r.jsonl", "--format-tag", tag, "--group-size", 2]
+        err = refused(capsys, argv, tmp_path, 4, message)
+        assert err.startswith("error: pack: ") and err.count("\n") == 1
+
     def test_intlv_even_pair_text_unused(self, capsys, tmp_path, packable):
         # INTLV takes only audio from pairs 0 and 2, so their text may be empty
         manifest, rows = packable
@@ -1376,8 +1417,8 @@ def test_pack_groups_match_reference(tag):
     # each group is yielded once the pairs it waits for are read: its own
     # and, for INTLV, the two after it (or the end of the pairs)
     ahead = 2 if tag == "INTLV" else 0
-    for n in range(13):
-        for group_size in range(1, 8):
+    for n in range(41):
+        for group_size in range(2 if tag == "INTLV" else 1, 9):
             read = []
             pairs = (read.append(i) or i for i in range(n))
             got = [(list(group), len(read)) for group in cli._pack_groups(pairs, tag, group_size)]
@@ -2210,6 +2251,15 @@ class TestHostileDocuments:
         outputs = [out, tmp_path / "books.rvq1.report.jsonl"]
         err = self.refused(capsys, ["train-rvq", manifest, out], outputs, 4)
         assert "manifest line 2" in err
+
+    def test_train_manifest_line_numbers_count_newlines_only(self, capsys, tmp_path):
+        # a lone \r ends no line, so the NUL is on line 2
+        manifest = tmp_path / "corpus.txt"
+        manifest.write_bytes(b"a.afv\rb.afv\n\0x\n")
+        out = tmp_path / "books.rvq1"
+        outputs = [out, tmp_path / "books.rvq1.report.jsonl"]
+        err = self.refused(capsys, ["train-rvq", manifest, out], outputs, 4)
+        assert err == "error: train-rvq: train-rvq manifest line 2: NUL in path\n"
 
     @pytest.mark.parametrize("layer_sizes, seed", [([20], 0), ([2], 1)])
     def test_train_features_with_nan(self, capsys, tmp_path, layer_sizes, seed):

@@ -31,6 +31,7 @@ from rvqtok.fileformats import (
     open_afv1,
     open_atk1,
     read_afv1,
+    read_afv1_manifest,
     read_atk1,
     read_eval_records,
     read_manifest,
@@ -38,6 +39,7 @@ from rvqtok.fileformats import (
     read_rvq1,
     read_token_lists,
     read_wav,
+    record_doc,
     staged,
     stream_record,
     write_afv1,
@@ -280,6 +282,43 @@ class TestAfv1:
         write_afv1(a, vec, 12.5)
         write_afv1(b, vec, 12.5)
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestAfv1Manifest:
+    def test_paths_and_corpus(self, tmp_path):
+        a, b = tmp_path / "a.afv1", tmp_path / "b b.afv1"
+        write_afv1(a, np.ones((3, 2)), 12.5)
+        write_afv1(b, np.zeros((2, 2)), 25.0)
+        manifest = tmp_path / "corpus.txt"
+        manifest.write_bytes(f"# corpus\r\n\n  {a}  \r\n\t{b}\n\n".encode())
+        paths, features, corpus = read_afv1_manifest(manifest)
+        assert paths == [str(a), str(b)]
+        assert features.shape == (5, 2) and not features.flags.writeable
+        assert [seq.vectors.tolist() for seq in corpus] == [[[1, 1]] * 3, [[0, 0]] * 2]
+        assert [seq.frame_rate for seq in corpus] == [12.5, 25.0]
+        assert all(np.shares_memory(seq.vectors, features) for seq in corpus)
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"a\0.afv1\n\xff.afv1\n", "line 1: NUL in path"),
+            (b"\xff.afv1\na\0.afv1\n", "line 1: not UTF-8"),
+            (b"# \xe2\x80\xa8\r\na.afv1\x85\x00\n", "line 2: not UTF-8"),
+        ],
+        ids=["nul-first", "not-utf8-first", "latin1-nel"],
+    )
+    def test_first_bad_line_is_named(self, tmp_path, content, message):
+        manifest = tmp_path / "corpus.txt"
+        manifest.write_bytes(content)
+        with pytest.raises(MalformedWire, match=f"^train-rvq manifest {message}$"):
+            read_afv1_manifest(manifest)
+
+    @pytest.mark.parametrize("content", [b"", b"\n# only a comment\n  \r\n"])
+    def test_no_paths(self, tmp_path, content):
+        manifest = tmp_path / "corpus.txt"
+        manifest.write_bytes(content)
+        with pytest.raises(EmptyInput, match="manifest lists no feature files"):
+            read_afv1_manifest(manifest)
 
 
 class TestOpenAfv1:
@@ -943,6 +982,13 @@ class TestStreamRecord:
         back, back_mask = load_stream_record(obj, {"a.atk1": frames})
         assert back == s
         assert back_mask == build_loss_mask(s)
+
+    def test_record_doc_layout(self):
+        ref = {"path": "a.atk1", "start": 10, "end": 12}
+        assert record_doc("ITTS", [[7, 8], ref]) == {
+            "format": "ITTS",
+            "segments": [{"kind": "text", "tokens": [7, 8]}, {"kind": "audio", "frames_ref": ref}],
+        }
 
     def test_json_serializable(self):
         s = sample_stream()

@@ -68,6 +68,38 @@ class TestMelConfig:
     def test_config_id_distinguishes(self):
         assert MelConfig().config_id != MelConfig(n_fft=512).config_id
 
+    @pytest.mark.parametrize(
+        "field, value", [("log_floor", 0.0), ("log_floor", -1e-10), ("n_mels", 0), ("n_mels", -3)]
+    )
+    def test_positive_fields(self, field, value):
+        with pytest.raises(InvalidConfig, match=f"{field} must be positive"):
+            MelConfig(**{field: value})
+
+
+class TestMelSpectrogram:
+    def spectrogram(self, frames, n_mels=4, frame_rate=100.0):
+        return MelSpectrogram(frames=frames, n_mels=n_mels, frame_rate=frame_rate, config_id="t")
+
+    @pytest.mark.parametrize("shape", [(3, 5), (3, 3), (4,)])
+    def test_width_is_n_mels(self, shape):
+        with pytest.raises(ShapeMismatch, match="frames must be T x 4"):
+            self.spectrogram(np.zeros(shape))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_frames_are_finite(self, value):
+        frames = np.zeros((3, 4))
+        frames[1, 2] = value
+        with pytest.raises(InvalidSample, match="non-finite"):
+            self.spectrogram(frames)
+
+    @pytest.mark.parametrize("frame_rate", [0.0, -100.0])
+    def test_frame_rate_is_positive(self, frame_rate):
+        with pytest.raises(InvalidConfig, match="frame_rate must be positive"):
+            self.spectrogram(np.zeros((3, 4)), frame_rate=frame_rate)
+
+    def test_no_frames_is_valid(self):
+        assert self.spectrogram(np.zeros((0, 4))).n_frames == 0
+
 
 class TestFilterbank:
     def test_shape(self):
@@ -319,6 +351,10 @@ class TestBlocked:
 
 
 class TestStacking:
+    def test_vectors_are_2d(self):
+        with pytest.raises(ShapeMismatch, match="vectors must be 2-D"):
+            FeatureSequence(vectors=np.zeros(6), frame_rate=12.5, stack_factor=1)
+
     def test_shapes_and_rate(self):
         mel = compute_mel(sine(440.0))
         seq = stack_frames(mel, 8)
@@ -422,6 +458,23 @@ class TestLosses:
         b = make_sine_noise_audio(0.5, seed=1)
         with pytest.raises(ShapeMismatch):
             multiscale_mel_loss(a, b)
+
+    def test_multiscale_needs_a_scale(self):
+        audio = make_sine_noise_audio(0.5, seed=1)
+        with pytest.raises(EmptyInput, match="at least one scale"):
+            multiscale_mel_loss(audio, audio, scales=[])
+
+    def test_multiscale_sample_rate_mismatch(self):
+        audio = make_sine_noise_audio(0.5, seed=1)
+        other = AudioBuffer(samples=audio.samples, sample_rate=8000)
+        with pytest.raises(ShapeMismatch, match="sample rates differ"):
+            multiscale_mel_loss(audio, other)
+
+    def test_mae_shape_mismatch(self, rng):
+        a = _spec(rng.standard_normal((4, 4)))
+        for other in (_spec(rng.standard_normal((5, 4))), _spec(rng.standard_normal((4, 3)))):
+            with pytest.raises(ShapeMismatch, match="mel shapes differ"):
+                mel_mae(a, other)
 
     def test_mae_oracle(self, rng):
         for _ in range(100):

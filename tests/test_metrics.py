@@ -228,6 +228,11 @@ class TestUtilization:
     def test_empty_frames(self):
         assert codebook_utilization([], 0, 8) == 0.0
 
+    def test_one_dimensional_indices(self):
+        # only an empty sequence may skip the layer axis
+        with pytest.raises(InvalidConfig, match="index array must be T x L"):
+            codebook_utilization(np.array([1, 2, 3]), 0, 4)
+
 
 class TestEntropy:
     def test_constant_stream_zero(self):

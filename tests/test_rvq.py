@@ -586,6 +586,10 @@ class TestCommitmentLoss:
         want = float(np.mean(np.sum((x - q) ** 2, axis=1)))
         assert mean_commitment_loss(x, q) == pytest.approx(want, abs=1e-12)
 
+    def test_batch_shape_mismatch(self, rng):
+        with pytest.raises(ShapeMismatch, match="shapes differ"):
+            mean_commitment_loss(rng.standard_normal((6, 3)), rng.standard_normal((6, 4)))
+
 
 class TestEmaUpdate:
     def setup_method(self):
@@ -617,6 +621,13 @@ class TestEmaUpdate:
         before = self.book.vectors.copy()
         ema_update(self.book, self.assignments)
         assert np.array_equal(self.book.vectors, before)
+
+    def test_entry_with_no_vectors_ages_as_unassigned(self):
+        book = Codebook(self.book.vectors, 0.99, 0.01, usage_counts=np.array([3, 3]))
+        new = ema_update(book, {**self.assignments, 1: []})
+        want = ema_update(book, self.assignments)
+        assert np.array_equal(new.vectors, want.vectors)
+        assert new.usage_counts.tolist() == want.usage_counts.tolist() == [0, 4]
 
     def test_empty_assignments_decay_all(self):
         new = ema_update(self.book, {})
@@ -940,6 +951,36 @@ class TestTrainRvq:
     def test_dim_mismatch(self, rng):
         corpus = [seq(rng.standard_normal((10, 5)))]
         with pytest.raises(ShapeMismatch):
+            train_rvq(small_stack(dim=3), corpus, TrainingSchedule())
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_rows_checked_before_the_first_step(self, rng, monkeypatch, threads):
+        # a NaN in the second sequence is refused before the first one,
+        # routed at step 0, updates any layer
+        updates = []
+        ema_step = rvq._ema_step
+        monkeypatch.setattr(rvq, "_ema_step", lambda *a: updates.append(a[0]) or ema_step(*a))
+        x = rng.standard_normal((30, 3))
+        x[4, 1] = np.nan
+        corpus = [seq(rng.standard_normal((30, 3))), seq(x)]
+        sched = TrainingSchedule(replace_start=1.0, replace_end=1.0, total_steps=1)
+        with pytest.raises(InvalidSample, match="NaN or inf"):
+            train_rvq(small_stack(), corpus, sched, threads=threads)
+        assert updates == []
+
+    def test_rows_checked_once_per_sequence(self, rng, monkeypatch):
+        checked = []
+        check_rows = rvq._check_rows
+        monkeypatch.setattr(
+            rvq, "_check_rows", lambda stack, x: checked.append(len(x)) or check_rows(stack, x)
+        )
+        corpus = self.make_corpus(rng, n_seqs=3) + [seq(rng.standard_normal((7, 3)))]
+        train_rvq(small_stack(), corpus, TrainingSchedule(), epochs=2)
+        assert checked == [30, 30, 30, 7]
+
+    def test_dim_mismatch_names_both_widths(self, rng):
+        corpus = [seq(rng.standard_normal((10, 3))), seq(rng.standard_normal((10, 5)))]
+        with pytest.raises(ShapeMismatch, match="feature dim 5 != codebook dim 3"):
             train_rvq(small_stack(dim=3), corpus, TrainingSchedule())
 
     def test_empty_sequence(self, rng):

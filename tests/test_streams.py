@@ -82,6 +82,12 @@ class TestEoa:
 
 
 class TestSegment:
+    @pytest.mark.parametrize("other", [3, "text", (5, 6), None])
+    def test_equals_only_segments(self, other):
+        seg = text_segment([5, 6])
+        assert seg.__eq__(other) is NotImplemented
+        assert seg != other and other != seg
+
     def test_text_payload(self):
         seg = text_segment([5, 6])
         assert seg.kind is SegmentKind.TEXT
