@@ -12,9 +12,12 @@ by block: ``encode_rows`` prepares every layer once and asks a reader
 for 512 rows at a time, so a caller can stream features through in
 bounded memory, and it may run several blocks' cascades at once, each
 on a worker of its own; ``encode_frames`` is the same cascade over one
-in-memory matrix. A ``Codebook`` keeps float32
-codewords (as read from RVQ1) in float32 and holds anything else as
-float64; ``copy`` is always float64, so training works in float64.
+in-memory matrix. ``init_rvq_stack`` draws every layer's picks first
+and cascades only the distinct picked rows, once: it holds at most
+min(T, sum of layer sizes) rows, not a copy of all T. A ``Codebook``
+keeps float32 codewords (as read from RVQ1) in float32 and holds
+anything else as float64; ``copy`` is always float64, so training
+works in float64.
 Codewords are learned without gradients, by an exponential-moving-average
 update over the vectors assigned to each entry, optionally followed by
 an L2-norm contraction of the whole book. ``train_rvq`` updates each
@@ -396,28 +399,28 @@ def _batch(stack: RvqStack, x: np.ndarray, dropout: DropoutConfig | None, rng=No
 
 
 def _cascade(
-    stack: RvqStack,
+    layers,
     residual: np.ndarray,
     active: np.ndarray | None = None,
     gumbel: GumbelConfig = GUMBEL_OFF,
     rng: np.random.Generator | None = None,
-    prepared=None,
 ):
     """Run the residual cascade in place on a float64 (T, D) residual.
 
-    Yields (layer, rows, chosen) after every layer, one with no active
-    rows included: rows is slice(None) when all T rows are active in the
-    layer (active is a (T, L) mask; None keeps every row), else the
-    index array of the active ones, and chosen holds their indices.
-    prepared yields each layer's ``_centred`` state and is read one
-    layer at a time, when the cascade reaches that layer; without it a
-    layer is prepared then. Either way the cascade never reads a book
-    again once its layer is yielded, so a caller may update it then.
-    The Gumbel RNG defaults to a fresh generator seeded from its config.
+    layers yields each layer's (book, ``_centred(book)``) pair; the cascade
+    reads a pair only when it reaches that layer, once the layers before
+    it are subtracted from residual. Yields (layer, rows, chosen) after
+    every layer, one with no active rows included: rows is slice(None)
+    when all T rows are active in the layer (active is a (T, L) mask;
+    None keeps every row), else the index array of the active ones, and
+    chosen holds their indices. The cascade never reads a book again
+    once its layer is yielded, so a caller may update it then. Every
+    layer loop runs here: quantize, encode, training, and initialization
+    over the rows it picks. The Gumbel RNG defaults to a fresh generator
+    seeded from its config.
     """
     if gumbel.enabled and rng is None:
         rng = np.random.Generator(np.random.PCG64(gumbel.seed))
-    layers = zip(stack.layers, prepared or map(_centred, stack.layers))
     for layer, (book, prep) in enumerate(layers):
         col = True if active is None else active[:, layer]
         rows = slice(None) if np.all(col) else np.flatnonzero(col)
@@ -446,7 +449,8 @@ def quantize(
         raise ShapeMismatch(f"expected a single vector, got shape {x.shape}")
     residual, active = _batch(stack, x[None, :], dropout, dropout_rng)
     indices, residuals = [], []
-    for _, _, chosen in _cascade(stack, residual, active, gumbel, gumbel_rng):
+    layers = zip(stack.layers, map(_centred, stack.layers))
+    for _, _, chosen in _cascade(layers, residual, active, gumbel, gumbel_rng):
         indices.append(int(chosen[0]) if chosen.size else INACTIVE)
         residuals.append(residual[0].copy())
     return QuantizeResult(
@@ -476,7 +480,8 @@ def quantize_batch(
         raise ShapeMismatch(f"expected a T x D batch, got shape {x.shape}")
     residual, active = _batch(stack, x, dropout, dropout_rng)
     indices = np.full(active.shape, INACTIVE, dtype=np.int64)
-    for layer, rows, chosen in _cascade(stack, residual, active, gumbel, gumbel_rng):
+    layers = zip(stack.layers, map(_centred, stack.layers))
+    for layer, rows, chosen in _cascade(layers, residual, active, gumbel, gumbel_rng):
         indices[rows, layer] = chosen
     return indices, x - residual
 
@@ -668,6 +673,9 @@ def init_rvq_stack(
     Layer l's codewords are rows sampled uniformly from the residuals
     left after quantizing the batch through layers < l; which rows are
     picked depends only on the row count, the layer sizes and the seed.
+    So all picks are drawn first, and the cascade runs over the distinct
+    picked rows alone, at most min(T, sum of layer sizes): no other row
+    is held or scored, so a row too large to score is left to training.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.size == 0:
@@ -677,17 +685,19 @@ def init_rvq_stack(
     check_layer_sizes(layer_sizes)
 
     rng = make_rng(seed, "init")
-    residual = x.copy()
-    layers = []
-    for k in layer_sizes:
-        picks = rng.choice(residual.shape[0], size=k, replace=residual.shape[0] < k)
-        vectors = residual[picks]
-        # fancy indexing copied the picks, so the in-place cascade step
-        # below cannot alias the book
-        book = Codebook(vectors=vectors, ema_decay=ema_decay, norm_beta=norm_beta)
-        layers.append(book)
-        _assign_layer(book, _centred(book), residual, slice(None), GUMBEL_OFF, None)
-    return RvqStack(layers)
+    picks = [rng.choice(len(x), size=k, replace=len(x) < k) for k in layer_sizes]
+    rows, where = np.unique(np.concatenate(picks), return_inverse=True)
+    residual, books = x[rows], []
+
+    def layers():
+        # layer l's book is built when the cascade reaches it, from its picks'
+        # residuals; fancy indexing copies them, so the book cannot alias them
+        for at in np.split(where, np.cumsum(layer_sizes)[:-1]):
+            books.append(Codebook(vectors=residual[at], ema_decay=ema_decay, norm_beta=norm_beta))
+            yield books[-1], _centred(books[-1])
+
+    collections.deque(_cascade(layers(), residual), maxlen=0)
+    return RvqStack(books)
 
 
 def encode_rows(stack: RvqStack, n_rows: int, read, threads: int = 1):
@@ -705,7 +715,7 @@ def encode_rows(stack: RvqStack, n_rows: int, read, threads: int = 1):
     its own _ROW_CHUNK x K scores, and the indices are the same at any
     ``threads``.
     """
-    prepared = [_centred(book) for book in stack.layers]
+    prepared = list(zip(stack.layers, map(_centred, stack.layers)))
 
     def residuals():
         for start in range(0, max(n_rows, 1), _ROW_CHUNK):
@@ -714,7 +724,7 @@ def encode_rows(stack: RvqStack, n_rows: int, read, threads: int = 1):
 
     def cascade(residual):
         indices = np.empty((len(residual), stack.n_layers), dtype=np.int64)
-        for layer, _, chosen in _cascade(stack, residual, prepared=prepared):
+        for layer, _, chosen in _cascade(prepared, residual):
             indices[:, layer] = chosen
         return indices
 
@@ -849,7 +859,7 @@ def train_rvq(
             if pending and pending[0][0] == layer:
                 held[layer] = pending[0][1].result()
                 pending.popleft()
-            yield held[layer]
+            yield work.layers[layer], held[layer]
 
     records, sizes = [], work.layer_sizes
     with one_worker(threads) or contextlib.nullcontext() as pool:
@@ -862,7 +872,7 @@ def train_rvq(
                 residual = x.astype(np.float64)
                 active = _active_mask(len(x), work.n_layers, dropout, dropout_rng)
                 layer_input, utilization = x, []  # x is the first layer's input
-                cascade = _cascade(work, residual, active, gumbel, gumbel_rng, prepared())
+                cascade = _cascade(prepared(), residual, active, gumbel, gumbel_rng)
                 for layer, rows, chosen in cascade:
                     utilization.append(codebook_utilization(chosen[:, None], 0, sizes[layer]))
                     if routed:

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import errno
 import importlib
@@ -6,7 +7,6 @@ import inspect
 import io
 import json
 import os
-import re
 import shlex
 import struct
 import subprocess
@@ -2526,21 +2526,40 @@ def test_prefix_of_an_option_is_unrecognized(capsys, tmp_path, monkeypatch, valu
 
 
 def test_every_option_is_read():
-    """Each dest a subcommand sets is read as args.<dest> by the command's
-    fn, by a cli function that fn passes args to, or by main."""
+    """Each dest a subcommand sets is read as an args.<dest> attribute by
+    the command's fn, by a cli function that fn calls with args as any
+    positional or keyword argument, or by main. A dest named only in a
+    comment or a string is not read."""
     parser = cli.build_parser()
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    main_source = inspect.getsource(cli.main)
+
+    def is_args(node):
+        return isinstance(node, ast.Name) and node.id == "args"
+
+    def reads(tree):
+        return {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and is_args(node.value)
+        }
+
+    def callees(tree):
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+                continue
+            fn = getattr(cli, node.func.id, None)
+            passed = [*node.args, *(keyword.value for keyword in node.keywords)]
+            in_cli = inspect.isfunction(fn) and fn.__module__ == cli.__name__
+            if in_cli and any(map(is_args, passed)):
+                yield ast.parse(inspect.getsource(fn))
+
+    main_reads = reads(ast.parse(inspect.getsource(cli.main)))
     unread = []
     for name, command in sub.choices.items():
-        fn_source = inspect.getsource(command.get_default("fn"))
-        callees = re.findall(r"(\w+)\([^()]*\bargs\)", fn_source)
-        sources = [fn_source, main_source]
-        sources += [inspect.getsource(getattr(cli, f)) for f in callees if hasattr(cli, f)]
+        fn_tree = ast.parse(inspect.getsource(command.get_default("fn")))
+        read = main_reads.union(reads(fn_tree), *map(reads, callees(fn_tree)))
         for action in command._actions:
-            if action.dest == "help":
-                continue
-            if not any(re.search(rf"\bargs\.{action.dest}\b", src) for src in sources):
+            if action.dest != "help" and action.dest not in read:
                 unread.append(f"{name} {'/'.join(action.option_strings) or action.dest}")
     assert unread == []
 

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats as scipy_stats
 
 from rvqtok import parallel, rvq
@@ -170,6 +170,29 @@ class TestAssignLayer:
         c = rng.standard_normal((256, 32)) + offset
         x = c[rng.integers(0, 256, size=400)] + 0.1 * rng.standard_normal((400, 32))
         assert np.array_equal(select_one_layer(Codebook(c), x), brute_force_argmin(x, c))
+
+
+class TestCascade:
+    @pytest.mark.parametrize("keep", [1.0, 0.5])
+    def test_reads_each_layer_at_its_input(self, rng, keep):
+        # layer l is asked for only once layers < l are subtracted, so a
+        # caller may build or update it from that residual
+        stack = small_stack(sizes=(8, 4, 4, 2), dim=3)
+        x = rng.standard_normal((30, 3))
+        active = rvq._active_mask(30, 4, DropoutConfig(keep_prob_per_layer=keep, seed=1), None)
+        residual, seen = x.copy(), []
+
+        def layers():
+            for book in stack.layers:
+                seen.append(residual.copy())
+                yield book, rvq._centred(book)
+
+        steps = [(rows, chosen) for _, rows, chosen in rvq._cascade(layers(), residual, active)]
+        want = x.copy()  # a serial replay of the subtractions
+        for layer, (book, (rows, chosen)) in enumerate(zip(stack.layers, steps)):
+            assert seen[layer].tobytes() == want.tobytes()
+            want[rows] -= book.vectors[chosen]
+        assert residual.tobytes() == want.tobytes()
 
 
 class TestBlockedSelection:
@@ -807,7 +830,59 @@ class TestReplacementGate:
         assert np.array_equal(a, b)
 
 
+def reference_init(layer_sizes, x, seed=0):
+    """Initialization over the whole T-row residual: layer l picks its rows
+    from the residual, then every row is assigned to its book."""
+    rng = make_rng(seed, "init")
+    residual = np.asarray(x, dtype=np.float64).copy()
+    books = []
+    for k in layer_sizes:
+        picks = rng.choice(len(residual), size=k, replace=len(residual) < k)
+        book = Codebook(residual[picks])
+        rvq._assign_layer(book, rvq._centred(book), residual, slice(None), GUMBEL_OFF, None)
+        books.append(book)
+    return books
+
+
 class TestInit:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.one_of(st.integers(1, 1400), st.sampled_from([1, 513, 1025])),
+        dim=st.integers(1, 80),
+        sizes=st.lists(st.integers(1, 700), min_size=1, max_size=4),
+        offset=st.floats(1e-3, 1e3),
+        scale=st.floats(1e-3, 1e3),
+    )
+    @example(seed=0, n=5, dim=3, sizes=[8], offset=1.0, scale=1.0)  # T < K
+    @example(seed=1, n=20, dim=4, sizes=[8, 8, 8], offset=1e3, scale=1e-3)  # T < sum K
+    @example(seed=2, n=1025, dim=2, sizes=[700, 700, 1], offset=1e-3, scale=1e3)  # T % 512 == 1
+    @settings(max_examples=60)
+    def test_equals_whole_residual_reference(self, seed, n, dim, sizes, offset, scale):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        x = offset + scale * rng.standard_normal((n, dim))
+        x[rng.random(n) < 0.2] = x[0]  # repeated rows
+        got = init_rvq_stack(sizes, x, seed=seed).layers
+        want = reference_init(sizes, x, seed=seed)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.vectors.tobytes() == b.vectors.tobytes()
+
+    def test_cascades_only_the_picked_rows(self, monkeypatch, rng):
+        rows = []
+        cascade = rvq._cascade
+
+        def counted(layers, residual, *args):
+            rows.append(len(residual))
+            return cascade(layers, residual, *args)
+
+        monkeypatch.setattr(rvq, "_cascade", counted)
+        cases = ((2000, (16, 8, 4)), (1000, (700, 700)), (20, (16, 8)), (5, (1,)), (3, (2, 2)))
+        for n, sizes in cases:
+            rows.clear()
+            init_rvq_stack(sizes, rng.standard_normal((n, 4)))
+            assert len(rows) == 1
+            assert rows[0] <= min(n, sum(sizes))
+
     def test_layer_sizes(self, rng):
         x = rng.standard_normal((100, 6))
         stack = init_rvq_stack((16, 8, 4), x, seed=1)
